@@ -92,12 +92,10 @@ def performative_risk(env: Environment, theta, mc: int | None = None, rng=None):
                 resid = (1.0 - pop.eps) * theta - pop.zbar
                 total += 0.5 * float(np.sum(resid**2)) + 0.5 * pop.sigma2 * env.dim
             return total / env.n, 0.0
-        total = 0.0
-        for pop in env.populations:
-            x = pop.features + pop.eps * theta
-            core = _softplus_minus_yu(x @ theta, pop.labels)
-            total += float(np.mean(core)) + 0.5 * env.loss.beta * float(np.dot(theta, theta))
-        return total / env.n, 0.0
+        rows = env.rows
+        sq = float(theta @ theta)
+        core = _softplus_minus_yu(rows.features @ theta + rows.eps * sq, rows.labels)
+        return float(rows.weights @ core) + 0.5 * env.loss.beta * sq, 0.0
 
     if mc < 1:
         raise ValueError(f"mc must be >= 1, got {mc}")
@@ -289,17 +287,19 @@ def aggregate_columns(runs: list) -> dict:
     """Median / 5th / 95th percentile / mean across runs, per column and iteration.
 
     ``runs`` holds per-seed column dicts as returned by
-    :func:`read_metrics_csv`; all runs must share the same recorded
-    iterations. Divergent seeds may have short series, in which case only
-    iterations present in every run are aggregated.
+    :func:`read_metrics_csv`. Divergent seeds may have short series that end
+    on different iterations, so only the longest common prefix on which every
+    run records the same iterations is aggregated.
     """
     if not runs:
         return {}
     length = min(len(r["t"]) for r in runs)
     ts = runs[0]["t"][:length]
     for r in runs:
-        if not np.array_equal(r["t"][:length], ts):
-            raise ValueError("runs record different iteration grids")
+        differs = np.flatnonzero(r["t"][:length] != ts)
+        if len(differs):
+            length = int(differs[0])
+            ts = ts[:length]
     out = {"t": ts}
     for col in CSV_COLUMNS[1:]:
         stack = np.vstack([r[col][:length] for r in runs])

@@ -194,6 +194,19 @@ def test_greedy_deployment_uses_pre_mixing_decision(monkeypatch):
             assert not np.array_equal(recorded[k], mixed)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e12 * (1 + 1e-15), -2e12])
+def test_finite_rejects_nan_inf_and_oversized(bad):
+    theta = np.ones((3, 2))
+    theta[1, 0] = bad
+    assert engine._finite(theta, 1e12) is False
+
+
+def test_finite_accepts_entries_at_the_threshold():
+    theta = np.array([[1e12, -1e12], [0.0, 5.0]])
+    assert engine._finite(theta, 1e12) is True
+    assert engine._finite(np.nextafter(theta, 0.0), 1e12) is True
+
+
 def test_divergence_flag_and_truncation():
     # eps > 1 with a large constant step blows up; the trajectory stops at the
     # last finite state and carries the failing iteration index

@@ -218,6 +218,42 @@ def test_decoupled_full_gradient_strategic_matches_shard_average():
     assert np.allclose(got, want, atol=1e-12)
 
 
+def unequal_shard_env(sizes=(7, 10, 13), d=3, eps_avg=0.4, spread=0.5, beta=0.1, seed=11):
+    rng = np.random.default_rng(seed)
+    shards = [(rng.standard_normal((m, d)), rng.integers(0, 2, m).astype(float)) for m in sizes]
+    return make_heterogeneous_suite(len(sizes), eps_avg, spread, kind=STRATEGIC,
+                                    shards=shards, beta=beta)
+
+
+def test_decoupled_full_gradient_strategic_unequal_shards():
+    # every agent weighs 1/n whatever its shard size m_i, so each row weighs 1/(n m_i)
+    env = unequal_shard_env()
+    theta = np.array([0.2, -0.1, 0.4])
+    deployed = np.array([1.0, 0.0, -1.0])
+    want = np.mean([
+        np.mean([
+            loss_gradient(env.loss, theta, (pop.features[k] + pop.eps * deployed, pop.labels[k]))
+            for k in range(len(pop.labels))
+        ], axis=0)
+        for pop in env.populations
+    ], axis=0)
+    got = decoupled_full_gradient(env, theta, deployed)
+    assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+def test_strategic_rows_are_stacked_read_only():
+    env = unequal_shard_env()
+    rows = env.rows
+    assert rows.features.shape == (30, 3)
+    assert np.array_equal(rows.eps, np.repeat(env.eps, [7, 10, 13]))
+    assert rows.weights.sum() == pytest.approx(1.0, abs=1e-15)
+    assert env.rows is rows
+    with pytest.raises(ValueError):
+        rows.features[0, 0] = 1.0
+    with pytest.raises(UnsupportedKindError):
+        gaussian_env().rows
+
+
 # ---------------------------------------------------------------- suites
 
 def test_suite_grid_canonical_pattern():

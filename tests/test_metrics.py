@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from perfnet.engine import stream
-from perfnet.environment import make_heterogeneous_suite
+from perfnet.environment import loss_value, make_heterogeneous_suite
 from perfnet.metrics import (
     CSV_COLUMNS,
     FitUnavailableError,
@@ -98,6 +98,23 @@ def test_risk_strategic_exact_and_mc():
     assert se0 == 0.0
     est, se = performative_risk(env, theta, mc=2000, rng=stream(3, 0xEE))
     assert abs(est - exact) < 4.0 * se
+
+
+def test_risk_strategic_exact_unequal_shards():
+    # agents weigh equally whatever their shard sizes
+    rng = np.random.default_rng(4)
+    shards = [(rng.standard_normal((m, 3)), rng.integers(0, 2, m).astype(float))
+              for m in (7, 10, 13)]
+    env = make_heterogeneous_suite(3, 0.4, 0.5, kind="strategic_shift",
+                                   shards=shards, beta=0.1)
+    theta = np.array([0.3, -0.2, 0.5])
+    want = np.mean([
+        np.mean([loss_value(env.loss, theta, (x + pop.eps * theta, y))
+                 for x, y in zip(pop.features, pop.labels)])
+        for pop in env.populations
+    ])
+    exact, se = performative_risk(env, theta)
+    assert exact == pytest.approx(want, rel=1e-12, abs=0.0) and se == 0.0
 
 
 # ---------------------------------------------------------------- gradient norm
@@ -245,3 +262,23 @@ def test_aggregate_percentiles(tmp_path):
     assert agg["gap_sq_mean"][1] == pytest.approx(4.0)
     assert agg["gap_sq_p05"][0] == pytest.approx(0.2)
     assert agg["gap_sq_p95"][0] == pytest.approx(3.8)
+
+
+def test_aggregate_divergent_runs_ending_on_different_steps():
+    # two divergent seeds: common records every 200 steps, then last finite
+    # states at t=6605 and t=6606
+    def run(last):
+        t = np.append(np.arange(0.0, 6601.0, 200.0), last)
+        cols = {col: np.arange(len(t), dtype=float) for col in CSV_COLUMNS[1:]}
+        return {"t": t, **cols}
+
+    agg = aggregate_columns([run(6605.0), run(6606.0)])
+    assert np.array_equal(agg["t"], np.arange(0.0, 6601.0, 200.0))
+    assert np.array_equal(agg["gap_sq_median"], np.arange(34.0))
+    assert all(len(v) == 34 for v in agg.values())
+
+
+def test_aggregate_stops_at_first_disagreement():
+    a = {"t": np.array([0.0, 10.0, 20.0, 30.0]), **{c: np.ones(4) for c in CSV_COLUMNS[1:]}}
+    b = {"t": np.array([0.0, 10.0, 25.0, 30.0]), **{c: np.ones(4) for c in CSV_COLUMNS[1:]}}
+    assert np.array_equal(aggregate_columns([a, b])["t"], [0.0, 10.0])
