@@ -12,8 +12,8 @@ import argparse
 import json
 import sys
 
-from . import experiments, metrics, oracle
-from .config import Config, ConfigError, load_config
+from . import experiments, metrics, oracle, theory
+from .config import ConfigError, load_config
 from .datasets import DatasetError
 
 EXIT_OK = 0
@@ -122,14 +122,7 @@ def _cmd_theory(args) -> int:
     report = experiments.theory_report(cfg, recorded_ts=ts)
     curves = report.pop("curves", None)
     if curves is not None and args.curves:
-        with open(args.curves, "w", newline="") as fh:
-            fh.write("t,gap_bound,consensus_bound,term_transient,term_network,term_fluctuation\n")
-            for k in range(len(curves.t)):
-                fh.write(
-                    f"{curves.t[k]},{curves.gap_bound[k]!r},{curves.consensus_bound[k]!r},"
-                    f"{curves.term_transient[k]!r},{curves.term_network[k]!r},"
-                    f"{curves.term_fluctuation[k]!r}\n"
-                )
+        theory.write_curves_csv(args.curves, curves)
         report["curves"] = args.curves
     print(json.dumps(report, indent=2))
     return EXIT_OK

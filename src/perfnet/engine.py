@@ -27,8 +27,6 @@ from .environment import (
     decoupled_risk_gradient,
     make_engine_sampler,
     sample_batch,
-    UnsupportedKindError,
-    GAUSSIAN,
 )
 
 __all__ = [
@@ -166,14 +164,15 @@ def dsgd_gd_step(
 ) -> SchemeState:
     """One two-phase update. Returns the state at iteration t+1.
 
-    On divergence (non-finite or oversized update) the previous finite
+    Without a ``sampler`` one unbuffered iteration is drawn from
+    ``state.streams``, exactly as :func:`run`'s sampler would draw it. On
+    divergence (non-finite or oversized update) the previous finite
     decisions are kept and the state is flagged with the failing iteration.
     """
     theta = state.theta
     if sampler is None:
-        samples = _plain_samples(env, theta, batch, state.streams)
-    else:
-        samples = sampler(theta)
+        sampler = make_engine_sampler(env, batch, state.streams, chunk=1)
+    samples = sampler(theta)
     grads = deployed_gradients(env, theta, samples)  # evaluated at pre-mixing theta
     nxt = weights @ theta - gamma_t * grads
 
@@ -188,13 +187,6 @@ def dsgd_gd_step(
     return SchemeState(nxt, state.t + 1, state.streams)
 
 
-def _plain_samples(env, theta, batch, streams):
-    if env.kind == GAUSSIAN:
-        return np.stack([sample_batch(env, i, theta[i], batch, streams[i]) for i in range(env.n)])
-    xs, ys = zip(*(sample_batch(env, i, theta[i], batch, streams[i]) for i in range(env.n)))
-    return np.stack(xs), np.stack(ys)
-
-
 def run(
     config: RunConfig,
     env: Environment,
@@ -205,6 +197,8 @@ def run(
 ) -> Trajectory:
     """Execute the scheme for ``config.T`` iterations.
 
+    ``config`` is a :class:`RunConfig` or a :class:`~perfnet.config.RunSection`,
+    which has the same six fields and checks.
     ``mixing`` is a :class:`~perfnet.topology.MixingMatrix` or a
     :class:`~perfnet.topology.MixingSchedule` (time-varying weights are taken
     at index t+1 for the step into iteration t+1, cycling the sequence).
@@ -268,12 +262,11 @@ def bias_probe(env: Environment, i: int, theta, mc: int, rng) -> BiasProbe:
     The deployed stochastic gradient is unbiased for the gradient of the
     decoupled risk with the distribution frozen at the deployed decision,
     which is not the total derivative of the performative risk. Gaussian
-    populations only (the exact decoupled gradient is needed as reference).
+    populations only: the exact decoupled gradient, the reference, raises
+    :class:`~perfnet.environment.UnsupportedKindError` for other kinds.
     """
-    if env.kind != GAUSSIAN:
-        raise UnsupportedKindError("bias_probe needs the gaussian closed form")
+    ref = decoupled_risk_gradient(env, i, theta, theta)
     z = sample_batch(env, i, theta, mc, rng)
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     mc_mean = theta - z.mean(axis=0)
-    ref = decoupled_risk_gradient(env, i, theta, theta)
     return BiasProbe(mc_mean=mc_mean, diff_norm=float(np.linalg.norm(mc_mean - ref)))

@@ -9,7 +9,9 @@ Two population kinds are supported:
   feature vector shifted to ``X + eps_i * theta`` (labels are untouched).
 
 Losses are ``quadratic`` (``|theta - Z|^2 / 2``, strongly convex and smooth
-with constants exactly 1) or ridge-regularized ``logistic``.
+with constants exactly 1) for gaussian populations, ridge-regularized
+``logistic`` for strategic ones. Only this module decides how each population
+kind samples, scores and differentiates.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ __all__ = [
     "deployed_gradients",
     "decoupled_risk_gradient",
     "decoupled_full_gradient",
+    "exact_risk",
     "assumption_constants",
     "eps_multipliers",
     "make_heterogeneous_suite",
@@ -48,6 +51,8 @@ GAUSSIAN = "gaussian_mean"
 STRATEGIC = "strategic_shift"
 QUADRATIC = "quadratic"
 LOGISTIC = "logistic"
+
+_LOSS_OF = {GAUSSIAN: QUADRATIC, STRATEGIC: LOGISTIC}
 
 
 class UnsupportedKindError(ValueError):
@@ -135,6 +140,8 @@ class Environment:
         kinds = {p.kind for p in self.populations}
         if len(kinds) != 1:
             raise ValueError(f"mixed population kinds {kinds}")
+        if _LOSS_OF[self.kind] != self.loss.kind:
+            raise ValueError(f"{self.kind} populations need the {_LOSS_OF[self.kind]} loss")
         dims = {p.dim for p in self.populations}
         if dims != {self.loss.dim}:
             raise ValueError(f"population dims {dims} do not match loss dim {self.loss.dim}")
@@ -168,14 +175,14 @@ class Environment:
     @cached_property
     def mu(self) -> float:
         """Strong-convexity constant of the decoupled objective."""
-        if self.loss.kind == QUADRATIC:
+        if self.kind == GAUSSIAN:
             return 1.0
         return self.loss.beta
 
     @cached_property
     def smoothness(self) -> float:
         """Gradient Lipschitz constant; logistic uses beta + max ||x||^2 / 4."""
-        if self.loss.kind == QUADRATIC:
+        if self.kind == GAUSSIAN:
             return 1.0
         peak = max(float(np.max(np.sum(p.features**2, axis=1))) for p in self.populations)
         return self.loss.beta + peak / 4.0
@@ -243,14 +250,16 @@ def _softplus_minus_yu(u, y):
     return np.log1p(np.exp(-np.abs(u))) + (np.maximum(u, 0.0) - y * u)
 
 
-def loss_value(loss: LossSpec, theta, z) -> float:
+def loss_value(loss: LossSpec, theta, z):
+    """Loss at ``theta``: a float for one sample, an array for a :func:`sample_batch` draw."""
     theta = _check_theta(loss, theta)
     if loss.kind == QUADRATIC:
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        return 0.5 * float(np.sum((theta - z) ** 2))
-    x, y = z
-    u = float(np.dot(np.asarray(x, dtype=float), theta))
-    return float(_softplus_minus_yu(u, y)) + 0.5 * loss.beta * float(np.dot(theta, theta))
+        vals = 0.5 * np.sum((theta - np.asarray(z, dtype=float)) ** 2, axis=-1)
+    else:
+        x, y = z
+        vals = _softplus_minus_yu(np.asarray(x, dtype=float) @ theta, y) \
+            + 0.5 * loss.beta * float(np.dot(theta, theta))
+    return float(vals) if np.ndim(vals) == 0 else vals
 
 
 def loss_gradient(loss: LossSpec, theta, z) -> np.ndarray:
@@ -272,7 +281,7 @@ def deployed_gradients(env: Environment, thetas: np.ndarray, samples) -> np.ndar
     (n, batch) for strategic. Returns the (n, d) stack of gradients, each
     evaluated at the agent's own pre-mixing decision.
     """
-    if env.loss.kind == QUADRATIC:
+    if env.kind == GAUSSIAN:
         return thetas - samples.mean(axis=1)
     x, y = samples
     shifted_scores = np.einsum("nbd,nd->nb", x, thetas)
@@ -315,6 +324,26 @@ def decoupled_full_gradient(env: Environment, theta, deployed) -> np.ndarray:
     scores = rows.features @ theta + rows.eps * float(deployed @ theta)
     resid = rows.weights * (expit(scores) - rows.labels)
     return resid @ rows.features + float(resid @ rows.eps) * deployed + env.loss.beta * theta
+
+
+def exact_risk(env: Environment, theta) -> float:
+    """Agent-averaged loss at ``theta`` under the distributions ``theta`` induces.
+
+    Gaussian populations use the closed form (the residual term plus half the
+    noise variance per dimension); strategic ones average the loss over the
+    full shifted empirical datasets in one pass over ``rows``.
+    """
+    theta = _check_theta(env, theta)
+    if env.kind == GAUSSIAN:
+        total = 0.0
+        for pop in env.populations:
+            resid = (1.0 - pop.eps) * theta - pop.zbar
+            total += 0.5 * float(np.sum(resid**2)) + 0.5 * pop.sigma2 * env.dim
+        return total / env.n
+    rows = env.rows
+    sq = float(theta @ theta)
+    core = _softplus_minus_yu(rows.features @ theta + rows.eps * sq, rows.labels)
+    return float(rows.weights @ core) + 0.5 * env.loss.beta * sq
 
 
 def assumption_constants(env: Environment, theta_ps) -> tuple[float, float]:

@@ -243,33 +243,19 @@ def build_environment(ec, seed: int) -> tuple[Environment, tuple | None]:
     return env, test
 
 
-def _stable_point(env: Environment):
-    if env.kind == GAUSSIAN and env.eps_avg < 1.0:
-        return oracle.closed_form_multi_ps(env)
-    return None
-
-
 def run_single(cfg: Config) -> tuple[engine.Trajectory, list]:
     """One seeded run with the standard metric recorder. Returns (trajectory, records)."""
     env, test = build_environment(cfg.environment, cfg.run.seed)
     mixing = build_mixing(cfg.topology)
     schedule = build_schedule(cfg.step)
-    theta_ps = _stable_point(env)
+    theta_ps = oracle.closed_form_or_none(env)
     risk_mc = cfg.experiment.risk_mc
     if risk_mc is None and env.kind == STRATEGIC:
         risk_mc = DEFAULT_STRATEGIC_RISK_MC
     sink = metrics.metric_recorder(
         env, theta_ps=theta_ps, risk_mc=risk_mc, seed=cfg.run.seed, test_data=test
     )
-    run_cfg = engine.RunConfig(
-        T=cfg.run.T,
-        batch=cfg.run.batch,
-        record_every=cfg.run.record_every,
-        seed=cfg.run.seed,
-        theta0=cfg.run.theta0,
-        divergence_threshold=cfg.run.divergence_threshold,
-    )
-    traj = engine.run(run_cfg, env, mixing, schedule, sink=sink)
+    traj = engine.run(cfg.run, env, mixing, schedule, sink=sink)
     return traj, traj.records
 
 
@@ -358,7 +344,7 @@ def run_experiment(
 
     convergent = _regime_is_convergent(cfg, values, axis)
     for value in values:
-        _aggregate_cell(cfg, axis, value, out_root)
+        _aggregate_cell(cfg, axis, value, out_root, results[_fmt_value(value)].values())
 
     flagged_in_convergent = any(
         s["flagged"]
@@ -394,7 +380,7 @@ def _regime_is_convergent(cfg: Config, values, axis: str) -> dict:
     return out
 
 
-def _aggregate_cell(cfg: Config, axis: str, value, out_root: Path) -> None:
+def _aggregate_cell(cfg: Config, axis: str, value, out_root: Path, summaries) -> None:
     cell = out_root / f"{axis}={_fmt_value(value)}"
     runs = [
         metrics.read_metrics_csv(cell / str(seed) / "metrics.csv")
@@ -407,9 +393,11 @@ def _aggregate_cell(cfg: Config, axis: str, value, out_root: Path) -> None:
     metrics.write_aggregate_csv(cell / "aggregate.csv", agg)
 
     fits = []
+    # a power law fitted to a blow-up says nothing: no fits once any seed diverged
+    diverged = any(s["engine_diverged"] for s in summaries)
     for col in ("gap_sq", "consensus_sq", "consensus_sq_norm", "risk", "grad_norm_sq"):
         series = agg.get(f"{col}_mean")
-        if series is None or not np.any(np.isfinite(series)):
+        if diverged or series is None or not np.any(np.isfinite(series)):
             continue
         try:
             fit = metrics.rate_fit(agg["t"], series)
@@ -423,14 +411,7 @@ def _aggregate_cell(cfg: Config, axis: str, value, out_root: Path) -> None:
     curves = report.pop("curves", None)
     (cell / "theory.json").write_text(json.dumps(report, indent=2) + "\n")
     if curves is not None:
-        with open(cell / "theory_curves.csv", "w", newline="") as fh:
-            fh.write("t,gap_bound,consensus_bound,term_transient,term_network,term_fluctuation\n")
-            for k in range(len(curves.t)):
-                fh.write(
-                    f"{curves.t[k]},{curves.gap_bound[k]!r},{curves.consensus_bound[k]!r},"
-                    f"{curves.term_transient[k]!r},{curves.term_network[k]!r},"
-                    f"{curves.term_fluctuation[k]!r}\n"
-                )
+        theory.write_curves_csv(cell / "theory_curves.csv", curves)
 
 
 def theory_report(cfg: Config, recorded_ts=None) -> dict:
@@ -442,7 +423,7 @@ def theory_report(cfg: Config, recorded_ts=None) -> dict:
     """
     env, _ = build_environment(cfg.environment, cfg.run.seed)
     schedule = build_schedule(cfg.step)
-    theta_ps = _stable_point(env)
+    theta_ps = oracle.closed_form_or_none(env)
     if theta_ps is None:
         return {"applicable": False, "reason": "no closed-form stable point for this instance"}
     mixing = build_mixing(cfg.topology)
@@ -502,15 +483,10 @@ def run_disconnected_baseline(cfg: Config, isolated: int, out: str | None = None
     metrics.write_metrics_csv(networked_dir / "metrics.csv", rec_net)
 
     solo_env = Environment((env.populations[isolated],), env.loss)
-    solo_ps = _stable_point(solo_env)
+    solo_ps = oracle.closed_form_or_none(solo_env)
     sink = metrics.metric_recorder(solo_env, theta_ps=solo_ps, seed=cfg.run.seed)
-    run_cfg = engine.RunConfig(
-        T=cfg.run.T, batch=cfg.run.batch, record_every=cfg.run.record_every,
-        seed=cfg.run.seed, theta0=cfg.run.theta0,
-        divergence_threshold=cfg.run.divergence_threshold,
-    )
     solo_mix = topology.uniform_neighbor_weights(topology.build_ring(1))
-    traj_solo = engine.run(run_cfg, solo_env, solo_mix, build_schedule(cfg.step), sink=sink)
+    traj_solo = engine.run(cfg.run, solo_env, solo_mix, build_schedule(cfg.step), sink=sink)
     metrics.write_metrics_csv(isolated_dir / "metrics.csv", traj_solo.records)
 
     solo_risks = [r.risk for r in traj_solo.records if r.risk is not None]
@@ -557,12 +533,7 @@ def run_nonperformative_baseline(cfg: Config, out: str | None = None) -> dict:
     sink = metrics.metric_recorder(
         env_zero, risk_mc=risk_mc, seed=cfg.run.seed, test_data=test, accuracy_env=env
     )
-    run_cfg = engine.RunConfig(
-        T=cfg.run.T, batch=cfg.run.batch, record_every=cfg.run.record_every,
-        seed=cfg.run.seed, theta0=cfg.run.theta0,
-        divergence_threshold=cfg.run.divergence_threshold,
-    )
-    traj_zero = engine.run(run_cfg, env_zero, build_mixing(cfg.topology),
+    traj_zero = engine.run(cfg.run, env_zero, build_mixing(cfg.topology),
                            build_schedule(cfg.step), sink=sink)
     metrics.write_metrics_csv(base_dir / "nonperformative" / "metrics.csv", traj_zero.records)
 

@@ -19,9 +19,9 @@ import numpy as np
 
 from .environment import (
     Environment,
-    GAUSSIAN,
-    _softplus_minus_yu,
     decoupled_full_gradient,
+    exact_risk,
+    loss_value,
     sample_batch,
 )
 from .engine import METRIC_STREAM, SchemeState, stream
@@ -78,25 +78,14 @@ def consensus_error(theta: np.ndarray) -> tuple[float, float]:
 def performative_risk(env: Environment, theta, mc: int | None = None, rng=None):
     """Average loss at ``theta`` under the distributions ``theta`` induces.
 
-    ``mc=None`` gives the exact value: the closed form for gaussian
-    populations (the residual term plus half the noise variance per
-    dimension) and the full shifted-dataset average for strategic ones, both
-    with zero standard error. With ``mc >= 1`` the value is a Monte Carlo
+    ``mc=None`` gives the exact value of
+    :func:`~perfnet.environment.exact_risk` with zero standard error.
+    With ``mc >= 1`` the value is a Monte Carlo
     estimate over ``mc`` samples per agent, returned with its standard error.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     if mc is None:
-        if env.kind == GAUSSIAN:
-            total = 0.0
-            for pop in env.populations:
-                resid = (1.0 - pop.eps) * theta - pop.zbar
-                total += 0.5 * float(np.sum(resid**2)) + 0.5 * pop.sigma2 * env.dim
-            return total / env.n, 0.0
-        rows = env.rows
-        sq = float(theta @ theta)
-        core = _softplus_minus_yu(rows.features @ theta + rows.eps * sq, rows.labels)
-        return float(rows.weights @ core) + 0.5 * env.loss.beta * sq, 0.0
-
+        return exact_risk(env, theta), 0.0
     if mc < 1:
         raise ValueError(f"mc must be >= 1, got {mc}")
     if rng is None:
@@ -104,13 +93,7 @@ def performative_risk(env: Environment, theta, mc: int | None = None, rng=None):
     means = np.empty(env.n)
     variances = np.empty(env.n)
     for i in range(env.n):
-        drawn = sample_batch(env, i, theta, mc, rng)
-        if env.kind == GAUSSIAN:
-            vals = 0.5 * np.sum((theta[None, :] - drawn) ** 2, axis=1)
-        else:
-            x, y = drawn
-            vals = _softplus_minus_yu(x @ theta, y) \
-                + 0.5 * env.loss.beta * float(np.dot(theta, theta))
+        vals = loss_value(env.loss, theta, sample_batch(env, i, theta, mc, rng))
         means[i] = vals.mean()
         variances[i] = vals.var(ddof=1) if mc > 1 else 0.0
     se = float(np.sqrt(variances.sum() / mc)) / env.n

@@ -29,6 +29,7 @@ __all__ = [
     "ContractionReport",
     "ExistenceResult",
     "closed_form_multi_ps",
+    "closed_form_or_none",
     "apply_M",
     "repeated_gd_fixed_point",
     "contraction_probe",
@@ -70,15 +71,23 @@ def closed_form_multi_ps(env: Environment) -> np.ndarray:
     """Closed-form stable point for gaussian mean estimation.
 
     Componentwise ``mean(zbar) / (1 - eps_avg)``; requires ``eps_avg < 1``
-    (the quadratic loss has curvature and smoothness exactly 1).
+    (the quadratic loss has curvature and smoothness exactly 1). Other kinds
+    raise :class:`~perfnet.environment.UnsupportedKindError`.
     """
-    if env.kind != GAUSSIAN:
-        raise UnsupportedKindError("closed form exists for gaussian environments only")
+    zbar = env.zbar_stack
     if env.eps_avg >= 1.0:
         raise NoFixedPointError(
             f"eps_avg = {env.eps_avg} >= 1: no stable point exists"
         )
-    return env.zbar_stack.mean(axis=0) / (1.0 - env.eps_avg)
+    return zbar.mean(axis=0) / (1.0 - env.eps_avg)
+
+
+def closed_form_or_none(env: Environment) -> np.ndarray | None:
+    """The closed-form stable point, or None when the instance has none."""
+    try:
+        return closed_form_multi_ps(env)
+    except (UnsupportedKindError, NoFixedPointError):
+        return None
 
 
 def _minimize_frozen(env, deployed, theta_init, inner, inner_tol):
@@ -167,10 +176,9 @@ def contraction_probe(
     if rng is None:
         rng = stream(0, PROBE_STREAM)
     if center is None:
-        if env.kind == GAUSSIAN and env.eps_avg < 1.0:
-            center = closed_form_multi_ps(env)
-        else:
-            center = repeated_gd_fixed_point(env, deployments=200, inner=inner, tol=1e-10).theta_ps
+        center = closed_form_or_none(env)
+    if center is None:
+        center = repeated_gd_fixed_point(env, deployments=200, inner=inner, tol=1e-10).theta_ps
     center = np.atleast_1d(np.asarray(center, dtype=float))
 
     worst = 0.0

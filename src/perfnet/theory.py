@@ -32,6 +32,7 @@ __all__ = [
     "ratio_condition_check",
     "BoundCurves",
     "bound_curves",
+    "write_curves_csv",
     "transient_threshold",
 ]
 
@@ -275,6 +276,18 @@ def bound_curves(tc: TheoryConstants, schedule: StepSchedule, ts) -> BoundCurves
         t=ts, gap_bound=gap, consensus_bound=cons,
         term_transient=transient, term_network=network, term_fluctuation=fluct,
     )
+
+
+def write_curves_csv(path, curves: BoundCurves) -> None:
+    """One row per iteration: ``t`` and the five bound series of :func:`bound_curves`."""
+    with open(path, "w", newline="") as fh:
+        fh.write("t,gap_bound,consensus_bound,term_transient,term_network,term_fluctuation\n")
+        for k in range(len(curves.t)):
+            fh.write(
+                f"{curves.t[k]},{curves.gap_bound[k]!r},{curves.consensus_bound[k]!r},"
+                f"{curves.term_transient[k]!r},{curves.term_network[k]!r},"
+                f"{curves.term_fluctuation[k]!r}\n"
+            )
 
 
 def transient_threshold(tc: TheoryConstants, C: float = 1.0) -> float:

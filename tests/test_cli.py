@@ -101,6 +101,15 @@ def test_theory_emits_constants_and_curves(tmp_path, capsys):
     assert header.startswith("t,gap_bound,consensus_bound")
 
 
+def test_theory_curves_match_experiment_artifact(tmp_path, capsys):
+    path = tiny_gaussian_cfg(tmp_path)
+    assert main(["run", path, "--threads", "1"]) == 0
+    curves = tmp_path / "curves.csv"
+    assert main(["theory", path, "--curves", str(curves)]) == 0
+    cell = tmp_path / "out" / "gaussian_mean" / "eps_avg=0.9" / "theory_curves.csv"
+    assert curves.read_bytes() == cell.read_bytes()
+
+
 def test_rate_check_on_csv(tmp_path, capsys):
     ts = np.arange(100, 2000, 20)
     recs = [MetricRecord(t=int(t), gap_sq=float(7.0 / t)) for t in ts]

@@ -12,7 +12,12 @@ from perfnet.engine import (
     gamma,
     run,
 )
-from perfnet.environment import UnsupportedKindError, make_heterogeneous_suite
+from perfnet.environment import (
+    GAUSSIAN,
+    STRATEGIC,
+    UnsupportedKindError,
+    make_heterogeneous_suite,
+)
 from perfnet.metrics import metric_recorder
 from perfnet.topology import build_complete, build_ring, uniform_neighbor_weights
 
@@ -230,6 +235,25 @@ def test_batch_gradient_is_sample_average():
     nxt = dsgd_gd_step(state, mix.weights, env, gamma_t=0.1, batch=8)
     want = mix.weights @ state.theta - 0.1 * (state.theta - z.mean(axis=1))
     assert np.allclose(nxt.theta, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", [GAUSSIAN, STRATEGIC])
+def test_step_without_sampler_matches_run(kind):
+    # the unbuffered no-sampler step consumes the streams exactly as run's sampler
+    if kind == GAUSSIAN:
+        env = gaussian_env(3, 0.5, spread=0.4, sigma2=50.0)
+    else:
+        rng = np.random.default_rng(4)
+        shards = [(rng.standard_normal((m, 2)), rng.integers(0, 2, m).astype(float))
+                  for m in (5, 8, 11)]
+        env = make_heterogeneous_suite(3, 0.5, 0.4, kind=STRATEGIC, shards=shards, beta=0.1)
+    mix = uniform_neighbor_weights(build_complete(3))
+    sched = StepSchedule.constant(0.05)
+    traj = run(RunConfig(T=5, batch=3, seed=13), env, mix, sched)
+    state = SchemeState(np.zeros((3, env.dim)), 0, agent_streams(13, 3))
+    for t in range(5):
+        state = dsgd_gd_step(state, mix.weights, env, gamma(sched, t + 1), batch=3)
+    assert state.theta.tobytes() == traj.final_theta.tobytes()
 
 
 def test_time_varying_mixing_converges():

@@ -118,6 +118,17 @@ def test_logistic_at_zero_is_log_two():
     assert np.allclose(loss_gradient(loss, np.zeros(3), z), -0.5 * z[0])
 
 
+@pytest.mark.parametrize("kind", [GAUSSIAN, STRATEGIC])
+def test_loss_value_on_a_batch_is_per_sample(kind):
+    env = gaussian_env() if kind == GAUSSIAN else strategic_env()
+    theta = np.full(env.dim, 0.3)
+    draw = sample_batch(env, 1, theta, 6, stream(2, 1))
+    singles = list(draw) if kind == GAUSSIAN else list(zip(*draw))
+    got = loss_value(env.loss, theta, draw)
+    assert got.shape == (6,)
+    assert np.allclose(got, [loss_value(env.loss, theta, z) for z in singles], rtol=1e-12, atol=0)
+
+
 def test_logistic_large_score_no_overflow():
     # softplus(u) - u = log1p(exp(-u)); at u=50 this is e^-50 to 1e-12 relative
     loss = LossSpec(LOGISTIC, dim=1, beta=1e-9)
@@ -338,3 +349,15 @@ def test_assumption_constants_gaussian_exact():
     a = np.array([(1 - e) * 100.0 - 10.0 for e in env.eps])
     b = env.eps - env.eps_avg
     assert varsigma == pytest.approx(np.sqrt(np.max(a**2 + b**2)), rel=1e-12)
+
+
+# ---------------------------------------------------------------- kind pairing
+
+@pytest.mark.parametrize("pop, loss", [
+    (PopulationSpec(GAUSSIAN, 0.5, zbar=[10.0], sigma2=1.0), LossSpec(LOGISTIC, dim=1, beta=0.1)),
+    (PopulationSpec(STRATEGIC, 0.5, features=np.ones((3, 2)), labels=np.array([0.0, 1.0, 1.0])),
+     LossSpec(QUADRATIC, dim=2)),
+])
+def test_environment_rejects_mismatched_loss(pop, loss):
+    with pytest.raises(ValueError, match="need the"):
+        Environment((pop,), loss)

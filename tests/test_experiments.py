@@ -129,6 +129,17 @@ def test_sweep_flags_divergence_beyond_threshold(tmp_path):
     assert (tmp_path / "gaussian_mean" / "eps_avg=1.2" / "1" / "metrics.csv").exists()
 
 
+def test_diverged_cell_has_no_rate_fits(tmp_path):
+    # eps_avg = 2: the seed blows up near t = 6600, after enough records for a
+    # log-log fit of the exploding series
+    cfg = tiny_gaussian(T=8000, seeds=(9000,), eps=2.0, record_every=200)
+    manifest = run_experiment(cfg, out=tmp_path, threads=1)
+    assert manifest["results"]["2"]["9000"]["engine_diverged"] is True
+    cell = tmp_path / "gaussian_mean" / "eps_avg=2"
+    assert (cell / "aggregate.csv").exists()
+    assert json.loads((cell / "ratefit.json").read_text()) == []
+
+
 def test_empty_seeds_empty_manifest(tmp_path):
     cfg = tiny_gaussian(seeds=())
     manifest = run_experiment(cfg, out=tmp_path, threads=1)

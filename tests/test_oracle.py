@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from perfnet.engine import stream
-from perfnet.environment import make_heterogeneous_suite
+from perfnet.environment import UnsupportedKindError, make_heterogeneous_suite
 from perfnet.oracle import (
     NoFixedPointError,
     apply_M,
     closed_form_multi_ps,
+    closed_form_or_none,
     contraction_probe,
     existence_check,
     repeated_gd_fixed_point,
@@ -44,6 +45,17 @@ def test_closed_form_beyond_threshold_raises():
         closed_form_multi_ps(gaussian_env(eps_avg=1.01))
     with pytest.raises(NoFixedPointError):
         closed_form_multi_ps(gaussian_env(eps_avg=1.0))
+
+
+def test_closed_form_kind_error_comes_before_threshold():
+    with pytest.raises(UnsupportedKindError):
+        closed_form_multi_ps(strategic_env(eps_avg=1.5))
+
+
+def test_closed_form_or_none():
+    assert closed_form_or_none(gaussian_env()) == pytest.approx([100.0])
+    assert closed_form_or_none(gaussian_env(eps_avg=1.0)) is None
+    assert closed_form_or_none(strategic_env()) is None
 
 
 # ---------------------------------------------------------------- deployment map
