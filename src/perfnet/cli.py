@@ -118,7 +118,8 @@ def _cmd_theory(args) -> int:
     cfg = load_config(args.config)
     ts = None
     if args.curves:
-        ts = list(range(0, cfg.run.T + 1, cfg.run.record_every))
+        # the grid engine.run records on: every record_every iterations and t = T
+        ts = [*range(0, cfg.run.T, cfg.run.record_every), cfg.run.T]
     report = experiments.theory_report(cfg, recorded_ts=ts)
     curves = report.pop("curves", None)
     if curves is not None and args.curves:

@@ -123,18 +123,25 @@ class RunConfig:
 
 @dataclass
 class SchemeState:
-    """Stacked agent decisions at iteration t plus their RNG streams."""
+    """Stacked agent decisions at iteration t plus their RNG streams.
 
-    theta: np.ndarray  # (n, d)
+    ``theta`` is (n, d) for one seed. A batch of S seeds stacks them as
+    (S, n, d): ``streams`` then holds one list per seed, ``t`` counts the
+    batch's steps, ``diverged`` is False until a seed stops and one flag per
+    seed after, and ``diverged_at`` is unused (:func:`run` keeps each seed's
+    stopping step).
+    """
+
+    theta: np.ndarray  # (n, d) or (S, n, d)
     t: int
     streams: list
-    diverged: bool = False
+    diverged: bool | np.ndarray = False
     diverged_at: int | None = None
 
     @property
     def theta_bar(self) -> np.ndarray:
         """Recomputed on demand; never stored stale."""
-        return self.theta.mean(axis=0)
+        return self.theta.mean(axis=-2)
 
 
 @dataclass
@@ -165,9 +172,11 @@ def dsgd_gd_step(
     """One two-phase update. Returns the state at iteration t+1.
 
     Without a ``sampler`` one unbuffered iteration is drawn from
-    ``state.streams``, exactly as :func:`run`'s sampler would draw it. On
-    divergence (non-finite or oversized update) the previous finite
-    decisions are kept and the state is flagged with the failing iteration.
+    ``state.streams``, exactly as :func:`run`'s sampler would draw it (one
+    seed only). On divergence (non-finite or oversized update) the previous
+    finite decisions are kept and the state is flagged with the failing
+    iteration. In a batch of seeds, which shares ``env``'s loss, a seed that
+    fails now or failed before keeps its rows and is flagged; the others move.
     """
     theta = state.theta
     if sampler is None:
@@ -177,14 +186,21 @@ def dsgd_gd_step(
     nxt = weights @ theta - gamma_t * grads
 
     if check_average:
-        expect = theta.mean(axis=0) - gamma_t * grads.mean(axis=0)
-        drift = float(np.max(np.abs(nxt.mean(axis=0) - expect)))
+        expect = theta.mean(axis=-2) - gamma_t * grads.mean(axis=-2)
+        drift = float(np.max(np.abs(nxt.mean(axis=-2) - expect)))
         if drift > 1e-10:
             raise RuntimeError(f"average-preservation identity violated by {drift:.3e}")
 
-    if not _finite(nxt, divergence_threshold):
-        return SchemeState(theta, state.t, state.streams, diverged=True, diverged_at=state.t + 1)
-    return SchemeState(nxt, state.t + 1, state.streams)
+    ok = _finite(nxt, divergence_threshold)
+    if theta.ndim == 2:
+        if not ok:
+            return SchemeState(theta, state.t, state.streams, diverged=True, diverged_at=state.t + 1)
+        return SchemeState(nxt, state.t + 1, state.streams)
+    if ok and state.diverged is False:
+        return SchemeState(nxt, state.t + 1, state.streams)
+    stopped = state.diverged | ~(np.abs(nxt).max(axis=(-2, -1)) <= divergence_threshold)
+    return SchemeState(np.where(stopped[:, None, None], theta, nxt), state.t + 1, state.streams,
+                       diverged=stopped)
 
 
 def run(
@@ -194,7 +210,8 @@ def run(
     schedule: StepSchedule,
     sink=None,
     check_averages: bool = False,
-) -> Trajectory:
+    seeds=None,
+) -> Trajectory | list:
     """Execute the scheme for ``config.T`` iterations.
 
     ``config`` is a :class:`RunConfig` or a :class:`~perfnet.config.RunSection`,
@@ -205,47 +222,79 @@ def run(
     ``sink(state)`` is invoked at t = 0, every ``record_every`` iterations,
     at t = T, and at the last finite state before a divergence stop; whatever
     it returns is appended to the trajectory.
-    """
-    n, d = env.n, env.dim
-    theta0 = np.broadcast_to(np.atleast_1d(np.asarray(config.theta0, dtype=float)), (d,))
-    theta = np.tile(theta0, (n, 1)).astype(float)
 
-    streams = agent_streams(config.seed, n)
-    sampler = make_engine_sampler(env, config.batch, streams)
+    With ``seeds`` the seeds advance together as one (S, n, d) array program
+    and ``config.seed`` is not used: ``env`` and ``sink`` (if given) are
+    sequences with one entry per seed, the environments share one loss and
+    size, and one :class:`Trajectory` per seed is returned. Each seed draws
+    from its own streams, so its trajectory is bit-identical to a run of that
+    seed alone. A seed that diverges stops alone; the batch ends when every
+    seed has stopped or t = T.
+    """
+    one = seeds is None
+    if one:
+        seeds, env, sink = [config.seed], [env], [sink]
+    elif sink is None:
+        sink = [None] * len(seeds)
+    S = len(seeds)
+    n, d = env[0].n, env[0].dim
+    if any(e.loss != env[0].loss or e.n != n for e in env):
+        raise ValueError("the seeds of a batch need one loss and one agent count")
+    lead, pick = ((), 0) if one else ((S,), slice(None))  # one seed keeps no seed axis
+    theta0 = np.broadcast_to(np.atleast_1d(np.asarray(config.theta0, dtype=float)), (d,))
+    theta = np.tile(theta0, lead + (n, 1)).astype(float)
+
+    streams = [agent_streams(seed, n) for seed in seeds]
+    sampler = make_engine_sampler(env[pick], config.batch, streams[pick], chunk=max(1, 256 // S))
     weights_at = mixing.at if hasattr(mixing, "at") else (lambda t: mixing.weights)
 
-    state = SchemeState(theta, 0, streams)
-    records = []
-    if sink is not None:
-        records.append(sink(state))
-    last_recorded = 0
+    state = SchemeState(theta, 0, streams[pick])
+    records = [[] for _ in seeds]
+    last_recorded = [0] * S
+    stopped_at = [None] * S
 
-    for t in range(config.T):
-        g = gamma(schedule, t + 1)
+    def record(s: int, t: int) -> None:
+        if sink[s] is not None:
+            rows = state.theta.reshape(S, n, d)
+            records[s].append(sink[s](SchemeState(rows[s], t, streams[s])))
+        last_recorded[s] = t
+
+    for s in range(S):
+        record(s, 0)
+    for t in range(1, config.T + 1):
         state = dsgd_gd_step(
             state,
-            weights_at(t + 1),
-            env,
-            g,
+            weights_at(t),
+            env[0],
+            gamma(schedule, t),
             batch=config.batch,
             sampler=sampler,
             check_average=check_averages,
             divergence_threshold=config.divergence_threshold,
         )
-        if state.diverged:
-            break
-        if (state.t % config.record_every == 0 or state.t == config.T) and sink is not None:
-            records.append(sink(state))
-            last_recorded = state.t
+        if state.diverged is not False:
+            for s in np.flatnonzero(state.diverged):
+                if stopped_at[s] is None:
+                    stopped_at[s] = t
+            if None not in stopped_at:
+                break
+        if t % config.record_every == 0 or t == config.T:
+            for s in range(S):
+                if stopped_at[s] is None:
+                    record(s, t)
 
-    if sink is not None and state.t != last_recorded:
-        records.append(sink(state))  # final (or last finite) state
-    return Trajectory(
-        records=records,
-        diverged=state.diverged,
-        diverged_at=state.diverged_at,
-        final_theta=state.theta,
-    )
+    trajectories = []
+    for s in range(S):
+        last = config.T if stopped_at[s] is None else stopped_at[s] - 1
+        if last != last_recorded[s]:
+            record(s, last)  # final (or last finite) state
+        trajectories.append(Trajectory(
+            records=records[s],
+            diverged=stopped_at[s] is not None,
+            diverged_at=stopped_at[s],
+            final_theta=state.theta.reshape(S, n, d)[s],
+        ))
+    return trajectories[0] if one else trajectories
 
 
 @dataclass(frozen=True)

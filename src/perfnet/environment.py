@@ -276,17 +276,18 @@ def loss_gradient(loss: LossSpec, theta, z) -> np.ndarray:
 def deployed_gradients(env: Environment, thetas: np.ndarray, samples) -> np.ndarray:
     """Batch-averaged stochastic gradients for all agents at once.
 
-    ``thetas`` is (n, d); ``samples`` is the output of an engine sampler:
-    (n, batch, d) for gaussian, ``(X, Y)`` with shapes (n, batch, d) and
-    (n, batch) for strategic. Returns the (n, d) stack of gradients, each
-    evaluated at the agent's own pre-mixing decision.
+    ``thetas`` is (n, d), or (S, n, d) for a batch of seeds that share
+    ``env``'s loss; ``samples`` is the output of an engine sampler:
+    (..., n, batch, d) for gaussian, ``(X, Y)`` with shapes (..., n, batch, d)
+    and (..., n, batch) for strategic. Returns the stack of gradients shaped
+    like ``thetas``, each evaluated at the agent's own pre-mixing decision.
     """
     if env.kind == GAUSSIAN:
-        return thetas - samples.mean(axis=1)
+        return thetas - np.add.reduce(samples, axis=-2) / samples.shape[-2]
     x, y = samples
-    shifted_scores = np.einsum("nbd,nd->nb", x, thetas)
+    shifted_scores = np.einsum("...bd,...d->...b", x, thetas)
     resid = expit(shifted_scores) - y
-    g = np.einsum("nb,nbd->nd", resid, x) / x.shape[1]
+    g = np.einsum("...b,...bd->...d", resid, x) / x.shape[-2]
     return g + env.loss.beta * thetas
 
 
@@ -452,51 +453,69 @@ def make_heterogeneous_suite(
     raise UnsupportedKindError(f"unknown population kind {kind!r}")
 
 
-def make_engine_sampler(env: Environment, batch: int, streams, chunk: int = 256):
+def make_engine_sampler(env, batch: int, streams, chunk: int = 256):
     """Per-agent sampler for the iteration loop, buffered for speed.
 
-    Each agent draws from its own stream, so results do not depend on agent
-    evaluation order; buffering whole chunks of iterations consumes the
-    streams in exactly the same order as unbuffered per-iteration draws.
-    Returns ``draw(thetas) -> samples`` with ``thetas`` of shape (n, d).
-    """
-    n, d = env.n, env.dim
+    ``env`` is one :class:`Environment` with ``streams`` its n per-agent
+    generators, and ``draw(thetas)`` takes (n, d). For a batch of S seeds,
+    ``env`` is a sequence of S environments of one kind and size, ``streams``
+    holds one list of n generators per seed, ``draw`` takes (S, n, d) and its
+    samples carry the same leading seed axis.
 
-    if env.kind == GAUSSIAN:
-        scale = np.array([np.sqrt(p.sigma2) for p in env.populations])[:, None, None]
-        zbar = env.zbar_stack[:, None, :]
-        eps = env.eps[:, None, None]
-        buf = {"noise": None, "pos": chunk}
+    Each agent draws from its own stream, so results do not depend on agent
+    evaluation order or on the other seeds of a batch; buffering whole chunks
+    of iterations in one preallocated buffer consumes the streams in exactly
+    the same order as unbuffered per-iteration draws.
+    """
+    one = isinstance(env, Environment)
+    envs, streams = ((env,), (streams,)) if one else (tuple(env), tuple(streams))
+    S, n, d = len(envs), envs[0].n, envs[0].dim
+    lead = () if one else (S,)  # a single environment keeps no seed axis
+    eps = np.stack([e.eps for e in envs]).reshape(lead + (n, 1, 1))
+    pos = chunk
+
+    if envs[0].kind == GAUSSIAN:
+        scale = np.sqrt([[p.sigma2 for p in e.populations] for e in envs]).reshape(S, n, 1, 1, 1)
+        zbar = np.stack([e.zbar_stack for e in envs]).reshape(lead + (n, 1, d))
+        noise = np.empty((S, n, chunk, batch, d))
 
         def draw(thetas: np.ndarray) -> np.ndarray:
-            if buf["pos"] == chunk:
-                buf["noise"] = np.stack(
-                    [g.standard_normal((chunk, batch, d)) for g in streams], axis=1
-                )
-                buf["pos"] = 0
-            noise = buf["noise"][buf["pos"]]
-            buf["pos"] += 1
-            return zbar + eps * thetas[:, None, :] + scale * noise
+            nonlocal pos
+            if pos == chunk:
+                for gens, buf in zip(streams, noise):
+                    for g, out in zip(gens, buf):
+                        g.standard_normal(out=out)
+                np.multiply(noise, scale, out=noise)
+                pos = 0
+            scaled = noise[:, :, pos].reshape(lead + (n, batch, d))
+            pos += 1
+            return zbar + eps * thetas[..., None, :] + scaled
 
         return draw
 
-    sizes = np.array([len(p.features) for p in env.populations])
-    feats = [p.features for p in env.populations]
-    labs = [p.labels for p in env.populations]
-    eps = env.eps[:, None, None]
-    buf = {"idx": None, "pos": chunk}
+    # strategic: one gather per seed into its stacked rows, each agent's
+    # indices offset by the agent's first row
+    rows = [e.rows for e in envs]
+    sizes = [[len(p.labels) for p in e.populations] for e in envs]
+    firsts = [np.cumsum(m) - m for m in sizes]
+    idx = np.empty((S, n, chunk, batch), dtype=np.intp)
 
     def draw(thetas: np.ndarray):
-        if buf["pos"] == chunk:
-            buf["idx"] = np.stack(
-                [g.integers(0, sizes[i], size=(chunk, batch)) for i, g in enumerate(streams)],
-                axis=1,
-            )
-            buf["pos"] = 0
-        idx = buf["idx"][buf["pos"]]
-        buf["pos"] += 1
-        x = np.stack([feats[i][idx[i]] for i in range(n)])
-        y = np.stack([labs[i][idx[i]] for i in range(n)])
-        return x + eps * thetas[:, None, :], y
+        nonlocal pos
+        if pos == chunk:
+            for gens, m, first, buf in zip(streams, sizes, firsts, idx):
+                for i, g in enumerate(gens):
+                    buf[i] = first[i] + g.integers(0, m[i], size=(chunk, batch))
+            pos = 0
+        x = np.empty((S, n, batch, d))
+        y = np.empty((S, n, batch))
+        for s, r in enumerate(rows):
+            # the indices are in range; "clip" lets take write into x directly
+            np.take(r.features, idx[s, :, pos], axis=0, out=x[s], mode="clip")
+            np.take(r.labels, idx[s, :, pos], out=y[s], mode="clip")
+        pos += 1
+        x = x.reshape(lead + x.shape[1:])
+        x += eps * thetas[..., None, :]
+        return x, y.reshape(lead + y.shape[1:])
 
     return draw

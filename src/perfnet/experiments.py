@@ -8,9 +8,11 @@ Artifact layout under the experiment's output directory::
     <out>/<name>/<axis>=<value>/theory.json        (+ theory_curves.csv)
     <out>/<name>/manifest.json
 
-Seeds and sweep values run in a process pool capped by the PERFNET_THREADS
-environment variable; every run is deterministic in (config, seed), so
-results are byte-identical for any pool size.
+Each sweep value's seeds are split into contiguous groups, one per worker,
+and a group runs as one seed-batched :func:`~perfnet.engine.run`. The jobs
+run in a process pool capped by the PERFNET_THREADS environment variable;
+every run is deterministic in (config, seed), so results are byte-identical
+for any pool size and grouping.
 """
 
 from __future__ import annotations
@@ -243,19 +245,23 @@ def build_environment(ec, seed: int) -> tuple[Environment, tuple | None]:
     return env, test
 
 
-def run_single(cfg: Config) -> tuple[engine.Trajectory, list]:
-    """One seeded run with the standard metric recorder. Returns (trajectory, records)."""
-    env, test = build_environment(cfg.environment, cfg.run.seed)
-    mixing = build_mixing(cfg.topology)
-    schedule = build_schedule(cfg.step)
+def _seed_parts(cfg: Config, seed: int):
+    """One seed's environment and standard metric recorder."""
+    env, test = build_environment(cfg.environment, seed)
     theta_ps = oracle.closed_form_or_none(env)
     risk_mc = cfg.experiment.risk_mc
     if risk_mc is None and env.kind == STRATEGIC:
         risk_mc = DEFAULT_STRATEGIC_RISK_MC
     sink = metrics.metric_recorder(
-        env, theta_ps=theta_ps, risk_mc=risk_mc, seed=cfg.run.seed, test_data=test
+        env, theta_ps=theta_ps, risk_mc=risk_mc, seed=seed, test_data=test
     )
-    traj = engine.run(cfg.run, env, mixing, schedule, sink=sink)
+    return env, sink
+
+
+def run_single(cfg: Config) -> tuple[engine.Trajectory, list]:
+    """One seeded run with the standard metric recorder. Returns (trajectory, records)."""
+    env, sink = _seed_parts(cfg, cfg.run.seed)
+    traj = engine.run(cfg.run, env, build_mixing(cfg.topology), build_schedule(cfg.step), sink=sink)
     return traj, traj.records
 
 
@@ -266,21 +272,27 @@ def _risk_diverged(records) -> bool:
     return bool(max(risks) > RISK_DIVERGENCE_FACTOR * risks[0])
 
 
-def _run_job(args) -> dict:
-    cfg_dict, csv_path = args
+def _run_job(args) -> list:
+    """One batch of seeds of one sweep value; returns a summary per seed."""
+    cfg_dict, seeds, csv_paths = args
     cfg = Config.from_dict(cfg_dict)
     t0 = time.perf_counter()
-    traj, records = run_single(cfg)
-    Path(csv_path).parent.mkdir(parents=True, exist_ok=True)
-    metrics.write_metrics_csv(csv_path, records)
-    return {
-        "seed": cfg.run.seed,
-        "engine_diverged": traj.diverged,
-        "diverged_at": traj.diverged_at,
-        "risk_diverged": _risk_diverged(records),
-        "flagged": traj.diverged or _risk_diverged(records),
-        "wall_s": time.perf_counter() - t0,
-    }
+    envs, sinks = zip(*(_seed_parts(cfg, seed) for seed in seeds))
+    trajs = engine.run(cfg.run, envs, build_mixing(cfg.topology), build_schedule(cfg.step),
+                       sink=sinks, seeds=seeds)
+    summaries = []
+    for seed, traj, csv_path in zip(seeds, trajs, csv_paths):
+        Path(csv_path).parent.mkdir(parents=True, exist_ok=True)
+        metrics.write_metrics_csv(csv_path, traj.records)
+        summaries.append({
+            "seed": seed,
+            "engine_diverged": traj.diverged,
+            "diverged_at": traj.diverged_at,
+            "risk_diverged": _risk_diverged(traj.records),
+            "flagged": traj.diverged or _risk_diverged(traj.records),
+        })
+    wall_s = (time.perf_counter() - t0) / len(seeds)
+    return [{**summary, "wall_s": wall_s} for summary in summaries]
 
 
 def _axis_path(axis: str) -> str:
@@ -305,6 +317,10 @@ def run_experiment(
     where a stable point exists it is recorded (and surfaced through
     ``divergence_in_convergent_regime``), beyond the stability threshold it
     is the expected outcome.
+
+    Each value's seeds run as ``min(workers, len(seeds))`` batched jobs of
+    contiguous seeds. A seed's ``wall_s`` in the manifest is its equal share
+    of its job's wall time (building, running and writing the whole batch).
     """
     exp = cfg.experiment
     out_root = Path(out if out is not None else exp.out) / exp.name
@@ -321,26 +337,29 @@ def run_experiment(
             node = node[part]
         values = [node]
 
-    jobs = []
+    workers = pool_size(threads)
+    job_values, payloads = [], []
     for value in values:
-        vcfg = cfg.replace(**{_axis_path(axis): value})
-        for seed in exp.seeds:
-            scfg = vcfg.replace(**{"run.seed": seed, "experiment.seeds": [seed]})
-            csv_path = out_root / f"{axis}={_fmt_value(value)}" / str(seed) / "metrics.csv"
-            jobs.append((value, seed, scfg, csv_path))
+        vcfg = cfg.replace(**{_axis_path(axis): value}).to_dict()
+        cell = out_root / f"{axis}={_fmt_value(value)}"
+        # contiguous groups of near-equal size, one batched job each
+        groups = np.array_split(exp.seeds, min(workers, len(exp.seeds))) if exp.seeds else []
+        for group in groups:
+            seeds = [int(seed) for seed in group]
+            job_values.append(value)
+            payloads.append((vcfg, seeds, [str(cell / str(seed) / "metrics.csv") for seed in seeds]))
 
     t0 = time.perf_counter()
-    workers = pool_size(threads)
-    payloads = [(j[2].to_dict(), str(j[3])) for j in jobs]
-    if workers > 1 and len(jobs) > 1:
+    if workers > 1 and len(payloads) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             summaries = list(pool.map(_run_job, payloads))
     else:
         summaries = [_run_job(p) for p in payloads]
 
     results: dict = {_fmt_value(value): {} for value in values}
-    for (value, seed, _, _), summary in zip(jobs, summaries):
-        results[_fmt_value(value)][str(seed)] = summary
+    for value, group in zip(job_values, summaries):
+        for summary in group:
+            results[_fmt_value(value)][str(summary["seed"])] = summary
 
     convergent = _regime_is_convergent(cfg, values, axis)
     for value in values:

@@ -279,15 +279,17 @@ def bound_curves(tc: TheoryConstants, schedule: StepSchedule, ts) -> BoundCurves
 
 
 def write_curves_csv(path, curves: BoundCurves) -> None:
-    """One row per iteration: ``t`` and the five bound series of :func:`bound_curves`."""
+    """One row per iteration: ``t`` and the five bound series of :func:`bound_curves`.
+
+    Values are written as ``repr(float(v))``, the shortest text that parses
+    back to the same float.
+    """
+    series = (curves.gap_bound, curves.consensus_bound, curves.term_transient,
+              curves.term_network, curves.term_fluctuation)
     with open(path, "w", newline="") as fh:
         fh.write("t,gap_bound,consensus_bound,term_transient,term_network,term_fluctuation\n")
-        for k in range(len(curves.t)):
-            fh.write(
-                f"{curves.t[k]},{curves.gap_bound[k]!r},{curves.consensus_bound[k]!r},"
-                f"{curves.term_transient[k]!r},{curves.term_network[k]!r},"
-                f"{curves.term_fluctuation[k]!r}\n"
-            )
+        for k, t in enumerate(curves.t):
+            fh.write(",".join([str(int(t)), *(repr(float(col[k])) for col in series)]) + "\n")
 
 
 def transient_threshold(tc: TheoryConstants, C: float = 1.0) -> float:

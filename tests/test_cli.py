@@ -110,6 +110,17 @@ def test_theory_curves_match_experiment_artifact(tmp_path, capsys):
     assert curves.read_bytes() == cell.read_bytes()
 
 
+def test_theory_curves_end_at_T_like_the_run(tmp_path, capsys):
+    # T is not a multiple of record_every: the run also records t = T
+    path = tiny_gaussian_cfg(tmp_path, **{"run.T": 310})
+    assert main(["run", path, "--threads", "1"]) == 0
+    curves = tmp_path / "curves.csv"
+    assert main(["theory", path, "--curves", str(curves)]) == 0
+    cell = tmp_path / "out" / "gaussian_mean" / "eps_avg=0.9" / "theory_curves.csv"
+    assert curves.read_text().splitlines()[-1].startswith("310,")
+    assert curves.read_bytes() == cell.read_bytes()
+
+
 def test_rate_check_on_csv(tmp_path, capsys):
     ts = np.arange(100, 2000, 20)
     recs = [MetricRecord(t=int(t), gap_sq=float(7.0 / t)) for t in ts]

@@ -256,6 +256,68 @@ def test_step_without_sampler_matches_run(kind):
     assert state.theta.tobytes() == traj.final_theta.tobytes()
 
 
+def batch_envs(kind):
+    """Three per-seed environments of one size and loss; the data differ per seed."""
+    if kind == GAUSSIAN:
+        return [gaussian_env(3, 0.5, spread=0.4, zbar=z, sigma2=50.0) for z in (5.0, 10.0, 15.0)]
+    envs = []
+    for data_seed in (1, 2, 3):
+        rng = np.random.default_rng(data_seed)
+        shards = [(rng.standard_normal((m, 2)), rng.integers(0, 2, m).astype(float))
+                  for m in (5, 8, 11)]
+        envs.append(make_heterogeneous_suite(3, 0.5, 0.4, kind=STRATEGIC, shards=shards, beta=0.1))
+    return envs
+
+
+def assert_same_run(a, b):
+    assert (a.diverged, a.diverged_at) == (b.diverged, b.diverged_at)
+    assert a.final_theta.tobytes() == b.final_theta.tobytes()
+    assert [t for t, _ in a.records] == [t for t, _ in b.records]
+    for (_, xa), (_, xb) in zip(a.records, b.records):
+        assert xa.tobytes() == xb.tobytes()
+
+
+@pytest.mark.parametrize("kind", [GAUSSIAN, STRATEGIC])
+def test_seed_in_batch_matches_seed_alone(kind):
+    envs = batch_envs(kind)
+    mix = uniform_neighbor_weights(build_ring(3))
+    sched = StepSchedule.inverse_time(5.0, 50.0)
+    cfg = RunConfig(T=45, batch=3, record_every=10)
+    seeds = [7, 8, 9]
+    batch = run(cfg, envs, mix, sched, sink=[consensus_sink] * 3, seeds=seeds)
+    assert len(batch) == 3
+    for env, seed, traj in zip(envs, seeds, batch):
+        alone = run(RunConfig(T=45, batch=3, record_every=10, seed=seed), env, mix, sched,
+                    sink=consensus_sink)
+        assert_same_run(traj, alone)
+        assert [t for t, _ in traj.records] == [0, 10, 20, 30, 40, 45]
+
+
+def test_divergence_stops_only_that_seed():
+    # eps = 1.5 blows up under a large constant step, eps = 0.5 converges
+    envs = [gaussian_env(2, 1.5), gaussian_env(2, 0.5), gaussian_env(2, 1.5, zbar=20.0)]
+    mix = uniform_neighbor_weights(build_complete(2))
+    sched = StepSchedule.constant(0.9)
+    cfg = RunConfig(T=2000, record_every=100, divergence_threshold=1e6)
+    batch = run(cfg, envs, mix, sched, sink=[consensus_sink] * 3, seeds=[0, 1, 2])
+    assert batch[0].diverged and not batch[1].diverged and batch[2].diverged
+    assert batch[0].diverged_at != batch[2].diverged_at
+    assert batch[1].records[-1][0] == 2000
+    for env, seed, traj in zip(envs, [0, 1, 2], batch):
+        alone = run(RunConfig(T=2000, record_every=100, seed=seed, divergence_threshold=1e6),
+                    env, mix, sched, sink=consensus_sink)
+        assert_same_run(traj, alone)
+        if traj.diverged:
+            assert traj.records[-1][0] == traj.diverged_at - 1
+
+
+def test_batch_rejects_mismatched_environments():
+    mix = uniform_neighbor_weights(build_complete(2))
+    with pytest.raises(ValueError, match="one loss"):
+        run(RunConfig(T=1), [gaussian_env(2, 0.5), gaussian_env(3, 0.5)], mix,
+            StepSchedule.constant(0.1), seeds=[0, 1])
+
+
 def test_time_varying_mixing_converges():
     from perfnet.topology import GraphSchedule, from_edge_list, schedule_mixing
     n = 6

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from perfnet.engine import stream
 from perfnet.environment import (
@@ -316,6 +317,64 @@ def test_engine_sampler_matches_plain_sampling():
     for k in range(6):
         ref = np.stack([sample_batch(env, i, thetas[i], 2, slow_streams[i]) for i in range(3)])
         assert np.array_equal(out[k], ref)
+
+
+def seed_envs(kind, seeds):
+    """One three-agent environment per seed; the data differ per seed, strategic shards are unequal."""
+    if kind == GAUSSIAN:
+        return [make_heterogeneous_suite(3, 0.5, 0.4, zbar=np.arange(6.0).reshape(3, 2) + seed,
+                                         sigma2=9.0) for seed in seeds]
+    envs = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        shards = [(rng.standard_normal((m, 2)), rng.integers(0, 2, m).astype(float))
+                  for m in (5, 8, 11)]
+        envs.append(make_heterogeneous_suite(3, 0.5, 0.4, kind=STRATEGIC, shards=shards, beta=0.1))
+    return envs
+
+
+def agent_streams_of(seed, n=3):
+    return [stream(seed, 1, i) for i in range(n)]
+
+
+@pytest.mark.parametrize("kind", [GAUSSIAN, STRATEGIC])
+def test_batched_sampler_gives_each_seed_its_own_draws(kind):
+    seeds = (21, 22, 23)
+    envs = seed_envs(kind, seeds)
+    thetas = np.random.default_rng(0).standard_normal((3, 3, 2))
+    # chunk lengths differ on purpose: buffering must not change the draws
+    batched = make_engine_sampler(envs, 4, [agent_streams_of(s) for s in seeds], chunk=3)
+    alone = [make_engine_sampler(env, 4, agent_streams_of(s), chunk=5)
+             for env, s in zip(envs, seeds)]
+    for _ in range(8):
+        got = batched(thetas)
+        for k in range(3):
+            want = alone[k](thetas[k])
+            if kind == GAUSSIAN:
+                assert got.shape == (3, 3, 4, 2) and np.array_equal(got[k], want)
+            else:
+                assert np.array_equal(got[0][k], want[0]) and np.array_equal(got[1][k], want[1])
+
+
+@pytest.mark.parametrize("kind", [GAUSSIAN, STRATEGIC])
+def test_batched_deployed_gradients_equal_per_seed_calls(kind):
+    seeds = (31, 32, 33)
+    envs = seed_envs(kind, seeds)
+    thetas = np.random.default_rng(1).standard_normal((3, 3, 2))
+    samples = make_engine_sampler(envs, 16, [agent_streams_of(s) for s in seeds])(thetas)
+    got = deployed_gradients(envs[0], thetas, samples)
+    for k in range(3):
+        if kind == GAUSSIAN:
+            one = samples[k]
+            # the single-seed formula of earlier releases, bit for bit
+            old = thetas[k] - one.mean(axis=1)
+        else:
+            one = (samples[0][k], samples[1][k])
+            resid = expit(np.einsum("nbd,nd->nb", one[0], thetas[k])) - one[1]
+            old = np.einsum("nb,nbd->nd", resid, one[0]) / 16 + 0.1 * thetas[k]
+        want = deployed_gradients(envs[0], thetas[k], one)
+        assert np.array_equal(got[k], want)
+        assert np.array_equal(want, old)
 
 
 def test_deployed_gradients_quadratic():

@@ -113,6 +113,41 @@ def test_thread_count_does_not_change_bytes(tmp_path, monkeypatch):
         assert a == b
 
 
+@pytest.mark.parametrize("make", [tiny_gaussian, tiny_spam])
+def test_seed_grouping_does_not_change_bytes(tmp_path, make):
+    # threads=1 runs the three seeds as one batch, threads=2 as batches of 2 and 1
+    cfg = make(T=150, seeds=(3, 4, 5))
+    one = run_experiment(cfg, out=tmp_path / "one", threads=1)
+    two = run_experiment(cfg, out=tmp_path / "two", threads=2)
+    name, value = cfg.experiment.name, next(iter(one["results"]))
+    cell_one = next((tmp_path / "one" / name).glob("*=*"))
+    cell_two = tmp_path / "two" / name / cell_one.name
+    for rel in ("3/metrics.csv", "4/metrics.csv", "5/metrics.csv", "aggregate.csv"):
+        assert (cell_one / rel).read_bytes() == (cell_two / rel).read_bytes()
+    # a batch's seeds share its wall time equally
+    walls_one = [one["results"][value][s].pop("wall_s") for s in ("3", "4", "5")]
+    walls_two = [two["results"][value][s].pop("wall_s") for s in ("3", "4", "5")]
+    assert len(set(walls_one)) == 1
+    assert walls_two[0] == walls_two[1] != walls_two[2]
+    assert one["results"] == two["results"]
+
+
+def test_batched_divergent_cell_matches_seeds_alone(tmp_path):
+    # eps_avg = 2: the seeds stop on their own steps near t = 6600
+    seeds = (9000, 9001, 9002, 9003)
+    batch = run_experiment(tiny_gaussian(T=8000, seeds=seeds, eps=2.0, record_every=200),
+                           out=tmp_path / "batch", threads=1)
+    stops = {batch["results"]["2"][str(s)]["diverged_at"] for s in seeds}
+    assert len(stops) > 1 and all(t < 8000 for t in stops)
+    for seed in seeds:
+        alone = run_experiment(tiny_gaussian(T=8000, seeds=(seed,), eps=2.0, record_every=200),
+                               out=tmp_path / str(seed), threads=1)
+        want, got = alone["results"]["2"][str(seed)], batch["results"]["2"][str(seed)]
+        assert got["engine_diverged"] is True and got["diverged_at"] == want["diverged_at"]
+        rel = f"gaussian_mean/eps_avg=2/{seed}/metrics.csv"
+        assert (tmp_path / "batch" / rel).read_bytes() == (tmp_path / str(seed) / rel).read_bytes()
+
+
 def test_sweep_flags_divergence_beyond_threshold(tmp_path):
     # homogeneous sensitivities: the admissible side converges cleanly, the
     # other drifts without bound

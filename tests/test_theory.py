@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from perfnet.theory import (
     ratio_condition_check,
     step_size_cap,
     transient_threshold,
+    write_curves_csv,
 )
 from perfnet.topology import build_ring, uniform_neighbor_weights
 
@@ -229,6 +231,21 @@ def test_curves_nonincreasing_under_admissible_constant_step():
     curves = bound_curves(tc, sched, range(1, 200, 10))
     assert np.all(np.diff(curves.gap_bound) <= 1e-15)
     assert np.all(np.diff(curves.consensus_bound) <= 1e-15)
+
+
+def test_curves_csv_reads_back_as_floats(tmp_path):
+    # numpy 2 reprs a float64 as "np.float64(...)"; every cell must be a number
+    tc = compute_constants(**CANON)
+    curves = bound_curves(tc, StepSchedule.inverse_time(3.0, 10.0), [0, 50, 100, 110])
+    path = tmp_path / "curves.csv"
+    write_curves_csv(path, curves)
+    with open(path, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header[0] == "t" and len(rows) == 4
+    values = np.array([[float(cell) for cell in row] for row in rows])
+    assert values[:, 0].tolist() == [0.0, 50.0, 100.0, 110.0]
+    assert values[:, 1].tolist() == curves.gap_bound.tolist()
+    assert values[:, 5].tolist() == curves.term_fluctuation.tolist()
 
 
 # ---------------------------------------------------------------- transient threshold
