@@ -196,6 +196,14 @@ class Environment:
         return arr
 
     @cached_property
+    def sigma2(self) -> np.ndarray:
+        if self.kind != GAUSSIAN:
+            raise UnsupportedKindError("sigma2 is gaussian-only")
+        arr = np.array([p.sigma2 for p in self.populations], dtype=float)
+        arr.setflags(write=False)
+        return arr
+
+    @cached_property
     def rows(self) -> _Rows:
         if self.kind != STRATEGIC:
             raise UnsupportedKindError("rows is strategic-only")
@@ -336,11 +344,10 @@ def exact_risk(env: Environment, theta) -> float:
     """
     theta = _check_theta(env, theta)
     if env.kind == GAUSSIAN:
-        total = 0.0
-        for pop in env.populations:
-            resid = (1.0 - pop.eps) * theta - pop.zbar
-            total += 0.5 * float(np.sum(resid**2)) + 0.5 * pop.sigma2 * env.dim
-        return total / env.n
+        resid = (1.0 - env.eps)[:, None] * theta - env.zbar_stack
+        terms = 0.5 * np.sum(resid**2, axis=1) + 0.5 * env.sigma2 * env.dim
+        # left-to-right like a loop over agents; np.sum would add pairwise
+        return float(np.cumsum(terms)[-1]) / env.n
     rows = env.rows
     sq = float(theta @ theta)
     core = _softplus_minus_yu(rows.features @ theta + rows.eps * sq, rows.labels)
@@ -475,7 +482,7 @@ def make_engine_sampler(env, batch: int, streams, chunk: int = 256):
     pos = chunk
 
     if envs[0].kind == GAUSSIAN:
-        scale = np.sqrt([[p.sigma2 for p in e.populations] for e in envs]).reshape(S, n, 1, 1, 1)
+        scale = np.sqrt(np.stack([e.sigma2 for e in envs])).reshape(S, n, 1, 1, 1)
         zbar = np.stack([e.zbar_stack for e in envs]).reshape(lead + (n, 1, d))
         noise = np.empty((S, n, chunk, batch, d))
 

@@ -361,9 +361,17 @@ def run_experiment(
         for summary in group:
             results[_fmt_value(value)][str(summary["seed"])] = summary
 
-    convergent = _regime_is_convergent(cfg, values, axis)
+    # one reference environment per value, at the config's run seed, serves
+    # both the regime check and the theory report
+    convergent = {}
     for value in values:
-        _aggregate_cell(cfg, axis, value, out_root, results[_fmt_value(value)].values())
+        vcfg = cfg.replace(**{_axis_path(axis): value})
+        env, _ = build_environment(vcfg.environment, vcfg.run.seed)
+        convergent[_fmt_value(value)] = oracle.existence_check(
+            env.eps_avg, env.mu, env.smoothness
+        ).exists
+        cell = out_root / f"{axis}={_fmt_value(value)}"
+        _aggregate_cell(vcfg, env, cell, results[_fmt_value(value)].values())
 
     flagged_in_convergent = any(
         s["flagged"]
@@ -389,21 +397,11 @@ def run_experiment(
     return manifest
 
 
-def _regime_is_convergent(cfg: Config, values, axis: str) -> dict:
-    out = {}
-    for value in values:
-        vcfg = cfg.replace(**{_axis_path(axis): value})
-        env, _ = build_environment(vcfg.environment, vcfg.run.seed)
-        res = oracle.existence_check(env.eps_avg, env.mu, env.smoothness)
-        out[_fmt_value(value)] = res.exists
-    return out
-
-
-def _aggregate_cell(cfg: Config, axis: str, value, out_root: Path, summaries) -> None:
-    cell = out_root / f"{axis}={_fmt_value(value)}"
+def _aggregate_cell(vcfg: Config, env: Environment, cell: Path, summaries) -> None:
+    """Aggregate, rate fits and theory report of one sweep value's seeds."""
     runs = [
         metrics.read_metrics_csv(cell / str(seed) / "metrics.csv")
-        for seed in cfg.experiment.seeds
+        for seed in vcfg.experiment.seeds
         if (cell / str(seed) / "metrics.csv").exists()
     ]
     if not runs:
@@ -425,22 +423,23 @@ def _aggregate_cell(cfg: Config, axis: str, value, out_root: Path, summaries) ->
         fits.append(metrics.rate_fit_json(col, fit))
     (cell / "ratefit.json").write_text(json.dumps(fits, indent=2) + "\n")
 
-    vcfg = cfg.replace(**{_axis_path(axis): value})
-    report = theory_report(vcfg, recorded_ts=agg["t"].astype(int))
+    report = theory_report(vcfg, recorded_ts=agg["t"].astype(int), env=env)
     curves = report.pop("curves", None)
     (cell / "theory.json").write_text(json.dumps(report, indent=2) + "\n")
     if curves is not None:
         theory.write_curves_csv(cell / "theory_curves.csv", curves)
 
 
-def theory_report(cfg: Config, recorded_ts=None) -> dict:
+def theory_report(cfg: Config, recorded_ts=None, env: Environment | None = None) -> dict:
     """Constants, step cap, ratio check, and bound curves for a config.
 
-    Returns ``{"applicable": False, "reason": ...}`` when the constants are
-    undefined for the instance (no stable point, zero sensitivity, estimates
-    unavailable) instead of raising.
+    ``env`` is the config's environment at ``cfg.run.seed``; it is built
+    from ``cfg`` when omitted. Returns ``{"applicable": False, "reason": ...}``
+    when the constants are undefined for the instance (no stable point, zero
+    sensitivity, estimates unavailable) instead of raising.
     """
-    env, _ = build_environment(cfg.environment, cfg.run.seed)
+    if env is None:
+        env, _ = build_environment(cfg.environment, cfg.run.seed)
     schedule = build_schedule(cfg.step)
     theta_ps = oracle.closed_form_or_none(env)
     if theta_ps is None:

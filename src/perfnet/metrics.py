@@ -12,6 +12,7 @@ classification accuracy on shift-adjusted test data.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -272,7 +273,11 @@ def aggregate_columns(runs: list) -> dict:
     ``runs`` holds per-seed column dicts as returned by
     :func:`read_metrics_csv`. Divergent seeds may have short series that end
     on different iterations, so only the longest common prefix on which every
-    run records the same iterations is aggregated.
+    run records the same iterations is aggregated. Each iteration covers the
+    runs that recorded a value there (percentiles interpolate linearly) and
+    is NaN when none did. Iterations without NaN take one vectorised numpy
+    call per statistic, which gives the nan-functions' exact bits; only
+    iterations where some runs are NaN go through those slower functions.
     """
     if not runs:
         return {}
@@ -286,22 +291,38 @@ def aggregate_columns(runs: list) -> dict:
     out = {"t": ts}
     for col in CSV_COLUMNS[1:]:
         stack = np.vstack([r[col][:length] for r in runs])
+        nan = np.isnan(stack)
+        full = ~nan.any(axis=0)
+        part = ~full & ~nan.all(axis=0)
+        bands = np.full((4, length), np.nan)  # median, p05, p95, mean
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN columns
-            out[f"{col}_median"] = np.nanmedian(stack, axis=0)
-            out[f"{col}_p05"] = np.nanpercentile(stack, 5, axis=0)
-            out[f"{col}_p95"] = np.nanpercentile(stack, 95, axis=0)
-            out[f"{col}_mean"] = np.nanmean(stack, axis=0)
+            warnings.simplefilter("ignore", RuntimeWarning)  # inf - inf gives NaN
+            if full.any():
+                sub = stack[:, full]
+                bands[0, full] = np.median(sub, axis=0)
+                bands[1:3, full] = np.percentile(sub, [5, 95], axis=0)
+                bands[3, full] = np.mean(sub, axis=0)
+            if part.any():
+                sub = stack[:, part]
+                bands[0, part] = np.nanmedian(sub, axis=0)
+                bands[1:3, part] = np.nanpercentile(sub, [5, 95], axis=0)
+                bands[3, part] = np.nanmean(sub, axis=0)
+        for stat, band in zip(("median", "p05", "p95", "mean"), bands):
+            out[f"{col}_{stat}"] = band
     return out
 
 
 def write_aggregate_csv(path, agg: dict) -> None:
+    """One row per iteration; the same cells as ``_cell``, empty where not finite."""
     cols = list(agg.keys())
+    cells = [
+        [repr(v) if math.isfinite(v) else "" for v in np.asarray(agg[c]).tolist()]
+        for c in cols
+    ]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(cols)
-        for k in range(len(agg["t"])):
-            w.writerow([_cell(agg[c][k]) if np.isfinite(agg[c][k]) else "" for c in cols])
+        w.writerows(zip(*cells))
 
 
 def rate_fit_json(metric: str, fit: RateFit) -> dict:

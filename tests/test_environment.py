@@ -18,6 +18,7 @@ from perfnet.environment import (
     decoupled_risk_gradient,
     deployed_gradients,
     eps_multipliers,
+    exact_risk,
     loss_gradient,
     loss_value,
     make_engine_sampler,
@@ -264,6 +265,27 @@ def test_strategic_rows_are_stacked_read_only():
         rows.features[0, 0] = 1.0
     with pytest.raises(UnsupportedKindError):
         gaussian_env().rows
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_gaussian_exact_risk_equals_population_loop(d):
+    # every agent has its own zbar, eps and sigma2, so the per-agent arrays
+    # are exercised (make_heterogeneous_suite shares one sigma2)
+    rng = np.random.default_rng(40 + d)
+    n = 25
+    pops = tuple(
+        PopulationSpec(GAUSSIAN, float(rng.uniform(0.0, 1.5)),
+                       zbar=rng.normal(0.0, 10.0 ** rng.integers(-3, 4), d),
+                       sigma2=float(rng.uniform(0.1, 80.0)))
+        for _ in range(n)
+    )
+    env = Environment(pops, LossSpec(QUADRATIC, d))
+    for theta in (np.zeros(d), rng.normal(0.0, 5.0, d), rng.normal(0.0, 1e4, d)):
+        total = 0.0
+        for pop in env.populations:
+            resid = (1.0 - pop.eps) * theta - pop.zbar
+            total += 0.5 * float(np.sum(resid**2)) + 0.5 * pop.sigma2 * d
+        assert exact_risk(env, theta) == total / n
 
 
 # ---------------------------------------------------------------- suites

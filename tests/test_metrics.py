@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import csv
+import warnings
+
 from hypothesis import given, settings, strategies as st
 
 from perfnet.engine import stream
@@ -15,6 +18,7 @@ from perfnet.metrics import (
     rate_fit,
     read_metrics_csv,
     shifted_test_accuracy,
+    write_aggregate_csv,
     write_metrics_csv,
 )
 from perfnet.oracle import closed_form_multi_ps, repeated_gd_fixed_point
@@ -282,3 +286,81 @@ def test_aggregate_stops_at_first_disagreement():
     a = {"t": np.array([0.0, 10.0, 20.0, 30.0]), **{c: np.ones(4) for c in CSV_COLUMNS[1:]}}
     b = {"t": np.array([0.0, 10.0, 25.0, 30.0]), **{c: np.ones(4) for c in CSV_COLUMNS[1:]}}
     assert np.array_equal(aggregate_columns([a, b])["t"], [0.0, 10.0])
+
+
+def reference_aggregate(runs):
+    """The nan-function aggregation, one numpy reduction per statistic."""
+    length = min(len(r["t"]) for r in runs)
+    ts = runs[0]["t"][:length]
+    for r in runs:
+        differs = np.flatnonzero(r["t"][:length] != ts)
+        if len(differs):
+            length = int(differs[0])
+            ts = ts[:length]
+    out = {"t": ts}
+    for col in CSV_COLUMNS[1:]:
+        stack = np.vstack([r[col][:length] for r in runs])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            out[f"{col}_median"] = np.nanmedian(stack, axis=0)
+            out[f"{col}_p05"] = np.nanpercentile(stack, 5, axis=0)
+            out[f"{col}_p95"] = np.nanpercentile(stack, 95, axis=0)
+            out[f"{col}_mean"] = np.nanmean(stack, axis=0)
+    return out
+
+
+def reference_aggregate_csv(path, agg):
+    """The per-cell writer: ``repr(float)`` of finite cells, empty otherwise."""
+    cols = list(agg.keys())
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(cols)
+        for k in range(len(agg["t"])):
+            w.writerow([repr(float(agg[c][k])) if np.isfinite(agg[c][k]) else "" for c in cols])
+
+
+def random_runs(rng, seeds):
+    """Seeded runs with ties, +-inf, a wide magnitude range and NaN patterns.
+
+    ``gap_sq`` is all NaN, ``accuracy`` is NaN for one seed at some
+    iterations, ``risk_se`` is NaN for every seed but one at some, and the
+    runs end on different iterations.
+    """
+    length = int(rng.integers(20, 40))
+    grid = np.arange(length, dtype=float) * 10.0
+    runs = []
+    for s in range(seeds):
+        # a seed whose last record is off the common grid, as divergent seeds are
+        t = grid[: length - int(rng.integers(0, 4))].copy()
+        if s % 2:
+            t[-1] += 1.0
+        cols = {}
+        for col in CSV_COLUMNS[1:]:
+            v = rng.normal(size=len(t)) * 10.0 ** rng.integers(-5, 25, size=len(t))
+            v[rng.random(len(t)) < 0.2] = 1.0  # ties
+            v[rng.random(len(t)) < 0.05] = np.inf
+            v[rng.random(len(t)) < 0.05] = -np.inf
+            cols[col] = v
+        cols["gap_sq"] = np.full(len(t), np.nan)
+        if s == 0:
+            cols["accuracy"][::3] = np.nan
+        if s > 0:
+            cols["risk_se"][1::4] = np.nan
+        runs.append({"t": t, **cols})
+    return runs
+
+
+@pytest.mark.parametrize("seeds", range(1, 7))
+def test_aggregate_bitwise_equal_to_nan_functions(tmp_path, seeds):
+    rng = np.random.default_rng(700 + seeds)
+    for trial in range(5):
+        runs = random_runs(rng, seeds)
+        got = aggregate_columns(runs)
+        want = reference_aggregate(runs)
+        assert list(got) == list(want)
+        for key in want:
+            assert np.array_equal(got[key], want[key], equal_nan=True), key
+        assert np.all(np.isnan(got["gap_sq_median"]))
+        write_aggregate_csv(tmp_path / "got.csv", got)
+        reference_aggregate_csv(tmp_path / "want.csv", want)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
