@@ -12,9 +12,12 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from . import experiments, metrics, oracle, theory
 from .config import ConfigError, load_config
 from .datasets import DatasetError
+from .environment import decoupled_full_gradient
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -41,7 +44,8 @@ def _parser() -> argparse.ArgumentParser:
     fp = sub.add_parser("fixed-point", help="compute the stable point and contraction report")
     fp.add_argument("config")
     fp.add_argument("--deployments", type=int, default=10_000)
-    fp.add_argument("--inner", type=int, default=1000)
+    fp.add_argument("--inner", type=int, default=1000,
+                    help="inner solver cap per deployment (Newton iterations for strategic solves)")
     fp.add_argument("--tol", type=float, default=1e-8)
 
     th = sub.add_parser("theory", help="emit rate constants, step cap, and bound curves")
@@ -99,8 +103,10 @@ def _cmd_fixed_point(args) -> int:
     result = oracle.repeated_gd_fixed_point(
         env, deployments=args.deployments, inner=args.inner, tol=args.tol
     )
-    probe = oracle.contraction_probe(env, center=result.theta_ps if result.converged else None)
-    print(json.dumps({
+    probe = oracle.contraction_probe(
+        env, center=result.theta_ps if result.converged else None, inner=args.inner
+    )
+    report = {
         "theta_ps": [float(v) for v in result.theta_ps],
         "residual": result.residual,
         "deployments": result.deployments,
@@ -110,7 +116,17 @@ def _cmd_fixed_point(args) -> int:
             "empirical": probe.empirical_ratio,
             "bound": probe.theoretical_bound,
         },
-    }, indent=2))
+    }
+    try:
+        theta = oracle.stable_point(env)
+        report["stable_point"] = {
+            "theta": [float(v) for v in theta],
+            "residual": float(np.linalg.norm(decoupled_full_gradient(env, theta, theta))),
+        }
+    except oracle.NoFixedPointError as exc:
+        report["stable_point"] = None
+        report["stable_point_error"] = str(exc)
+    print(json.dumps(report, indent=2))
     return EXIT_OK
 
 

@@ -164,7 +164,7 @@ class Environment:
         arr.setflags(write=False)
         return arr
 
-    @property
+    @cached_property
     def eps_avg(self) -> float:
         return float(self.eps.mean())
 
@@ -192,6 +192,13 @@ class Environment:
         if self.kind != GAUSSIAN:
             raise UnsupportedKindError("zbar_stack is gaussian-only")
         arr = np.stack([p.zbar for p in self.populations])
+        arr.setflags(write=False)
+        return arr
+
+    @cached_property
+    def zbar_mean(self) -> np.ndarray:
+        """Agent average of the base means; gaussian-only like ``zbar_stack``."""
+        arr = self.zbar_stack.mean(axis=0)
         arr.setflags(write=False)
         return arr
 
@@ -328,7 +335,7 @@ def decoupled_full_gradient(env: Environment, theta, deployed) -> np.ndarray:
     theta = _check_theta(env, theta)
     deployed = _check_theta(env, deployed)
     if env.kind == GAUSSIAN:
-        return theta - env.zbar_stack.mean(axis=0) - env.eps_avg * deployed
+        return theta - env.zbar_mean - env.eps_avg * deployed
     rows = env.rows
     scores = rows.features @ theta + rows.eps * float(deployed @ theta)
     resid = rows.weights * (expit(scores) - rows.labels)

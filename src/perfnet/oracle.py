@@ -3,9 +3,12 @@
 The deployment map M sends a decision to the minimizer of the average
 decoupled risk with all distributions frozen at that decision. Its fixed
 point is the consensual stable solution the iterative scheme targets. This
-module computes it in closed form (gaussian mean estimation), by repeated
-full-batch gradient descent (logistic on empirical data), and estimates the
-map's Lipschitz ratio empirically.
+module computes it in closed form (gaussian mean estimation) or as the
+Newton root of the stable-point equation ``G(theta) = grad R(theta; theta)
+= 0`` (logistic on empirical data), iterates the map itself, and estimates
+the map's Lipschitz ratio empirically. The strategic frozen problem inside
+M is a ridge-logistic fit solved by matrix-free Newton: Hessian-vector
+products come from the stacked base rows without forming the shifted design.
 """
 
 from __future__ import annotations
@@ -14,12 +17,14 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
 from .engine import PROBE_STREAM, stream
 from .environment import (
     Environment,
     GAUSSIAN,
     UnsupportedKindError,
+    _softplus_minus_yu,
     decoupled_full_gradient,
 )
 
@@ -30,6 +35,7 @@ __all__ = [
     "ExistenceResult",
     "closed_form_multi_ps",
     "closed_form_or_none",
+    "stable_point",
     "apply_M",
     "repeated_gd_fixed_point",
     "contraction_probe",
@@ -74,12 +80,12 @@ def closed_form_multi_ps(env: Environment) -> np.ndarray:
     (the quadratic loss has curvature and smoothness exactly 1). Other kinds
     raise :class:`~perfnet.environment.UnsupportedKindError`.
     """
-    zbar = env.zbar_stack
+    zbar_mean = env.zbar_mean
     if env.eps_avg >= 1.0:
         raise NoFixedPointError(
             f"eps_avg = {env.eps_avg} >= 1: no stable point exists"
         )
-    return zbar.mean(axis=0) / (1.0 - env.eps_avg)
+    return zbar_mean / (1.0 - env.eps_avg)
 
 
 def closed_form_or_none(env: Environment) -> np.ndarray | None:
@@ -90,35 +96,163 @@ def closed_form_or_none(env: Environment) -> np.ndarray | None:
         return None
 
 
+# Newton decrements below this are roundoff in the frozen objective: an
+# Armijo test cannot see them, so the full step is taken
+_DECREMENT_FLOOR = 1e-12
+_MAX_HALVINGS = 40
+# stable_point's Newton stops at |G| <= _ROOT_TOL, well above roundoff in G
+_ROOT_TOL = 1e-12
+_ROOT_ITERATIONS = 100
+
+
+def _frozen_hessian(env, theta, deployed):
+    """Hessian-vector product of the frozen objective at ``theta``.
+
+    ``H v = X^T (c * X v) + beta v`` with ``c = w p (1 - p)`` and the shifted
+    design ``X = F + eps_row deployed^T``, which is never formed:
+    ``X v = F v + eps_row (deployed . v)`` and
+    ``X^T u = u F + (u . eps_row) deployed``.
+    """
+    rows = env.rows
+    p = expit(rows.features @ theta + rows.eps * float(deployed @ theta))
+    c = rows.weights * p * (1.0 - p)
+    beta = env.loss.beta
+
+    def hv(v):
+        u = c * (rows.features @ v + rows.eps * float(deployed @ v))
+        return u @ rows.features + float(u @ rows.eps) * deployed + beta * v
+
+    return hv
+
+
+def _conjugate_gradient(hv, g, iterations, rtol):
+    """Approximate solution of ``H p = g`` for SPD ``H`` given as a product."""
+    p = np.zeros_like(g)
+    r = g.copy()
+    d = r.copy()
+    rr = float(r @ r)
+    stop = (rtol * np.sqrt(rr)) ** 2
+    for _ in range(iterations):
+        hd = hv(d)
+        alpha = rr / float(d @ hd)
+        p += alpha * d
+        r -= alpha * hd
+        rr_new = float(r @ r)
+        if rr_new <= stop:
+            break
+        d = r + (rr_new / rr) * d
+        rr = rr_new
+    return p
+
+
 def _minimize_frozen(env, deployed, theta_init, inner, inner_tol):
-    """Full-batch GD with step 1/L on the deployment-frozen objective."""
-    step = 1.0 / env.smoothness
+    """Damped Newton on the deployment-frozen ridge-logistic objective.
+
+    Each step solves ``H p = g`` by conjugate gradients (at most d products,
+    relative residual ``1e-3 * min(1, |g|)``), then backtracks with Armijo
+    on the frozen objective. Returns ``(theta, |g|)``.
+    """
+    rows = env.rows
+    beta = env.loss.beta
+
+    def objective(t):
+        scores = rows.features @ t + rows.eps * float(deployed @ t)
+        return float(rows.weights @ _softplus_minus_yu(scores, rows.labels)) + 0.5 * beta * float(t @ t)
+
     theta = np.array(theta_init, dtype=float)
-    for k in range(inner):
+    f = objective(theta)
+    for _ in range(inner):
         g = decoupled_full_gradient(env, theta, deployed)
         gn = float(np.linalg.norm(g))
         if gn <= inner_tol:
-            return theta, gn, k
-        theta = theta - step * g
+            return theta, gn
+        step = _conjugate_gradient(_frozen_hessian(env, theta, deployed), g, env.dim,
+                                   1e-3 * min(1.0, gn))
+        decrement = float(g @ step)
+        t = 1.0
+        trial = theta - step
+        f_trial = objective(trial)
+        if decrement > _DECREMENT_FLOOR:
+            for _ in range(_MAX_HALVINGS):
+                if f_trial <= f - 1e-4 * t * decrement:
+                    break
+                t *= 0.5
+                trial = theta - t * step
+                f_trial = objective(trial)
+        theta, f = trial, f_trial
     g = decoupled_full_gradient(env, theta, deployed)
-    return theta, float(np.linalg.norm(g)), inner
+    return theta, float(np.linalg.norm(g))
+
+
+def _stable_jacobian(env, theta):
+    """Jacobian of ``G(theta) = decoupled_full_gradient(env, theta, theta)``.
+
+    With ``x_r = F_r + eps_r theta``, ``p = sigmoid(x . theta)`` and row
+    weights ``w``: ``J = X^T diag(w p (1 - p)) (X + eps theta^T)
+    + (sum_r w_r (p_r - y_r) eps_r + beta) I``. Built densely (d x d).
+    """
+    rows = env.rows
+    x = rows.features + np.outer(rows.eps, theta)
+    p = expit(x @ theta)
+    cx = x.T * (rows.weights * p * (1.0 - p))
+    jac = cx @ x + np.outer(cx @ rows.eps, theta)
+    jac[np.diag_indices_from(jac)] += float(rows.weights * (p - rows.labels) @ rows.eps) + env.loss.beta
+    return jac
+
+
+def stable_point(env: Environment) -> np.ndarray:
+    """The stable point: the root of ``G(theta) = grad R(theta; theta)``.
+
+    Gaussian environments return :func:`closed_form_multi_ps`. Strategic ones
+    run Newton on G from the origin with the analytic Jacobian, damping each
+    step until ``|G|`` decreases, until ``|G| <= 1e-12``. This needs no
+    contraction of the deployment map. Raises :class:`NoFixedPointError` on
+    a non-finite or singular step, or when 100 iterations run out.
+    """
+    if env.kind == GAUSSIAN:
+        return closed_form_multi_ps(env)
+    theta = np.zeros(env.dim)
+    g = decoupled_full_gradient(env, theta, theta)
+    gn = float(np.linalg.norm(g))
+    for _ in range(_ROOT_ITERATIONS):
+        if gn <= _ROOT_TOL:
+            return theta
+        try:
+            step = np.linalg.solve(_stable_jacobian(env, theta), g)
+        except np.linalg.LinAlgError as exc:
+            raise NoFixedPointError(f"singular stable-point Jacobian at |G| = {gn:.3e}") from exc
+        if not np.all(np.isfinite(step)):
+            raise NoFixedPointError(f"non-finite Newton step at |G| = {gn:.3e}")
+        t = 1.0
+        for _ in range(_MAX_HALVINGS):
+            trial = theta - t * step
+            g_trial = decoupled_full_gradient(env, trial, trial)
+            gn_trial = float(np.linalg.norm(g_trial))
+            if gn_trial <= (1.0 - 1e-4 * t) * gn:
+                break
+            t *= 0.5
+        theta, g, gn = trial, g_trial, gn_trial
+    if gn <= _ROOT_TOL:
+        return theta
+    raise NoFixedPointError(f"stable-point Newton stopped after {_ROOT_ITERATIONS} iterations at |G| = {gn:.3e}")
 
 
 def apply_M(env: Environment, theta, inner: int = 1000, inner_tol: float = 1e-10) -> np.ndarray:
     """Evaluate the deployment map: minimize the decoupled risk frozen at ``theta``.
 
     Gaussian environments use the exact analytic minimizer
-    ``mean(zbar_i + eps_i * theta)``. Logistic ones run full-batch gradient
-    descent on the deterministically shifted empirical datasets; if the
-    budget runs out before ``inner_tol`` a warning flags the partial result.
+    ``mean(zbar_i + eps_i * theta)``. Logistic ones solve the ridge-logistic
+    fit on the deterministically shifted empirical datasets by matrix-free
+    damped Newton, at most ``inner`` iterations; if they run out before the
+    gradient norm reaches ``inner_tol`` a warning flags the partial result.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     if env.kind == GAUSSIAN:
-        return env.zbar_stack.mean(axis=0) + env.eps_avg * theta
-    out, gn, _ = _minimize_frozen(env, theta, theta, inner, inner_tol)
+        return env.zbar_mean + env.eps_avg * theta
+    out, gn = _minimize_frozen(env, theta, theta, inner, inner_tol)
     if gn > inner_tol:
         warnings.warn(
-            f"inner GD budget {inner} exhausted with gradient norm {gn:.3e} > {inner_tol:.1e}",
+            f"inner Newton budget {inner} exhausted with gradient norm {gn:.3e} > {inner_tol:.1e}",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -169,16 +303,17 @@ def contraction_probe(
 ) -> ContractionReport:
     """Empirical Lipschitz ratio of the deployment map over random probe pairs.
 
-    Pairs are drawn uniformly in a ball around ``center`` (default: the best
-    available stable-point estimate). The theoretical bound is
-    ``eps_avg * L / mu``.
+    Pairs are drawn uniformly in a box around ``center`` (default: the
+    :func:`stable_point`, or the origin when there is none). The theoretical
+    bound is ``eps_avg * L / mu``.
     """
     if rng is None:
         rng = stream(0, PROBE_STREAM)
     if center is None:
-        center = closed_form_or_none(env)
-    if center is None:
-        center = repeated_gd_fixed_point(env, deployments=200, inner=inner, tol=1e-10).theta_ps
+        try:
+            center = stable_point(env)
+        except NoFixedPointError:
+            center = np.zeros(env.dim)
     center = np.atleast_1d(np.asarray(center, dtype=float))
 
     worst = 0.0

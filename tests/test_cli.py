@@ -89,6 +89,41 @@ def test_fixed_point_emits_json(tmp_path, capsys):
     assert out["contraction"]["bound"] == pytest.approx(0.9)
 
 
+def test_fixed_point_strategic_stable_point_and_inner(tmp_path, capsys, monkeypatch):
+    from perfnet import oracle
+    cfg = preset("hetero_vs_homo").replace(**{
+        "environment.strategic.synthetic": {"style": "per_agent", "per_agent": 20, "dim": 5},
+        "environment.strategic.beta": 0.01,
+        "environment.strategic.test_split": 50,
+        "experiment.out": str(tmp_path / "out"),
+    })
+    seen = []
+    probe = oracle.contraction_probe
+
+    def recording_probe(env, **kwargs):
+        seen.append(kwargs["inner"])
+        return probe(env, **kwargs)
+
+    monkeypatch.setattr(oracle, "contraction_probe", recording_probe)
+    rc = main(["fixed-point", write_cfg(tmp_path, cfg), "--inner", "37", "--tol", "1e-10"])
+    assert rc == 0
+    out = json.loads(capsys.readouterr().out)
+    assert seen == [37]
+    assert out["converged"] is True
+    stable = out["stable_point"]
+    assert stable["residual"] <= 1e-10
+    assert np.allclose(stable["theta"], out["theta_ps"], atol=1e-8)
+
+
+def test_fixed_point_reports_missing_stable_point(tmp_path, capsys):
+    rc = main(["fixed-point", tiny_gaussian_cfg(tmp_path, **{"environment.eps_avg": 1.5}),
+               "--deployments", "50"])
+    assert rc == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["stable_point"] is None
+    assert "no stable point" in out["stable_point_error"]
+
+
 def test_theory_emits_constants_and_curves(tmp_path, capsys):
     curves = tmp_path / "curves.csv"
     rc = main(["theory", tiny_gaussian_cfg(tmp_path), "--curves", str(curves)])

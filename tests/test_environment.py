@@ -267,6 +267,22 @@ def test_strategic_rows_are_stacked_read_only():
         gaussian_env().rows
 
 
+def test_gaussian_zbar_mean_and_eps_avg_are_cached():
+    rng = np.random.default_rng(4)
+    env = make_heterogeneous_suite(5, 0.7, 0.4, zbar=rng.standard_normal((5, 3)), sigma2=2.0)
+    zbar_mean = env.zbar_mean
+    assert np.array_equal(zbar_mean, env.zbar_stack.mean(axis=0))
+    assert env.eps_avg == float(env.eps.mean())
+    assert env.zbar_mean is zbar_mean
+    with pytest.raises(ValueError):
+        zbar_mean[0] = 1.0
+    theta, deployed = rng.standard_normal(3), rng.standard_normal(3)
+    assert np.array_equal(decoupled_full_gradient(env, theta, deployed),
+                          theta - env.zbar_stack.mean(axis=0) - float(env.eps.mean()) * deployed)
+    with pytest.raises(UnsupportedKindError):
+        unequal_shard_env().zbar_mean
+
+
 @pytest.mark.parametrize("d", [1, 3])
 def test_gaussian_exact_risk_equals_population_loop(d):
     # every agent has its own zbar, eps and sigma2, so the per-agent arrays

@@ -2,15 +2,23 @@ import numpy as np
 import pytest
 
 from perfnet.engine import stream
-from perfnet.environment import UnsupportedKindError, make_heterogeneous_suite
+from perfnet.environment import (
+    UnsupportedKindError,
+    decoupled_full_gradient,
+    make_heterogeneous_suite,
+)
+from perfnet.experiments import build_environment, preset
 from perfnet.oracle import (
     NoFixedPointError,
+    _frozen_hessian,
+    _stable_jacobian,
     apply_M,
     closed_form_multi_ps,
     closed_form_or_none,
     contraction_probe,
     existence_check,
     repeated_gd_fixed_point,
+    stable_point,
 )
 
 
@@ -18,16 +26,21 @@ def gaussian_env(n=25, eps_avg=0.9, spread=0.0, zbar=10.0, sigma2=50.0):
     return make_heterogeneous_suite(n, eps_avg, spread, zbar=zbar, sigma2=sigma2)
 
 
-def strategic_env(n=3, eps_avg=0.05, d=4, m=40, beta=0.5, seed=1):
+def strategic_env(n=3, eps_avg=0.05, d=4, m=40, beta=0.5, seed=1, spread=0.0):
     rng = np.random.default_rng(seed)
     shards = []
     w = rng.standard_normal(d)
-    for _ in range(n):
-        x = rng.standard_normal((m, d))
-        y = (x @ w + 0.3 * rng.standard_normal(m) > 0).astype(float)
+    for size in np.broadcast_to(m, n):
+        x = rng.standard_normal((size, d))
+        y = (x @ w + 0.3 * rng.standard_normal(size) > 0).astype(float)
         shards.append((x, y))
-    return make_heterogeneous_suite(n, eps_avg, 0.0, kind="strategic_shift",
+    return make_heterogeneous_suite(n, eps_avg, spread, kind="strategic_shift",
                                     shards=shards, beta=beta)
+
+
+def preset_env(name):
+    cfg = preset(name)
+    return build_environment(cfg.environment, cfg.run.seed)[0]
 
 
 # ---------------------------------------------------------------- closed form
@@ -89,6 +102,94 @@ def test_apply_M_budget_exhaustion_warns():
     env = strategic_env()
     with pytest.warns(RuntimeWarning, match="budget"):
         apply_M(env, np.zeros(4), inner=2, inner_tol=1e-14)
+
+
+def test_apply_M_strategic_equals_gradient_descent_on_unequal_shards():
+    # reference: full-batch gradient descent with step 1/L run to |g| <= 1e-13
+    env = strategic_env(eps_avg=0.3, m=[5, 8, 11], spread=0.5, beta=0.2)
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        deployed = rng.standard_normal(4)
+        theta = deployed.copy()
+        for _ in range(100_000):
+            g = decoupled_full_gradient(env, theta, deployed)
+            if np.linalg.norm(g) <= 1e-13:
+                break
+            theta = theta - g / env.smoothness
+        assert np.linalg.norm(g) <= 1e-13
+        assert np.allclose(apply_M(env, deployed, inner_tol=1e-13), theta, rtol=0, atol=1e-9)
+
+
+def test_frozen_hessian_matches_gradient_differences():
+    env = strategic_env(eps_avg=0.4, m=[5, 8, 11], spread=0.5, beta=0.3)
+    rng = np.random.default_rng(77)
+    worst = 0.0
+    for _ in range(20):
+        theta, deployed = rng.standard_normal(4), rng.standard_normal(4)
+        hv = _frozen_hessian(env, theta, deployed)
+        for _ in range(3):
+            v = rng.standard_normal(4)
+            fd = (decoupled_full_gradient(env, theta + 1e-6 * v, deployed)
+                  - decoupled_full_gradient(env, theta - 1e-6 * v, deployed)) / 2e-6
+            worst = max(worst, float(np.linalg.norm(hv(v) - fd)) / max(1.0, float(np.linalg.norm(fd))))
+    assert worst <= 1e-6
+
+
+def test_stable_jacobian_matches_differences_of_G():
+    env = strategic_env(eps_avg=0.4, m=[5, 8, 11], spread=0.5, beta=0.3)
+    rng = np.random.default_rng(78)
+    worst = 0.0
+    for _ in range(20):
+        theta = rng.standard_normal(4)
+        fd = np.column_stack([
+            (decoupled_full_gradient(env, theta + h, theta + h)
+             - decoupled_full_gradient(env, theta - h, theta - h)) / 2e-6
+            for h in np.eye(4) * 1e-6
+        ])
+        worst = max(worst, float(np.linalg.norm(_stable_jacobian(env, theta) - fd))
+                    / max(1.0, float(np.linalg.norm(fd))))
+    assert worst <= 1e-6
+
+
+# ---------------------------------------------------------------- stable point
+
+def test_stable_point_gaussian_is_closed_form():
+    env = gaussian_env(eps_avg=0.6, spread=0.3)
+    assert np.array_equal(stable_point(env), closed_form_multi_ps(env))
+
+
+def test_stable_point_gaussian_beyond_threshold_raises():
+    with pytest.raises(NoFixedPointError):
+        stable_point(gaussian_env(eps_avg=1.0))
+
+
+def test_stable_point_agrees_with_exact_repeated_deployment():
+    env = preset_env("hetero_vs_homo")
+    theta = stable_point(env)
+    assert np.linalg.norm(decoupled_full_gradient(env, theta, theta)) <= 1e-10
+    res = repeated_gd_fixed_point(env, tol=1e-12, inner_tol=1e-12)
+    assert res.converged
+    assert np.max(np.abs(res.theta_ps - theta)) <= 1e-8
+
+
+def test_stable_point_where_repeated_deployment_does_not_contract():
+    # on spam_logistic the exact deployment map has spectral radius ~1.18
+    env = preset_env("spam_logistic")
+    theta = stable_point(env)
+    assert np.linalg.norm(decoupled_full_gradient(env, theta, theta)) <= 1e-10
+    # exact repeated deployment started next to it drifts away
+    start = theta + 1e-4 * np.random.default_rng(0).standard_normal(env.dim)
+    moved = start
+    for _ in range(40):
+        moved = apply_M(env, moved, inner_tol=1e-12)
+    assert np.linalg.norm(moved - theta) > 10 * np.linalg.norm(start - theta)
+
+
+def test_stable_point_iteration_cap_raises(monkeypatch):
+    from perfnet import oracle
+    monkeypatch.setattr(oracle, "_ROOT_ITERATIONS", 1)
+    with pytest.raises(NoFixedPointError, match="after 1 iterations"):
+        stable_point(strategic_env(eps_avg=0.5))
 
 
 # ---------------------------------------------------------------- repeated GD
