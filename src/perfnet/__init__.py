@@ -4,9 +4,10 @@ A simulation library for multi-agent learning where each agent's deployed
 decision shifts the distribution it samples from. Provides communication
 topologies with certified spectral gaps, decision-dependent populations,
 the two-phase mixing + stochastic-gradient scheme, stable-point oracles
-(closed form and repeated gradient descent), convergence-rate constants and
-bound curves, per-iteration metrics with log-log rate fitting, and a
-multi-seed experiment harness with a CLI.
+(closed form, Newton root of the stable-point equation, repeated
+deployment), convergence-rate constants and bound curves, per-iteration
+metrics with log-log rate fitting, and a multi-seed experiment harness
+with a CLI.
 """
 
 from .topology import (

@@ -2,6 +2,8 @@
 
 Top-level sections: ``topology``, ``environment``, ``step``, ``run`` and an
 optional ``experiment`` block (seeds, output directory, metric knobs). The
+``step`` and ``run`` sections are the :class:`StepSchedule` and
+:class:`RunConfig` that :func:`perfnet.engine.run` takes. The
 dialect is plain JSON with a mandatory ``config_version`` field. Relative
 dataset/edge-list/schedule paths are resolved against the config file's
 directory at load time.
@@ -26,8 +28,9 @@ __all__ = [
     "SyntheticConfig",
     "StrategicConfig",
     "EnvironmentConfig",
-    "StepConfig",
-    "RunSection",
+    "DIVERGENCE_THRESHOLD",
+    "StepSchedule",
+    "RunConfig",
     "ExperimentSection",
     "Config",
     "load_config",
@@ -37,8 +40,11 @@ __all__ = [
 
 CONFIG_VERSION = 1
 
+# |theta| beyond this counts as divergence, in the engine and the oracle alike
+DIVERGENCE_THRESHOLD = 1e12
 
-class ConfigError(Exception):
+
+class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
 
 
@@ -66,6 +72,12 @@ def _from_dict(cls, data: dict, where: str):
 
 @dataclass(frozen=True)
 class TopologyConfig:
+    """Graph and mixing weights; ``weights`` applies to static graphs only.
+
+    A ``schedule`` topology always uses Metropolis weights, since its graphs
+    need not be regular.
+    """
+
     kind: str = "ring"
     n: int = 25
     weights: str = "uniform"
@@ -158,7 +170,9 @@ class EnvironmentConfig:
 
 
 @dataclass(frozen=True)
-class StepConfig:
+class StepSchedule:
+    """Constant or inverse-time step sizes: gamma_t = gamma or a0 / (a1 + t)."""
+
     kind: str = "inverse_time"
     gamma: float | None = None
     a0: float | None = 50.0
@@ -169,20 +183,30 @@ class StepConfig:
             if self.gamma is None or self.gamma <= 0:
                 raise ConfigError("step.kind=constant needs gamma > 0")
         elif self.kind == "inverse_time":
-            if self.a0 is None or self.a1 is None:
-                raise ConfigError("step.kind=inverse_time needs a0 and a1")
+            if self.a0 is None or self.a1 is None or self.a0 <= 0 or self.a1 < 0:
+                raise ConfigError("step.kind=inverse_time needs a0 > 0 and a1 >= 0")
         else:
             raise ConfigError(f"step.kind {self.kind!r} unknown")
 
+    @classmethod
+    def constant(cls, g: float) -> "StepSchedule":
+        return cls("constant", gamma=g)
+
+    @classmethod
+    def inverse_time(cls, a0: float, a1: float) -> "StepSchedule":
+        return cls("inverse_time", a0=a0, a1=a1)
+
 
 @dataclass(frozen=True)
-class RunSection:
+class RunConfig:
+    """Iteration budget and reproducibility knobs for one run."""
+
     T: int = 200_000
     batch: int = 1
     record_every: int = 200
     seed: int = 1000
     theta0: float | list = 0.0
-    divergence_threshold: float = 1e12
+    divergence_threshold: float = DIVERGENCE_THRESHOLD
 
     def __post_init__(self):
         if self.T < 0:
@@ -205,8 +229,8 @@ class Config:
     config_version: int = CONFIG_VERSION
     topology: TopologyConfig = field(default_factory=TopologyConfig)
     environment: EnvironmentConfig = field(default_factory=EnvironmentConfig)
-    step: StepConfig = field(default_factory=StepConfig)
-    run: RunSection = field(default_factory=RunSection)
+    step: StepSchedule = field(default_factory=StepSchedule)
+    run: RunConfig = field(default_factory=RunConfig)
     experiment: ExperimentSection = field(default_factory=ExperimentSection)
 
     def __post_init__(self):
@@ -229,7 +253,7 @@ class Config:
     def replace(self, **section_updates) -> "Config":
         """New config with whole sections or dotted leaf fields replaced.
 
-        Accepts section objects (``step=StepConfig(...)``) or dotted paths
+        Accepts section objects (``step=StepSchedule(...)``) or dotted paths
         (``**{"environment.eps_avg": 1.01}``).
         """
         d = self.to_dict()
@@ -247,8 +271,8 @@ class Config:
 _NESTED = {
     (Config, "topology"): TopologyConfig,
     (Config, "environment"): EnvironmentConfig,
-    (Config, "step"): StepConfig,
-    (Config, "run"): RunSection,
+    (Config, "step"): StepSchedule,
+    (Config, "run"): RunConfig,
     (Config, "experiment"): ExperimentSection,
     (EnvironmentConfig, "gaussian"): GaussianConfig,
     (EnvironmentConfig, "strategic"): StrategicConfig,

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DIVERGENCE_THRESHOLD, RunConfig, StepSchedule
 from .environment import (
     Environment,
     deployed_gradients,
@@ -66,59 +67,13 @@ def agent_streams(seed: int, n: int, tag: int = SAMPLE_STREAM) -> list:
     return [stream(seed, tag, i) for i in range(n)]
 
 
-@dataclass(frozen=True)
-class StepSchedule:
-    """Constant or inverse-time step sizes: gamma_t = a0 / (a1 + t)."""
-
-    kind: str
-    gamma_const: float | None = None
-    a0: float | None = None
-    a1: float | None = None
-
-    def __post_init__(self):
-        if self.kind == "constant":
-            if self.gamma_const is None or self.gamma_const <= 0:
-                raise ValueError("constant schedule needs gamma > 0")
-        elif self.kind == "inverse_time":
-            if self.a0 is None or self.a1 is None or self.a0 <= 0 or self.a1 < 0:
-                raise ValueError("inverse_time schedule needs a0 > 0 and a1 >= 0")
-        else:
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
-
-    @classmethod
-    def constant(cls, g: float) -> "StepSchedule":
-        return cls("constant", gamma_const=g)
-
-    @classmethod
-    def inverse_time(cls, a0: float, a1: float) -> "StepSchedule":
-        return cls("inverse_time", a0=a0, a1=a1)
-
-
 def gamma(schedule: StepSchedule, t: int) -> float:
     """Step size gamma_t; step indices start at 1."""
     if t < 1:
         raise ValueError(f"step sizes are indexed from 1, got t={t}")
     if schedule.kind == "constant":
-        return schedule.gamma_const
+        return schedule.gamma
     return schedule.a0 / (schedule.a1 + t)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Iteration budget and reproducibility knobs for one run."""
-
-    T: int
-    batch: int = 1
-    record_every: int = 1
-    seed: int = 0
-    theta0: float | np.ndarray = 0.0
-    divergence_threshold: float = 1e12
-
-    def __post_init__(self):
-        if self.T < 0:
-            raise ValueError(f"T must be nonnegative, got {self.T}")
-        if self.batch < 1 or self.record_every < 1:
-            raise ValueError("batch and record_every must be >= 1")
 
 
 @dataclass
@@ -167,7 +122,7 @@ def dsgd_gd_step(
     batch: int = 1,
     sampler=None,
     check_average: bool = False,
-    divergence_threshold: float = 1e12,
+    divergence_threshold: float = DIVERGENCE_THRESHOLD,
 ) -> SchemeState:
     """One two-phase update. Returns the state at iteration t+1.
 
@@ -214,8 +169,7 @@ def run(
 ) -> Trajectory | list:
     """Execute the scheme for ``config.T`` iterations.
 
-    ``config`` is a :class:`RunConfig` or a :class:`~perfnet.config.RunSection`,
-    which has the same six fields and checks.
+    ``config`` and ``schedule`` are a config's ``run`` and ``step`` sections.
     ``mixing`` is a :class:`~perfnet.topology.MixingMatrix` or a
     :class:`~perfnet.topology.MixingSchedule` (time-varying weights are taken
     at index t+1 for the step into iteration t+1, cycling the sequence).

@@ -44,7 +44,6 @@ __all__ = [
     "preset",
     "build_graph",
     "build_mixing",
-    "build_schedule",
     "build_environment",
     "run_single",
     "run_experiment",
@@ -172,18 +171,16 @@ def _load_schedule(path, n: int) -> topology.GraphSchedule:
 
 
 def build_mixing(tc) -> topology.MixingMatrix | topology.MixingSchedule:
-    g = build_graph(tc)
-    if isinstance(g, topology.GraphSchedule):
-        return topology.schedule_mixing(g, rule=tc.weights if tc.weights != "uniform" else "metropolis")
-    if tc.weights == "uniform":
-        return topology.uniform_neighbor_weights(g)
-    return topology.metropolis_weights(g)
-
-
-def build_schedule(sc) -> engine.StepSchedule:
-    if sc.kind == "constant":
-        return engine.StepSchedule.constant(sc.gamma)
-    return engine.StepSchedule.inverse_time(sc.a0, sc.a1)
+    """Weights for the configured graph; a graph the weights cannot serve is a config error."""
+    try:
+        g = build_graph(tc)
+        if isinstance(g, topology.GraphSchedule):
+            return topology.schedule_mixing(g)
+        if tc.weights == "uniform":
+            return topology.uniform_neighbor_weights(g)
+        return topology.metropolis_weights(g)
+    except topology.TopologyError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _eps_arguments(ec):
@@ -207,12 +204,20 @@ def build_environment(ec, seed: int) -> tuple[Environment, tuple | None]:
     """
     eps_kw = _eps_arguments(ec)
     if ec.kind == GAUSSIAN:
-        env = make_heterogeneous_suite(
-            ec.n, ec.eps_avg, kind=GAUSSIAN,
-            zbar=ec.gaussian.zbar, sigma2=ec.gaussian.sigma2, **eps_kw,
-        )
-        return env, None
+        suite_kw, test = {"zbar": ec.gaussian.zbar, "sigma2": ec.gaussian.sigma2}, None
+    else:
+        shards, test = _strategic_shards(ec, seed)
+        suite_kw = {"shards": shards, "beta": ec.strategic.beta}
+    try:
+        env = make_heterogeneous_suite(ec.n, ec.eps_avg, kind=ec.kind, **suite_kw, **eps_kw)
+    except ValueError as exc:
+        # population or loss parameters out of range, or an eps_list off its eps_avg
+        raise ConfigError(str(exc)) from exc
+    return env, test
 
+
+def _strategic_shards(ec, seed: int) -> tuple[list, tuple]:
+    """Per-agent (features, labels) shards and the test split of a strategic config."""
     sc = ec.strategic
     if sc.dataset is not None:
         x, y = load_dataset(sc.dataset, dim=sc.dim)
@@ -239,10 +244,7 @@ def build_environment(ec, seed: int) -> tuple[Environment, tuple | None]:
         pooled_x = np.concatenate([s[0] for s in shards])
         pooled_y = np.concatenate([s[1] for s in shards])
         shards = [(pooled_x, pooled_y)] * ec.n
-    env = make_heterogeneous_suite(
-        ec.n, ec.eps_avg, kind=STRATEGIC, shards=shards, beta=sc.beta, **eps_kw,
-    )
-    return env, test
+    return shards, test
 
 
 def _seed_parts(cfg: Config, seed: int):
@@ -261,7 +263,7 @@ def _seed_parts(cfg: Config, seed: int):
 def run_single(cfg: Config) -> tuple[engine.Trajectory, list]:
     """One seeded run with the standard metric recorder. Returns (trajectory, records)."""
     env, sink = _seed_parts(cfg, cfg.run.seed)
-    traj = engine.run(cfg.run, env, build_mixing(cfg.topology), build_schedule(cfg.step), sink=sink)
+    traj = engine.run(cfg.run, env, build_mixing(cfg.topology), cfg.step, sink=sink)
     return traj, traj.records
 
 
@@ -278,7 +280,7 @@ def _run_job(args) -> list:
     cfg = Config.from_dict(cfg_dict)
     t0 = time.perf_counter()
     envs, sinks = zip(*(_seed_parts(cfg, seed) for seed in seeds))
-    trajs = engine.run(cfg.run, envs, build_mixing(cfg.topology), build_schedule(cfg.step),
+    trajs = engine.run(cfg.run, envs, build_mixing(cfg.topology), cfg.step,
                        sink=sinks, seeds=seeds)
     summaries = []
     for seed, traj, csv_path in zip(seeds, trajs, csv_paths):
@@ -440,21 +442,20 @@ def theory_report(cfg: Config, recorded_ts=None, env: Environment | None = None)
     """
     if env is None:
         env, _ = build_environment(cfg.environment, cfg.run.seed)
-    schedule = build_schedule(cfg.step)
     theta_ps = oracle.closed_form_or_none(env)
     if theta_ps is None:
         return {"applicable": False, "reason": "no closed-form stable point for this instance"}
     mixing = build_mixing(cfg.topology)
     try:
         tc = theory.instance_constants(
-            env, mixing.rho, schedule, theta0=cfg.run.theta0,
+            env, mixing.rho, cfg.step, theta0=cfg.run.theta0,
             theta_ps=theta_ps, delta=cfg.experiment.theory_delta,
         )
     except (theory.StabilityViolatedError, theory.ConstantsInapplicableError) as exc:
         return {"applicable": False, "reason": str(exc)}
     cap = theory.step_size_cap(tc)
-    ratio = theory.ratio_condition_check(schedule, tc, min(cfg.run.T, 10_000))
-    gamma1 = engine.gamma(schedule, 1)
+    ratio = theory.ratio_condition_check(cfg.step, tc, min(cfg.run.T, 10_000))
+    gamma1 = engine.gamma(cfg.step, 1)
     report = {
         "applicable": True,
         "constants": {
@@ -473,7 +474,7 @@ def theory_report(cfg: Config, recorded_ts=None, env: Environment | None = None)
         "transient_threshold": theory.transient_threshold(tc) if tc.sigma > 0 else None,
     }
     if recorded_ts is not None and len(recorded_ts):
-        report["curves"] = theory.bound_curves(tc, schedule, recorded_ts)
+        report["curves"] = theory.bound_curves(tc, cfg.step, recorded_ts)
     return report
 
 
@@ -504,7 +505,7 @@ def run_disconnected_baseline(cfg: Config, isolated: int, out: str | None = None
     solo_ps = oracle.closed_form_or_none(solo_env)
     sink = metrics.metric_recorder(solo_env, theta_ps=solo_ps, seed=cfg.run.seed)
     solo_mix = topology.uniform_neighbor_weights(topology.build_ring(1))
-    traj_solo = engine.run(cfg.run, solo_env, solo_mix, build_schedule(cfg.step), sink=sink)
+    traj_solo = engine.run(cfg.run, solo_env, solo_mix, cfg.step, sink=sink)
     metrics.write_metrics_csv(isolated_dir / "metrics.csv", traj_solo.records)
 
     solo_risks = [r.risk for r in traj_solo.records if r.risk is not None]
@@ -551,8 +552,7 @@ def run_nonperformative_baseline(cfg: Config, out: str | None = None) -> dict:
     sink = metrics.metric_recorder(
         env_zero, risk_mc=risk_mc, seed=cfg.run.seed, test_data=test, accuracy_env=env
     )
-    traj_zero = engine.run(cfg.run, env_zero, build_mixing(cfg.topology),
-                           build_schedule(cfg.step), sink=sink)
+    traj_zero = engine.run(cfg.run, env_zero, build_mixing(cfg.topology), cfg.step, sink=sink)
     metrics.write_metrics_csv(base_dir / "nonperformative" / "metrics.csv", traj_zero.records)
 
     acc_gd = rec_gd[-1].accuracy

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
+from .config import DIVERGENCE_THRESHOLD
 from .engine import PROBE_STREAM, stream
 from .environment import (
     Environment,
@@ -41,10 +42,6 @@ __all__ = [
     "contraction_probe",
     "existence_check",
 ]
-
-# Matches the engine's blow-up cutoff.
-DIVERGENCE_THRESHOLD = 1e12
-
 
 class NoFixedPointError(RuntimeError):
     """The deployment map has no fixed point in the requested regime."""

@@ -358,29 +358,18 @@ class MixingSchedule:
         return self.matrices[t % len(self.matrices)]
 
 
-def schedule_mixing(s: GraphSchedule, rule: str = "metropolis") -> MixingSchedule:
-    """Build per-graph weights and certify the window contraction factor.
+def schedule_mixing(s: GraphSchedule) -> MixingSchedule:
+    """Build per-graph Metropolis weights and certify the window contraction factor.
 
     Individual graphs may be disconnected; only the B-window product must
-    contract. ``rule`` is ``"metropolis"`` or ``"uniform"`` (the latter
-    requires every graph in the schedule to be regular).
+    contract.
     """
     check = validate_schedule(s)
     if not check.connected:
         raise DisconnectedGraphError(
             f"schedule window starting at {check.violation_at} has a disconnected union"
         )
-    if rule == "metropolis":
-        mats = [_metropolis_matrix(g) for g in s.graphs]
-    elif rule == "uniform":
-        mats = []
-        for g in s.graphs:
-            degs = [g.degree(i) for i in range(g.n)]
-            if len(set(degs)) != 1:
-                raise IrregularGraphError("uniform rule on an irregular schedule graph")
-            mats.append(g.adjacency() / degs[0])
-    else:
-        raise TopologyError(f"unknown weight rule {rule!r}")
+    mats = [_metropolis_matrix(g) for g in s.graphs]
 
     n = s.n
     proj = np.full((n, n), 1.0 / n)

@@ -79,6 +79,31 @@ def test_dataset_error_exit_four(tmp_path, capsys):
     assert "dataset error" in capsys.readouterr().err
 
 
+# configs that parse but fail when loaded or built; the last one cannot be
+# written by save_config, because the step section rejects it
+BUILD_ERRORS = {
+    "star_with_uniform_weights": {"topology.kind": "star"},
+    "eps_list_off_its_average": {"environment.eps_grid": None, "environment.eps_list": [0.5] * 25},
+    "negative_noise_variance": {"environment.gaussian.sigma2": -1.0},
+    "negative_step_a0": {"step.a0": -1.0},
+}
+
+
+@pytest.mark.parametrize("overrides", BUILD_ERRORS.values(), ids=BUILD_ERRORS.keys())
+def test_theory_on_unbuildable_config_exits_two(tmp_path, capsys, overrides):
+    d = preset("gaussian_mean").to_dict()
+    for key, val in overrides.items():
+        *sections, leaf = key.split(".")
+        node = d
+        for section in sections:
+            node = node[section]
+        node[leaf] = val
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(d))
+    assert main(["theory", str(p)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
 def test_fixed_point_emits_json(tmp_path, capsys):
     rc = main(["fixed-point", tiny_gaussian_cfg(tmp_path)])
     assert rc == 0

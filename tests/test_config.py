@@ -1,7 +1,10 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+from perfnet import config, engine
 from perfnet.config import (
     Config,
     ConfigError,
@@ -10,6 +13,8 @@ from perfnet.config import (
     save_config,
 )
 from perfnet.experiments import preset
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_round_trip_identity_for_presets():
@@ -98,3 +103,27 @@ def test_hash_changes_with_content():
     a = preset("gaussian_mean")
     b = a.replace(**{"run.T": 17})
     assert config_hash(a) != config_hash(b)
+
+
+# Hashes of the presets as written before the run and step settings got one
+# definition each; a schema change that moves a field or default breaks them.
+@pytest.mark.parametrize("name, digest", [
+    ("gaussian_mean", "290217ca10ae72426db510d884139b89e5edd714eda7f024e795077123eeb777"),
+    ("spam_logistic", "85f8325b727736681f5315431194de8f14b230e321f17bda63303443693811c8"),
+    ("hetero_vs_homo", "b3fd5e7a030cf7db67e3803ce20c079a368a8fdddb0e998dbe1912172cf6d235"),
+])
+def test_preset_hash_pinned(name, digest):
+    assert config_hash(preset(name)) == digest
+
+
+def test_readme_config_example_loads():
+    block = re.search(r"```json\n(.*?)```", README.read_text(), re.S).group(1)
+    cfg = Config.from_dict(json.loads(block))
+    assert cfg.run.divergence_threshold == config.DIVERGENCE_THRESHOLD
+
+
+def test_engine_takes_the_config_sections():
+    assert engine.RunConfig is config.RunConfig
+    assert engine.StepSchedule is config.StepSchedule
+    cfg = preset("gaussian_mean")
+    assert isinstance(cfg.run, engine.RunConfig) and isinstance(cfg.step, engine.StepSchedule)
