@@ -103,9 +103,15 @@ def _cmd_fixed_point(args) -> int:
     result = oracle.repeated_gd_fixed_point(
         env, deployments=args.deployments, inner=args.inner, tol=args.tol
     )
-    probe = oracle.contraction_probe(
-        env, center=result.theta_ps if result.converged else None, inner=args.inner
-    )
+    try:
+        stable, stable_error = oracle.stable_point(env), None
+    except oracle.NoFixedPointError as exc:
+        stable, stable_error = None, exc
+    if result.converged:
+        center = result.theta_ps
+    else:
+        center = stable if stable is not None else np.zeros(env.dim)
+    probe = oracle.contraction_probe(env, center=center, inner=args.inner)
     report = {
         "theta_ps": [float(v) for v in result.theta_ps],
         "residual": result.residual,
@@ -117,15 +123,14 @@ def _cmd_fixed_point(args) -> int:
             "bound": probe.theoretical_bound,
         },
     }
-    try:
-        theta = oracle.stable_point(env)
-        report["stable_point"] = {
-            "theta": [float(v) for v in theta],
-            "residual": float(np.linalg.norm(decoupled_full_gradient(env, theta, theta))),
-        }
-    except oracle.NoFixedPointError as exc:
+    if stable is None:
         report["stable_point"] = None
-        report["stable_point_error"] = str(exc)
+        report["stable_point_error"] = str(stable_error)
+    else:
+        report["stable_point"] = {
+            "theta": [float(v) for v in stable],
+            "residual": float(np.linalg.norm(decoupled_full_gradient(env, stable, stable))),
+        }
     print(json.dumps(report, indent=2))
     return EXIT_OK
 

@@ -432,7 +432,7 @@ def make_heterogeneous_suite(
         if mult.shape != (n,):
             raise CalibrationError(f"need {n} multipliers, got shape {mult.shape}")
     if abs(mult.mean() - 1.0) > 1e-12:
-        raise CalibrationError(f"multiplier grid mean {mult.mean()!r} is not 1")
+        raise CalibrationError(f"multiplier grid mean {float(mult.mean())} is not 1")
     eps = mult * eps_avg
 
     if kind == GAUSSIAN:

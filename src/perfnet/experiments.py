@@ -34,6 +34,7 @@ from .datasets import (
     synthetic_corpus,
 )
 from .environment import (
+    CalibrationError,
     Environment,
     GAUSSIAN,
     STRATEGIC,
@@ -210,8 +211,15 @@ def build_environment(ec, seed: int) -> tuple[Environment, tuple | None]:
         suite_kw = {"shards": shards, "beta": ec.strategic.beta}
     try:
         env = make_heterogeneous_suite(ec.n, ec.eps_avg, kind=ec.kind, **suite_kw, **eps_kw)
+    except CalibrationError as exc:
+        # a spread grid averages 1 by construction and _eps_arguments has
+        # checked the list's length, so only an eps_list off its eps_avg lands here
+        raise ConfigError(
+            f"environment.eps_list averages {float(np.mean(ec.eps_list))}, "
+            f"not environment.eps_avg = {ec.eps_avg}"
+        ) from exc
     except ValueError as exc:
-        # population or loss parameters out of range, or an eps_list off its eps_avg
+        # population or loss parameters out of range
         raise ConfigError(str(exc)) from exc
     return env, test
 

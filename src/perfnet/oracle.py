@@ -142,13 +142,19 @@ def _conjugate_gradient(hv, g, iterations, rtol):
     return p
 
 
-def _minimize_frozen(env, deployed, theta_init, inner, inner_tol):
-    """Damped Newton on the deployment-frozen ridge-logistic objective.
+def _solve_frozen(env, deployed, start, inner, inner_tol):
+    """``M(deployed)``, with a strategic solve started at ``start``.
 
-    Each step solves ``H p = g`` by conjugate gradients (at most d products,
-    relative residual ``1e-3 * min(1, |g|)``), then backtracks with Armijo
-    on the frozen objective. Returns ``(theta, |g|)``.
+    Gaussian environments return the closed form and ignore ``start``.
+    Strategic ones run damped Newton on the deployment-frozen ridge-logistic
+    objective: each step solves ``H p = g`` by conjugate gradients (at most d
+    products, relative residual ``1e-3 * min(1, |g|)``), then backtracks with
+    Armijo on the frozen objective. If ``inner`` steps end before
+    ``|g| <= inner_tol``, a warning flags the partial result at the caller of
+    :func:`apply_M` or :func:`contraction_probe`.
     """
+    if env.kind == GAUSSIAN:
+        return env.zbar_mean + env.eps_avg * deployed
     rows = env.rows
     beta = env.loss.beta
 
@@ -156,13 +162,13 @@ def _minimize_frozen(env, deployed, theta_init, inner, inner_tol):
         scores = rows.features @ t + rows.eps * float(deployed @ t)
         return float(rows.weights @ _softplus_minus_yu(scores, rows.labels)) + 0.5 * beta * float(t @ t)
 
-    theta = np.array(theta_init, dtype=float)
+    theta = np.array(start, dtype=float)
     f = objective(theta)
     for _ in range(inner):
         g = decoupled_full_gradient(env, theta, deployed)
         gn = float(np.linalg.norm(g))
         if gn <= inner_tol:
-            return theta, gn
+            return theta
         step = _conjugate_gradient(_frozen_hessian(env, theta, deployed), g, env.dim,
                                    1e-3 * min(1.0, gn))
         decrement = float(g @ step)
@@ -177,8 +183,14 @@ def _minimize_frozen(env, deployed, theta_init, inner, inner_tol):
                 trial = theta - t * step
                 f_trial = objective(trial)
         theta, f = trial, f_trial
-    g = decoupled_full_gradient(env, theta, deployed)
-    return theta, float(np.linalg.norm(g))
+    gn = float(np.linalg.norm(decoupled_full_gradient(env, theta, deployed)))
+    if gn > inner_tol:
+        warnings.warn(
+            f"inner Newton budget {inner} exhausted with gradient norm {gn:.3e} > {inner_tol:.1e}",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    return theta
 
 
 def _stable_jacobian(env, theta):
@@ -240,20 +252,12 @@ def apply_M(env: Environment, theta, inner: int = 1000, inner_tol: float = 1e-10
     Gaussian environments use the exact analytic minimizer
     ``mean(zbar_i + eps_i * theta)``. Logistic ones solve the ridge-logistic
     fit on the deterministically shifted empirical datasets by matrix-free
-    damped Newton, at most ``inner`` iterations; if they run out before the
-    gradient norm reaches ``inner_tol`` a warning flags the partial result.
+    damped Newton from ``theta``, at most ``inner`` iterations; if they run
+    out before the gradient norm reaches ``inner_tol`` a warning flags the
+    partial result.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    if env.kind == GAUSSIAN:
-        return env.zbar_mean + env.eps_avg * theta
-    out, gn = _minimize_frozen(env, theta, theta, inner, inner_tol)
-    if gn > inner_tol:
-        warnings.warn(
-            f"inner Newton budget {inner} exhausted with gradient norm {gn:.3e} > {inner_tol:.1e}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return out
+    return _solve_frozen(env, theta, theta, inner, inner_tol)
 
 
 def repeated_gd_fixed_point(
@@ -302,7 +306,12 @@ def contraction_probe(
 
     Pairs are drawn uniformly in a box around ``center`` (default: the
     :func:`stable_point`, or the origin when there is none). The theoretical
-    bound is ``eps_avg * L / mu``.
+    bound is ``eps_avg * L / mu``. Every strategic frozen solve starts at
+    ``M(center)``, computed once, not at its probe point ``a``: by the map's
+    Lipschitz bound ``M(a)`` lies within ``q |a - center|`` of ``M(center)``,
+    and ``q`` is well below 1 wherever the probe is meaningful. Each solve
+    still runs to ``inner_tol`` or warns, so the start moves the ratio only
+    by solver tolerance.
     """
     if rng is None:
         rng = stream(0, PROBE_STREAM)
@@ -312,6 +321,7 @@ def contraction_probe(
         except NoFixedPointError:
             center = np.zeros(env.dim)
     center = np.atleast_1d(np.asarray(center, dtype=float))
+    start = _solve_frozen(env, center, center, inner, inner_tol)
 
     worst = 0.0
     for _ in range(pairs):
@@ -320,8 +330,8 @@ def contraction_probe(
         gap = float(np.linalg.norm(a - b))
         if gap < 1e-9:
             continue
-        ma = apply_M(env, a, inner=inner, inner_tol=inner_tol)
-        mb = apply_M(env, b, inner=inner, inner_tol=inner_tol)
+        ma = _solve_frozen(env, a, start, inner, inner_tol)
+        mb = _solve_frozen(env, b, start, inner, inner_tol)
         worst = max(worst, float(np.linalg.norm(ma - mb)) / gap)
     bound = env.eps_avg * env.smoothness / env.mu
     return ContractionReport(empirical_ratio=worst, theoretical_bound=bound, pairs=pairs)

@@ -26,6 +26,16 @@ def tiny_gaussian_cfg(tmp_path, **extra):
     return write_cfg(tmp_path, cfg)
 
 
+def tiny_strategic_cfg(tmp_path):
+    cfg = preset("hetero_vs_homo").replace(**{
+        "environment.strategic.synthetic": {"style": "per_agent", "per_agent": 20, "dim": 5},
+        "environment.strategic.beta": 0.01,
+        "environment.strategic.test_split": 50,
+        "experiment.out": str(tmp_path / "out"),
+    })
+    return write_cfg(tmp_path, cfg)
+
+
 def test_run_success_exit_zero(tmp_path, capsys):
     rc = main(["run", tiny_gaussian_cfg(tmp_path), "--threads", "1"])
     assert rc == 0
@@ -89,8 +99,9 @@ BUILD_ERRORS = {
 }
 
 
-@pytest.mark.parametrize("overrides", BUILD_ERRORS.values(), ids=BUILD_ERRORS.keys())
-def test_theory_on_unbuildable_config_exits_two(tmp_path, capsys, overrides):
+@pytest.mark.parametrize("case", BUILD_ERRORS)
+def test_theory_on_unbuildable_config_exits_two(tmp_path, capsys, case):
+    overrides = BUILD_ERRORS[case]
     d = preset("gaussian_mean").to_dict()
     for key, val in overrides.items():
         *sections, leaf = key.split(".")
@@ -101,7 +112,11 @@ def test_theory_on_unbuildable_config_exits_two(tmp_path, capsys, overrides):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(d))
     assert main(["theory", str(p)]) == 2
-    assert capsys.readouterr().err.startswith("config error:")
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    if case == "eps_list_off_its_average":
+        # in the config's own terms, with plain floats
+        assert err == "config error: environment.eps_list averages 0.5, not environment.eps_avg = 0.9\n"
 
 
 def test_fixed_point_emits_json(tmp_path, capsys):
@@ -116,12 +131,6 @@ def test_fixed_point_emits_json(tmp_path, capsys):
 
 def test_fixed_point_strategic_stable_point_and_inner(tmp_path, capsys, monkeypatch):
     from perfnet import oracle
-    cfg = preset("hetero_vs_homo").replace(**{
-        "environment.strategic.synthetic": {"style": "per_agent", "per_agent": 20, "dim": 5},
-        "environment.strategic.beta": 0.01,
-        "environment.strategic.test_split": 50,
-        "experiment.out": str(tmp_path / "out"),
-    })
     seen = []
     probe = oracle.contraction_probe
 
@@ -130,7 +139,7 @@ def test_fixed_point_strategic_stable_point_and_inner(tmp_path, capsys, monkeypa
         return probe(env, **kwargs)
 
     monkeypatch.setattr(oracle, "contraction_probe", recording_probe)
-    rc = main(["fixed-point", write_cfg(tmp_path, cfg), "--inner", "37", "--tol", "1e-10"])
+    rc = main(["fixed-point", tiny_strategic_cfg(tmp_path), "--inner", "37", "--tol", "1e-10"])
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert seen == [37]
@@ -138,6 +147,35 @@ def test_fixed_point_strategic_stable_point_and_inner(tmp_path, capsys, monkeypa
     stable = out["stable_point"]
     assert stable["residual"] <= 1e-10
     assert np.allclose(stable["theta"], out["theta_ps"], atol=1e-8)
+
+
+def test_fixed_point_computes_the_stable_point_once(tmp_path, capsys, monkeypatch):
+    # one deployment cannot converge, so the probe is centred at the stable
+    # point that the report also prints
+    from perfnet import oracle
+    calls = []
+    stable_point = oracle.stable_point
+
+    def counting_stable_point(env):
+        calls.append(env)
+        return stable_point(env)
+
+    centers = []
+    probe = oracle.contraction_probe
+
+    def recording_probe(env, **kwargs):
+        centers.append(kwargs["center"])
+        return probe(env, **kwargs)
+
+    monkeypatch.setattr(oracle, "stable_point", counting_stable_point)
+    monkeypatch.setattr(oracle, "contraction_probe", recording_probe)
+    rc = main(["fixed-point", tiny_strategic_cfg(tmp_path), "--deployments", "1"])
+    assert rc == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["converged"] is False
+    assert len(calls) == 1
+    assert np.array_equal(centers[0], out["stable_point"]["theta"])
+    assert out["stable_point"]["residual"] <= 1e-10
 
 
 def test_fixed_point_reports_missing_stable_point(tmp_path, capsys):

@@ -260,6 +260,48 @@ def test_contraction_strategic_within_bound():
     assert report.empirical_ratio <= report.theoretical_bound + 1e-6
 
 
+def cold_start_probe_ratio(env, pairs, radius, rng, center, inner_tol):
+    """The probe's ratio with every frozen solve started at its probe point."""
+    worst = 0.0
+    for _ in range(pairs):
+        a = center + radius * rng.uniform(-1.0, 1.0, size=env.dim)
+        b = center + radius * rng.uniform(-1.0, 1.0, size=env.dim)
+        worst = max(worst, float(np.linalg.norm(apply_M(env, a, inner_tol=inner_tol)
+                                                - apply_M(env, b, inner_tol=inner_tol)))
+                    / float(np.linalg.norm(a - b)))
+    return worst
+
+
+@pytest.mark.parametrize("at_stable_point", [True, False], ids=["stable_point", "origin"])
+def test_contraction_probe_matches_cold_starts_with_fewer_gradients(monkeypatch, at_stable_point):
+    from perfnet import oracle
+    env = strategic_env(eps_avg=0.05, m=(7, 10, 13))
+    center = stable_point(env) if at_stable_point else np.zeros(env.dim)
+    calls = []
+
+    def counting_gradient(*args):
+        calls.append(1)
+        return decoupled_full_gradient(*args)
+
+    monkeypatch.setattr(oracle, "decoupled_full_gradient", counting_gradient)
+    # the ratio is ~0.006, so 1e-9 relative needs solves well below the default tolerance
+    reference = cold_start_probe_ratio(env, 6, 1.0, stream(5, 7), center, inner_tol=1e-12)
+    cold_calls = len(calls)
+    calls.clear()
+    report = contraction_probe(env, pairs=6, radius=1.0, rng=stream(5, 7), center=center,
+                               inner_tol=1e-12)
+    assert report.empirical_ratio == pytest.approx(reference, rel=1e-9, abs=0)
+    assert len(calls) < cold_calls
+
+
+def test_contraction_probe_budget_exhaustion_warns():
+    env = strategic_env(eps_avg=0.05, m=(7, 10, 13))
+    with pytest.warns(RuntimeWarning, match="inner Newton budget 1 exhausted") as record:
+        contraction_probe(env, pairs=2, rng=stream(6, 7), inner=1, inner_tol=1e-14)
+    # the warning points at the probe's caller
+    assert {w.filename for w in record} == {__file__}
+
+
 # ---------------------------------------------------------------- existence
 
 def test_existence_local_variant():
