@@ -314,6 +314,13 @@ def save_config(cfg: Config, path) -> None:
 
 
 def config_hash(cfg: Config) -> str:
-    """Stable content hash of the fully resolved configuration."""
-    blob = json.dumps(cfg.to_dict(), sort_keys=True, separators=(",", ":"))
+    """Stable content hash of the fully resolved configuration.
+
+    ``experiment.out`` names where the artifacts go, not what they are, so it
+    is hashed at its default: one experiment written to two directories gets
+    one hash.
+    """
+    data = cfg.to_dict()
+    data["experiment"]["out"] = ExperimentSection.out
+    blob = json.dumps(data, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()

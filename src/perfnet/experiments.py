@@ -55,7 +55,6 @@ __all__ = [
 ]
 
 RISK_DIVERGENCE_FACTOR = 10.0
-DEFAULT_STRATEGIC_RISK_MC = 256
 
 
 def pool_size(requested: int | None = None) -> int:
@@ -256,21 +255,18 @@ def _strategic_shards(ec, seed: int) -> tuple[list, tuple]:
 
 
 def _seed_parts(cfg: Config, seed: int):
-    """One seed's environment and standard metric recorder."""
+    """One seed's environment, test split (or None) and standard metric recorder."""
     env, test = build_environment(cfg.environment, seed)
-    theta_ps = oracle.closed_form_or_none(env)
-    risk_mc = cfg.experiment.risk_mc
-    if risk_mc is None and env.kind == STRATEGIC:
-        risk_mc = DEFAULT_STRATEGIC_RISK_MC
     sink = metrics.metric_recorder(
-        env, theta_ps=theta_ps, risk_mc=risk_mc, seed=seed, test_data=test
+        env, theta_ps=oracle.closed_form_or_none(env), risk_mc=cfg.experiment.risk_mc,
+        seed=seed, test_data=test,
     )
-    return env, sink
+    return env, test, sink
 
 
 def run_single(cfg: Config) -> tuple[engine.Trajectory, list]:
     """One seeded run with the standard metric recorder. Returns (trajectory, records)."""
-    env, sink = _seed_parts(cfg, cfg.run.seed)
+    env, _, sink = _seed_parts(cfg, cfg.run.seed)
     traj = engine.run(cfg.run, env, build_mixing(cfg.topology), cfg.step, sink=sink)
     return traj, traj.records
 
@@ -287,7 +283,7 @@ def _run_job(args) -> list:
     cfg_dict, seeds, csv_paths = args
     cfg = Config.from_dict(cfg_dict)
     t0 = time.perf_counter()
-    envs, sinks = zip(*(_seed_parts(cfg, seed) for seed in seeds))
+    envs, _, sinks = zip(*(_seed_parts(cfg, seed) for seed in seeds))
     trajs = engine.run(cfg.run, envs, build_mixing(cfg.topology), cfg.step,
                        sink=sinks, seeds=seeds)
     summaries = []
@@ -539,9 +535,13 @@ def run_nonperformative_baseline(cfg: Config, out: str | None = None) -> dict:
     The reference decision minimizes the average loss on unshifted data
     (trained by the same decentralized scheme with sensitivities zeroed);
     its accuracy is measured on test features shifted by that decision at
-    each agent's true sensitivity, alongside the shift-aware run.
+    each agent's true sensitivity, alongside the shift-aware run. The two
+    arms share the run seed and advance as one seed-batched
+    :func:`~perfnet.engine.run`; each arm's trajectory is bit-identical to a
+    run of it alone.
     """
-    env, test = build_environment(cfg.environment, cfg.run.seed)
+    seed = cfg.run.seed
+    env, test, sink = _seed_parts(cfg, seed)
     if env.kind != STRATEGIC or test is None:
         raise ConfigError("nonperformative baseline needs a strategic preset with a test split")
 
@@ -550,21 +550,20 @@ def run_nonperformative_baseline(cfg: Config, out: str | None = None) -> dict:
     (base_dir / "dsgd_gd").mkdir(parents=True, exist_ok=True)
     (base_dir / "nonperformative").mkdir(parents=True, exist_ok=True)
 
-    traj_gd, rec_gd = run_single(cfg)
-    metrics.write_metrics_csv(base_dir / "dsgd_gd" / "metrics.csv", rec_gd)
-
     zero_cfg = cfg.replace(**{"environment.eps_avg": 0.0, "environment.eps_grid": None,
                               "environment.eps_list": None})
-    env_zero, _ = build_environment(zero_cfg.environment, cfg.run.seed)
-    risk_mc = cfg.experiment.risk_mc or DEFAULT_STRATEGIC_RISK_MC
-    sink = metrics.metric_recorder(
-        env_zero, risk_mc=risk_mc, seed=cfg.run.seed, test_data=test, accuracy_env=env
+    env_zero, _ = build_environment(zero_cfg.environment, seed)
+    sink_zero = metrics.metric_recorder(
+        env_zero, risk_mc=cfg.experiment.risk_mc, seed=seed, test_data=test, accuracy_env=env
     )
-    traj_zero = engine.run(cfg.run, env_zero, build_mixing(cfg.topology), cfg.step, sink=sink)
+    traj_gd, traj_zero = engine.run(cfg.run, [env, env_zero], build_mixing(cfg.topology),
+                                    cfg.step, sink=[sink, sink_zero], seeds=[seed, seed])
+    metrics.write_metrics_csv(base_dir / "dsgd_gd" / "metrics.csv", traj_gd.records)
     metrics.write_metrics_csv(base_dir / "nonperformative" / "metrics.csv", traj_zero.records)
 
-    acc_gd = rec_gd[-1].accuracy
-    acc_zero = metrics.shifted_test_accuracy(env, traj_zero.final_theta, *test)
+    # each arm's last record scores its final (last finite) decisions
+    acc_gd = traj_gd.records[-1].accuracy
+    acc_zero = traj_zero.records[-1].accuracy
     summary = {
         "dsgd_gd_accuracy": acc_gd,
         "nonperformative_accuracy": acc_zero,

@@ -79,10 +79,12 @@ def consensus_error(theta: np.ndarray) -> tuple[float, float]:
 def performative_risk(env: Environment, theta, mc: int | None = None, rng=None):
     """Average loss at ``theta`` under the distributions ``theta`` induces.
 
-    ``mc=None`` gives the exact value of
-    :func:`~perfnet.environment.exact_risk` with zero standard error.
-    With ``mc >= 1`` the value is a Monte Carlo
-    estimate over ``mc`` samples per agent, returned with its standard error.
+    By default (``mc=None``) the value is exact for both population kinds:
+    :func:`~perfnet.environment.exact_risk` (closed form for gaussian
+    populations, one pass over the shifted empirical rows for strategic
+    ones), with standard error 0.0. With ``mc >= 1`` it is a Monte Carlo
+    estimate over ``mc`` samples per agent, drawn from ``rng`` agent by agent,
+    returned with its standard error; its expectation is the exact value.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     if mc is None:
@@ -114,10 +116,12 @@ def decoupled_grad_norm(env: Environment, theta) -> float:
 def shifted_test_accuracy(env: Environment, theta, features, labels) -> float:
     """Accuracy of per-agent classifiers on test data shifted by their own decisions.
 
-    ``theta`` may be a single shared decision or an (n, d) stack. For each
-    agent the test features are shifted by ``eps_i * theta_i`` before scoring,
-    matching what that agent's population would present; scores with sigmoid
-    exactly 1/2 classify as positive. The returned value is the agent average.
+    ``theta`` may be a single shared decision or an (n, d) stack. Agent i's
+    population presents each test row x as ``x + eps_i * theta_i``, so its
+    score is ``x . theta_i + eps_i * (theta_i . theta_i)``: one mat-vec on the
+    unshifted features per agent, without forming the shifted copy. A score
+    >= 0 (sigmoid >= 1/2) classifies as positive. The returned value is the
+    agent average, summed left to right.
     """
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels)
@@ -127,10 +131,11 @@ def shifted_test_accuracy(env: Environment, theta, features, labels) -> float:
     if theta.ndim == 1:
         theta = np.tile(theta, (env.n, 1))
     acc = 0.0
-    for i in range(env.n):
-        shifted = features + env.populations[i].eps * theta[i]
-        pred = (shifted @ theta[i] >= 0.0).astype(labels.dtype)
-        acc += float(np.mean(pred == labels))
+    for pop, th in zip(env.populations, theta):
+        # one (m, d) @ (d,) per agent: a single (m, d) @ (d, n) product
+        # would be large enough for the BLAS to spread over threads
+        scores = features @ th + pop.eps * float(th @ th)
+        acc += float(np.mean((scores >= 0.0).astype(labels.dtype) == labels))
     return acc / env.n
 
 
@@ -204,11 +209,16 @@ def metric_recorder(
 ):
     """Build a sink computing the standard record from a scheme state.
 
-    ``risk_mc=None`` records the exact risk where available. Monte Carlo
-    estimation draws from a dedicated metric stream keyed by ``seed`` so
-    recorded trajectories stay reproducible. ``accuracy_env`` lets accuracy
-    be scored under different sensitivities than the training environment
-    (used by the zero-shift baseline protocol).
+    Every record is exact by default: ``risk`` is the exact risk at the
+    average decision with ``risk_se`` 0.0, for gaussian and strategic
+    populations alike. ``risk_mc`` opts into the Monte Carlo estimate of
+    :func:`performative_risk` with its standard error, drawn from a dedicated
+    metric stream keyed by ``seed`` so recorded trajectories stay
+    reproducible. ``grad_norm_sq`` is exact (full batch), and ``accuracy``
+    (with ``test_data``) scores each agent's own decision by
+    :func:`shifted_test_accuracy`. ``accuracy_env`` lets accuracy be scored
+    under different sensitivities than the training environment (used by the
+    zero-shift baseline protocol).
     """
     if theta_ps is not None:
         theta_ps = np.atleast_1d(np.asarray(theta_ps, dtype=float))

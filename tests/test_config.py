@@ -105,6 +105,14 @@ def test_hash_changes_with_content():
     assert config_hash(a) != config_hash(b)
 
 
+def test_hash_ignores_the_output_directory():
+    a = preset("gaussian_mean")
+    assert config_hash(a.replace(**{"experiment.out": "elsewhere/runs"})) == config_hash(a)
+    assert config_hash(a.replace(**{"experiment.out": "elsewhere", "run.T": 17})) != (
+        config_hash(a)
+    )
+
+
 # Hashes of the presets as written before the run and step settings got one
 # definition each; a schema change that moves a field or default breaks them.
 @pytest.mark.parametrize("name, digest", [

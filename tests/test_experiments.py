@@ -14,7 +14,8 @@ from perfnet.experiments import (
     run_single,
     theory_report,
 )
-from perfnet.metrics import read_metrics_csv
+from perfnet.environment import exact_risk
+from perfnet.metrics import read_metrics_csv, write_metrics_csv
 
 
 def tiny_gaussian(T=400, seeds=(1, 2), eps=0.9, record_every=50):
@@ -222,6 +223,12 @@ def test_nonperformative_baseline_artifacts(tmp_path):
     gd = read_metrics_csv(base / "dsgd_gd" / "metrics.csv")
     np_ = read_metrics_csv(base / "nonperformative" / "metrics.csv")
     assert np.all(np.isfinite(gd["accuracy"])) and np.all(np.isfinite(np_["accuracy"]))
+    # the arms run as one seed batch; the shift-aware arm is the plain run
+    _, records = run_single(cfg)
+    write_metrics_csv(tmp_path / "alone.csv", records)
+    assert (base / "dsgd_gd" / "metrics.csv").read_bytes() == (
+        tmp_path / "alone.csv"
+    ).read_bytes()
 
 
 def test_strategic_run_records_accuracy_and_gradnorm():
@@ -229,4 +236,23 @@ def test_strategic_run_records_accuracy_and_gradnorm():
     assert not traj.diverged
     assert records[-1].accuracy is not None
     assert records[-1].grad_norm_sq is not None
-    assert records[-1].risk_se is not None and records[-1].risk_se > 0
+
+
+def test_strategic_run_records_exact_risk_by_default():
+    cfg = tiny_spam()
+    traj, records = run_single(cfg)
+    env, _ = build_environment(cfg.environment, cfg.run.seed)
+    assert records[-1].risk == exact_risk(env, traj.final_theta.mean(axis=0))
+    assert all(r.risk_se == 0.0 for r in records)
+
+
+def test_strategic_risk_mc_opts_into_monte_carlo():
+    cfg = tiny_spam()
+    _, exact = run_single(cfg)
+    _, sampled = run_single(cfg.replace(**{"experiment.risk_mc": 256}))
+    # at theta = 0 every sample's loss is log 2, so the spread starts at t > 0
+    assert sampled[0].risk_se == 0.0
+    assert all(r.risk_se is not None and r.risk_se > 0 for r in sampled[1:])
+    # only the risk estimate changes; the iterates and other columns do not
+    for col in ("t", "consensus_sq_norm", "consensus_sq", "grad_norm_sq", "accuracy"):
+        assert [getattr(r, col) for r in sampled] == [getattr(r, col) for r in exact]

@@ -163,7 +163,8 @@ def accuracy_fixture():
 def test_accuracy_zero_decision_no_shift():
     env, xt, yt, _ = accuracy_fixture()
     # theta = 0 shifts nothing and scores everything 0, classified positive
-    assert shifted_test_accuracy(env, np.zeros(4), xt, yt) == pytest.approx(yt.mean())
+    for theta in (np.zeros(4), np.zeros((3, 4))):
+        assert shifted_test_accuracy(env, theta, xt, yt) == pytest.approx(yt.mean())
 
 
 def test_accuracy_insensitive_equals_standard():
@@ -190,6 +191,27 @@ def test_accuracy_per_agent_decisions():
     assert shifted_test_accuracy(env, stack, xt, yt) == pytest.approx(
         shifted_test_accuracy(env, w, xt, yt)
     )
+
+
+def shifted_copy_accuracy(env, theta, features, labels):
+    """Reference: score a shifted copy of the test set per agent."""
+    theta = np.broadcast_to(theta, (env.n, features.shape[1]))
+    acc = 0.0
+    for i, pop in enumerate(env.populations):
+        shifted = features + pop.eps * theta[i]
+        acc += float(np.mean((shifted @ theta[i] >= 0.0).astype(labels.dtype) == labels))
+    return acc / env.n
+
+
+def test_accuracy_matches_shifted_copy():
+    env, xt, yt, w = accuracy_fixture()
+    assert len(set(env.eps)) == env.n  # unequal sensitivities
+    rng = np.random.default_rng(11)
+    for theta in (w, 0.3 * w, np.vstack([w, -0.5 * w, 2.0 * w]),
+                  rng.standard_normal((3, 4)), np.zeros(4), np.zeros((3, 4))):
+        assert shifted_test_accuracy(env, theta, xt, yt) == shifted_copy_accuracy(
+            env, theta, xt, yt
+        )
 
 
 # ---------------------------------------------------------------- rate fit
