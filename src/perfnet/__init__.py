@@ -41,7 +41,6 @@ from .engine import (
     SchemeState,
     StepSchedule,
     Trajectory,
-    bias_probe,
     dsgd_gd_step,
     gamma,
     run,

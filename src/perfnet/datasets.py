@@ -6,9 +6,9 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .engine import DATA_STREAM, stream
+from .environment import expit
 
 __all__ = [
     "DatasetError",

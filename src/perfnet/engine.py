@@ -25,9 +25,7 @@ from .config import DIVERGENCE_THRESHOLD, RunConfig, StepSchedule
 from .environment import (
     Environment,
     deployed_gradients,
-    decoupled_risk_gradient,
     make_engine_sampler,
-    sample_batch,
 )
 
 __all__ = [
@@ -44,8 +42,6 @@ __all__ = [
     "Trajectory",
     "dsgd_gd_step",
     "run",
-    "BiasProbe",
-    "bias_probe",
 ]
 
 # Stream tags keep sampling, metric estimation, probing and data shuffling
@@ -249,27 +245,3 @@ def run(
             final_theta=state.theta.reshape(S, n, d)[s],
         ))
     return trajectories[0] if one else trajectories
-
-
-@dataclass(frozen=True)
-class BiasProbe:
-    """Monte Carlo deployed-gradient mean and its distance to the decoupled gradient."""
-
-    mc_mean: np.ndarray
-    diff_norm: float
-
-
-def bias_probe(env: Environment, i: int, theta, mc: int, rng) -> BiasProbe:
-    """Check that deployed samples estimate the decoupled gradient at (theta; theta).
-
-    The deployed stochastic gradient is unbiased for the gradient of the
-    decoupled risk with the distribution frozen at the deployed decision,
-    which is not the total derivative of the performative risk. Gaussian
-    populations only: the exact decoupled gradient, the reference, raises
-    :class:`~perfnet.environment.UnsupportedKindError` for other kinds.
-    """
-    ref = decoupled_risk_gradient(env, i, theta, theta)
-    z = sample_batch(env, i, theta, mc, rng)
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    mc_mean = theta - z.mean(axis=0)
-    return BiasProbe(mc_mean=mc_mean, diff_norm=float(np.linalg.norm(mc_mean - ref)))

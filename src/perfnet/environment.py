@@ -21,7 +21,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import expit
 
 __all__ = [
     "GAUSSIAN",
@@ -45,6 +44,7 @@ __all__ = [
     "eps_multipliers",
     "make_heterogeneous_suite",
     "make_engine_sampler",
+    "expit",
 ]
 
 GAUSSIAN = "gaussian_mean"
@@ -257,6 +257,22 @@ def sample_batch(env: Environment, i: int, theta, batch: int, rng):
         return mean + np.sqrt(pop.sigma2) * noise
     idx = rng.integers(0, len(pop.features), size=batch)
     return pop.features[idx] + pop.eps * theta, pop.labels[idx]
+
+
+def expit(x):
+    """The logistic sigmoid ``1 / (1 + exp(-x))``: ``scipy.special.expit``, unchanged.
+
+    scipy is imported when this is called, not with this module, so a
+    process that only runs gaussian populations never loads
+    ``scipy.special`` (most of perfnet's import time). scipy's ufunc is kept
+    because its ``exp`` is the C library's: numpy's SIMD ``exp`` differs from
+    it in the last bit on some inputs, depending on the host's CPU, so a
+    numpy rewrite would change every strategic artifact and tie them to the
+    machine.
+    """
+    from scipy.special import expit as _expit
+
+    return _expit(x)
 
 
 def _softplus_minus_yu(u, y):

@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .config import DIVERGENCE_THRESHOLD
 from .engine import PROBE_STREAM, stream
@@ -27,6 +26,7 @@ from .environment import (
     UnsupportedKindError,
     _softplus_minus_yu,
     decoupled_full_gradient,
+    expit,
 )
 
 __all__ = [

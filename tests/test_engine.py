@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from perfnet.engine import (
     SchemeState,
     StepSchedule,
     agent_streams,
-    bias_probe,
     dsgd_gd_step,
     gamma,
     run,
@@ -16,7 +17,9 @@ from perfnet.environment import (
     GAUSSIAN,
     STRATEGIC,
     UnsupportedKindError,
+    decoupled_risk_gradient,
     make_heterogeneous_suite,
+    sample_batch,
 )
 from perfnet.metrics import metric_recorder
 from perfnet.topology import build_complete, build_ring, uniform_neighbor_weights
@@ -336,6 +339,30 @@ def test_time_varying_mixing_converges():
 
 
 # ---------------------------------------------------------------- bias probe
+
+@dataclass(frozen=True)
+class BiasProbe:
+    """Monte Carlo deployed-gradient mean and its distance to the decoupled gradient."""
+
+    mc_mean: np.ndarray
+    diff_norm: float
+
+
+def bias_probe(env, i, theta, mc, rng) -> BiasProbe:
+    """Check that deployed samples estimate the decoupled gradient at (theta; theta).
+
+    The deployed stochastic gradient is unbiased for the gradient of the
+    decoupled risk with the distribution frozen at the deployed decision,
+    which is not the total derivative of the performative risk. Gaussian
+    populations only: the exact decoupled gradient, the reference, raises
+    UnsupportedKindError for other kinds.
+    """
+    ref = decoupled_risk_gradient(env, i, theta, theta)
+    z = sample_batch(env, i, theta, mc, rng)
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    mc_mean = theta - z.mean(axis=0)
+    return BiasProbe(mc_mean=mc_mean, diff_norm=float(np.linalg.norm(mc_mean - ref)))
+
 
 def test_bias_probe_exact_when_noiseless():
     env = gaussian_env(2, 0.7, sigma2=0.0)

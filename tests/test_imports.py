@@ -1,0 +1,52 @@
+"""What a fresh interpreter imports: gaussian work never loads scipy.special.
+
+Each check runs in its own subprocess, because this test process has long
+since imported everything the other tests needed.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import perfnet
+
+SRC = str(Path(perfnet.__file__).resolve().parent.parent)
+
+LOADED = """
+import json, sys
+print(json.dumps({m: m in sys.modules for m in ("scipy.special", "concurrent.futures.process")}))
+"""
+
+
+def fresh_modules(script: str, cwd) -> dict:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", script + LOADED], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_gaussian_workflow_imports_neither_scipy_special_nor_a_process_pool(tmp_path):
+    loaded = fresh_modules("""
+import perfnet, perfnet.cli
+from perfnet.experiments import (
+    build_environment, build_mixing, preset, run_experiment, theory_report)
+cfg = preset("gaussian_mean")
+env, _ = build_environment(cfg.environment, cfg.run.seed)
+build_mixing(cfg.topology)
+theory_report(cfg, env=env)
+run_experiment(cfg.replace(**{"run.T": 200}), out="out", threads=1)
+""", tmp_path)
+    assert loaded == {"scipy.special": False, "concurrent.futures.process": False}
+
+
+def test_logistic_environment_loads_scipy_special(tmp_path):
+    loaded = fresh_modules("""
+from perfnet.experiments import build_environment, preset
+cfg = preset("spam_logistic")
+build_environment(cfg.environment, cfg.run.seed)
+""", tmp_path)
+    assert loaded["scipy.special"]
