@@ -1,8 +1,8 @@
 """Run-configuration schema: JSON files with a versioned, validated layout.
 
 Top-level sections: ``topology``, ``environment``, ``step``, ``run`` and an
-optional ``experiment`` block (seeds, output directory, metric knobs). The
-``step`` and ``run`` sections are the :class:`StepSchedule` and
+optional ``experiment`` block (name, seeds, output directory, theory delta).
+The ``step`` and ``run`` sections are the :class:`StepSchedule` and
 :class:`RunConfig` that :func:`perfnet.engine.run` takes. The
 dialect is plain JSON with a mandatory ``config_version`` field. Relative
 dataset/edge-list/schedule paths are resolved against the config file's
@@ -220,7 +220,6 @@ class ExperimentSection:
     name: str = "experiment"
     seeds: list = field(default_factory=lambda: [1000])
     out: str = "out"
-    risk_mc: int | None = None
     theory_delta: float = 0.1
 
 

@@ -30,7 +30,6 @@ from .environment import (
 
 __all__ = [
     "SAMPLE_STREAM",
-    "METRIC_STREAM",
     "PROBE_STREAM",
     "DATA_STREAM",
     "stream",
@@ -44,10 +43,9 @@ __all__ = [
     "run",
 ]
 
-# Stream tags keep sampling, metric estimation, probing and data shuffling
-# on disjoint random streams under a single master seed.
+# Stream tags keep sampling, probing and data shuffling on disjoint random
+# streams under a single master seed.
 SAMPLE_STREAM = 0x5A
-METRIC_STREAM = 0x4D
 PROBE_STREAM = 0x50
 DATA_STREAM = 0x44
 

@@ -32,7 +32,6 @@ __all__ = [
     "PopulationSpec",
     "LossSpec",
     "Environment",
-    "sample",
     "sample_batch",
     "loss_value",
     "loss_gradient",
@@ -232,19 +231,6 @@ def _check_theta(env_or_loss, theta: np.ndarray) -> np.ndarray:
     if theta.shape != (d,):
         raise ValueError(f"decision has shape {theta.shape}, expected ({d},)")
     return theta
-
-
-def sample(env: Environment, i: int, theta, rng):
-    """One sample from agent i's population reacting to deployed ``theta``.
-
-    Returns an array for gaussian populations and an ``(x, y)`` pair for
-    strategic ones.
-    """
-    if env.kind == GAUSSIAN:
-        z, = sample_batch(env, i, theta, 1, rng)
-        return z
-    x, y = sample_batch(env, i, theta, 1, rng)
-    return x[0], int(y[0])
 
 
 def sample_batch(env: Environment, i: int, theta, batch: int, rng):

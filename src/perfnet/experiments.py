@@ -225,27 +225,24 @@ def build_environment(ec, seed: int) -> tuple[Environment, tuple | None]:
 def _strategic_shards(ec, seed: int) -> tuple[list, tuple]:
     """Per-agent (features, labels) shards and the test split of a strategic config."""
     sc = ec.strategic
-    if sc.dataset is not None:
-        x, y = load_dataset(sc.dataset, dim=sc.dim)
-        bundle = partition_agents(
-            x, y, ec.n, sc.per_agent, sc.test_split, seed=seed, standardize=sc.standardize
-        )
-        shards, test = bundle.shards(), bundle.test_set()
-    elif sc.synthetic.style == "corpus":
-        x, y = synthetic_corpus(
-            m=sc.synthetic.m, d=sc.synthetic.dim, seed=sc.synthetic.seed,
-            signal=sc.synthetic.signal,
-        )
-        bundle = partition_agents(
-            x, y, ec.n, sc.per_agent, sc.test_split, seed=seed, standardize=sc.standardize
-        )
-        shards, test = bundle.shards(), bundle.test_set()
-    else:
+    if sc.dataset is None and sc.synthetic.style == "per_agent":
         shards, test = synthetic_agent_shards(
             n=ec.n, per_agent=sc.synthetic.per_agent, d=sc.synthetic.dim,
             heterogeneity=sc.synthetic.heterogeneity, seed=sc.synthetic.seed,
             test_per_agent=max(1, sc.test_split // ec.n),
         )
+    else:
+        if sc.dataset is not None:
+            x, y = load_dataset(sc.dataset, dim=sc.dim)
+        else:
+            x, y = synthetic_corpus(
+                m=sc.synthetic.m, d=sc.synthetic.dim, seed=sc.synthetic.seed,
+                signal=sc.synthetic.signal,
+            )
+        bundle = partition_agents(
+            x, y, ec.n, sc.per_agent, sc.test_split, seed=seed, standardize=sc.standardize
+        )
+        shards, test = bundle.shards(), bundle.test_set()
     if sc.data_mode == "homogeneous":
         pooled_x = np.concatenate([s[0] for s in shards])
         pooled_y = np.concatenate([s[1] for s in shards])
@@ -256,10 +253,7 @@ def _strategic_shards(ec, seed: int) -> tuple[list, tuple]:
 def _seed_parts(cfg: Config, seed: int):
     """One seed's environment, test split (or None) and standard metric recorder."""
     env, test = build_environment(cfg.environment, seed)
-    sink = metrics.metric_recorder(
-        env, theta_ps=oracle.closed_form_or_none(env), risk_mc=cfg.experiment.risk_mc,
-        seed=seed, test_data=test,
-    )
+    sink = metrics.metric_recorder(env, theta_ps=oracle.closed_form_or_none(env), test_data=test)
     return env, test, sink
 
 
@@ -512,7 +506,7 @@ def run_disconnected_baseline(cfg: Config, isolated: int, out: str | None = None
 
     solo_env = Environment((env.populations[isolated],), env.loss)
     solo_ps = oracle.closed_form_or_none(solo_env)
-    sink = metrics.metric_recorder(solo_env, theta_ps=solo_ps, seed=cfg.run.seed)
+    sink = metrics.metric_recorder(solo_env, theta_ps=solo_ps)
     solo_mix = topology.uniform_neighbor_weights(topology.build_ring(1))
     traj_solo = engine.run(cfg.run, solo_env, solo_mix, cfg.step, sink=sink)
     metrics.write_metrics_csv(isolated_dir / "metrics.csv", traj_solo.records)
@@ -558,9 +552,7 @@ def run_nonperformative_baseline(cfg: Config, out: str | None = None) -> dict:
     zero_cfg = cfg.replace(**{"environment.eps_avg": 0.0, "environment.eps_grid": None,
                               "environment.eps_list": None})
     env_zero, _ = build_environment(zero_cfg.environment, seed)
-    sink_zero = metrics.metric_recorder(
-        env_zero, risk_mc=cfg.experiment.risk_mc, seed=seed, test_data=test, accuracy_env=env
-    )
+    sink_zero = metrics.metric_recorder(env_zero, test_data=test, accuracy_env=env)
     traj_gd, traj_zero = engine.run(cfg.run, [env, env_zero], build_mixing(cfg.topology),
                                     cfg.step, sink=[sink, sink_zero], seeds=[seed, seed])
     metrics.write_metrics_csv(base_dir / "dsgd_gd" / "metrics.csv", traj_gd.records)

@@ -3,10 +3,11 @@
 The metric vocabulary: ``gap_sq`` is the squared distance of the average
 decision to the stable point (absent when no stable point is known),
 ``consensus_sq`` the squared Frobenius norm of the stacked deviations from
-the average (raw and divided by n), ``risk`` the average loss at the average
-decision under the distributions it induces, ``grad_norm_sq`` the squared
-norm of the decoupled-risk gradient at that point, and ``accuracy`` the
-classification accuracy on shift-adjusted test data.
+the average (raw and divided by n), ``risk`` the exact average loss at the
+average decision under the distributions it induces (``risk_se``, its
+standard error, is always 0.0), ``grad_norm_sq`` the squared norm of the
+decoupled-risk gradient at that point, and ``accuracy`` the classification
+accuracy on shift-adjusted test data.
 """
 
 from __future__ import annotations
@@ -18,20 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .environment import (
-    Environment,
-    decoupled_full_gradient,
-    exact_risk,
-    loss_value,
-    sample_batch,
-)
-from .engine import METRIC_STREAM, SchemeState, stream
+from .environment import Environment, decoupled_full_gradient, exact_risk
+from .engine import SchemeState
 
 __all__ = [
     "MetricRecord",
     "CSV_COLUMNS",
     "consensus_error",
-    "performative_risk",
     "decoupled_grad_norm",
     "shifted_test_accuracy",
     "RateFit",
@@ -74,33 +68,6 @@ def consensus_error(theta: np.ndarray) -> tuple[float, float]:
     center = theta - theta.mean(axis=0, keepdims=True)
     raw = float(np.sum(center**2))
     return raw, raw / theta.shape[0]
-
-
-def performative_risk(env: Environment, theta, mc: int | None = None, rng=None):
-    """Average loss at ``theta`` under the distributions ``theta`` induces.
-
-    By default (``mc=None``) the value is exact for both population kinds:
-    :func:`~perfnet.environment.exact_risk` (closed form for gaussian
-    populations, one pass over the shifted empirical rows for strategic
-    ones), with standard error 0.0. With ``mc >= 1`` it is a Monte Carlo
-    estimate over ``mc`` samples per agent, drawn from ``rng`` agent by agent,
-    returned with its standard error; its expectation is the exact value.
-    """
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    if mc is None:
-        return exact_risk(env, theta), 0.0
-    if mc < 1:
-        raise ValueError(f"mc must be >= 1, got {mc}")
-    if rng is None:
-        rng = stream(0, METRIC_STREAM)
-    means = np.empty(env.n)
-    variances = np.empty(env.n)
-    for i in range(env.n):
-        vals = loss_value(env.loss, theta, sample_batch(env, i, theta, mc, rng))
-        means[i] = vals.mean()
-        variances[i] = vals.var(ddof=1) if mc > 1 else 0.0
-    se = float(np.sqrt(variances.sum() / mc)) / env.n
-    return float(means.mean()), se
 
 
 def decoupled_grad_norm(env: Environment, theta) -> float:
@@ -201,40 +168,34 @@ def rate_fit(
 def metric_recorder(
     env: Environment,
     theta_ps=None,
-    risk_mc: int | None = None,
-    seed: int = 0,
     test_data=None,
     with_grad_norm: bool = True,
     accuracy_env: Environment | None = None,
 ):
     """Build a sink computing the standard record from a scheme state.
 
-    Every record is exact by default: ``risk`` is the exact risk at the
-    average decision with ``risk_se`` 0.0, for gaussian and strategic
-    populations alike. ``risk_mc`` opts into the Monte Carlo estimate of
-    :func:`performative_risk` with its standard error, drawn from a dedicated
-    metric stream keyed by ``seed`` so recorded trajectories stay
-    reproducible. ``grad_norm_sq`` is exact (full batch), and ``accuracy``
-    (with ``test_data``) scores each agent's own decision by
-    :func:`shifted_test_accuracy`. ``accuracy_env`` lets accuracy be scored
-    under different sensitivities than the training environment (used by the
-    zero-shift baseline protocol).
+    Every record is exact: ``risk`` is
+    :func:`~perfnet.environment.exact_risk` at the average decision, for
+    gaussian and strategic populations alike, and ``risk_se`` is always 0.0,
+    kept so the CSV schema does not change. ``grad_norm_sq`` is exact (full
+    batch), and ``accuracy`` (with ``test_data``) scores each agent's own
+    decision by :func:`shifted_test_accuracy`. ``accuracy_env`` lets accuracy
+    be scored under different sensitivities than the training environment
+    (used by the zero-shift baseline protocol).
     """
     if theta_ps is not None:
         theta_ps = np.atleast_1d(np.asarray(theta_ps, dtype=float))
-    rng = stream(seed, METRIC_STREAM)
     acc_env = accuracy_env if accuracy_env is not None else env
 
     def record(state: SchemeState) -> MetricRecord:
         bar = state.theta_bar
         raw, norm = consensus_error(state.theta)
-        risk, se = performative_risk(env, bar, mc=risk_mc, rng=rng)
         rec = MetricRecord(
             t=state.t,
             consensus_sq=raw,
             consensus_sq_norm=norm,
-            risk=risk,
-            risk_se=se,
+            risk=exact_risk(env, bar),
+            risk_se=0.0,
         )
         if theta_ps is not None:
             rec.gap_sq = float(np.sum((bar - theta_ps) ** 2))

@@ -96,6 +96,7 @@ BUILD_ERRORS = {
     "eps_list_off_its_average": {"environment.eps_grid": None, "environment.eps_list": [0.5] * 25},
     "negative_noise_variance": {"environment.gaussian.sigma2": -1.0},
     "negative_step_a0": {"step.a0": -1.0},
+    "removed_risk_mc": {"experiment.risk_mc": 256},
 }
 
 

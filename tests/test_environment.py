@@ -26,7 +26,6 @@ from perfnet.environment import (
     loss_value,
     make_engine_sampler,
     make_heterogeneous_suite,
-    sample,
     sample_batch,
 )
 
@@ -60,14 +59,14 @@ def strategic_env(n=4, eps_avg=0.5, spread=0.0, d=5, m=30, beta=0.1, seed=3):
 
 def test_gaussian_sample_zero_deployment_hits_base():
     env = gaussian_env(sigma2=0.0)
-    z = sample(env, 0, np.zeros(1), stream(0, 1))
+    z = sample_batch(env, 0, np.zeros(1), 1, stream(0, 1))
     assert z == pytest.approx(10.0)
 
 
 def test_gaussian_deterministic_self_consistency():
     # zbar 10, eps 0.9, no noise: deploying 100 returns exactly 100
     env = gaussian_env(eps_avg=0.9, sigma2=0.0)
-    z = sample(env, 1, np.array([100.0]), stream(0, 1))
+    z = sample_batch(env, 1, np.array([100.0]), 1, stream(0, 1))
     assert z == pytest.approx(100.0, abs=0.0)
 
 
@@ -86,7 +85,7 @@ def test_strategic_shift_closed_form():
 def test_sample_rejects_bad_shape():
     env = gaussian_env()
     with pytest.raises(ValueError, match="shape"):
-        sample(env, 0, np.zeros(3), stream(0, 1))
+        sample_batch(env, 0, np.zeros(3), 1, stream(0, 1))
 
 
 def test_gaussian_sampler_mean_statistical():

@@ -244,15 +244,3 @@ def test_strategic_run_records_exact_risk_by_default():
     env, _ = build_environment(cfg.environment, cfg.run.seed)
     assert records[-1].risk == exact_risk(env, traj.final_theta.mean(axis=0))
     assert all(r.risk_se == 0.0 for r in records)
-
-
-def test_strategic_risk_mc_opts_into_monte_carlo():
-    cfg = tiny_spam()
-    _, exact = run_single(cfg)
-    _, sampled = run_single(cfg.replace(**{"experiment.risk_mc": 256}))
-    # at theta = 0 every sample's loss is log 2, so the spread starts at t > 0
-    assert sampled[0].risk_se == 0.0
-    assert all(r.risk_se is not None and r.risk_se > 0 for r in sampled[1:])
-    # only the risk estimate changes; the iterates and other columns do not
-    for col in ("t", "consensus_sq_norm", "consensus_sq", "grad_norm_sq", "accuracy"):
-        assert [getattr(r, col) for r in sampled] == [getattr(r, col) for r in exact]

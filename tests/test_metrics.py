@@ -6,7 +6,12 @@ import warnings
 from hypothesis import given, settings, strategies as st
 
 from perfnet.engine import stream
-from perfnet.environment import loss_value, make_heterogeneous_suite
+from perfnet.environment import (
+    exact_risk,
+    loss_value,
+    make_heterogeneous_suite,
+    sample_batch,
+)
 from perfnet.metrics import (
     CSV_COLUMNS,
     FitUnavailableError,
@@ -14,7 +19,6 @@ from perfnet.metrics import (
     aggregate_columns,
     consensus_error,
     decoupled_grad_norm,
-    performative_risk,
     rate_fit,
     read_metrics_csv,
     shifted_test_accuracy,
@@ -56,21 +60,32 @@ def test_consensus_invariances(seed, n, d):
 
 # ---------------------------------------------------------------- risk
 
+def sampled_risk(env, theta, draws, rng):
+    """Monte Carlo risk and its standard error from ``draws`` samples per agent."""
+    means = np.empty(env.n)
+    variances = np.empty(env.n)
+    for i in range(env.n):
+        vals = loss_value(env.loss, theta, sample_batch(env, i, theta, draws, rng))
+        means[i] = vals.mean()
+        variances[i] = vals.var(ddof=1)
+    return float(means.mean()), float(np.sqrt(variances.sum() / draws)) / env.n
+
+
 def test_risk_exact_at_stable_point():
     env = gaussian_env()
-    risk, se = performative_risk(env, [100.0])
-    assert risk == pytest.approx(25.0, abs=1e-9) and se == 0.0
+    risk = exact_risk(env, [100.0])
+    assert risk == pytest.approx(25.0, abs=1e-9)
 
 
 def test_risk_zero_noise_at_self_consistent_point():
     env = gaussian_env(eps_avg=0.6, sigma2=0.0)
-    risk, _ = performative_risk(env, [10.0 / 0.4])
+    risk = exact_risk(env, [10.0 / 0.4])
     assert risk == pytest.approx(0.0, abs=1e-18)
 
 
 def test_risk_classical_minimum():
     env = gaussian_env(eps_avg=0.0)
-    risk, _ = performative_risk(env, [10.0])
+    risk = exact_risk(env, [10.0])
     assert risk == pytest.approx(25.0)
 
 
@@ -86,8 +101,8 @@ def test_risk_monte_carlo_agrees_with_analytic():
             sigma2=float(rng.uniform(0.1, 20.0)),
         )
         theta = np.array([float(rng.uniform(-10, 10))])
-        exact, _ = performative_risk(env, theta)
-        est, se = performative_risk(env, theta, mc=400, rng=mc_rng)
+        exact = exact_risk(env, theta)
+        est, se = sampled_risk(env, theta, 400, mc_rng)
         assert abs(est - exact) < 4.0 * se + 1e-12, f"probe {k}"
 
 
@@ -98,9 +113,8 @@ def test_risk_strategic_exact_and_mc():
     env = make_heterogeneous_suite(2, 0.2, 0.0, kind="strategic_shift",
                                    shards=shards, beta=0.1)
     theta = np.array([0.3, -0.2, 0.5])
-    exact, se0 = performative_risk(env, theta)
-    assert se0 == 0.0
-    est, se = performative_risk(env, theta, mc=2000, rng=stream(3, 0xEE))
+    exact = exact_risk(env, theta)
+    est, se = sampled_risk(env, theta, 2000, stream(3, 0xEE))
     assert abs(est - exact) < 4.0 * se
 
 
@@ -117,8 +131,8 @@ def test_risk_strategic_exact_unequal_shards():
                  for x, y in zip(pop.features, pop.labels)])
         for pop in env.populations
     ])
-    exact, se = performative_risk(env, theta)
-    assert exact == pytest.approx(want, rel=1e-12, abs=0.0) and se == 0.0
+    exact = exact_risk(env, theta)
+    assert exact == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------- gradient norm
