@@ -140,6 +140,13 @@ class StrategicConfig:
             raise ConfigError(f"strategic.data_mode {self.data_mode!r} unknown")
         if self.dataset is None and self.synthetic is None:
             raise ConfigError("strategic environment needs a dataset path or a synthetic block")
+        if self.dataset is not None and self.synthetic is not None:
+            raise ConfigError("give strategic.dataset or strategic.synthetic, not both")
+        if self.dataset is None and self.dim is not None:
+            raise ConfigError(
+                "strategic.dim applies only to a dataset file; "
+                "set strategic.synthetic.dim for synthetic data"
+            )
 
 
 @dataclass(frozen=True)

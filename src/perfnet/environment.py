@@ -295,17 +295,26 @@ def deployed_gradients(env: Environment, thetas: np.ndarray, samples) -> np.ndar
 
     ``thetas`` is (n, d), or (S, n, d) for a batch of seeds that share
     ``env``'s loss; ``samples`` is the output of an engine sampler:
-    (..., n, batch, d) for gaussian, ``(X, Y)`` with shapes (..., n, batch, d)
-    and (..., n, batch) for strategic. Returns the stack of gradients shaped
-    like ``thetas``, each evaluated at the agent's own pre-mixing decision.
+    (..., n, batch, d) for gaussian, ``(F, Y, eps)`` with shapes
+    (..., n, batch, d), (..., n, batch) and (..., n, 1) for strategic. Returns
+    the stack of gradients shaped like ``thetas``, each evaluated at the
+    agent's own pre-mixing decision, which is also the deployment.
+
+    Strategic samples are the unshifted base rows ``F``; the shifted rows
+    ``x = F + eps_i * theta_i`` are never formed, as in
+    :func:`decoupled_full_gradient`: ``x @ theta_i = F @ theta_i + eps_i |theta_i|^2``
+    and ``r @ x = r @ F + eps_i (sum r) theta_i``.
     """
     if env.kind == GAUSSIAN:
         return thetas - np.add.reduce(samples, axis=-2) / samples.shape[-2]
-    x, y = samples
-    shifted_scores = np.einsum("...bd,...d->...b", x, thetas)
-    resid = expit(shifted_scores) - y
-    g = np.einsum("...b,...bd->...d", resid, x) / x.shape[-2]
-    return g + env.loss.beta * thetas
+    rows, y, eps = samples
+    b = rows.shape[-2]
+    sq = (thetas[..., None, :] @ thetas[..., None])[..., 0]  # |theta_i|^2, (..., n, 1)
+    resid = expit((rows @ thetas[..., None])[..., 0] + eps * sq) - y
+    # (r @ F + eps (sum r) theta) / b + beta theta, with the per-agent scalars
+    # gathered first so that only three (..., n, d) operations remain
+    coef = eps * resid.sum(axis=-1, keepdims=True) / b + env.loss.beta
+    return (resid[..., None, :] @ rows)[..., 0, :] / b + coef * thetas
 
 
 def decoupled_risk_gradient(env: Environment, i: int, theta, deployed) -> np.ndarray:
@@ -478,6 +487,13 @@ def make_engine_sampler(env, batch: int, streams, chunk: int = 256):
     holds one list of n generators per seed, ``draw`` takes (S, n, d) and its
     samples carry the same leading seed axis.
 
+    Gaussian draws are the shifted samples themselves. Strategic draws are
+    ``(F, Y, eps)``: the gathered base rows, their labels and each agent's
+    sensitivity, shaped (..., n, 1). The rows are not shifted by the
+    deployment; :func:`deployed_gradients` applies ``F + eps_i * theta_i`` by
+    algebra. The sensitivities travel with the rows because the seeds of one
+    batch may differ in them.
+
     Each agent draws from its own stream, so results do not depend on agent
     evaluation order or on the other seeds of a batch; buffering whole chunks
     of iterations in one preallocated buffer consumes the streams in exactly
@@ -511,6 +527,8 @@ def make_engine_sampler(env, batch: int, streams, chunk: int = 256):
 
     # strategic: one gather per seed into its stacked rows, each agent's
     # indices offset by the agent's first row
+    eps = eps.reshape(lead + (n, 1))
+    eps.setflags(write=False)
     rows = [e.rows for e in envs]
     sizes = [[len(p.labels) for p in e.populations] for e in envs]
     firsts = [np.cumsum(m) - m for m in sizes]
@@ -530,8 +548,6 @@ def make_engine_sampler(env, batch: int, streams, chunk: int = 256):
             np.take(r.features, idx[s, :, pos], axis=0, out=x[s], mode="clip")
             np.take(r.labels, idx[s, :, pos], out=y[s], mode="clip")
         pos += 1
-        x = x.reshape(lead + x.shape[1:])
-        x += eps * thetas[..., None, :]
-        return x, y.reshape(lead + y.shape[1:])
+        return x.reshape(lead + x.shape[1:]), y.reshape(lead + y.shape[1:]), eps
 
     return draw

@@ -87,8 +87,10 @@ def shifted_test_accuracy(env: Environment, theta, features, labels) -> float:
     population presents each test row x as ``x + eps_i * theta_i``, so its
     score is ``x . theta_i + eps_i * (theta_i . theta_i)``: one mat-vec on the
     unshifted features per agent, without forming the shifted copy. A score
-    >= 0 (sigmoid >= 1/2) classifies as positive. The returned value is the
-    agent average, summed left to right.
+    >= 0 (sigmoid >= 1/2) classifies as positive. A row counts as correct
+    when its label is 1 and it is classified positive, or its label is 0 and
+    it is not; a label other than 0 or 1 never counts. The returned value is
+    the agent average, summed left to right.
     """
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels)
@@ -97,12 +99,15 @@ def shifted_test_accuracy(env: Environment, theta, features, labels) -> float:
     theta = np.asarray(theta, dtype=float)
     if theta.ndim == 1:
         theta = np.tile(theta, (env.n, 1))
+    pos = labels == 1
+    valid = pos | (labels == 0)
+    m = len(features)
     acc = 0.0
     for pop, th in zip(env.populations, theta):
         # one (m, d) @ (d,) per agent: a single (m, d) @ (d, n) product
         # would be large enough for the BLAS to spread over threads
         scores = features @ th + pop.eps * float(th @ th)
-        acc += float(np.mean((scores >= 0.0).astype(labels.dtype) == labels))
+        acc += np.count_nonzero(((scores >= 0.0) == pos) & valid) / m
     return acc / env.n
 
 

@@ -100,6 +100,26 @@ BUILD_ERRORS = {
 }
 
 
+# strategic blocks that name a data source twice, or a dataset-only field
+# without a dataset
+STRATEGIC_ERRORS = {
+    "dataset_and_synthetic": ({"dataset": "corpus.csv"}, "not both"),
+    "dim_without_dataset": ({"dim": 5}, "synthetic.dim"),
+}
+
+
+@pytest.mark.parametrize("case", STRATEGIC_ERRORS)
+def test_run_on_ambiguous_strategic_block_exits_two(tmp_path, capsys, case):
+    fields, message = STRATEGIC_ERRORS[case]
+    d = preset("spam_logistic").to_dict()
+    d["environment"]["strategic"].update(fields)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(d))
+    assert main(["run", str(p), "--threads", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+
+
 @pytest.mark.parametrize("case", BUILD_ERRORS)
 def test_theory_on_unbuildable_config_exits_two(tmp_path, capsys, case):
     overrides = BUILD_ERRORS[case]

@@ -92,6 +92,23 @@ def test_relative_dataset_path_resolved(tmp_path):
     assert cfg.environment.strategic.dataset == str(tmp_path / "data" / "corpus.csv")
 
 
+def test_strategic_dataset_and_synthetic_refused_together():
+    with pytest.raises(ConfigError, match="not both"):
+        preset("spam_logistic").replace(**{"environment.strategic.dataset": "corpus.csv"})
+    cfg = preset("spam_logistic").replace(**{"environment.strategic.dataset": "corpus.csv",
+                                             "environment.strategic.synthetic": None})
+    assert cfg.environment.strategic.synthetic is None
+
+
+def test_strategic_dim_without_dataset_refused():
+    with pytest.raises(ConfigError, match="synthetic.dim"):
+        preset("spam_logistic").replace(**{"environment.strategic.dim": 5})
+    cfg = preset("spam_logistic").replace(**{"environment.strategic.dataset": "corpus.csv",
+                                             "environment.strategic.synthetic": None,
+                                             "environment.strategic.dim": 5})
+    assert cfg.environment.strategic.dim == 5
+
+
 def test_replace_dotted_paths():
     cfg = preset("gaussian_mean")
     out = cfg.replace(**{"environment.eps_avg": 1.05, "run.seed": 7})

@@ -409,7 +409,31 @@ def test_batched_sampler_gives_each_seed_its_own_draws(kind):
             if kind == GAUSSIAN:
                 assert got.shape == (3, 3, 4, 2) and np.array_equal(got[k], want)
             else:
-                assert np.array_equal(got[0][k], want[0]) and np.array_equal(got[1][k], want[1])
+                assert all(np.array_equal(part[k], one) for part, one in zip(got, want))
+
+
+def logistic_gradients_written_out(thetas, rows, labels, eps, beta):
+    """The strategic gradient identity, one agent at a time: never forms F + eps theta."""
+    b = rows.shape[-2]
+    out = np.empty_like(thetas)
+    for i, (th, f, y, e) in enumerate(zip(thetas, rows, labels, eps[:, 0])):
+        sq = th[None, :] @ th[:, None]
+        resid = expit((f @ th[:, None])[:, 0] + e * sq[0]) - y
+        coef = e * resid.sum(keepdims=True) / b + beta
+        out[i] = (resid[None, :] @ f)[0] / b + coef * th
+    return out
+
+
+def logistic_gradients_shifted_copy(thetas, rows, labels, eps, beta):
+    """Earlier releases' formula: shift every row, then two einsums over the copy."""
+    x = rows + eps[:, :, None] * thetas[:, None, :]
+    resid = expit(np.einsum("nbd,nd->nb", x, thetas)) - labels
+    return np.einsum("nb,nbd->nd", resid, x) / rows.shape[-2] + beta * thetas
+
+
+def assert_close_per_agent(got, want, rel):
+    gap = np.linalg.norm(got - want, axis=-1)
+    assert np.all(gap <= rel * np.linalg.norm(want, axis=-1))
 
 
 @pytest.mark.parametrize("kind", [GAUSSIAN, STRATEGIC])
@@ -425,12 +449,50 @@ def test_batched_deployed_gradients_equal_per_seed_calls(kind):
             # the single-seed formula of earlier releases, bit for bit
             old = thetas[k] - one.mean(axis=1)
         else:
-            one = (samples[0][k], samples[1][k])
-            resid = expit(np.einsum("nbd,nd->nb", one[0], thetas[k])) - one[1]
-            old = np.einsum("nb,nbd->nd", resid, one[0]) / 16 + 0.1 * thetas[k]
+            one = tuple(part[k] for part in samples)
+            old = logistic_gradients_written_out(thetas[k], *one, beta=0.1)
         want = deployed_gradients(envs[0], thetas[k], one)
         assert np.array_equal(got[k], want)
         assert np.array_equal(want, old)
+
+
+def test_deployed_gradients_logistic_within_1e12_of_the_shifted_copy():
+    env = strategic_env(n=4, eps_avg=0.8, spread=0.5, d=6, m=40, beta=0.05)
+    thetas = np.random.default_rng(4).standard_normal((4, 6))
+    rows, labels, eps = make_engine_sampler(env, 32, agent_streams_of(8, n=4))(thetas)
+    got = deployed_gradients(env, thetas, (rows, labels, eps))
+    assert np.array_equal(got, logistic_gradients_written_out(thetas, rows, labels, eps, 0.05))
+    assert_close_per_agent(got, logistic_gradients_shifted_copy(thetas, rows, labels, eps, 0.05),
+                           1e-12)
+
+
+def test_batch_with_a_zero_sensitivity_arm_gives_each_seed_its_alone_gradient():
+    # the non-performative baseline's batch: one environment and its copy
+    # with every sensitivity zeroed, on the same shards and streams
+    env = strategic_env(n=3, eps_avg=0.7, spread=0.4, d=4, m=25, beta=0.1)
+    shards = [(p.features, p.labels) for p in env.populations]
+    env_zero = make_heterogeneous_suite(3, 0.0, kind=STRATEGIC, shards=shards, beta=0.1)
+    thetas = np.random.default_rng(5).standard_normal((2, 3, 4))
+    batched = make_engine_sampler([env, env_zero], 8, [agent_streams_of(9), agent_streams_of(9)])
+    alone = [make_engine_sampler(e, 8, agent_streams_of(9)) for e in (env, env_zero)]
+    for _ in range(4):
+        samples = batched(thetas)
+        assert np.array_equal(samples[2][:, :, 0], np.stack([env.eps, env_zero.eps]))
+        got = deployed_gradients(env, thetas, samples)
+        for k, e in enumerate((env, env_zero)):
+            assert np.array_equal(got[k], deployed_gradients(e, thetas[k], alone[k](thetas[k])))
+        assert not np.array_equal(got[0], got[1])
+
+
+def test_shifting_the_sampler_rows_reproduces_the_shifted_population():
+    env = strategic_env(n=3, eps_avg=0.6, spread=0.5, d=4, m=12)
+    thetas = np.random.default_rng(6).standard_normal((3, 4))
+    rows, labels, eps = make_engine_sampler(env, 5, agent_streams_of(10), chunk=1)(thetas)
+    gens = agent_streams_of(10)
+    for i, pop in enumerate(env.populations):
+        idx = gens[i].integers(0, len(pop.labels), size=(1, 5))[0]
+        assert np.array_equal(rows[i] + eps[i] * thetas[i], pop.features[idx] + pop.eps * thetas[i])
+        assert np.array_equal(labels[i], pop.labels[idx])
 
 
 def test_deployed_gradients_quadratic():
@@ -447,10 +509,12 @@ def test_deployed_gradients_logistic_matches_per_sample():
     thetas = rng.standard_normal((2, 3))
     xs = rng.standard_normal((2, 4, 3))
     ys = rng.integers(0, 2, (2, 4)).astype(float)
-    got = deployed_gradients(env, thetas, (xs, ys))
+    eps = env.eps[:, None]
+    got = deployed_gradients(env, thetas, (xs, ys, eps))
     for i in range(2):
+        shifted = xs[i] + env.eps[i] * thetas[i]
         want = np.mean(
-            [loss_gradient(env.loss, thetas[i], (xs[i, b], ys[i, b])) for b in range(4)],
+            [loss_gradient(env.loss, thetas[i], (shifted[b], ys[i, b])) for b in range(4)],
             axis=0,
         )
         assert np.allclose(got[i], want, atol=1e-12)

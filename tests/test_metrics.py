@@ -228,6 +228,36 @@ def test_accuracy_matches_shifted_copy():
         )
 
 
+def astype_tail_accuracy(env, theta, features, labels):
+    """Earlier releases' rule: cast the predictions to the label dtype, compare, average."""
+    theta = np.broadcast_to(theta, (env.n, features.shape[1]))
+    acc = 0.0
+    for pop, th in zip(env.populations, theta):
+        scores = features @ th + pop.eps * float(th @ th)
+        acc += float(np.mean((scores >= 0.0).astype(labels.dtype) == labels))
+    return acc / env.n
+
+
+@pytest.mark.parametrize("labels", [
+    "float01", "int01", "bool", "off_grid_float", "off_grid_int", "nan",
+])
+def test_accuracy_counts_like_the_astype_rule_for_any_labels(labels):
+    # labels other than 0 and 1 never count as correct, under both rules
+    env, xt, yt, w = accuracy_fixture()
+    odd = np.array([0.5, 2.0, -1.0, -0.0])  # -0.0 == 0 is a valid label
+    yt = {
+        "float01": yt,
+        "int01": yt.astype(np.int64),
+        "bool": yt.astype(bool),
+        "off_grid_float": np.where(np.arange(len(yt)) % 3 == 0, odd[np.arange(len(yt)) % 4], yt),
+        "off_grid_int": np.where(np.arange(len(yt)) % 4 == 0, 2, yt.astype(np.int64)),
+        "nan": np.where(np.arange(len(yt)) % 5 == 0, np.nan, yt),
+    }[labels]
+    rng = np.random.default_rng(12)
+    for theta in (w, -0.7 * w, rng.standard_normal((3, 4)), np.zeros(4)):
+        assert shifted_test_accuracy(env, theta, xt, yt) == astype_tail_accuracy(env, theta, xt, yt)
+
+
 # ---------------------------------------------------------------- rate fit
 
 def test_rate_fit_exact_inverse_law():
