@@ -2,8 +2,9 @@
 
 Subcommands: ``run``, ``sweep``, ``fixed-point``, ``theory``, ``rate-check``,
 ``baseline``. Exit codes: 0 success, 2 configuration error, 3 divergence in
-a regime where a stable point exists, 4 dataset error. The PERFNET_THREADS
-environment variable caps the worker pool.
+a regime where a stable point exists, 4 dataset error. A missing edge-list
+or schedule file is a configuration error, a missing dataset file a dataset
+error. The PERFNET_THREADS environment variable caps the worker pool.
 """
 
 from __future__ import annotations

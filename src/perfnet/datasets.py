@@ -33,8 +33,11 @@ def load_dataset(path, dim: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     ``dim`` keeps only the first ``dim`` feature columns. Parse failures
     report the offending line number.
     """
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except OSError as exc:
+        raise DatasetError(f"cannot read dataset {path}: {exc}") from None
     rows = [(k + 1, r) for k, r in enumerate(rows) if any(cell.strip() for cell in r)]
     if not rows:
         raise DatasetError(f"{path}: no data rows")

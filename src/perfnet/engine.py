@@ -74,18 +74,16 @@ def gamma(schedule: StepSchedule, t: int) -> float:
 class SchemeState:
     """Stacked agent decisions at iteration t plus their RNG streams.
 
-    ``theta`` is (n, d) for one seed. A batch of S seeds stacks them as
-    (S, n, d): ``streams`` then holds one list per seed, ``t`` counts the
-    batch's steps, ``diverged`` is False until a seed stops and one flag per
-    seed after, and ``diverged_at`` is unused (:func:`run` keeps each seed's
-    stopping step).
+    ``theta`` is (..., n, d): its leading axes index seeds, each with its
+    list of n generators in ``streams``. ``t`` counts steps, and ``diverged``
+    is False until a seed stops, then one flag per seed (:func:`run` keeps
+    each seed's stopping step).
     """
 
-    theta: np.ndarray  # (n, d) or (S, n, d)
+    theta: np.ndarray  # (..., n, d)
     t: int
     streams: list
     diverged: bool | np.ndarray = False
-    diverged_at: int | None = None
 
     @property
     def theta_bar(self) -> np.ndarray:
@@ -120,12 +118,11 @@ def dsgd_gd_step(
 ) -> SchemeState:
     """One two-phase update. Returns the state at iteration t+1.
 
-    Without a ``sampler`` one unbuffered iteration is drawn from
-    ``state.streams``, exactly as :func:`run`'s sampler would draw it (one
-    seed only). On divergence (non-finite or oversized update) the previous
-    finite decisions are kept and the state is flagged with the failing
-    iteration. In a batch of seeds, which shares ``env``'s loss, a seed that
-    fails now or failed before keeps its rows and is flagged; the others move.
+    Without a ``sampler`` one unbuffered iteration of an (n, d) state is
+    drawn from ``state.streams``, exactly as :func:`run`'s sampler would draw
+    it. A seed whose update is non-finite or oversized, now or at an earlier
+    step, keeps its previous finite rows and is flagged in ``diverged``; the
+    other seeds, which share ``env``'s loss, move, and ``t`` advances.
     """
     theta = state.theta
     if sampler is None:
@@ -140,15 +137,10 @@ def dsgd_gd_step(
         if drift > 1e-10:
             raise RuntimeError(f"average-preservation identity violated by {drift:.3e}")
 
-    ok = _finite(nxt, divergence_threshold)
-    if theta.ndim == 2:
-        if not ok:
-            return SchemeState(theta, state.t, state.streams, diverged=True, diverged_at=state.t + 1)
-        return SchemeState(nxt, state.t + 1, state.streams)
-    if ok and state.diverged is False:
+    if state.diverged is False and _finite(nxt, divergence_threshold):
         return SchemeState(nxt, state.t + 1, state.streams)
     stopped = state.diverged | ~(np.abs(nxt).max(axis=(-2, -1)) <= divergence_threshold)
-    return SchemeState(np.where(stopped[:, None, None], theta, nxt), state.t + 1, state.streams,
+    return SchemeState(np.where(stopped[..., None, None], theta, nxt), state.t + 1, state.streams,
                        diverged=stopped)
 
 
@@ -171,13 +163,14 @@ def run(
     at t = T, and at the last finite state before a divergence stop; whatever
     it returns is appended to the trajectory.
 
-    With ``seeds`` the seeds advance together as one (S, n, d) array program
-    and ``config.seed`` is not used: ``env`` and ``sink`` (if given) are
-    sequences with one entry per seed, the environments share one loss and
-    size, and one :class:`Trajectory` per seed is returned. Each seed draws
-    from its own streams, so its trajectory is bit-identical to a run of that
-    seed alone. A seed that diverges stops alone; the batch ends when every
-    seed has stopped or t = T.
+    The seeds advance together as one (S, n, d) array program. With
+    ``seeds``, ``config.seed`` is not used: ``env`` and ``sink`` (if given)
+    are sequences with one entry per seed, the environments share one loss
+    and size, and one :class:`Trajectory` per seed is returned. Without it
+    the run is a batch of one seed, ``config.seed``, and returns its
+    :class:`Trajectory`. Each seed draws from its own streams, so its
+    trajectory is bit-identical to a run of that seed alone. A seed that
+    diverges stops alone; the batch ends when every seed has stopped or t = T.
     """
     one = seeds is None
     if one:
@@ -188,23 +181,19 @@ def run(
     n, d = env[0].n, env[0].dim
     if any(e.loss != env[0].loss or e.n != n for e in env):
         raise ValueError("the seeds of a batch need one loss and one agent count")
-    lead, pick = ((), 0) if one else ((S,), slice(None))  # one seed keeps no seed axis
     theta0 = np.broadcast_to(np.atleast_1d(np.asarray(config.theta0, dtype=float)), (d,))
-    theta = np.tile(theta0, lead + (n, 1)).astype(float)
-
     streams = [agent_streams(seed, n) for seed in seeds]
-    sampler = make_engine_sampler(env[pick], config.batch, streams[pick], chunk=max(1, 256 // S))
+    sampler = make_engine_sampler(env, config.batch, streams, chunk=max(1, 256 // S))
     weights_at = mixing.at if hasattr(mixing, "at") else (lambda t: mixing.weights)
 
-    state = SchemeState(theta, 0, streams[pick])
+    state = SchemeState(np.tile(theta0, (S, n, 1)), 0, streams)
     records = [[] for _ in seeds]
     last_recorded = [0] * S
     stopped_at = [None] * S
 
     def record(s: int, t: int) -> None:
         if sink[s] is not None:
-            rows = state.theta.reshape(S, n, d)
-            records[s].append(sink[s](SchemeState(rows[s], t, streams[s])))
+            records[s].append(sink[s](SchemeState(state.theta[s], t, streams[s])))
         last_recorded[s] = t
 
     for s in range(S):
@@ -240,6 +229,6 @@ def run(
             records=records[s],
             diverged=stopped_at[s] is not None,
             diverged_at=stopped_at[s],
-            final_theta=state.theta.reshape(S, n, d)[s],
+            final_theta=state.theta[s],
         ))
     return trajectories[0] if one else trajectories

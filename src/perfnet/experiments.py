@@ -62,7 +62,10 @@ def pool_size(requested: int | None = None) -> int:
         return max(1, int(requested))
     env = os.environ.get("PERFNET_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ConfigError(f"PERFNET_THREADS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 
@@ -163,6 +166,8 @@ def _load_schedule(path, n: int) -> topology.GraphSchedule:
         data = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read schedule file {path}: {exc}") from None
+    if not isinstance(data, dict) or "graphs" not in data:
+        raise ConfigError(f"schedule file {path} is not a JSON object with a \"graphs\" list")
     if data.get("n", n) != n:
         raise ConfigError(f"schedule file n={data.get('n')} disagrees with topology n={n}")
     graphs = tuple(topology.from_edge_list(n, [tuple(e) for e in g]) for g in data["graphs"])
@@ -273,8 +278,7 @@ def _risk_diverged(records) -> bool:
 
 def _run_job(args) -> list:
     """One batch of seeds of one sweep value; returns a summary per seed."""
-    cfg_dict, seeds, csv_paths = args
-    cfg = Config.from_dict(cfg_dict)
+    cfg, seeds, csv_paths = args
     t0 = time.perf_counter()
     envs, _, sinks = zip(*(_seed_parts(cfg, seed) for seed in seeds))
     trajs = engine.run(cfg.run, envs, build_mixing(cfg.topology), cfg.step,
@@ -283,12 +287,13 @@ def _run_job(args) -> list:
     for seed, traj, csv_path in zip(seeds, trajs, csv_paths):
         Path(csv_path).parent.mkdir(parents=True, exist_ok=True)
         metrics.write_metrics_csv(csv_path, traj.records)
+        risk_diverged = _risk_diverged(traj.records)
         summaries.append({
             "seed": seed,
             "engine_diverged": traj.diverged,
             "diverged_at": traj.diverged_at,
-            "risk_diverged": _risk_diverged(traj.records),
-            "flagged": traj.diverged or _risk_diverged(traj.records),
+            "risk_diverged": risk_diverged,
+            "flagged": traj.diverged or risk_diverged,
         })
     wall_s = (time.perf_counter() - t0) / len(seeds)
     return [{**summary, "wall_s": wall_s} for summary in summaries]
@@ -337,16 +342,17 @@ def run_experiment(
         values = [node]
 
     workers = pool_size(threads)
-    job_values, payloads = [], []
-    for value in values:
-        vcfg = cfg.replace(**{_axis_path(axis): value}).to_dict()
-        cell = out_root / f"{axis}={_fmt_value(value)}"
-        # contiguous groups of near-equal size, one batched job each
-        groups = np.array_split(exp.seeds, min(workers, len(exp.seeds))) if exp.seeds else []
-        for group in groups:
-            seeds = [int(seed) for seed in group]
-            job_values.append(value)
-            payloads.append((vcfg, seeds, [str(cell / str(seed) / "metrics.csv") for seed in seeds]))
+    # one config and cell per sweep value; a value listed twice runs once
+    cells = {
+        key: (cfg.replace(**{_axis_path(axis): value}), out_root / f"{axis}={key}")
+        for key, value in {_fmt_value(v): v for v in values}.items()
+    }
+    # contiguous groups of near-equal size, one batched job per value and group
+    groups = np.array_split(exp.seeds, min(workers, len(exp.seeds))) if exp.seeds else []
+    groups = [[int(seed) for seed in group] for group in groups]
+    keys = [key for key in cells for _ in groups]
+    payloads = [(vcfg, seeds, [str(cell / str(seed) / "metrics.csv") for seed in seeds])
+                for vcfg, cell in cells.values() for seeds in groups]
 
     t0 = time.perf_counter()
     if workers > 1 and len(payloads) > 1:
@@ -361,28 +367,21 @@ def run_experiment(
     else:
         summaries = [_run_job(p) for p in payloads]
 
-    results: dict = {_fmt_value(value): {} for value in values}
-    for value, group in zip(job_values, summaries):
+    results: dict = {key: {} for key in cells}
+    for key, group in zip(keys, summaries):
         for summary in group:
-            results[_fmt_value(value)][str(summary["seed"])] = summary
+            results[key][str(summary["seed"])] = summary
 
     # one reference environment per value, at the config's run seed, serves
     # both the regime check and the theory report
     convergent = {}
-    for value in values:
-        vcfg = cfg.replace(**{_axis_path(axis): value})
+    for key, (vcfg, cell) in cells.items():
         env, _ = build_environment(vcfg.environment, vcfg.run.seed)
-        convergent[_fmt_value(value)] = oracle.existence_check(
-            env.eps_avg, env.mu, env.smoothness
-        ).exists
-        cell = out_root / f"{axis}={_fmt_value(value)}"
-        _aggregate_cell(vcfg, env, cell, results[_fmt_value(value)].values())
+        convergent[key] = oracle.existence_check(env.eps_avg, env.mu, env.smoothness).exists
+        _aggregate_cell(vcfg, env, cell, results[key].values())
 
     flagged_in_convergent = any(
-        s["flagged"]
-        for value in values
-        for s in results[_fmt_value(value)].values()
-        if convergent[_fmt_value(value)]
+        s["flagged"] for key in cells if convergent[key] for s in results[key].values()
     )
     manifest = {
         "config_version": cfg.config_version,

@@ -133,23 +133,17 @@ def _with_self_loops(n: int, pairs) -> frozenset:
 
 def build_ring(n: int) -> Graph:
     """Ring graph with self-loops; for n <= 2 this is the complete graph."""
-    if n < 1:
-        raise TopologyError(f"agent count must be positive, got {n}")
     pairs = [(i, (i + 1) % n) for i in range(n)]
     return Graph(n, _with_self_loops(n, pairs))
 
 
 def build_complete(n: int) -> Graph:
-    if n < 1:
-        raise TopologyError(f"agent count must be positive, got {n}")
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     return Graph(n, _with_self_loops(n, pairs))
 
 
 def build_star(n: int) -> Graph:
     """Star graph with vertex 0 as the hub."""
-    if n < 1:
-        raise TopologyError(f"agent count must be positive, got {n}")
     pairs = [(0, j) for j in range(1, n)]
     return Graph(n, _with_self_loops(n, pairs))
 
@@ -165,8 +159,12 @@ def read_edge_list(path, n: int | None = None) -> Graph:
     Blank lines and ``#`` comments are skipped. Self-loops are implicit.
     When ``n`` is omitted it is inferred as ``max vertex + 1``.
     """
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise TopologyError(f"cannot read edge list {path}: {exc}") from None
     pairs = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

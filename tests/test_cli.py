@@ -89,6 +89,22 @@ def test_dataset_error_exit_four(tmp_path, capsys):
     assert "dataset error" in capsys.readouterr().err
 
 
+def test_missing_dataset_exit_four(tmp_path, capsys):
+    cfg = preset("spam_logistic").replace(**{
+        "environment.strategic.dataset": str(tmp_path / "missing.csv"),
+        "environment.strategic.synthetic": None,
+    })
+    assert main(["theory", write_cfg(tmp_path, cfg)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("dataset error:") and "missing.csv" in err
+
+
+def test_non_integer_thread_count_exits_two(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("PERFNET_THREADS", "two")
+    assert main(["run", tiny_gaussian_cfg(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: PERFNET_THREADS")
+
+
 # configs that parse but fail when loaded or built; the last one cannot be
 # written by save_config, because the step section rejects it
 BUILD_ERRORS = {
@@ -97,7 +113,13 @@ BUILD_ERRORS = {
     "negative_noise_variance": {"environment.gaussian.sigma2": -1.0},
     "negative_step_a0": {"step.a0": -1.0},
     "removed_risk_mc": {"experiment.risk_mc": 256},
+    "missing_edge_file": {"topology.kind": "edge_list", "topology.edge_file": "missing.txt"},
+    "schedule_without_graphs": {"topology.kind": "schedule", "topology.schedule_file": "no_graphs.json"},
+    "schedule_not_an_object": {"topology.kind": "schedule", "topology.schedule_file": "list.json"},
 }
+
+# schedule files the cases above name, written beside the config
+SCHEDULE_FILES = {"no_graphs.json": '{"n": 25, "window": 1}', "list.json": "[[0, 1]]"}
 
 
 # strategic blocks that name a data source twice, or a dataset-only field
@@ -132,6 +154,8 @@ def test_theory_on_unbuildable_config_exits_two(tmp_path, capsys, case):
         node[leaf] = val
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(d))
+    for name, text in SCHEDULE_FILES.items():
+        (tmp_path / name).write_text(text)
     assert main(["theory", str(p)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:")

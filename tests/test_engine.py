@@ -196,10 +196,10 @@ def test_greedy_deployment_uses_pre_mixing_decision(monkeypatch):
     traj = run(cfg, env, mix, StepSchedule.constant(0.05), sink=consensus_sink)
     states = [x for _, x in traj.records]
     for k in range(20):
-        assert np.array_equal(recorded[k], states[k])
+        assert np.array_equal(recorded[k][0], states[k])
         mixed = mix.weights @ states[k]
         if not np.allclose(mixed, states[k]):
-            assert not np.array_equal(recorded[k], mixed)
+            assert not np.array_equal(recorded[k][0], mixed)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e12 * (1 + 1e-15), -2e12])
@@ -225,6 +225,22 @@ def test_divergence_flag_and_truncation():
     assert traj.diverged and traj.diverged_at is not None
     assert np.all(np.isfinite(traj.final_theta))
     assert traj.records[-1][0] < 10_000
+
+
+def test_step_divergence_keeps_rows_and_flag():
+    # noiseless, eps = 0: one unit step sends both agents to zbar +- 0.5,
+    # past the threshold; the seed keeps its rows, its flag is set, t moves,
+    # and a later finite step (pure mixing) neither moves it nor clears it
+    env = gaussian_env(2, 0.0, zbar=10.0)
+    w = np.full((2, 2), 0.5)
+    theta = np.array([[1.0], [2.0]])
+    state = SchemeState(theta, 0, agent_streams(0, 2))
+    state = dsgd_gd_step(state, w, env, gamma_t=1.0, divergence_threshold=5.0)
+    assert np.shape(state.diverged) == () and bool(state.diverged) is True
+    assert np.array_equal(state.theta, theta) and state.t == 1
+    state = dsgd_gd_step(state, w, env, gamma_t=0.0, divergence_threshold=5.0)
+    assert bool(state.diverged) is True
+    assert np.array_equal(state.theta, theta) and state.t == 2
 
 
 def test_batch_gradient_is_sample_average():
