@@ -2,9 +2,9 @@
 
 One iteration has two phases. Phase 1: each agent deploys its current
 (pre-mixing) decision and draws samples from the distribution reacting to
-it. Phase 2: decisions are mixed through the doubly stochastic weights and
-a stochastic gradient step is taken, with the gradient evaluated at the
-pre-mixing decision:
+it, as base draws that the gradient shifts by algebra. Phase 2: decisions
+are mixed through the doubly stochastic weights and a stochastic gradient
+step is taken, with the gradient evaluated at the pre-mixing decision:
 
     theta_i <- sum_j W_ij theta_j - gamma * mean_batch grad_loss(theta_i; Z)
 
@@ -118,11 +118,12 @@ def dsgd_gd_step(
 ) -> SchemeState:
     """One two-phase update. Returns the state at iteration t+1.
 
-    Without a ``sampler`` one unbuffered iteration of an (n, d) state is
-    drawn from ``state.streams``, exactly as :func:`run`'s sampler would draw
-    it. A seed whose update is non-finite or oversized, now or at an earlier
-    step, keeps its previous finite rows and is flagged in ``diverged``; the
-    other seeds, which share ``env``'s loss, move, and ``t`` advances.
+    The draw ignores ``state.theta``; the gradient is taken at it, the
+    deployment. Without a ``sampler`` one unbuffered iteration of an (n, d)
+    state is drawn from ``state.streams``, exactly as :func:`run`'s sampler
+    would draw it. A seed whose update is non-finite or oversized, now or at an
+    earlier step, keeps its previous finite rows and is flagged in ``diverged``;
+    the other seeds, which share ``env``'s loss, move, and ``t`` advances.
     """
     theta = state.theta
     if sampler is None:

@@ -294,19 +294,19 @@ def deployed_gradients(env: Environment, thetas: np.ndarray, samples) -> np.ndar
     """Batch-averaged stochastic gradients for all agents at once.
 
     ``thetas`` is (n, d), or (S, n, d) for a batch of seeds that share
-    ``env``'s loss; ``samples`` is the output of an engine sampler:
-    (..., n, batch, d) for gaussian, ``(F, Y, eps)`` with shapes
-    (..., n, batch, d), (..., n, batch) and (..., n, 1) for strategic. Returns
-    the stack of gradients shaped like ``thetas``, each evaluated at the
-    agent's own pre-mixing decision, which is also the deployment.
+    ``env``'s loss; ``samples`` is one :func:`make_engine_sampler` draw.
+    Returns the stack of gradients shaped like ``thetas``, each evaluated at
+    the agent's own pre-mixing decision, which is also the deployment.
 
-    Strategic samples are the unshifted base rows ``F``; the shifted rows
-    ``x = F + eps_i * theta_i`` are never formed, as in
+    No shifted sample is formed. Gaussian: at ``Z = zbar_i + eps_i theta_i +
+    sigma_i xi`` the quadratic loss's batch gradient is ``keep * thetas - base``,
+    ``(1 - eps_i) theta_i - (zbar_i + sigma_i mean_b xi)``. Strategic, as in
     :func:`decoupled_full_gradient`: ``x @ theta_i = F @ theta_i + eps_i |theta_i|^2``
-    and ``r @ x = r @ F + eps_i (sum r) theta_i``.
+    and ``r @ x = r @ F + eps_i (sum r) theta_i`` for ``x = F + eps_i * theta_i``.
     """
     if env.kind == GAUSSIAN:
-        return thetas - np.add.reduce(samples, axis=-2) / samples.shape[-2]
+        base, keep = samples
+        return keep * thetas - base
     rows, y, eps = samples
     b = rows.shape[-2]
     sq = (thetas[..., None, :] @ thetas[..., None])[..., 0]  # |theta_i|^2, (..., n, 1)
@@ -487,12 +487,13 @@ def make_engine_sampler(env, batch: int, streams, chunk: int = 256):
     holds one list of n generators per seed, ``draw`` takes (S, n, d) and its
     samples carry the same leading seed axis.
 
-    Gaussian draws are the shifted samples themselves. Strategic draws are
-    ``(F, Y, eps)``: the gathered base rows, their labels and each agent's
-    sensitivity, shaped (..., n, 1). The rows are not shifted by the
-    deployment; :func:`deployed_gradients` applies ``F + eps_i * theta_i`` by
-    algebra. The sensitivities travel with the rows because the seeds of one
-    batch may differ in them.
+    No draw depends on the deployment; :func:`deployed_gradients` applies each
+    agent's shift by algebra. Gaussian draws are ``(base, keep)``: the batch-mean
+    base draws ``zbar_i + sigma_i * mean_b xi`` (..., n, d), computed a chunk at a
+    time into a new array that later draws never overwrite, and the read-only
+    ``1 - eps_i`` (..., n, 1). Strategic draws are ``(F, Y, eps)``: the gathered
+    base rows, their labels and each agent's sensitivity (..., n, 1), which travel
+    with the draws because the seeds of one batch may differ in them.
 
     Each agent draws from its own stream, so results do not depend on agent
     evaluation order or on the other seeds of a batch; buffering whole chunks
@@ -503,32 +504,30 @@ def make_engine_sampler(env, batch: int, streams, chunk: int = 256):
     envs, streams = ((env,), (streams,)) if one else (tuple(env), tuple(streams))
     S, n, d = len(envs), envs[0].n, envs[0].dim
     lead = () if one else (S,)  # a single environment keeps no seed axis
-    eps = np.stack([e.eps for e in envs]).reshape(lead + (n, 1, 1))
-    pos = chunk
+    eps = np.stack([e.eps for e in envs]).reshape(lead + (n, 1))
 
     if envs[0].kind == GAUSSIAN:
-        scale = np.sqrt(np.stack([e.sigma2 for e in envs])).reshape(S, n, 1, 1, 1)
-        zbar = np.stack([e.zbar_stack for e in envs]).reshape(lead + (n, 1, d))
+        scale = np.sqrt(np.stack([e.sigma2 for e in envs])).reshape(S, n, 1, 1)
+        zbar = np.stack([e.zbar_stack for e in envs]).reshape(S, n, 1, d)
+        keep = 1.0 - eps
+        keep.setflags(write=False)
         noise = np.empty((S, n, chunk, batch, d))
 
-        def draw(thetas: np.ndarray) -> np.ndarray:
-            nonlocal pos
-            if pos == chunk:
+        def base_draws():
+            while True:
                 for gens, buf in zip(streams, noise):
                     for g, out in zip(gens, buf):
                         g.standard_normal(out=out)
-                np.multiply(noise, scale, out=noise)
-                pos = 0
-            scaled = noise[:, :, pos].reshape(lead + (n, batch, d))
-            pos += 1
-            return zbar + eps * thetas[..., None, :] + scaled
+                base = zbar + scale * noise.mean(axis=3)
+                yield from np.moveaxis(base, 2, 0).reshape((chunk,) + lead + (n, d))
 
-        return draw
+        draws = base_draws()
+        return lambda thetas: (next(draws), keep)
 
     # strategic: one gather per seed into its stacked rows, each agent's
     # indices offset by the agent's first row
-    eps = eps.reshape(lead + (n, 1))
     eps.setflags(write=False)
+    pos = chunk
     rows = [e.rows for e in envs]
     sizes = [[len(p.labels) for p in e.populations] for e in envs]
     firsts = [np.cumsum(m) - m for m in sizes]

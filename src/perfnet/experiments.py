@@ -170,8 +170,12 @@ def _load_schedule(path, n: int) -> topology.GraphSchedule:
         raise ConfigError(f"schedule file {path} is not a JSON object with a \"graphs\" list")
     if data.get("n", n) != n:
         raise ConfigError(f"schedule file n={data.get('n')} disagrees with topology n={n}")
-    graphs = tuple(topology.from_edge_list(n, [tuple(e) for e in g]) for g in data["graphs"])
-    return topology.GraphSchedule(graphs=graphs, window=int(data.get("window", 1)))
+    try:
+        graphs = tuple(topology.from_edge_list(n, [tuple(e) for e in g]) for g in data["graphs"])
+        window = int(data.get("window", 1))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed schedule file {path}: {exc}") from None
+    return topology.GraphSchedule(graphs=graphs, window=window)
 
 
 def build_mixing(tc) -> topology.MixingMatrix | topology.MixingSchedule:

@@ -116,10 +116,19 @@ BUILD_ERRORS = {
     "missing_edge_file": {"topology.kind": "edge_list", "topology.edge_file": "missing.txt"},
     "schedule_without_graphs": {"topology.kind": "schedule", "topology.schedule_file": "no_graphs.json"},
     "schedule_not_an_object": {"topology.kind": "schedule", "topology.schedule_file": "list.json"},
+    "schedule_graphs_not_a_list": {"topology.kind": "schedule", "topology.schedule_file": "int.json"},
+    "schedule_edge_not_a_pair": {"topology.kind": "schedule", "topology.schedule_file": "edge.json"},
+    "schedule_window_not_an_int": {"topology.kind": "schedule", "topology.schedule_file": "window.json"},
 }
 
 # schedule files the cases above name, written beside the config
-SCHEDULE_FILES = {"no_graphs.json": '{"n": 25, "window": 1}', "list.json": "[[0, 1]]"}
+SCHEDULE_FILES = {
+    "no_graphs.json": '{"n": 25, "window": 1}',
+    "list.json": "[[0, 1]]",
+    "int.json": '{"graphs": 3}',
+    "edge.json": '{"graphs": [[5]]}',
+    "window.json": '{"graphs": [[[0, 1]]], "window": "x"}',
+}
 
 
 # strategic blocks that name a data source twice, or a dataset-only field

@@ -174,22 +174,17 @@ def test_different_seeds_differ():
 
 
 def test_greedy_deployment_uses_pre_mixing_decision(monkeypatch):
-    # wrap the sampler factory so every deployed decision is recorded, then
-    # replay the run and check the recorded deployments equal the pre-mixing
-    # states (not the mixed ones)
+    # gaussian draws do not read the decision, so the deployment enters
+    # through the gradient: record every decision it is taken at, then check
+    # the recorded decisions equal the pre-mixing states (not the mixed ones)
     recorded = []
-    real_factory = engine.make_engine_sampler
+    real_gradients = engine.deployed_gradients
 
-    def recording_factory(env, batch, streams, chunk=256):
-        inner = real_factory(env, batch, streams, chunk)
+    def recording_gradients(env, thetas, samples):
+        recorded.append(thetas.copy())
+        return real_gradients(env, thetas, samples)
 
-        def draw(thetas):
-            recorded.append(thetas.copy())
-            return inner(thetas)
-
-        return draw
-
-    monkeypatch.setattr(engine, "make_engine_sampler", recording_factory)
+    monkeypatch.setattr(engine, "deployed_gradients", recording_gradients)
     env = gaussian_env(3, 0.9, spread=0.5, sigma2=50.0)
     mix = uniform_neighbor_weights(build_ring(3))
     cfg = RunConfig(T=20, record_every=1, seed=7)

@@ -365,14 +365,60 @@ def test_smoothness_constants():
 # ---------------------------------------------------------------- engine plumbing
 
 def test_engine_sampler_matches_plain_sampling():
+    # a draw is (zbar_i + sigma_i * mean_b xi, 1 - eps_i), xi drawn one
+    # iteration at a time from agent i's stream
     env = gaussian_env(n=3, eps_avg=0.4, sigma2=9.0)
     thetas = np.array([[1.0], [2.0], [3.0]])
     fast = make_engine_sampler(env, batch=2, streams=[stream(5, 1, i) for i in range(3)], chunk=4)
     out = [fast(thetas) for _ in range(6)]
     slow_streams = [stream(5, 1, i) for i in range(3)]
     for k in range(6):
-        ref = np.stack([sample_batch(env, i, thetas[i], 2, slow_streams[i]) for i in range(3)])
-        assert np.array_equal(out[k], ref)
+        base, keep = out[k]
+        ref = np.stack([pop.zbar + np.sqrt(pop.sigma2) * g.standard_normal((2, 1)).mean(axis=0)
+                        for pop, g in zip(env.populations, slow_streams)])
+        assert np.array_equal(base, ref)
+        assert np.array_equal(keep, 1.0 - env.eps[:, None]) and not keep.flags.writeable
+
+
+def gaussian_gradients_written_out(env, thetas, gens, batch):
+    """Per agent, ``(1 - eps_i) theta_i - (zbar_i + sigma_i xi_bar)`` with xi from ``gens``."""
+    return np.stack([(1.0 - pop.eps) * th - (pop.zbar + np.sqrt(pop.sigma2)
+                                              * g.standard_normal((batch, env.dim)).mean(axis=0))
+                     for pop, th, g in zip(env.populations, thetas, gens)])
+
+
+def unequal_noise_env():
+    """Three agents with their own sensitivity, base mean and noise variance."""
+    pops = tuple(PopulationSpec(GAUSSIAN, e, zbar=np.array([z, -z]), sigma2=s2)
+                 for e, z, s2 in ((0.2, 3.0, 1.0), (0.9, 10.0, 4.0), (1.4, -5.0, 50.0)))
+    return Environment(pops, LossSpec(QUADRATIC, dim=2))
+
+
+@pytest.mark.parametrize("batch", [1, 4])
+def test_gaussian_gradient_is_the_mean_shift_identity(batch):
+    # bit for bit the written-out identity, and within 1e-12 of the gradient
+    # over the shifted sample that earlier releases formed
+    env = unequal_noise_env()
+    thetas = np.random.default_rng(2).standard_normal((3, 2))
+    draw = make_engine_sampler(env, batch, agent_streams_of(11), chunk=3)
+    written, shifted = agent_streams_of(11), agent_streams_of(11)
+    for _ in range(7):
+        got = deployed_gradients(env, thetas, draw(thetas))
+        assert np.array_equal(got, gaussian_gradients_written_out(env, thetas, written, batch))
+        old = thetas - np.stack([sample_batch(env, i, thetas[i], batch, g).mean(axis=0)
+                                 for i, g in enumerate(shifted)])
+        assert_close_per_agent(got, old, 1e-12)
+
+
+def test_gaussian_draw_kept_by_the_caller_is_not_overwritten():
+    env = unequal_noise_env()
+    draw = make_engine_sampler(env, 4, agent_streams_of(12), chunk=2)
+    thetas = np.zeros((3, 2))
+    first = draw(thetas)
+    kept = first[0].copy()
+    for _ in range(5):  # past two refills
+        draw(thetas)
+    assert np.array_equal(first[0], kept)
 
 
 def seed_envs(kind, seeds):
@@ -404,12 +450,11 @@ def test_batched_sampler_gives_each_seed_its_own_draws(kind):
              for env, s in zip(envs, seeds)]
     for _ in range(8):
         got = batched(thetas)
+        grads = deployed_gradients(envs[0], thetas, got)
         for k in range(3):
             want = alone[k](thetas[k])
-            if kind == GAUSSIAN:
-                assert got.shape == (3, 3, 4, 2) and np.array_equal(got[k], want)
-            else:
-                assert all(np.array_equal(part[k], one) for part, one in zip(got, want))
+            assert all(np.array_equal(part[k], one) for part, one in zip(got, want))
+            assert np.array_equal(grads[k], deployed_gradients(envs[k], thetas[k], want))
 
 
 def logistic_gradients_written_out(thetas, rows, labels, eps, beta):
@@ -444,12 +489,10 @@ def test_batched_deployed_gradients_equal_per_seed_calls(kind):
     samples = make_engine_sampler(envs, 16, [agent_streams_of(s) for s in seeds])(thetas)
     got = deployed_gradients(envs[0], thetas, samples)
     for k in range(3):
+        one = tuple(part[k] for part in samples)
         if kind == GAUSSIAN:
-            one = samples[k]
-            # the single-seed formula of earlier releases, bit for bit
-            old = thetas[k] - one.mean(axis=1)
+            old = np.stack([(1.0 - e) * th - b for e, th, b in zip(envs[k].eps, thetas[k], one[0])])
         else:
-            one = tuple(part[k] for part in samples)
             old = logistic_gradients_written_out(thetas[k], *one, beta=0.1)
         want = deployed_gradients(envs[0], thetas[k], one)
         assert np.array_equal(got[k], want)
@@ -498,7 +541,7 @@ def test_shifting_the_sampler_rows_reproduces_the_shifted_population():
 def test_deployed_gradients_quadratic():
     env = gaussian_env(n=2, eps_avg=0.0, sigma2=0.0)
     thetas = np.array([[1.0], [5.0]])
-    samples = np.array([[[3.0]], [[4.0]]])
+    samples = (np.array([[3.0], [4.0]]), 1.0 - env.eps[:, None])
     g = deployed_gradients(env, thetas, samples)
     assert np.allclose(g, [[-2.0], [1.0]])
 
