@@ -13,6 +13,12 @@ one master seed, so trajectories are bit-reproducible and independent of
 agent evaluation order and thread count. Within a stream, position encodes
 (iteration, draw index) because every iteration consumes a fixed number of
 draws.
+
+:func:`run` advances its seeds a block of iterations at a time, writing each
+iteration's decisions in place into one preallocated array, and tests for
+divergence once per block. That scan still locates each seed's first failing
+iteration exactly, so a run stops every seed where stepping one iteration at
+a time with :func:`dsgd_gd_step`, the one-iteration block, would.
 """
 
 from __future__ import annotations
@@ -48,6 +54,14 @@ __all__ = [
 SAMPLE_STREAM = 0x5A
 PROBE_STREAM = 0x50
 DATA_STREAM = 0x44
+
+# run advances up to _BLOCK iterations per divergence scan, in a block of at
+# most _BLOCK_BYTES; its sampler buffers up to _CHUNK iterations of at most
+# _CHUNK_DRAWS draws
+_BLOCK = 64
+_BLOCK_BYTES = 1 << 18
+_CHUNK = 256
+_CHUNK_DRAWS = 1 << 17
 
 
 def stream(seed: int, tag: int, index: int = 0) -> np.random.Generator:
@@ -101,9 +115,44 @@ class Trajectory:
     final_theta: np.ndarray
 
 
+def _first_failures(rows: np.ndarray, threshold: float) -> np.ndarray:
+    """Per seed, how many leading rows of ``rows`` (k, ..., n, d) stay within ``threshold``.
+
+    That is the index of the seed's first row with an entry over the threshold
+    in absolute value, or k when none has one. One reduction over the whole
+    stack; NaN and inf entries fail the comparison as well.
+    """
+    ok = np.abs(rows).max(axis=(-2, -1)) <= threshold
+    return np.where(ok.all(axis=0), len(rows), ok.argmin(axis=0))
+
+
 def _finite(theta: np.ndarray, threshold: float) -> bool:
-    """One reduction; NaN and inf entries fail the comparison as well."""
-    return bool(np.abs(theta).max() <= threshold)
+    """Every entry of ``theta`` is within the threshold: :func:`_first_failures` on one row."""
+    return bool(np.all(_first_failures(theta[None], threshold)))
+
+
+def _advance(block, k, t0, weights_at, gamma_at, env, sampler, check_average=False) -> None:
+    """Write iterations t0 + 1 .. t0 + k into ``block[1:k + 1]``, starting from ``block[0]``.
+
+    ``block`` is (K + 1, ..., n, d). Row j is deployed and drawn for, its
+    gradient (a new array) is scaled in place, and the mixed rows are written
+    straight into row j + 1, which the gradient is then subtracted from. A
+    seed that fails keeps stepping to the end of the block, so overflow here
+    is expected and raises no warning; the caller locates the failure.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(k):
+            t = t0 + j + 1
+            theta, nxt = block[j], block[j + 1]
+            grads = deployed_gradients(env, theta, sampler(theta))  # at pre-mixing theta
+            grads *= gamma_at(t)
+            np.matmul(weights_at(t), theta, out=nxt)
+            nxt -= grads
+            if check_average:
+                expect = theta.mean(axis=-2) - grads.mean(axis=-2)
+                drift = float(np.max(np.abs(nxt.mean(axis=-2) - expect)))
+                if drift > 1e-10:
+                    raise RuntimeError(f"average-preservation identity violated by {drift:.3e}")
 
 
 def dsgd_gd_step(
@@ -118,29 +167,25 @@ def dsgd_gd_step(
 ) -> SchemeState:
     """One two-phase update. Returns the state at iteration t+1.
 
-    The draw ignores ``state.theta``; the gradient is taken at it, the
-    deployment. Without a ``sampler`` one unbuffered iteration of an (n, d)
-    state is drawn from ``state.streams``, exactly as :func:`run`'s sampler
-    would draw it. A seed whose update is non-finite or oversized, now or at an
-    earlier step, keeps its previous finite rows and is flagged in ``diverged``;
-    the other seeds, which share ``env``'s loss, move, and ``t`` advances.
+    The one-iteration block of :func:`run`: the same update and the same
+    divergence rule. The draw ignores ``state.theta``; the gradient is taken at
+    it, the deployment. Without a ``sampler`` one unbuffered iteration of an
+    (n, d) state is drawn from ``state.streams``, exactly as :func:`run`'s
+    sampler would draw it. A seed whose update is non-finite or oversized, now
+    or at an earlier step, keeps its previous finite rows and is flagged in
+    ``diverged``; the other seeds, which share ``env``'s loss, move, and ``t``
+    advances.
     """
     theta = state.theta
     if sampler is None:
         sampler = make_engine_sampler(env, batch, state.streams, chunk=1)
-    samples = sampler(theta)
-    grads = deployed_gradients(env, theta, samples)  # evaluated at pre-mixing theta
-    nxt = weights @ theta - gamma_t * grads
-
-    if check_average:
-        expect = theta.mean(axis=-2) - gamma_t * grads.mean(axis=-2)
-        drift = float(np.max(np.abs(nxt.mean(axis=-2) - expect)))
-        if drift > 1e-10:
-            raise RuntimeError(f"average-preservation identity violated by {drift:.3e}")
-
+    block = np.empty((2,) + theta.shape)
+    block[0] = theta
+    _advance(block, 1, state.t, lambda t: weights, lambda t: gamma_t, env, sampler, check_average)
+    nxt = block[1]
     if state.diverged is False and _finite(nxt, divergence_threshold):
         return SchemeState(nxt, state.t + 1, state.streams)
-    stopped = state.diverged | ~(np.abs(nxt).max(axis=(-2, -1)) <= divergence_threshold)
+    stopped = state.diverged | (_first_failures(block[1:], divergence_threshold) == 0)
     return SchemeState(np.where(stopped[..., None, None], theta, nxt), state.t + 1, state.streams,
                        diverged=stopped)
 
@@ -162,7 +207,9 @@ def run(
     at index t+1 for the step into iteration t+1, cycling the sequence).
     ``sink(state)`` is invoked at t = 0, every ``record_every`` iterations,
     at t = T, and at the last finite state before a divergence stop; whatever
-    it returns is appended to the trajectory.
+    it returns is appended to the trajectory. The state it receives, like
+    ``final_theta``, holds a copy of the decisions, which later iterations
+    never overwrite.
 
     The seeds advance together as one (S, n, d) array program. With
     ``seeds``, ``config.seed`` is not used: ``env`` and ``sink`` (if given)
@@ -170,8 +217,15 @@ def run(
     and size, and one :class:`Trajectory` per seed is returned. Without it
     the run is a batch of one seed, ``config.seed``, and returns its
     :class:`Trajectory`. Each seed draws from its own streams, so its
-    trajectory is bit-identical to a run of that seed alone. A seed that
-    diverges stops alone; the batch ends when every seed has stopped or t = T.
+    trajectory is bit-identical to a run of that seed alone.
+
+    Iterations are written in place into a block of up to 64 of them (fewer
+    when the block would exceed 256 KB), and one scan per block finds each
+    seed's first non-finite or oversized iteration. A seed that diverges stops
+    alone, at exactly that iteration, with its last finite decisions, as under
+    :func:`dsgd_gd_step`; it steps on from those decisions, its results
+    discarded, and the batch ends after the block in which every seed has
+    stopped, or at t = T.
     """
     one = seeds is None
     if one:
@@ -184,52 +238,54 @@ def run(
         raise ValueError("the seeds of a batch need one loss and one agent count")
     theta0 = np.broadcast_to(np.atleast_1d(np.asarray(config.theta0, dtype=float)), (d,))
     streams = [agent_streams(seed, n) for seed in seeds]
-    sampler = make_engine_sampler(env, config.batch, streams, chunk=max(1, 256 // S))
+    chunk = max(1, min(_CHUNK, _CHUNK_DRAWS // (S * n * config.batch)))
+    sampler = make_engine_sampler(env, config.batch, streams, chunk=chunk)
     weights_at = mixing.at if hasattr(mixing, "at") else (lambda t: mixing.weights)
+    K = max(1, min(_BLOCK, _BLOCK_BYTES // (S * n * d * 8) - 1))
+    block = np.empty((K + 1, S, n, d))
+    block[0] = theta0
 
-    state = SchemeState(np.tile(theta0, (S, n, 1)), 0, streams)
     records = [[] for _ in seeds]
-    last_recorded = [0] * S
     stopped_at = [None] * S
+    final = [None] * S
 
-    def record(s: int, t: int) -> None:
+    def record(s: int, t: int, rows: np.ndarray) -> None:
         if sink[s] is not None:
-            records[s].append(sink[s](SchemeState(state.theta[s], t, streams[s])))
-        last_recorded[s] = t
+            records[s].append(sink[s](SchemeState(rows.copy(), t, streams[s])))
 
     for s in range(S):
-        record(s, 0)
-    for t in range(1, config.T + 1):
-        state = dsgd_gd_step(
-            state,
-            weights_at(t),
-            env[0],
-            gamma(schedule, t),
-            batch=config.batch,
-            sampler=sampler,
-            check_average=check_averages,
-            divergence_threshold=config.divergence_threshold,
-        )
-        if state.diverged is not False:
-            for s in np.flatnonzero(state.diverged):
-                if stopped_at[s] is None:
-                    stopped_at[s] = t
-            if None not in stopped_at:
-                break
-        if t % config.record_every == 0 or t == config.T:
-            for s in range(S):
-                if stopped_at[s] is None:
-                    record(s, t)
+        record(s, 0, block[0, s])
+    live, t0 = list(range(S)), 0
+    while live and t0 < config.T:
+        k = min(K, config.T - t0)
+        _advance(block, k, t0, weights_at, lambda t: gamma(schedule, t), env[0], sampler,
+                 check_averages)
+        # block[j] holds iteration t0 + j; seed s is finite through block[kept[s]]
+        kept = _first_failures(block[1:k + 1], config.divergence_threshold)
+        for t in range(t0 + 1, t0 + k + 1):
+            if t % config.record_every == 0 or t == config.T:
+                for s in live:
+                    if t - t0 <= kept[s]:
+                        record(s, t, block[t - t0, s])
+        for s in live:
+            if kept[s] < k:
+                stopped_at[s] = t0 + int(kept[s]) + 1
+                last = block[kept[s], s]
+                if (stopped_at[s] - 1) % config.record_every != 0:
+                    record(s, stopped_at[s] - 1, last)  # the last finite state
+                final[s] = last.copy()
+        live = [s for s in live if stopped_at[s] is None]
+        block[0] = block[k]
+        for s in range(S):
+            if stopped_at[s] is not None:
+                block[0, s] = final[s]  # a stopped seed steps on from its last finite rows
+        t0 += k
+    for s in live:
+        final[s] = block[0, s].copy()
 
-    trajectories = []
-    for s in range(S):
-        last = config.T if stopped_at[s] is None else stopped_at[s] - 1
-        if last != last_recorded[s]:
-            record(s, last)  # final (or last finite) state
-        trajectories.append(Trajectory(
-            records=records[s],
-            diverged=stopped_at[s] is not None,
-            diverged_at=stopped_at[s],
-            final_theta=state.theta[s],
-        ))
+    trajectories = [
+        Trajectory(records=records[s], diverged=stopped_at[s] is not None,
+                   diverged_at=stopped_at[s], final_theta=final[s])
+        for s in range(S)
+    ]
     return trajectories[0] if one else trajectories

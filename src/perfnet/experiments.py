@@ -170,9 +170,11 @@ def _load_schedule(path, n: int) -> topology.GraphSchedule:
         raise ConfigError(f"schedule file {path} is not a JSON object with a \"graphs\" list")
     if data.get("n", n) != n:
         raise ConfigError(f"schedule file n={data.get('n')} disagrees with topology n={n}")
+    window = data.get("window", 1)
+    if type(window) is not int:  # a float, a bool or a string is not a window
+        raise ConfigError(f"schedule file {path}: \"window\" must be an integer, got {json.dumps(window)}")
     try:
         graphs = tuple(topology.from_edge_list(n, [tuple(e) for e in g]) for g in data["graphs"])
-        window = int(data.get("window", 1))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed schedule file {path}: {exc}") from None
     return topology.GraphSchedule(graphs=graphs, window=window)

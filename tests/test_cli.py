@@ -119,7 +119,12 @@ BUILD_ERRORS = {
     "schedule_graphs_not_a_list": {"topology.kind": "schedule", "topology.schedule_file": "int.json"},
     "schedule_edge_not_a_pair": {"topology.kind": "schedule", "topology.schedule_file": "edge.json"},
     "schedule_window_not_an_int": {"topology.kind": "schedule", "topology.schedule_file": "window.json"},
+    "schedule_window_a_float": {"topology.kind": "schedule", "topology.schedule_file": "window_float.json"},
+    "schedule_window_a_bool": {"topology.kind": "schedule", "topology.schedule_file": "window_bool.json"},
+    "schedule_window_a_numeral": {"topology.kind": "schedule", "topology.schedule_file": "window_str.json"},
 }
+
+RING = json.dumps([[i, (i + 1) % 25] for i in range(25)])
 
 # schedule files the cases above name, written beside the config
 SCHEDULE_FILES = {
@@ -128,6 +133,10 @@ SCHEDULE_FILES = {
     "int.json": '{"graphs": 3}',
     "edge.json": '{"graphs": [[5]]}',
     "window.json": '{"graphs": [[[0, 1]]], "window": "x"}',
+    # a connected ring on the preset's 25 agents, so only the window is wrong
+    "window_float.json": '{"graphs": [%s], "window": 2.7}' % RING,
+    "window_bool.json": '{"graphs": [%s], "window": true}' % RING,
+    "window_str.json": '{"graphs": [%s], "window": "3"}' % RING,
 }
 
 

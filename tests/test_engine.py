@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,7 @@ from perfnet.environment import (
     STRATEGIC,
     UnsupportedKindError,
     decoupled_risk_gradient,
+    make_engine_sampler,
     make_heterogeneous_suite,
     sample_batch,
 )
@@ -323,6 +325,113 @@ def test_divergence_stops_only_that_seed():
         assert_same_run(traj, alone)
         if traj.diverged:
             assert traj.records[-1][0] == traj.diverged_at - 1
+
+
+def stepped(cfg, envs, mix, sched, seeds):
+    """Each seed's stop step and its states by t, from a dsgd_gd_step loop."""
+    n, d = envs[0].n, envs[0].dim
+    streams = [agent_streams(seed, n) for seed in seeds]
+    sampler = make_engine_sampler(envs, cfg.batch, streams, chunk=1)
+    state = SchemeState(np.zeros((len(seeds), n, d)), 0, streams)
+    states, stops = [state.theta.copy()], [None] * len(seeds)
+    for t in range(1, cfg.T + 1):
+        state = dsgd_gd_step(state, mix.weights, envs[0], gamma(sched, t), batch=cfg.batch,
+                             sampler=sampler, divergence_threshold=cfg.divergence_threshold)
+        states.append(state.theta.copy())
+        for s in np.flatnonzero(state.diverged):
+            stops[s] = stops[s] or t
+    return stops, states
+
+
+def assert_matches_stepped(cfg, envs, mix, sched, seeds):
+    """run equals the dsgd_gd_step loop; its sinks keep the rows they are handed."""
+    batch = run(cfg, envs, mix, sched, sink=[lambda state: (state.t, state.theta)] * len(seeds),
+                seeds=seeds)
+    stops, states = stepped(cfg, envs, mix, sched, seeds)
+    for s, traj in enumerate(batch):
+        last = cfg.T if stops[s] is None else stops[s] - 1
+        times = sorted({t for t in range(last + 1) if t % cfg.record_every == 0} | {last})
+        assert (traj.diverged, traj.diverged_at) == (stops[s] is not None, stops[s])
+        assert [t for t, _ in traj.records] == times
+        for t, rows in traj.records:
+            assert rows.tobytes() == states[t][s].tobytes()
+        assert traj.final_theta.tobytes() == states[last][s].tobytes()
+    return stops
+
+
+# the stacks below are small, so run advances full blocks of _BLOCK iterations
+K = engine._BLOCK
+
+
+def growing_env(eps_avg=1.5, zbar=10.0):
+    """Noisy but, for eps_avg > 1 under a constant step of 0.1, steadily growing."""
+    return gaussian_env(2, eps_avg, zbar=zbar, sigma2=1.0)
+
+
+def threshold_for(env, seed, stop, mix, sched):
+    """A threshold that the seed alone first crosses at iteration ``stop``."""
+    cfg = RunConfig(T=stop, divergence_threshold=np.inf)
+    _, states = stepped(cfg, [env], mix, sched, [seed])
+    sizes = [np.abs(x).max() for x in states]
+    return float(np.sqrt(sizes[stop - 1] * sizes[stop]))
+
+
+@pytest.mark.parametrize("T, stop", [
+    (200, K),           # the last iteration of the first block
+    (200, K + 1),       # the first iteration of the second
+    (200, 2 * K),
+    (150, 2 * K + 1),   # the first iteration of a short last block
+    (150, 150),         # t = T, with T not a multiple of K
+])
+def test_block_scan_stops_a_seed_where_single_steps_do(T, stop):
+    # the second seed converges, so the batch runs on past the first one's stop
+    envs = [growing_env(), growing_env(eps_avg=0.5)]
+    mix = uniform_neighbor_weights(build_complete(2))
+    sched = StepSchedule.constant(0.1)
+    threshold = threshold_for(envs[0], 5, stop, mix, sched)
+    cfg = RunConfig(T=T, record_every=8, divergence_threshold=threshold)
+    assert assert_matches_stepped(cfg, envs, mix, sched, [5, 6]) == [stop, None]
+
+
+@pytest.mark.parametrize("envs, same_block", [
+    ([growing_env(), growing_env(eps_avg=1.2), growing_env(eps_avg=0.5)], False),
+    ([growing_env(), growing_env(zbar=11.0), growing_env(zbar=12.0)], True),
+])
+def test_block_scan_stops_seeds_in_their_own_blocks(envs, same_block):
+    mix = uniform_neighbor_weights(build_complete(2))
+    sched = StepSchedule.constant(0.1)
+    cfg = RunConfig(T=300, record_every=10, divergence_threshold=1e4)
+    stops = assert_matches_stepped(cfg, envs, mix, sched, [1, 2, 3])
+    blocks = {(t - 1) // K for t in stops if t is not None}
+    if same_block:  # every seed stops inside one block, which ends the batch
+        assert None not in stops and len(set(stops)) == 3 and len(blocks) == 1
+    else:
+        assert stops[2] is None and len(blocks) == 2
+
+
+def test_seed_overflowing_after_its_stop_raises_no_warning(monkeypatch):
+    # a factor of 1e10 per step stops the first seed at t = 2 and overflows
+    # the rest of its block to inf; the second seed (eps = 1, zbar = 0) has a
+    # zero gradient at its start, so it stays put and keeps the batch going
+    deployed = []
+    real_gradients = engine.deployed_gradients
+
+    def watching_gradients(env, thetas, samples):
+        deployed.append(thetas[0].copy())
+        return real_gradients(env, thetas, samples)
+
+    monkeypatch.setattr(engine, "deployed_gradients", watching_gradients)
+    envs = [gaussian_env(2, 2.0), gaussian_env(2, 1.0, zbar=0.0)]
+    mix = uniform_neighbor_weights(build_complete(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        batch = run(RunConfig(T=200), envs, mix, StepSchedule.constant(1e10), seeds=[0, 1])
+    assert np.isinf(deployed[K - 1]).all()
+    assert batch[0].diverged_at == 2 and np.all(np.isfinite(batch[0].final_theta))
+    assert not batch[1].diverged
+    # each later block steps the stopped seed on from its last finite rows
+    for t0 in range(K, 200, K):
+        assert np.array_equal(deployed[t0], batch[0].final_theta)
 
 
 def test_batch_rejects_mismatched_environments():
