@@ -86,23 +86,17 @@ def gamma(schedule: StepSchedule, t: int) -> float:
 
 @dataclass
 class SchemeState:
-    """Stacked agent decisions at iteration t plus their RNG streams.
+    """Stacked agent decisions at iteration t plus their RNG streams, for :func:`dsgd_gd_step`.
 
     ``theta`` is (..., n, d): its leading axes index seeds, each with its
     list of n generators in ``streams``. ``t`` counts steps, and ``diverged``
-    is False until a seed stops, then one flag per seed (:func:`run` keeps
-    each seed's stopping step).
+    is False until a seed stops, then one flag per seed.
     """
 
     theta: np.ndarray  # (..., n, d)
     t: int
     streams: list
     diverged: bool | np.ndarray = False
-
-    @property
-    def theta_bar(self) -> np.ndarray:
-        """Recomputed on demand; never stored stale."""
-        return self.theta.mean(axis=-2)
 
 
 @dataclass
@@ -126,12 +120,7 @@ def _first_failures(rows: np.ndarray, threshold: float) -> np.ndarray:
     return np.where(ok.all(axis=0), len(rows), ok.argmin(axis=0))
 
 
-def _finite(theta: np.ndarray, threshold: float) -> bool:
-    """Every entry of ``theta`` is within the threshold: :func:`_first_failures` on one row."""
-    return bool(np.all(_first_failures(theta[None], threshold)))
-
-
-def _advance(block, k, t0, weights_at, gamma_at, env, sampler, check_average=False) -> None:
+def _advance(block, k, t0, weights_at, gamma_at, env, sampler) -> None:
     """Write iterations t0 + 1 .. t0 + k into ``block[1:k + 1]``, starting from ``block[0]``.
 
     ``block`` is (K + 1, ..., n, d). Row j is deployed and drawn for, its
@@ -148,11 +137,6 @@ def _advance(block, k, t0, weights_at, gamma_at, env, sampler, check_average=Fal
             grads *= gamma_at(t)
             np.matmul(weights_at(t), theta, out=nxt)
             nxt -= grads
-            if check_average:
-                expect = theta.mean(axis=-2) - grads.mean(axis=-2)
-                drift = float(np.max(np.abs(nxt.mean(axis=-2) - expect)))
-                if drift > 1e-10:
-                    raise RuntimeError(f"average-preservation identity violated by {drift:.3e}")
 
 
 def dsgd_gd_step(
@@ -162,7 +146,6 @@ def dsgd_gd_step(
     gamma_t: float,
     batch: int = 1,
     sampler=None,
-    check_average: bool = False,
     divergence_threshold: float = DIVERGENCE_THRESHOLD,
 ) -> SchemeState:
     """One two-phase update. Returns the state at iteration t+1.
@@ -181,11 +164,12 @@ def dsgd_gd_step(
         sampler = make_engine_sampler(env, batch, state.streams, chunk=1)
     block = np.empty((2,) + theta.shape)
     block[0] = theta
-    _advance(block, 1, state.t, lambda t: weights, lambda t: gamma_t, env, sampler, check_average)
+    _advance(block, 1, state.t, lambda t: weights, lambda t: gamma_t, env, sampler)
     nxt = block[1]
-    if state.diverged is False and _finite(nxt, divergence_threshold):
+    kept = _first_failures(block[1:], divergence_threshold)  # per seed, 0 if the step failed
+    if state.diverged is False and kept.all():
         return SchemeState(nxt, state.t + 1, state.streams)
-    stopped = state.diverged | (_first_failures(block[1:], divergence_threshold) == 0)
+    stopped = state.diverged | (kept == 0)
     return SchemeState(np.where(stopped[..., None, None], theta, nxt), state.t + 1, state.streams,
                        diverged=stopped)
 
@@ -196,7 +180,6 @@ def run(
     mixing,
     schedule: StepSchedule,
     sink=None,
-    check_averages: bool = False,
     seeds=None,
 ) -> Trajectory | list:
     """Execute the scheme for ``config.T`` iterations.
@@ -205,11 +188,11 @@ def run(
     ``mixing`` is a :class:`~perfnet.topology.MixingMatrix` or a
     :class:`~perfnet.topology.MixingSchedule` (time-varying weights are taken
     at index t+1 for the step into iteration t+1, cycling the sequence).
-    ``sink(state)`` is invoked at t = 0, every ``record_every`` iterations,
-    at t = T, and at the last finite state before a divergence stop; whatever
-    it returns is appended to the trajectory. The state it receives, like
-    ``final_theta``, holds a copy of the decisions, which later iterations
-    never overwrite.
+    ``sink(t, theta)`` is invoked at t = 0, every ``record_every`` iterations,
+    at t = T, and at the last finite state before a divergence stop, with the
+    (n, d) decisions at iteration t; whatever it returns is appended to the
+    trajectory. ``theta``, like ``final_theta``, is a copy, which later
+    iterations never overwrite.
 
     The seeds advance together as one (S, n, d) array program. With
     ``seeds``, ``config.seed`` is not used: ``env`` and ``sink`` (if given)
@@ -251,15 +234,14 @@ def run(
 
     def record(s: int, t: int, rows: np.ndarray) -> None:
         if sink[s] is not None:
-            records[s].append(sink[s](SchemeState(rows.copy(), t, streams[s])))
+            records[s].append(sink[s](t, rows.copy()))
 
     for s in range(S):
         record(s, 0, block[0, s])
     live, t0 = list(range(S)), 0
     while live and t0 < config.T:
         k = min(K, config.T - t0)
-        _advance(block, k, t0, weights_at, lambda t: gamma(schedule, t), env[0], sampler,
-                 check_averages)
+        _advance(block, k, t0, weights_at, lambda t: gamma(schedule, t), env[0], sampler)
         # block[j] holds iteration t0 + j; seed s is finite through block[kept[s]]
         kept = _first_failures(block[1:k + 1], config.divergence_threshold)
         for t in range(t0 + 1, t0 + k + 1):

@@ -32,11 +32,7 @@ __all__ = [
     "PopulationSpec",
     "LossSpec",
     "Environment",
-    "sample_batch",
-    "loss_value",
-    "loss_gradient",
     "deployed_gradients",
-    "decoupled_risk_gradient",
     "decoupled_full_gradient",
     "exact_risk",
     "assumption_constants",
@@ -233,18 +229,6 @@ def _check_theta(env_or_loss, theta: np.ndarray) -> np.ndarray:
     return theta
 
 
-def sample_batch(env: Environment, i: int, theta, batch: int, rng):
-    """``batch`` independent samples from agent i's shifted distribution."""
-    theta = _check_theta(env, theta)
-    pop = env.populations[i]
-    if env.kind == GAUSSIAN:
-        mean = pop.zbar + pop.eps * theta
-        noise = rng.standard_normal((batch, env.dim))
-        return mean + np.sqrt(pop.sigma2) * noise
-    idx = rng.integers(0, len(pop.features), size=batch)
-    return pop.features[idx] + pop.eps * theta, pop.labels[idx]
-
-
 def expit(x):
     """The logistic sigmoid ``1 / (1 + exp(-x))``: ``scipy.special.expit``, unchanged.
 
@@ -265,29 +249,6 @@ def _softplus_minus_yu(u, y):
     """Stable ``softplus(u) - y*u``; the linear parts cancel before the log term."""
     u = np.asarray(u, dtype=float)
     return np.log1p(np.exp(-np.abs(u))) + (np.maximum(u, 0.0) - y * u)
-
-
-def loss_value(loss: LossSpec, theta, z):
-    """Loss at ``theta``: a float for one sample, an array for a :func:`sample_batch` draw."""
-    theta = _check_theta(loss, theta)
-    if loss.kind == QUADRATIC:
-        vals = 0.5 * np.sum((theta - np.asarray(z, dtype=float)) ** 2, axis=-1)
-    else:
-        x, y = z
-        vals = _softplus_minus_yu(np.asarray(x, dtype=float) @ theta, y) \
-            + 0.5 * loss.beta * float(np.dot(theta, theta))
-    return float(vals) if np.ndim(vals) == 0 else vals
-
-
-def loss_gradient(loss: LossSpec, theta, z) -> np.ndarray:
-    """Gradient of the loss in its decision argument."""
-    theta = _check_theta(loss, theta)
-    if loss.kind == QUADRATIC:
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        return theta - z
-    x, y = z
-    x = np.asarray(x, dtype=float)
-    return (expit(float(np.dot(x, theta))) - y) * x + loss.beta * theta
 
 
 def deployed_gradients(env: Environment, thetas: np.ndarray, samples) -> np.ndarray:
@@ -315,23 +276,6 @@ def deployed_gradients(env: Environment, thetas: np.ndarray, samples) -> np.ndar
     # gathered first so that only three (..., n, d) operations remain
     coef = eps * resid.sum(axis=-1, keepdims=True) / b + env.loss.beta
     return (resid[..., None, :] @ rows)[..., 0, :] / b + coef * thetas
-
-
-def decoupled_risk_gradient(env: Environment, i: int, theta, deployed) -> np.ndarray:
-    """Analytic gradient of agent i's decoupled risk at ``theta`` under deployment ``deployed``.
-
-    Closed form exists for the gaussian kind only:
-    ``theta - zbar_i - eps_i * deployed``.
-    """
-    if env.kind != GAUSSIAN:
-        raise UnsupportedKindError(
-            "no closed-form decoupled gradient for strategic populations; "
-            "use the full-batch path in perfnet.metrics"
-        )
-    theta = _check_theta(env, theta)
-    deployed = _check_theta(env, deployed)
-    pop = env.populations[i]
-    return theta - pop.zbar - pop.eps * deployed
 
 
 def decoupled_full_gradient(env: Environment, theta, deployed) -> np.ndarray:
@@ -390,8 +334,8 @@ def assumption_constants(env: Environment, theta_ps) -> tuple[float, float]:
         sigma_sq = env.dim * max(p.sigma2 for p in env.populations)
         grad_avg = decoupled_full_gradient(env, theta_ps, theta_ps)
         worst = 0.0
-        for i, pop in enumerate(env.populations):
-            a = grad_avg - decoupled_risk_gradient(env, i, theta_ps, theta_ps)
+        for pop in env.populations:
+            a = grad_avg - (theta_ps - pop.zbar - pop.eps * theta_ps)
             b = pop.eps - env.eps_avg
             worst = max(worst, float(np.dot(a, a)) + b * b)
         return float(np.sqrt(sigma_sq)), float(np.sqrt(worst))

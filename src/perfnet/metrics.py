@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .environment import Environment, decoupled_full_gradient, exact_risk
-from .engine import SchemeState
 
 __all__ = [
     "MetricRecord",
@@ -177,7 +176,7 @@ def metric_recorder(
     with_grad_norm: bool = True,
     accuracy_env: Environment | None = None,
 ):
-    """Build a sink computing the standard record from a scheme state.
+    """Build a sink ``record(t, theta)`` computing the standard record of the (n, d) decisions.
 
     Every record is exact: ``risk`` is
     :func:`~perfnet.environment.exact_risk` at the average decision, for
@@ -192,11 +191,11 @@ def metric_recorder(
         theta_ps = np.atleast_1d(np.asarray(theta_ps, dtype=float))
     acc_env = accuracy_env if accuracy_env is not None else env
 
-    def record(state: SchemeState) -> MetricRecord:
-        bar = state.theta_bar
-        raw, norm = consensus_error(state.theta)
+    def record(t: int, theta: np.ndarray) -> MetricRecord:
+        bar = theta.mean(axis=-2)
+        raw, norm = consensus_error(theta)
         rec = MetricRecord(
-            t=state.t,
+            t=t,
             consensus_sq=raw,
             consensus_sq_norm=norm,
             risk=exact_risk(env, bar),
@@ -207,7 +206,7 @@ def metric_recorder(
         if with_grad_norm:
             rec.grad_norm_sq = decoupled_grad_norm(env, bar)
         if test_data is not None:
-            rec.accuracy = shifted_test_accuracy(acc_env, state.theta, *test_data)
+            rec.accuracy = shifted_test_accuracy(acc_env, theta, *test_data)
         return rec
 
     return record

@@ -14,12 +14,7 @@ import pytest
 
 from perfnet.config import Config
 from perfnet.engine import RunConfig, StepSchedule, run, stream
-from perfnet.environment import (
-    LossSpec,
-    loss_gradient,
-    loss_value,
-    make_heterogeneous_suite,
-)
+from perfnet.environment import LossSpec, make_heterogeneous_suite
 from perfnet.experiments import (
     build_environment,
     preset,
@@ -53,6 +48,7 @@ from perfnet.topology import (
     uniform_neighbor_weights,
     validate_schedule,
 )
+from reference import loss_gradient, loss_value
 
 GAUSSIAN_SEEDS = list(range(9000, 9010))  # the preset's default seed list
 SPAM_SEEDS = list(range(1000, 1010))

@@ -1,5 +1,6 @@
 import warnings
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,21 +19,19 @@ from perfnet.environment import (
     GAUSSIAN,
     STRATEGIC,
     UnsupportedKindError,
-    decoupled_risk_gradient,
     make_engine_sampler,
     make_heterogeneous_suite,
-    sample_batch,
 )
-from perfnet.metrics import metric_recorder
 from perfnet.topology import build_complete, build_ring, uniform_neighbor_weights
+from reference import decoupled_risk_gradient, sample_batch
 
 
 def gaussian_env(n, eps_avg, spread=0.0, zbar=10.0, sigma2=0.0):
     return make_heterogeneous_suite(n, eps_avg, spread, zbar=zbar, sigma2=sigma2)
 
 
-def consensus_sink(state):
-    return (state.t, state.theta.copy())
+def consensus_sink(t, theta):
+    return (t, theta.copy())
 
 
 # ---------------------------------------------------------------- step sizes
@@ -113,11 +112,64 @@ def test_homogeneous_consensus_matches_linear_recursion():
     assert final[0, 0] == pytest.approx(want, abs=1e-9)
 
 
-def test_average_preservation_identity_checked_every_step():
+def average_drifts(monkeypatch, env, mixing, sched, T, seed):
+    """Per iteration, how far the agents' average moves off the average of the gradient steps.
+
+    Column-stochastic weights preserve the average, so mean_i theta_{t+1} =
+    mean_i theta_t - mean_i gamma_t g_t up to rounding. The gradients are
+    captured where :func:`run` takes them and the decisions are the records
+    of a ``record_every=1`` run, up to its last finite state. Each drift is
+    divided by the size of the terms, max |theta_t| + max |gamma_t g_t|.
+    """
+    grads = []
+    real_gradients = engine.deployed_gradients
+
+    def capturing_gradients(env, thetas, samples):
+        g = real_gradients(env, thetas, samples)
+        grads.append(g[0].copy())  # the one seed's (n, d); run scales g by gamma_t in place
+        return g
+
+    monkeypatch.setattr(engine, "deployed_gradients", capturing_gradients)
+    traj = run(RunConfig(T=T, record_every=1, seed=seed), env, mixing, sched,
+               sink=lambda t, theta: theta)
+    drifts = []
+    for t, (theta, nxt) in enumerate(zip(traj.records, traj.records[1:])):
+        step = gamma(sched, t + 1) * grads[t]
+        drift = np.abs(nxt.mean(axis=0) - theta.mean(axis=0) + step.mean(axis=0)).max()
+        drifts.append(drift / (np.abs(theta).max() + np.abs(step).max()))
+    return traj, np.array(drifts)
+
+
+# the mixing product, the subtraction and the means above each round by at most
+# a few eps times the size of their terms when n = 4
+AVERAGE_TOL = 16 * np.finfo(float).eps
+
+
+def test_average_preservation_identity_checked_every_step(monkeypatch):
     env = gaussian_env(4, 0.9, spread=0.5, sigma2=50.0)
-    cfg = RunConfig(T=200, seed=11)
-    run(cfg, env, uniform_neighbor_weights(build_ring(4)),
-        StepSchedule.constant(0.01), check_averages=True)
+    _, drifts = average_drifts(monkeypatch, env, uniform_neighbor_weights(build_ring(4)),
+                               StepSchedule.constant(0.01), T=200, seed=11)
+    assert len(drifts) == 200 and drifts.max() <= AVERAGE_TOL
+
+
+def test_average_preservation_holds_on_large_decisions(monkeypatch):
+    # the decisions grow to ~8e11 before the seed stops at t = 45; an absolute
+    # bound on the drift fires on rounding long before that
+    env = gaussian_env(4, 1.5, spread=0.5, sigma2=50.0)
+    traj, drifts = average_drifts(monkeypatch, env, uniform_neighbor_weights(build_ring(4)),
+                                  StepSchedule.constant(0.9), T=2000, seed=1)
+    assert traj.diverged_at == 45 and np.abs(traj.records[-1]).max() > 1e11
+    assert len(drifts) == 44 and drifts.max() <= AVERAGE_TOL
+
+
+def test_average_check_catches_weights_that_are_not_column_stochastic(monkeypatch):
+    # agent 0 keeps its own decision: every row still sums to 1, column 0 does not
+    weights = uniform_neighbor_weights(build_ring(4)).weights.copy()
+    weights[0] = [1.0, 0.0, 0.0, 0.0]
+    env = gaussian_env(4, 0.9, spread=0.5, sigma2=50.0)
+    _, drifts = average_drifts(monkeypatch, env, SimpleNamespace(weights=weights),
+                               StepSchedule.constant(0.01), T=200, seed=11)
+    assert drifts.max() > 1e6 * AVERAGE_TOL
 
 
 def test_consensus_contracts_under_pure_mixing():
@@ -203,13 +255,13 @@ def test_greedy_deployment_uses_pre_mixing_decision(monkeypatch):
 def test_finite_rejects_nan_inf_and_oversized(bad):
     theta = np.ones((3, 2))
     theta[1, 0] = bad
-    assert engine._finite(theta, 1e12) is False
+    assert engine._first_failures(theta[None], 1e12) == 0
 
 
 def test_finite_accepts_entries_at_the_threshold():
     theta = np.array([[1e12, -1e12], [0.0, 5.0]])
-    assert engine._finite(theta, 1e12) is True
-    assert engine._finite(np.nextafter(theta, 0.0), 1e12) is True
+    assert engine._first_failures(theta[None], 1e12) == 1
+    assert engine._first_failures(np.nextafter(theta, 0.0)[None], 1e12) == 1
 
 
 def test_divergence_flag_and_truncation():
@@ -245,7 +297,6 @@ def test_batch_gradient_is_sample_average():
     mix = uniform_neighbor_weights(build_complete(2))
     state = SchemeState(np.array([[1.0], [2.0]]), 0, agent_streams(5, 2))
     # collect what the step would sample, then reproduce the update by hand
-    from perfnet.environment import sample_batch
     manual_streams = agent_streams(5, 2)
     z = np.stack([sample_batch(env, i, state.theta[i], 8, manual_streams[i]) for i in range(2)])
     nxt = dsgd_gd_step(state, mix.weights, env, gamma_t=0.1, batch=8)
@@ -345,7 +396,7 @@ def stepped(cfg, envs, mix, sched, seeds):
 
 def assert_matches_stepped(cfg, envs, mix, sched, seeds):
     """run equals the dsgd_gd_step loop; its sinks keep the rows they are handed."""
-    batch = run(cfg, envs, mix, sched, sink=[lambda state: (state.t, state.theta)] * len(seeds),
+    batch = run(cfg, envs, mix, sched, sink=[lambda t, theta: (t, theta)] * len(seeds),
                 seeds=seeds)
     stops, states = stepped(cfg, envs, mix, sched, seeds)
     for s, traj in enumerate(batch):

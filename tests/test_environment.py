@@ -18,16 +18,13 @@ from perfnet.environment import (
     UnsupportedKindError,
     assumption_constants,
     decoupled_full_gradient,
-    decoupled_risk_gradient,
     deployed_gradients,
     eps_multipliers,
     exact_risk,
-    loss_gradient,
-    loss_value,
     make_engine_sampler,
     make_heterogeneous_suite,
-    sample_batch,
 )
+from reference import decoupled_risk_gradient, loss_gradient, loss_value, sample_batch
 
 
 # ---------------------------------------------------------------- oracles

@@ -6,12 +6,7 @@ import warnings
 from hypothesis import given, settings, strategies as st
 
 from perfnet.engine import stream
-from perfnet.environment import (
-    exact_risk,
-    loss_value,
-    make_heterogeneous_suite,
-    sample_batch,
-)
+from perfnet.environment import exact_risk, make_heterogeneous_suite
 from perfnet.metrics import (
     CSV_COLUMNS,
     FitUnavailableError,
@@ -26,6 +21,7 @@ from perfnet.metrics import (
     write_metrics_csv,
 )
 from perfnet.oracle import closed_form_multi_ps, repeated_gd_fixed_point
+from reference import loss_value, sample_batch
 
 
 def gaussian_env(n=25, eps_avg=0.9, spread=0.0, zbar=10.0, sigma2=50.0):
