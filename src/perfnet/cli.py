@@ -119,9 +119,11 @@ def _cmd_fixed_point(args) -> int:
         "deployments": result.deployments,
         "converged": result.converged,
         "diverged": result.diverged,
+        "budget_exhausted": result.budget_exhausted,
         "contraction": {
             "empirical": probe.empirical_ratio,
             "bound": probe.theoretical_bound,
+            "budget_exhausted": probe.budget_exhausted,
         },
     }
     if stable is None:

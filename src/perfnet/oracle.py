@@ -9,12 +9,17 @@ Newton root of the stable-point equation ``G(theta) = grad R(theta; theta)
 the map's Lipschitz ratio empirically. The strategic frozen problem inside
 M is a ridge-logistic fit solved by matrix-free Newton: Hessian-vector
 products come from the stacked base rows without forming the shifted design.
+Each Newton step's conjugate-gradient solve stops at relative residual
+``min(0.5, |g|)``: an inexact Newton method whose forcing term is
+``O(|g|)`` keeps the quadratic local rate (Dembo, Eisenstat & Steihaug 1982),
+so solving the step more accurately buys no accuracy in the result.
 """
 
 from __future__ import annotations
 
+import contextlib
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -54,6 +59,7 @@ class FixedPointResult:
     deployments: int
     converged: bool
     diverged: bool = False
+    budget_exhausted: int = 0
 
 
 @dataclass(frozen=True)
@@ -61,6 +67,7 @@ class ContractionReport:
     empirical_ratio: float
     theoretical_bound: float
     pairs: int
+    budget_exhausted: int = 0
 
 
 @dataclass(frozen=True)
@@ -97,6 +104,12 @@ def closed_form_or_none(env: Environment) -> np.ndarray | None:
 # Armijo test cannot see them, so the full step is taken
 _DECREMENT_FLOOR = 1e-12
 _MAX_HALVINGS = 40
+# cap on the forcing term min(_FORCING_CAP, |g|) of each frozen Newton step
+_FORCING_CAP = 0.5
+
+
+class _BudgetExhausted(RuntimeWarning):
+    """One frozen solve ran out of inner Newton steps before ``inner_tol``."""
 # stable_point's Newton stops at |G| <= _ROOT_TOL, well above roundoff in G
 _ROOT_TOL = 1e-12
 _ROOT_ITERATIONS = 100
@@ -148,10 +161,12 @@ def _solve_frozen(env, deployed, start, inner, inner_tol):
     Gaussian environments return the closed form and ignore ``start``.
     Strategic ones run damped Newton on the deployment-frozen ridge-logistic
     objective: each step solves ``H p = g`` by conjugate gradients (at most d
-    products, relative residual ``1e-3 * min(1, |g|)``), then backtracks with
-    Armijo on the frozen objective. If ``inner`` steps end before
-    ``|g| <= inner_tol``, a warning flags the partial result at the caller of
-    :func:`apply_M` or :func:`contraction_probe`.
+    products, relative residual ``min(0.5, |g|)``), then backtracks with
+    Armijo on the frozen objective. The residual bound is a forcing term
+    ``O(|g|)``, which keeps the quadratic local rate of exact Newton; the
+    stop at ``|g| <= inner_tol`` is unchanged by it. If ``inner`` steps end
+    before that stop, a warning flags the partial result at the caller of
+    :func:`apply_M`.
     """
     if env.kind == GAUSSIAN:
         return env.zbar_mean + env.eps_avg * deployed
@@ -170,7 +185,7 @@ def _solve_frozen(env, deployed, start, inner, inner_tol):
         if gn <= inner_tol:
             return theta
         step = _conjugate_gradient(_frozen_hessian(env, theta, deployed), g, env.dim,
-                                   1e-3 * min(1.0, gn))
+                                   min(_FORCING_CAP, gn))
         decrement = float(g @ step)
         t = 1.0
         trial = theta - step
@@ -187,10 +202,42 @@ def _solve_frozen(env, deployed, start, inner, inner_tol):
     if gn > inner_tol:
         warnings.warn(
             f"inner Newton budget {inner} exhausted with gradient norm {gn:.3e} > {inner_tol:.1e}",
-            RuntimeWarning,
+            _BudgetExhausted,
             stacklevel=3,
         )
     return theta
+
+
+@contextlib.contextmanager
+def _exhausted_solves():
+    """Count the frozen solves in the block that run out of inner budget.
+
+    Yields a one-element list that holds the count on exit. Those solves'
+    warnings are recorded instead of shown; any other warning from the block
+    is issued again on exit.
+    """
+    count = [0]
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", _BudgetExhausted)
+            yield count
+    finally:
+        for w in caught:
+            if issubclass(w.category, _BudgetExhausted):
+                count[0] += 1
+            else:
+                warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
+
+
+def _warn_exhausted(count, solves, inner, inner_tol):
+    """One warning for the ``count`` of ``solves`` frozen solves that ran out, at the caller's caller."""
+    if count:
+        warnings.warn(
+            f"inner Newton budget {inner} exhausted in {count} of {solves} frozen solves "
+            f"(gradient norm above {inner_tol:.1e})",
+            RuntimeWarning,
+            stacklevel=3,
+        )
 
 
 def _stable_jacobian(env, theta):
@@ -275,8 +322,18 @@ def repeated_gd_fixed_point(
     (``eps_avg * L / mu < 1``). If the iterates blow past
     ``divergence_threshold`` a no-fixed-point result is returned with
     ``diverged=True`` rather than raising: beyond the stability threshold
-    unbounded growth is the expected, reportable outcome.
+    unbounded growth is the expected, reportable outcome. Strategic
+    deployments that run out of inner budget are counted in
+    ``budget_exhausted``, under one warning for the call.
     """
+    with _exhausted_solves() as exhausted:
+        result = _iterate_map(env, deployments, inner, tol, inner_tol, theta0, divergence_threshold)
+    _warn_exhausted(exhausted[0], result.deployments, inner, inner_tol)
+    return replace(result, budget_exhausted=exhausted[0])
+
+
+def _iterate_map(env, deployments, inner, tol, inner_tol, theta0, divergence_threshold):
+    """:func:`repeated_gd_fixed_point` without the budget count."""
     theta = np.zeros(env.dim) if theta0 is None else np.atleast_1d(np.asarray(theta0, dtype=float))
     used = 0
     for _ in range(deployments):
@@ -310,8 +367,9 @@ def contraction_probe(
     ``M(center)``, computed once, not at its probe point ``a``: by the map's
     Lipschitz bound ``M(a)`` lies within ``q |a - center|`` of ``M(center)``,
     and ``q`` is well below 1 wherever the probe is meaningful. Each solve
-    still runs to ``inner_tol`` or warns, so the start moves the ratio only
-    by solver tolerance.
+    still runs to ``inner_tol`` or is counted in ``budget_exhausted`` (one
+    warning for the call), so the start moves the ratio only by solver
+    tolerance.
     """
     if rng is None:
         rng = stream(0, PROBE_STREAM)
@@ -321,20 +379,25 @@ def contraction_probe(
         except NoFixedPointError:
             center = np.zeros(env.dim)
     center = np.atleast_1d(np.asarray(center, dtype=float))
-    start = _solve_frozen(env, center, center, inner, inner_tol)
 
     worst = 0.0
-    for _ in range(pairs):
-        a = center + radius * rng.uniform(-1.0, 1.0, size=env.dim)
-        b = center + radius * rng.uniform(-1.0, 1.0, size=env.dim)
-        gap = float(np.linalg.norm(a - b))
-        if gap < 1e-9:
-            continue
-        ma = _solve_frozen(env, a, start, inner, inner_tol)
-        mb = _solve_frozen(env, b, start, inner, inner_tol)
-        worst = max(worst, float(np.linalg.norm(ma - mb)) / gap)
+    solves = 1
+    with _exhausted_solves() as exhausted:
+        start = _solve_frozen(env, center, center, inner, inner_tol)
+        for _ in range(pairs):
+            a = center + radius * rng.uniform(-1.0, 1.0, size=env.dim)
+            b = center + radius * rng.uniform(-1.0, 1.0, size=env.dim)
+            gap = float(np.linalg.norm(a - b))
+            if gap < 1e-9:
+                continue
+            ma = _solve_frozen(env, a, start, inner, inner_tol)
+            mb = _solve_frozen(env, b, start, inner, inner_tol)
+            solves += 2
+            worst = max(worst, float(np.linalg.norm(ma - mb)) / gap)
+    _warn_exhausted(exhausted[0], solves, inner, inner_tol)
     bound = env.eps_avg * env.smoothness / env.mu
-    return ContractionReport(empirical_ratio=worst, theoretical_bound=bound, pairs=pairs)
+    return ContractionReport(empirical_ratio=worst, theoretical_bound=bound, pairs=pairs,
+                             budget_exhausted=exhausted[0])
 
 
 def existence_check(

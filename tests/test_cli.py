@@ -212,6 +212,21 @@ def test_fixed_point_strategic_stable_point_and_inner(tmp_path, capsys, monkeypa
     assert np.allclose(stable["theta"], out["theta_ps"], atol=1e-8)
 
 
+def test_fixed_point_reports_budget_exhaustion(tmp_path, capsys):
+    cfg = tiny_strategic_cfg(tmp_path)
+    assert main(["fixed-point", cfg]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["budget_exhausted"] == out["contraction"]["budget_exhausted"] == 0
+    # one Newton step per frozen solve: one warning per call names its count
+    with pytest.warns(RuntimeWarning, match="budget 1 exhausted in") as record:
+        assert main(["fixed-point", cfg, "--inner", "1"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert 0 < out["budget_exhausted"] <= out["deployments"]
+    assert 0 < out["contraction"]["budget_exhausted"] <= 33
+    assert [str(w.message).split(" in ")[1].split(" of ")[0] for w in record] == [
+        str(out["budget_exhausted"]), str(out["contraction"]["budget_exhausted"])]
+
+
 def test_fixed_point_computes_the_stable_point_once(tmp_path, capsys, monkeypatch):
     # one deployment cannot converge, so the probe is centred at the stable
     # point that the report also prints

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from perfnet.engine import stream
+from perfnet import oracle
+from perfnet.engine import DATA_STREAM, PROBE_STREAM, stream
 from perfnet.environment import (
     UnsupportedKindError,
     decoupled_full_gradient,
@@ -10,6 +13,7 @@ from perfnet.environment import (
 from perfnet.experiments import build_environment, preset
 from perfnet.oracle import (
     NoFixedPointError,
+    _conjugate_gradient,
     _frozen_hessian,
     _stable_jacobian,
     apply_M,
@@ -41,6 +45,34 @@ def strategic_env(n=3, eps_avg=0.05, d=4, m=40, beta=0.5, seed=1, spread=0.0):
 def preset_env(name):
     cfg = preset(name)
     return build_environment(cfg.environment, cfg.run.seed)[0]
+
+
+def old_forcing_rule(monkeypatch):
+    """Make every frozen Newton step solve its CG to ``1e-3 * min(1, |g|)``.
+
+    That was the rule before the forcing term ``min(0.5, |g|)``; the tests
+    compare the two in one process.
+    """
+    cg = oracle._conjugate_gradient
+    monkeypatch.setattr(oracle, "_conjugate_gradient", lambda hv, g, iterations, rtol: cg(
+        hv, g, iterations, 1e-3 * min(1.0, float(np.linalg.norm(g)))))
+
+
+def counting_hessians(monkeypatch, counts):
+    """Count Newton steps (Hessians built) and Hessian-vector products in ``counts``."""
+    build = oracle._frozen_hessian
+
+    def counting(*args):
+        counts["newton"] += 1
+        hv = build(*args)
+
+        def product(v):
+            counts["products"] += 1
+            return hv(v)
+
+        return product
+
+    monkeypatch.setattr(oracle, "_frozen_hessian", counting)
 
 
 # ---------------------------------------------------------------- closed form
@@ -133,6 +165,87 @@ def test_frozen_hessian_matches_gradient_differences():
                   - decoupled_full_gradient(env, theta - 1e-6 * v, deployed)) / 2e-6
             worst = max(worst, float(np.linalg.norm(hv(v) - fd)) / max(1.0, float(np.linalg.norm(fd))))
     assert worst <= 1e-6
+
+
+def random_spd(d, cond, rng):
+    """A dense SPD matrix with eigenvalues log-spaced over ``[1, cond]``."""
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    return (q * np.logspace(0.0, np.log10(cond), d)) @ q.T
+
+
+@pytest.mark.parametrize("cond", [1e1, 1e2, 1e3, 1e4])
+@pytest.mark.parametrize("d", [5, 20, 50])
+def test_conjugate_gradient_contract(d, cond):
+    rng = np.random.default_rng(1000 * d + int(np.log10(cond)))
+    h = random_spd(d, cond, rng)
+    # the recursive residual drifts from the true one by about k eps |H| |p|
+    # after k <= d products, with |H| = cond and |p| <= |g|
+    eps = np.finfo(float).eps
+    for _ in range(5):
+        g = rng.standard_normal(d)
+        gn = float(np.linalg.norm(g))
+        for iterations in (3, d):
+            for rtol in (0.5, 1e-3, 1e-12):
+                products = []
+
+                def hv(v):
+                    products.append(1)
+                    return h @ v
+
+                p = _conjugate_gradient(hv, g, iterations, rtol)
+                assert len(products) <= iterations
+                if len(products) < iterations:
+                    assert np.linalg.norm(h @ p - g) <= rtol * gn + 1e3 * eps * cond * gn
+                assert float(g @ p) > 0.0
+
+
+def test_apply_M_forcing_rule_keeps_accuracy(monkeypatch):
+    # each frozen objective is beta-strongly convex (row weights sum to 1), so
+    # two points with |g| <= inner_tol lie within 2 inner_tol / beta
+    inner_tol = 1e-12
+    small = strategic_env(eps_avg=0.3, m=[5, 8, 11], spread=0.5, beta=0.2)
+    hetero = preset_env("hetero_vs_homo")
+    rng = np.random.default_rng(17)
+    center = stable_point(hetero)
+    cases = [(small, rng.standard_normal(small.dim)) for _ in range(3)]
+    cases += [(hetero, np.zeros(hetero.dim)), (hetero, center),
+              (hetero, center + rng.uniform(-1.0, 1.0, hetero.dim))]
+    for env, deployed in cases:
+        solved = apply_M(env, deployed, inner_tol=inner_tol)
+        assert np.linalg.norm(decoupled_full_gradient(env, solved, deployed)) <= inner_tol
+        with monkeypatch.context() as m:
+            old_forcing_rule(m)
+            old = apply_M(env, deployed, inner_tol=inner_tol)
+        assert np.max(np.abs(solved - old)) <= 2 * inner_tol / env.loss.beta
+
+
+def strategic_oracle_unit(seed=7):
+    """The benchmark's strategic_oracle unit: fixed point, then a 4-pair probe."""
+    env = preset_env("hetero_vs_homo")
+    theta0 = 0.1 * stream(seed, DATA_STREAM).standard_normal(env.dim)
+    res = repeated_gd_fixed_point(env, deployments=100, inner=200, tol=1e-6, theta0=theta0)
+    probe = contraction_probe(env, pairs=4, radius=1.0, rng=stream(seed, PROBE_STREAM),
+                              center=res.theta_ps, inner=200)
+    return res, probe
+
+
+def test_forcing_rule_cuts_hessian_products(monkeypatch):
+    counts = {"newton": 0, "products": 0}
+    with monkeypatch.context() as m:
+        old_forcing_rule(m)
+        counting_hessians(m, counts)
+        old_res, old_probe = strategic_oracle_unit()
+    old_counts = dict(counts)
+    counts.update(newton=0, products=0)
+    with monkeypatch.context() as m:
+        counting_hessians(m, counts)
+        res, probe = strategic_oracle_unit()
+    assert counts["products"] <= 0.7 * old_counts["products"]
+    assert counts["newton"] <= old_counts["newton"] + 2
+    assert res.converged and res.residual <= 1e-6
+    assert res.deployments == old_res.deployments
+    assert probe.empirical_ratio == pytest.approx(old_probe.empirical_ratio, rel=0, abs=1e-9)
+    assert res.budget_exhausted == probe.budget_exhausted == 0
 
 
 def test_stable_jacobian_matches_differences_of_G():
@@ -292,6 +405,61 @@ def test_contraction_probe_matches_cold_starts_with_fewer_gradients(monkeypatch,
                                inner_tol=1e-12)
     assert report.empirical_ratio == pytest.approx(reference, rel=1e-9, abs=0)
     assert len(calls) < cold_calls
+
+
+def short_solves(monkeypatch, env, inner_tol):
+    """Record, per frozen solve, whether its result misses ``|g| <= inner_tol``."""
+    solve = oracle._solve_frozen
+    missed = []
+
+    def recording(env_, deployed, *args):
+        out = solve(env_, deployed, *args)
+        missed.append(bool(np.linalg.norm(decoupled_full_gradient(env, out, deployed)) > inner_tol))
+        return out
+
+    monkeypatch.setattr(oracle, "_solve_frozen", recording)
+    return missed
+
+
+def test_repeated_gd_counts_budget_exhaustion_under_one_warning(monkeypatch):
+    env = strategic_env()
+    missed = short_solves(monkeypatch, env, 1e-14)
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        res = repeated_gd_fixed_point(env, deployments=3, inner=1, tol=0.0, inner_tol=1e-14)
+    # three deployments and the residual's
+    assert len(missed) == res.deployments == 4
+    assert res.budget_exhausted == sum(missed) > 0
+    assert [w.category for w in record] == [RuntimeWarning]
+    assert f"budget 1 exhausted in {sum(missed)} of 4 frozen solves" in str(record[0].message)
+    assert record[0].filename == __file__
+
+
+@pytest.mark.parametrize("center", [None, 0.0], ids=["stable_point", "origin"])
+def test_contraction_probe_counts_budget_exhaustion_under_one_warning(monkeypatch, center):
+    env = strategic_env(eps_avg=0.05, m=(7, 10, 13))
+    center = None if center is None else np.full(env.dim, center)
+    missed = short_solves(monkeypatch, env, 1e-14)
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        report = contraction_probe(env, pairs=2, rng=stream(6, 7), center=center,
+                                   inner=1, inner_tol=1e-14)
+    # M(center) and both points of each pair
+    assert len(missed) == 5
+    assert report.budget_exhausted == sum(missed) > 0
+    assert [w.category for w in record] == [RuntimeWarning]
+    assert f"budget 1 exhausted in {sum(missed)} of 5 frozen solves" in str(record[0].message)
+
+
+def test_budget_count_passes_other_warnings_through():
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        with oracle._exhausted_solves() as exhausted:
+            warnings.warn("counted", oracle._BudgetExhausted)
+            warnings.warn("passed through", UserWarning)
+            warnings.warn("counted too", oracle._BudgetExhausted)
+    assert exhausted == [2]
+    assert [(w.category, str(w.message)) for w in record] == [(UserWarning, "passed through")]
 
 
 def test_contraction_probe_budget_exhaustion_warns():
