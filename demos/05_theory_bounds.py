@@ -41,7 +41,7 @@ curves = bound_curves(tc, sched, ts)
 
 gaps = []
 for seed in range(8):
-    sink = metric_recorder(env, theta_ps=theta_ps, with_grad_norm=False)
+    sink = metric_recorder(env, theta_ps=theta_ps)
     traj = run(RunConfig(T=2000, record_every=250, seed=seed), env, mix, sched, sink=sink)
     gaps.append([r.gap_sq for r in traj.records])
 mean_gap = np.mean(gaps, axis=0)

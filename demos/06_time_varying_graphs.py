@@ -36,7 +36,7 @@ print(f"certified window contraction rho = {mix.rho:.4f}")
 
 env = make_heterogeneous_suite(n, 0.9, 0.05, zbar=10.0, sigma2=50.0)
 theta_ps = closed_form_multi_ps(env)
-sink = metric_recorder(env, theta_ps=theta_ps, with_grad_norm=False)
+sink = metric_recorder(env, theta_ps=theta_ps)
 traj = run(RunConfig(T=30_000, record_every=5_000, seed=0), env, mix,
            StepSchedule.inverse_time(50.0, 1e4), sink=sink)
 for r in traj.records:

@@ -29,7 +29,6 @@ __all__ = [
     "LOGISTIC",
     "UnsupportedKindError",
     "CalibrationError",
-    "PopulationSpec",
     "LossSpec",
     "Environment",
     "deployed_gradients",
@@ -59,39 +58,6 @@ class CalibrationError(ValueError):
 
 
 @dataclass(frozen=True)
-class PopulationSpec:
-    """One agent's decision-dependent population."""
-
-    kind: str
-    eps: float
-    zbar: np.ndarray | None = None    # gaussian: base mean, shape (d,)
-    sigma2: float | None = None       # gaussian: noise variance per coordinate
-    features: np.ndarray | None = None  # strategic: base features, shape (m_i, d)
-    labels: np.ndarray | None = None    # strategic: 0/1 labels, shape (m_i,)
-
-    def __post_init__(self):
-        if self.kind not in (GAUSSIAN, STRATEGIC):
-            raise UnsupportedKindError(f"unknown population kind {self.kind!r}")
-        if self.eps < 0:
-            raise ValueError(f"sensitivity must be nonnegative, got {self.eps}")
-        if self.kind == GAUSSIAN:
-            if self.zbar is None or self.sigma2 is None:
-                raise ValueError("gaussian population needs zbar and sigma2")
-            if self.sigma2 < 0:
-                raise ValueError(f"noise variance must be nonnegative, got {self.sigma2}")
-            object.__setattr__(self, "zbar", np.atleast_1d(np.asarray(self.zbar, dtype=float)))
-        else:
-            if self.features is None or self.labels is None or len(self.features) == 0:
-                raise ValueError("strategic population needs a nonempty base dataset")
-
-    @property
-    def dim(self) -> int:
-        if self.kind == GAUSSIAN:
-            return self.zbar.shape[0]
-        return self.features.shape[1]
-
-
-@dataclass(frozen=True)
 class LossSpec:
     """Loss function family; ``beta`` is the logistic ridge coefficient."""
 
@@ -115,49 +81,64 @@ class _Rows(NamedTuple):
     weights: np.ndarray   # (N,), 1 / (n * m_i), so agent averages of shard means are one dot
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Environment:
-    """n populations plus the shared loss; sensitivity summaries are cached.
+    """n agents' populations as read-only arrays stacked per agent, plus the shared loss.
 
-    Strategic environments also cache ``rows``, all shards stacked into one
-    read-only design of ``N = sum m_i`` rows, built on first use. Full-batch
-    gradients and exact risks make one pass over it instead of a loop over
-    agents. It holds one extra copy of the strategic features (N * d * 8
-    bytes; 2 MB for ``hetero_vs_homo``).
+    ``eps`` (n,) holds the sensitivities. A gaussian environment sets
+    ``zbar_stack`` (n, d) and ``sigma2`` (n,); a strategic one sets ``rows``,
+    every shard stacked row by row in agent order, and the shard ``sizes``
+    (n,). The other kind's fields are None. Full-batch gradients and exact
+    risks make one pass over ``rows`` instead of a loop over agents; agent i's
+    shard is the slice of ``sizes[i]`` rows after the first ``sizes[:i].sum()``.
     """
 
-    populations: tuple
     loss: LossSpec
+    eps: np.ndarray
+    zbar_stack: np.ndarray | None = None
+    sigma2: np.ndarray | None = None
+    rows: _Rows | None = None
+    sizes: np.ndarray | None = None
 
     def __post_init__(self):
-        if not self.populations:
+        n = len(self.eps)
+        if n == 0:
             raise ValueError("environment needs at least one population")
-        kinds = {p.kind for p in self.populations}
-        if len(kinds) != 1:
-            raise ValueError(f"mixed population kinds {kinds}")
+        if np.any(self.eps < 0):
+            raise ValueError(f"sensitivity must be nonnegative, got {self.eps.min()}")
+        if (self.zbar_stack is None) == (self.rows is None):
+            raise ValueError("environment needs the data of exactly one population kind")
+        if self.kind == GAUSSIAN:
+            if self.sigma2 is None:
+                raise ValueError("gaussian population needs zbar and sigma2")
+            if np.any(self.sigma2 < 0):
+                raise ValueError(f"noise variance must be nonnegative, got {self.sigma2.min()}")
+            if self.zbar_stack.shape[0] != n:
+                raise ValueError(f"zbar has {self.zbar_stack.shape[0]} rows for {n} agents")
+            dim = self.zbar_stack.shape[1]
+        else:
+            if self.sizes is None or len(self.sizes) != n or np.any(self.sizes <= 0):
+                raise ValueError("strategic population needs a nonempty base dataset")
+            dim = self.rows.features.shape[1]
         if _LOSS_OF[self.kind] != self.loss.kind:
             raise ValueError(f"{self.kind} populations need the {_LOSS_OF[self.kind]} loss")
-        dims = {p.dim for p in self.populations}
-        if dims != {self.loss.dim}:
-            raise ValueError(f"population dims {dims} do not match loss dim {self.loss.dim}")
+        if dim != self.loss.dim:
+            raise ValueError(f"population dim {dim} does not match loss dim {self.loss.dim}")
+        for arr in (self.eps, self.zbar_stack, self.sigma2, self.sizes, *(self.rows or ())):
+            if arr is not None:
+                arr.setflags(write=False)
 
     @property
     def kind(self) -> str:
-        return self.populations[0].kind
+        return GAUSSIAN if self.rows is None else STRATEGIC
 
     @property
     def n(self) -> int:
-        return len(self.populations)
+        return len(self.eps)
 
     @property
     def dim(self) -> int:
         return self.loss.dim
-
-    @cached_property
-    def eps(self) -> np.ndarray:
-        arr = np.array([p.eps for p in self.populations], dtype=float)
-        arr.setflags(write=False)
-        return arr
 
     @cached_property
     def eps_avg(self) -> float:
@@ -179,46 +160,16 @@ class Environment:
         """Gradient Lipschitz constant; logistic uses beta + max ||x||^2 / 4."""
         if self.kind == GAUSSIAN:
             return 1.0
-        peak = max(float(np.max(np.sum(p.features**2, axis=1))) for p in self.populations)
-        return self.loss.beta + peak / 4.0
+        return self.loss.beta + float(np.max(np.sum(self.rows.features**2, axis=1))) / 4.0
 
     @cached_property
-    def zbar_stack(self) -> np.ndarray:
-        if self.kind != GAUSSIAN:
-            raise UnsupportedKindError("zbar_stack is gaussian-only")
-        arr = np.stack([p.zbar for p in self.populations])
-        arr.setflags(write=False)
-        return arr
-
-    @cached_property
-    def zbar_mean(self) -> np.ndarray:
-        """Agent average of the base means; gaussian-only like ``zbar_stack``."""
+    def zbar_mean(self) -> np.ndarray | None:
+        """Agent average of the base means; None for a strategic environment."""
+        if self.zbar_stack is None:
+            return None
         arr = self.zbar_stack.mean(axis=0)
         arr.setflags(write=False)
         return arr
-
-    @cached_property
-    def sigma2(self) -> np.ndarray:
-        if self.kind != GAUSSIAN:
-            raise UnsupportedKindError("sigma2 is gaussian-only")
-        arr = np.array([p.sigma2 for p in self.populations], dtype=float)
-        arr.setflags(write=False)
-        return arr
-
-    @cached_property
-    def rows(self) -> _Rows:
-        if self.kind != STRATEGIC:
-            raise UnsupportedKindError("rows is strategic-only")
-        sizes = np.array([len(p.labels) for p in self.populations])
-        rows = _Rows(
-            features=np.concatenate([p.features for p in self.populations], dtype=float),
-            labels=np.concatenate([p.labels for p in self.populations], dtype=float),
-            eps=np.repeat(self.eps, sizes),
-            weights=np.repeat(1.0 / (self.n * sizes), sizes),
-        )
-        for arr in rows:
-            arr.setflags(write=False)
-        return rows
 
 
 def _check_theta(env_or_loss, theta: np.ndarray) -> np.ndarray:
@@ -330,21 +281,22 @@ def assumption_constants(env: Environment, theta_ps) -> tuple[float, float]:
     distributions at ``theta_ps`` (the growth term is not probed).
     """
     theta_ps = _check_theta(env, theta_ps)
+    grad_avg = decoupled_full_gradient(env, theta_ps, theta_ps)
     if env.kind == GAUSSIAN:
-        sigma_sq = env.dim * max(p.sigma2 for p in env.populations)
-        grad_avg = decoupled_full_gradient(env, theta_ps, theta_ps)
+        sigma_sq = env.dim * float(env.sigma2.max())
         worst = 0.0
-        for pop in env.populations:
-            a = grad_avg - (theta_ps - pop.zbar - pop.eps * theta_ps)
-            b = pop.eps - env.eps_avg
+        for zbar, eps in zip(env.zbar_stack, env.eps.tolist()):
+            a = grad_avg - (theta_ps - zbar - eps * theta_ps)
+            b = eps - env.eps_avg
             worst = max(worst, float(np.dot(a, a)) + b * b)
         return float(np.sqrt(sigma_sq)), float(np.sqrt(worst))
-    grad_avg = decoupled_full_gradient(env, theta_ps, theta_ps)
     noise_sq = 0.0
     hetero_sq = 0.0
-    for pop in env.populations:
-        x = pop.features + pop.eps * theta_ps
-        resid = expit(x @ theta_ps) - pop.labels
+    bounds = np.cumsum(env.sizes)[:-1]
+    for f, y, eps in zip(np.split(env.rows.features, bounds), np.split(env.rows.labels, bounds),
+                         env.eps.tolist()):
+        x = f + eps * theta_ps
+        resid = expit(x @ theta_ps) - y
         grads = resid[:, None] * x + env.loss.beta * theta_ps
         gi = grads.mean(axis=0)
         noise_sq = max(noise_sq, float(np.mean(np.sum((grads - gi) ** 2, axis=1))))
@@ -391,33 +343,27 @@ def make_heterogeneous_suite(
     eps = mult * eps_avg
 
     if kind == GAUSSIAN:
-        zb = np.asarray(zbar, dtype=float)
+        zb = np.array(zbar, dtype=float)
         if zb.ndim == 0:
             zb = np.full((n, 1), float(zb))
         elif zb.ndim == 1:
             zb = np.tile(zb, (n, 1))
-        if zb.shape[0] != n:
-            raise ValueError(f"zbar has {zb.shape[0]} rows for {n} agents")
-        pops = tuple(
-            PopulationSpec(GAUSSIAN, float(eps[i]), zbar=zb[i], sigma2=sigma2)
-            for i in range(n)
-        )
-        return Environment(pops, LossSpec(QUADRATIC, dim=zb.shape[1]))
+        return Environment(LossSpec(QUADRATIC, dim=zb.shape[1]), eps, zbar_stack=zb,
+                           sigma2=np.full(n, sigma2, dtype=float))
 
     if kind == STRATEGIC:
-        if shards is None or len(shards) != n:
-            raise ValueError(f"strategic suite needs {n} dataset shards")
-        d = np.asarray(shards[0][0]).shape[1]
-        pops = tuple(
-            PopulationSpec(
-                STRATEGIC,
-                float(eps[i]),
-                features=np.asarray(x, dtype=float),
-                labels=np.asarray(y, dtype=float),
-            )
-            for i, (x, y) in enumerate(shards)
+        # empty shards are refused before 1 / (n * m_i) would divide by zero
+        if shards is None or len(shards) != n or not all(len(y) for _, y in shards):
+            raise ValueError(f"strategic suite needs {n} nonempty dataset shards")
+        sizes = np.array([len(y) for _, y in shards])
+        rows = _Rows(
+            features=np.concatenate([np.asarray(x, dtype=float) for x, _ in shards]),
+            labels=np.concatenate([np.asarray(y, dtype=float) for _, y in shards]),
+            eps=np.repeat(eps, sizes),
+            weights=np.repeat(1.0 / (n * sizes), sizes),
         )
-        return Environment(pops, LossSpec(LOGISTIC, dim=d, beta=beta))
+        return Environment(LossSpec(LOGISTIC, dim=rows.features.shape[1], beta=beta), eps,
+                           rows=rows, sizes=sizes)
 
     raise UnsupportedKindError(f"unknown population kind {kind!r}")
 
@@ -473,7 +419,7 @@ def make_engine_sampler(env, batch: int, streams, chunk: int = 256):
     eps.setflags(write=False)
     pos = chunk
     rows = [e.rows for e in envs]
-    sizes = [[len(p.labels) for p in e.populations] for e in envs]
+    sizes = [e.sizes for e in envs]
     firsts = [np.cumsum(m) - m for m in sizes]
     idx = np.empty((S, n, chunk, batch), dtype=np.intp)
 

@@ -509,7 +509,9 @@ def run_disconnected_baseline(cfg: Config, isolated: int, out: str | None = None
     traj_net, rec_net = run_single(cfg)
     metrics.write_metrics_csv(networked_dir / "metrics.csv", rec_net)
 
-    solo_env = Environment((env.populations[isolated],), env.loss)
+    one = slice(isolated, isolated + 1)
+    solo_env = Environment(env.loss, env.eps[one], zbar_stack=env.zbar_stack[one],
+                           sigma2=env.sigma2[one])
     solo_ps = oracle.closed_form_or_none(solo_env)
     sink = metrics.metric_recorder(solo_env, theta_ps=solo_ps)
     solo_mix = topology.uniform_neighbor_weights(topology.build_ring(1))

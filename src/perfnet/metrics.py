@@ -102,10 +102,10 @@ def shifted_test_accuracy(env: Environment, theta, features, labels) -> float:
     valid = pos | (labels == 0)
     m = len(features)
     acc = 0.0
-    for pop, th in zip(env.populations, theta):
+    for eps, th in zip(env.eps.tolist(), theta):
         # one (m, d) @ (d,) per agent: a single (m, d) @ (d, n) product
         # would be large enough for the BLAS to spread over threads
-        scores = features @ th + pop.eps * float(th @ th)
+        scores = features @ th + eps * float(th @ th)
         acc += np.count_nonzero(((scores >= 0.0) == pos) & valid) / m
     return acc / env.n
 
@@ -173,7 +173,6 @@ def metric_recorder(
     env: Environment,
     theta_ps=None,
     test_data=None,
-    with_grad_norm: bool = True,
     accuracy_env: Environment | None = None,
 ):
     """Build a sink ``record(t, theta)`` computing the standard record of the (n, d) decisions.
@@ -203,8 +202,7 @@ def metric_recorder(
         )
         if theta_ps is not None:
             rec.gap_sq = float(np.sum((bar - theta_ps) ** 2))
-        if with_grad_norm:
-            rec.grad_norm_sq = decoupled_grad_norm(env, bar)
+        rec.grad_norm_sq = decoupled_grad_norm(env, bar)
         if test_data is not None:
             rec.accuracy = shifted_test_accuracy(acc_env, theta, *test_data)
         return rec

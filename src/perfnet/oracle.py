@@ -64,6 +64,13 @@ class FixedPointResult:
 
 @dataclass(frozen=True)
 class ContractionReport:
+    """The deployment map's largest Lipschitz ratio over random pairs, and its bound.
+
+    ``empirical_ratio`` is only a lower bound on the map's Lipschitz constant:
+    on ``spam_logistic`` it read 0.0157 while the map's spectral radius is
+    about 1.18, so a ratio below 1 does not show that the map contracts.
+    """
+
     empirical_ratio: float
     theoretical_bound: float
     pairs: int
@@ -84,12 +91,13 @@ def closed_form_multi_ps(env: Environment) -> np.ndarray:
     (the quadratic loss has curvature and smoothness exactly 1). Other kinds
     raise :class:`~perfnet.environment.UnsupportedKindError`.
     """
-    zbar_mean = env.zbar_mean
+    if env.kind != GAUSSIAN:
+        raise UnsupportedKindError(f"no closed-form stable point for {env.kind} populations")
     if env.eps_avg >= 1.0:
         raise NoFixedPointError(
             f"eps_avg = {env.eps_avg} >= 1: no stable point exists"
         )
-    return zbar_mean / (1.0 - env.eps_avg)
+    return env.zbar_mean / (1.0 - env.eps_avg)
 
 
 def closed_form_or_none(env: Environment) -> np.ndarray | None:
@@ -106,13 +114,13 @@ _DECREMENT_FLOOR = 1e-12
 _MAX_HALVINGS = 40
 # cap on the forcing term min(_FORCING_CAP, |g|) of each frozen Newton step
 _FORCING_CAP = 0.5
+# stable_point's Newton stops at |G| <= _ROOT_TOL, well above roundoff in G
+_ROOT_TOL = 1e-12
+_ROOT_ITERATIONS = 100
 
 
 class _BudgetExhausted(RuntimeWarning):
     """One frozen solve ran out of inner Newton steps before ``inner_tol``."""
-# stable_point's Newton stops at |G| <= _ROOT_TOL, well above roundoff in G
-_ROOT_TOL = 1e-12
-_ROOT_ITERATIONS = 100
 
 
 def _frozen_hessian(env, theta, deployed):
@@ -363,13 +371,14 @@ def contraction_probe(
 
     Pairs are drawn uniformly in a box around ``center`` (default: the
     :func:`stable_point`, or the origin when there is none). The theoretical
-    bound is ``eps_avg * L / mu``. Every strategic frozen solve starts at
-    ``M(center)``, computed once, not at its probe point ``a``: by the map's
-    Lipschitz bound ``M(a)`` lies within ``q |a - center|`` of ``M(center)``,
-    and ``q`` is well below 1 wherever the probe is meaningful. Each solve
-    still runs to ``inner_tol`` or is counted in ``budget_exhausted`` (one
-    warning for the call), so the start moves the ratio only by solver
-    tolerance.
+    bound is ``eps_avg * L / mu``; the empirical ratio is only a lower bound
+    on the map's Lipschitz constant (see :class:`ContractionReport`). Every
+    strategic frozen solve starts at ``M(center)``, computed once, not at its
+    probe point ``a``: by the map's Lipschitz bound ``M(a)`` lies within
+    ``q |a - center|`` of ``M(center)``, and ``q`` is well below 1 wherever
+    the probe is meaningful. Each solve still runs to ``inner_tol`` or is
+    counted in ``budget_exhausted`` (one warning for the call), so the start
+    moves the ratio only by solver tolerance.
     """
     if rng is None:
         rng = stream(0, PROBE_STREAM)

@@ -22,16 +22,23 @@ from perfnet.environment import (
 )
 
 
+def shard(env: Environment, i: int):
+    """Agent i's strategic base data ``(features, labels)``: its slice of ``env.rows``."""
+    first = int(env.sizes[:i].sum())
+    end = first + int(env.sizes[i])
+    return env.rows.features[first:end], env.rows.labels[first:end]
+
+
 def sample_batch(env: Environment, i: int, theta, batch: int, rng):
     """``batch`` independent samples from agent i's shifted distribution."""
     theta = _check_theta(env, theta)
-    pop = env.populations[i]
     if env.kind == GAUSSIAN:
-        mean = pop.zbar + pop.eps * theta
+        mean = env.zbar_stack[i] + env.eps[i] * theta
         noise = rng.standard_normal((batch, env.dim))
-        return mean + np.sqrt(pop.sigma2) * noise
-    idx = rng.integers(0, len(pop.features), size=batch)
-    return pop.features[idx] + pop.eps * theta, pop.labels[idx]
+        return mean + np.sqrt(env.sigma2[i]) * noise
+    features, labels = shard(env, i)
+    idx = rng.integers(0, len(features), size=batch)
+    return features[idx] + env.eps[i] * theta, labels[idx]
 
 
 def loss_value(loss: LossSpec, theta, z):
@@ -70,5 +77,4 @@ def decoupled_risk_gradient(env: Environment, i: int, theta, deployed) -> np.nda
         )
     theta = _check_theta(env, theta)
     deployed = _check_theta(env, deployed)
-    pop = env.populations[i]
-    return theta - pop.zbar - pop.eps * deployed
+    return theta - env.zbar_stack[i] - env.eps[i] * deployed

@@ -201,7 +201,7 @@ def test_criterion_5_bound_dominance():
     T, every, seeds = 2000, 50, 20
     gap_runs, cons_runs = [], []
     for seed in range(3000, 3000 + seeds):
-        sink = metric_recorder(env, theta_ps=theta_ps, with_grad_norm=False)
+        sink = metric_recorder(env, theta_ps=theta_ps)
         traj = run(RunConfig(T=T, record_every=every, seed=seed), env, mix, sched, sink=sink)
         gap_runs.append([r.gap_sq for r in traj.records])
         cons_runs.append([r.consensus_sq_norm for r in traj.records])
@@ -280,7 +280,7 @@ def test_criterion_8_time_varying_graphs():
     step = StepSchedule.inverse_time(50.0, 1e4)
     gaps = []
     for seed in GAUSSIAN_SEEDS[:5]:
-        sink = metric_recorder(env, theta_ps=theta_ps, with_grad_norm=False)
+        sink = metric_recorder(env, theta_ps=theta_ps)
         traj = run(RunConfig(T=200_000, record_every=200, seed=seed), env, mix,
                    step, sink=sink)
         assert not traj.diverged

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -14,7 +15,6 @@ from perfnet.environment import (
     CalibrationError,
     Environment,
     LossSpec,
-    PopulationSpec,
     UnsupportedKindError,
     assumption_constants,
     decoupled_full_gradient,
@@ -24,7 +24,7 @@ from perfnet.environment import (
     make_engine_sampler,
     make_heterogeneous_suite,
 )
-from reference import decoupled_risk_gradient, loss_gradient, loss_value, sample_batch
+from reference import decoupled_risk_gradient, loss_gradient, loss_value, sample_batch, shard
 
 
 # ---------------------------------------------------------------- oracles
@@ -98,10 +98,10 @@ def test_gaussian_sampler_mean_statistical():
 def test_wasserstein_sensitivity_on_means():
     # scalar gaussian: |mean D(a) - mean D(b)| = eps |a - b| identically
     env = gaussian_env(n=1, eps_avg=0.7)
-    pop = env.populations[0]
+    zbar, eps = env.zbar_stack[0], env.eps[0]
     for a, b in [(0.0, 1.0), (-3.0, 5.5), (100.0, 100.25)]:
-        lhs = abs((pop.zbar + pop.eps * a) - (pop.zbar + pop.eps * b))
-        assert lhs == pytest.approx(pop.eps * abs(a - b), rel=1e-12)
+        lhs = abs((zbar + eps * a) - (zbar + eps * b))
+        assert lhs == pytest.approx(eps * abs(a - b), rel=1e-12)
 
 
 # ---------------------------------------------------------------- losses
@@ -234,10 +234,11 @@ def test_decoupled_full_gradient_strategic_matches_shard_average():
     theta = np.array([0.2, -0.1, 0.4])
     deployed = np.array([1.0, 0.0, -1.0])
     total = np.zeros(3)
-    for i, pop in enumerate(env.populations):
+    for i in range(env.n):
+        features, labels = shard(env, i)
         per_sample = np.array([
-            loss_gradient(env.loss, theta, (pop.features[k] + pop.eps * deployed, pop.labels[k]))
-            for k in range(len(pop.labels))
+            loss_gradient(env.loss, theta, (features[k] + env.eps[i] * deployed, labels[k]))
+            for k in range(len(labels))
         ])
         total += per_sample.mean(axis=0)
     # per-sample gradients each carry the ridge term; agent-averaging keeps one
@@ -260,10 +261,10 @@ def test_decoupled_full_gradient_strategic_unequal_shards():
     deployed = np.array([1.0, 0.0, -1.0])
     want = np.mean([
         np.mean([
-            loss_gradient(env.loss, theta, (pop.features[k] + pop.eps * deployed, pop.labels[k]))
-            for k in range(len(pop.labels))
+            loss_gradient(env.loss, theta, (x + eps * deployed, y))
+            for x, y in zip(*shard(env, i))
         ], axis=0)
-        for pop in env.populations
+        for i, eps in enumerate(env.eps)
     ], axis=0)
     got = decoupled_full_gradient(env, theta, deployed)
     assert np.allclose(got, want, rtol=0.0, atol=1e-12)
@@ -276,10 +277,12 @@ def test_strategic_rows_are_stacked_read_only():
     assert np.array_equal(rows.eps, np.repeat(env.eps, [7, 10, 13]))
     assert rows.weights.sum() == pytest.approx(1.0, abs=1e-15)
     assert env.rows is rows
+    assert np.array_equal(env.sizes, [7, 10, 13])
     with pytest.raises(ValueError):
         rows.features[0, 0] = 1.0
-    with pytest.raises(UnsupportedKindError):
-        gaussian_env().rows
+    with pytest.raises(ValueError):
+        env.sizes[0] = 1
+    assert gaussian_env().rows is None
 
 
 def test_gaussian_zbar_mean_and_eps_avg_are_cached():
@@ -294,8 +297,7 @@ def test_gaussian_zbar_mean_and_eps_avg_are_cached():
     theta, deployed = rng.standard_normal(3), rng.standard_normal(3)
     assert np.array_equal(decoupled_full_gradient(env, theta, deployed),
                           theta - env.zbar_stack.mean(axis=0) - float(env.eps.mean()) * deployed)
-    with pytest.raises(UnsupportedKindError):
-        unequal_shard_env().zbar_mean
+    assert unequal_shard_env().zbar_mean is None
 
 
 @pytest.mark.parametrize("d", [1, 3])
@@ -304,18 +306,18 @@ def test_gaussian_exact_risk_equals_population_loop(d):
     # are exercised (make_heterogeneous_suite shares one sigma2)
     rng = np.random.default_rng(40 + d)
     n = 25
-    pops = tuple(
-        PopulationSpec(GAUSSIAN, float(rng.uniform(0.0, 1.5)),
-                       zbar=rng.normal(0.0, 10.0 ** rng.integers(-3, 4), d),
-                       sigma2=float(rng.uniform(0.1, 80.0)))
+    agents = [
+        (float(rng.uniform(0.0, 1.5)), rng.normal(0.0, 10.0 ** rng.integers(-3, 4), d),
+         float(rng.uniform(0.1, 80.0)))
         for _ in range(n)
-    )
-    env = Environment(pops, LossSpec(QUADRATIC, d))
+    ]
+    eps, zbar, sigma2 = (np.array(col) for col in zip(*agents))
+    env = Environment(LossSpec(QUADRATIC, d), eps, zbar_stack=zbar, sigma2=sigma2)
     for theta in (np.zeros(d), rng.normal(0.0, 5.0, d), rng.normal(0.0, 1e4, d)):
         total = 0.0
-        for pop in env.populations:
-            resid = (1.0 - pop.eps) * theta - pop.zbar
-            total += 0.5 * float(np.sum(resid**2)) + 0.5 * pop.sigma2 * d
+        for e, z, s2 in agents:
+            resid = (1.0 - e) * theta - z
+            total += 0.5 * float(np.sum(resid**2)) + 0.5 * s2 * d
         assert exact_risk(env, theta) == total / n
 
 
@@ -354,7 +356,7 @@ def test_smoothness_constants():
     env = gaussian_env()
     assert env.mu == 1.0 and env.smoothness == 1.0
     senv = strategic_env(beta=0.05)
-    peak = max(np.max(np.sum(p.features**2, axis=1)) for p in senv.populations)
+    peak = max(np.max(np.sum(shard(senv, i)[0] ** 2, axis=1)) for i in range(senv.n))
     assert senv.mu == 0.05
     assert senv.smoothness == pytest.approx(0.05 + peak / 4.0)
 
@@ -371,24 +373,24 @@ def test_engine_sampler_matches_plain_sampling():
     slow_streams = [stream(5, 1, i) for i in range(3)]
     for k in range(6):
         base, keep = out[k]
-        ref = np.stack([pop.zbar + np.sqrt(pop.sigma2) * g.standard_normal((2, 1)).mean(axis=0)
-                        for pop, g in zip(env.populations, slow_streams)])
+        ref = np.stack([z + np.sqrt(s2) * g.standard_normal((2, 1)).mean(axis=0)
+                        for z, s2, g in zip(env.zbar_stack, env.sigma2, slow_streams)])
         assert np.array_equal(base, ref)
         assert np.array_equal(keep, 1.0 - env.eps[:, None]) and not keep.flags.writeable
 
 
 def gaussian_gradients_written_out(env, thetas, gens, batch):
     """Per agent, ``(1 - eps_i) theta_i - (zbar_i + sigma_i xi_bar)`` with xi from ``gens``."""
-    return np.stack([(1.0 - pop.eps) * th - (pop.zbar + np.sqrt(pop.sigma2)
-                                              * g.standard_normal((batch, env.dim)).mean(axis=0))
-                     for pop, th, g in zip(env.populations, thetas, gens)])
+    return np.stack([(1.0 - e) * th - (z + np.sqrt(s2)
+                                        * g.standard_normal((batch, env.dim)).mean(axis=0))
+                     for e, z, s2, th, g in zip(env.eps, env.zbar_stack, env.sigma2, thetas, gens)])
 
 
 def unequal_noise_env():
     """Three agents with their own sensitivity, base mean and noise variance."""
-    pops = tuple(PopulationSpec(GAUSSIAN, e, zbar=np.array([z, -z]), sigma2=s2)
-                 for e, z, s2 in ((0.2, 3.0, 1.0), (0.9, 10.0, 4.0), (1.4, -5.0, 50.0)))
-    return Environment(pops, LossSpec(QUADRATIC, dim=2))
+    z = np.array([3.0, 10.0, -5.0])
+    return Environment(LossSpec(QUADRATIC, dim=2), np.array([0.2, 0.9, 1.4]),
+                       zbar_stack=np.column_stack([z, -z]), sigma2=np.array([1.0, 4.0, 50.0]))
 
 
 @pytest.mark.parametrize("batch", [1, 4])
@@ -510,7 +512,7 @@ def test_batch_with_a_zero_sensitivity_arm_gives_each_seed_its_alone_gradient():
     # the non-performative baseline's batch: one environment and its copy
     # with every sensitivity zeroed, on the same shards and streams
     env = strategic_env(n=3, eps_avg=0.7, spread=0.4, d=4, m=25, beta=0.1)
-    shards = [(p.features, p.labels) for p in env.populations]
+    shards = [shard(env, i) for i in range(env.n)]
     env_zero = make_heterogeneous_suite(3, 0.0, kind=STRATEGIC, shards=shards, beta=0.1)
     thetas = np.random.default_rng(5).standard_normal((2, 3, 4))
     batched = make_engine_sampler([env, env_zero], 8, [agent_streams_of(9), agent_streams_of(9)])
@@ -529,10 +531,11 @@ def test_shifting_the_sampler_rows_reproduces_the_shifted_population():
     thetas = np.random.default_rng(6).standard_normal((3, 4))
     rows, labels, eps = make_engine_sampler(env, 5, agent_streams_of(10), chunk=1)(thetas)
     gens = agent_streams_of(10)
-    for i, pop in enumerate(env.populations):
-        idx = gens[i].integers(0, len(pop.labels), size=(1, 5))[0]
-        assert np.array_equal(rows[i] + eps[i] * thetas[i], pop.features[idx] + pop.eps * thetas[i])
-        assert np.array_equal(labels[i], pop.labels[idx])
+    for i in range(env.n):
+        features, labels_i = shard(env, i)
+        idx = gens[i].integers(0, len(labels_i), size=(1, 5))[0]
+        assert np.array_equal(rows[i] + eps[i] * thetas[i], features[idx] + env.eps[i] * thetas[i])
+        assert np.array_equal(labels[i], labels_i[idx])
 
 
 def test_deployed_gradients_quadratic():
@@ -570,13 +573,45 @@ def test_assumption_constants_gaussian_exact():
     assert varsigma == pytest.approx(np.sqrt(np.max(a**2 + b**2)), rel=1e-12)
 
 
-# ---------------------------------------------------------------- kind pairing
+# ---------------------------------------------------------------- input checks
+
+def one_agent_env(kind):
+    """One agent at eps 0.5: a d=1 gaussian population or a d=2 strategic one of 3 rows."""
+    if kind == GAUSSIAN:
+        return make_heterogeneous_suite(1, 0.5, zbar=[10.0], sigma2=1.0)
+    return make_heterogeneous_suite(1, 0.5, kind=STRATEGIC, beta=0.1,
+                                    shards=[(np.ones((3, 2)), np.array([0.0, 1.0, 1.0]))])
+
 
 @pytest.mark.parametrize("pop, loss", [
-    (PopulationSpec(GAUSSIAN, 0.5, zbar=[10.0], sigma2=1.0), LossSpec(LOGISTIC, dim=1, beta=0.1)),
-    (PopulationSpec(STRATEGIC, 0.5, features=np.ones((3, 2)), labels=np.array([0.0, 1.0, 1.0])),
-     LossSpec(QUADRATIC, dim=2)),
+    (one_agent_env(GAUSSIAN), LossSpec(LOGISTIC, dim=1, beta=0.1)),
+    (one_agent_env(STRATEGIC), LossSpec(QUADRATIC, dim=2)),
 ])
 def test_environment_rejects_mismatched_loss(pop, loss):
     with pytest.raises(ValueError, match="need the"):
-        Environment((pop,), loss)
+        dataclasses.replace(pop, loss=loss)
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: Environment(LossSpec(QUADRATIC, dim=1), np.empty(0), zbar_stack=np.empty((0, 1)),
+                         sigma2=np.empty(0)), "at least one"),
+    (lambda: make_heterogeneous_suite(3, -0.5), "sensitivity must be nonnegative"),
+    (lambda: make_heterogeneous_suite(3, 0.5, sigma2=-1.0), "noise variance must be nonnegative"),
+    (lambda: make_heterogeneous_suite(3, 0.5, zbar=np.ones((2, 4))), "2 rows for 3 agents"),
+    (lambda: make_heterogeneous_suite(2, 0.5, kind=STRATEGIC, shards=[
+        (np.ones((3, 2)), np.ones(3)), (np.ones((0, 2)), np.ones(0))]), "nonempty"),
+    (lambda: dataclasses.replace(one_agent_env(STRATEGIC), sizes=np.array([0])), "nonempty"),
+    (lambda: dataclasses.replace(one_agent_env(STRATEGIC), loss=LossSpec(LOGISTIC, dim=3, beta=0.1)),
+     "dim 2 does not match loss dim 3"),
+    (lambda: dataclasses.replace(one_agent_env(GAUSSIAN), loss=LossSpec(LOGISTIC, dim=1, beta=0.1)),
+     "need the"),
+    (lambda: dataclasses.replace(one_agent_env(STRATEGIC), loss=LossSpec(QUADRATIC, dim=2)),
+     "need the"),
+    (lambda: dataclasses.replace(one_agent_env(GAUSSIAN), rows=one_agent_env(STRATEGIC).rows,
+                                 sizes=np.array([3])), "exactly one population kind"),
+], ids=["empty", "negative_eps", "negative_sigma2", "zbar_rows", "empty_shard",
+        "empty_shard_stacked", "feature_dim", "gaussian_logistic", "strategic_quadratic",
+        "both_kinds"])
+def test_environment_rejects_bad_input(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()

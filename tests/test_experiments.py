@@ -16,6 +16,7 @@ from perfnet.experiments import (
 )
 from perfnet.environment import exact_risk
 from perfnet.metrics import read_metrics_csv, write_metrics_csv
+from reference import shard
 
 
 def tiny_gaussian(T=400, seeds=(1, 2), eps=0.9, record_every=50):
@@ -69,9 +70,10 @@ def test_homogeneous_pooling_shares_base_data():
     })
     env, test = build_environment(cfg.environment, seed=0)
     assert env.n == 25
-    first = env.populations[0].features
-    assert all(p.features is first for p in env.populations)
-    assert len(first) == 250
+    pooled = shard(env, 0)
+    assert len(pooled[0]) == 250
+    for i in range(env.n):
+        assert all(np.array_equal(a, b) for a, b in zip(shard(env, i), pooled))
     assert test[0].shape[0] == 25  # one test row per agent at this split
 
 

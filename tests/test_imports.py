@@ -1,14 +1,20 @@
-"""What a fresh interpreter imports: gaussian work never loads scipy.special.
+"""What the package imports and exports.
 
-Each check runs in its own subprocess, because this test process has long
-since imported everything the other tests needed.
+Every name in a module's ``__all__`` resolves, and a fresh interpreter doing
+gaussian work never loads scipy.special. The fresh-interpreter checks run in
+their own subprocess, because this test process has long since imported
+everything the other tests needed.
 """
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import perfnet
 
@@ -18,6 +24,13 @@ LOADED = """
 import json, sys
 print(json.dumps({m: m in sys.modules for m in ("scipy.special", "concurrent.futures.process")}))
 """
+
+
+@pytest.mark.parametrize("module", sorted(
+    m.name for m in pkgutil.iter_modules(perfnet.__path__) if m.name != "__main__"))
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(f"perfnet.{module}")
+    assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
 
 
 def fresh_modules(script: str, cwd) -> dict:

@@ -21,7 +21,7 @@ from perfnet.metrics import (
     write_metrics_csv,
 )
 from perfnet.oracle import closed_form_multi_ps, repeated_gd_fixed_point
-from reference import loss_value, sample_batch
+from reference import loss_value, sample_batch, shard
 
 
 def gaussian_env(n=25, eps_avg=0.9, spread=0.0, zbar=10.0, sigma2=50.0):
@@ -123,9 +123,9 @@ def test_risk_strategic_exact_unequal_shards():
                                    shards=shards, beta=0.1)
     theta = np.array([0.3, -0.2, 0.5])
     want = np.mean([
-        np.mean([loss_value(env.loss, theta, (x + pop.eps * theta, y))
-                 for x, y in zip(pop.features, pop.labels)])
-        for pop in env.populations
+        np.mean([loss_value(env.loss, theta, (x + eps * theta, y))
+                 for x, y in zip(*shard(env, i))])
+        for i, eps in enumerate(env.eps)
     ])
     exact = exact_risk(env, theta)
     assert exact == pytest.approx(want, rel=1e-12, abs=0.0)
@@ -181,7 +181,7 @@ def test_accuracy_insensitive_equals_standard():
     env, xt, yt, w = accuracy_fixture()
     env0 = make_heterogeneous_suite(
         3, 0.0, 0.0, kind="strategic_shift",
-        shards=[(p.features, p.labels) for p in env.populations], beta=0.01,
+        shards=[shard(env, i) for i in range(env.n)], beta=0.01,
     )
     want = np.mean((xt @ w >= 0).astype(float) == yt)
     assert shifted_test_accuracy(env0, w, xt, yt) == pytest.approx(want)
@@ -207,8 +207,8 @@ def shifted_copy_accuracy(env, theta, features, labels):
     """Reference: score a shifted copy of the test set per agent."""
     theta = np.broadcast_to(theta, (env.n, features.shape[1]))
     acc = 0.0
-    for i, pop in enumerate(env.populations):
-        shifted = features + pop.eps * theta[i]
+    for i, eps in enumerate(env.eps):
+        shifted = features + eps * theta[i]
         acc += float(np.mean((shifted @ theta[i] >= 0.0).astype(labels.dtype) == labels))
     return acc / env.n
 
@@ -228,8 +228,8 @@ def astype_tail_accuracy(env, theta, features, labels):
     """Earlier releases' rule: cast the predictions to the label dtype, compare, average."""
     theta = np.broadcast_to(theta, (env.n, features.shape[1]))
     acc = 0.0
-    for pop, th in zip(env.populations, theta):
-        scores = features @ th + pop.eps * float(th @ th)
+    for eps, th in zip(env.eps, theta):
+        scores = features @ th + eps * float(th @ th)
         acc += float(np.mean((scores >= 0.0).astype(labels.dtype) == labels))
     return acc / env.n
 
