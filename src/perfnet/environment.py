@@ -104,6 +104,8 @@ class Environment:
         n = len(self.eps)
         if n == 0:
             raise ValueError("environment needs at least one population")
+        if not np.all(np.isfinite(self.eps)):
+            raise ValueError("sensitivity must be finite")
         if np.any(self.eps < 0):
             raise ValueError(f"sensitivity must be nonnegative, got {self.eps.min()}")
         if (self.zbar_stack is None) == (self.rows is None):
@@ -111,6 +113,8 @@ class Environment:
         if self.kind == GAUSSIAN:
             if self.sigma2 is None:
                 raise ValueError("gaussian population needs zbar and sigma2")
+            if not np.all(np.isfinite(self.sigma2)):
+                raise ValueError("noise variance must be finite")
             if np.any(self.sigma2 < 0):
                 raise ValueError(f"noise variance must be nonnegative, got {self.sigma2.min()}")
             if self.zbar_stack.shape[0] != n:
@@ -326,18 +330,25 @@ def make_heterogeneous_suite(
     """Environment with sensitivities ``eps_i = m_i * eps_avg`` on a grid of mean 1.
 
     ``spread=0`` gives the homogeneous setting ``eps_i = eps_avg``. An explicit
-    ``multipliers`` grid overrides ``spread`` and must average to 1 within
-    1e-12, else :class:`CalibrationError`. For the gaussian kind ``zbar`` may
-    be a scalar, a length-d vector shared by all agents, or an (n, d) array.
+    ``multipliers`` grid overrides ``spread`` and must be finite and average
+    to 1 within 1e-12, else :class:`CalibrationError`. For the gaussian kind
+    ``zbar`` may be a scalar, a length-d vector shared by all agents, or an
+    (n, d) array.
     The strategic kind takes ``shards``, a length-n list of ``(X_i, y_i)``
     pairs (share one pair n times for a homogeneous base).
     """
+    # checked before any mean, which would warn on an empty grid
+    if n < 1:
+        raise ValueError("environment needs at least one population")
     if multipliers is None:
         mult = eps_multipliers(n, spread)
     else:
         mult = np.asarray(multipliers, dtype=float)
         if mult.shape != (n,):
             raise CalibrationError(f"need {n} multipliers, got shape {mult.shape}")
+    # NaN fails no comparison, so a NaN grid would pass the mean test alone
+    if not np.all(np.isfinite(mult)):
+        raise CalibrationError("multiplier grid is not finite")
     if abs(mult.mean() - 1.0) > 1e-12:
         raise CalibrationError(f"multiplier grid mean {float(mult.mean())} is not 1")
     eps = mult * eps_avg

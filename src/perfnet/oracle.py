@@ -10,9 +10,13 @@ the map's Lipschitz ratio empirically. The strategic frozen problem inside
 M is a ridge-logistic fit solved by matrix-free Newton: Hessian-vector
 products come from the stacked base rows without forming the shifted design.
 Each Newton step's conjugate-gradient solve stops at relative residual
-``min(0.5, |g|)``: an inexact Newton method whose forcing term is
-``O(|g|)`` keeps the quadratic local rate (Dembo, Eisenstat & Steihaug 1982),
-so solving the step more accurately buys no accuracy in the result.
+``min(0.5, max(|g|, 0.5 inner_tol / |g|))``. The ``|g|`` term is a forcing
+term ``O(|g|)``, which keeps the quadratic local rate of exact Newton (Dembo,
+Eisenstat & Steihaug 1982). The safeguard ``0.5 inner_tol / |g|`` stops the
+oversolving of the last steps: a full step leaves a gradient of about the CG
+residual, so a residual of ``0.5 inner_tol`` already lands below the stop
+``|g| <= inner_tol``, and a tighter one buys no accuracy in the result
+(Kelley 1995, section 6.3; Eisenstat & Walker 1996).
 """
 
 from __future__ import annotations
@@ -112,7 +116,8 @@ def closed_form_or_none(env: Environment) -> np.ndarray | None:
 # Armijo test cannot see them, so the full step is taken
 _DECREMENT_FLOOR = 1e-12
 _MAX_HALVINGS = 40
-# cap on the forcing term min(_FORCING_CAP, |g|) of each frozen Newton step
+# cap on the forcing term min(_FORCING_CAP, max(|g|, 0.5 inner_tol / |g|))
+# of each frozen Newton step
 _FORCING_CAP = 0.5
 # stable_point's Newton stops at |G| <= _ROOT_TOL, well above roundoff in G
 _ROOT_TOL = 1e-12
@@ -123,16 +128,17 @@ class _BudgetExhausted(RuntimeWarning):
     """One frozen solve ran out of inner Newton steps before ``inner_tol``."""
 
 
-def _frozen_hessian(env, theta, deployed):
-    """Hessian-vector product of the frozen objective at ``theta``.
+def _frozen_hessian(env, scores, deployed):
+    """Hessian-vector product of the frozen objective at the point with these ``scores``.
 
-    ``H v = X^T (c * X v) + beta v`` with ``c = w p (1 - p)`` and the shifted
-    design ``X = F + eps_row deployed^T``, which is never formed:
+    ``H v = X^T (c * X v) + beta v`` with ``c = w p (1 - p)``, ``p =
+    sigmoid(scores)``, ``scores = X theta`` and the shifted design
+    ``X = F + eps_row deployed^T``, which is never formed:
     ``X v = F v + eps_row (deployed . v)`` and
     ``X^T u = u F + (u . eps_row) deployed``.
     """
     rows = env.rows
-    p = expit(rows.features @ theta + rows.eps * float(deployed @ theta))
+    p = expit(scores)
     c = rows.weights * p * (1.0 - p)
     beta = env.loss.beta
 
@@ -169,12 +175,16 @@ def _solve_frozen(env, deployed, start, inner, inner_tol):
     Gaussian environments return the closed form and ignore ``start``.
     Strategic ones run damped Newton on the deployment-frozen ridge-logistic
     objective: each step solves ``H p = g`` by conjugate gradients (at most d
-    products, relative residual ``min(0.5, |g|)``), then backtracks with
-    Armijo on the frozen objective. The residual bound is a forcing term
-    ``O(|g|)``, which keeps the quadratic local rate of exact Newton; the
-    stop at ``|g| <= inner_tol`` is unchanged by it. If ``inner`` steps end
-    before that stop, a warning flags the partial result at the caller of
-    :func:`apply_M`.
+    products, relative residual ``min(0.5, max(|g|, 0.5 inner_tol / |g|))``),
+    then backtracks with Armijo on the frozen objective. The ``|g|`` term is
+    a forcing term ``O(|g|)``, which keeps the quadratic local rate of exact
+    Newton. A full step leaves a gradient of about the CG residual, so the
+    safeguard ``0.5 inner_tol / |g|`` asks the last step for no more than
+    the stop ``|g| <= inner_tol`` needs (Kelley 1995, section 6.3; Eisenstat
+    & Walker 1996); the stop itself is unchanged. The Hessian weights reuse
+    the scores ``X theta`` of the accepted line-search point. If ``inner``
+    steps end before that stop, a warning flags the partial result at the
+    caller of :func:`apply_M`.
     """
     if env.kind == GAUSSIAN:
         return env.zbar_mean + env.eps_avg * deployed
@@ -182,30 +192,32 @@ def _solve_frozen(env, deployed, start, inner, inner_tol):
     beta = env.loss.beta
 
     def objective(t):
+        """The frozen objective at ``t``, and the scores ``X t`` it was computed from."""
         scores = rows.features @ t + rows.eps * float(deployed @ t)
-        return float(rows.weights @ _softplus_minus_yu(scores, rows.labels)) + 0.5 * beta * float(t @ t)
+        value = float(rows.weights @ _softplus_minus_yu(scores, rows.labels)) + 0.5 * beta * float(t @ t)
+        return value, scores
 
     theta = np.array(start, dtype=float)
-    f = objective(theta)
+    f, scores = objective(theta)
     for _ in range(inner):
         g = decoupled_full_gradient(env, theta, deployed)
         gn = float(np.linalg.norm(g))
         if gn <= inner_tol:
             return theta
-        step = _conjugate_gradient(_frozen_hessian(env, theta, deployed), g, env.dim,
-                                   min(_FORCING_CAP, gn))
+        step = _conjugate_gradient(_frozen_hessian(env, scores, deployed), g, env.dim,
+                                   min(_FORCING_CAP, max(gn, 0.5 * inner_tol / gn)))
         decrement = float(g @ step)
         t = 1.0
         trial = theta - step
-        f_trial = objective(trial)
+        f_trial, trial_scores = objective(trial)
         if decrement > _DECREMENT_FLOOR:
             for _ in range(_MAX_HALVINGS):
                 if f_trial <= f - 1e-4 * t * decrement:
                     break
                 t *= 0.5
                 trial = theta - t * step
-                f_trial = objective(trial)
-        theta, f = trial, f_trial
+                f_trial, trial_scores = objective(trial)
+        theta, f, scores = trial, f_trial, trial_scores
     gn = float(np.linalg.norm(decoupled_full_gradient(env, theta, deployed)))
     if gn > inner_tol:
         warnings.warn(

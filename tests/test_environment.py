@@ -595,8 +595,15 @@ def test_environment_rejects_mismatched_loss(pop, loss):
 @pytest.mark.parametrize("build, match", [
     (lambda: Environment(LossSpec(QUADRATIC, dim=1), np.empty(0), zbar_stack=np.empty((0, 1)),
                          sigma2=np.empty(0)), "at least one"),
+    (lambda: make_heterogeneous_suite(0, 0.5), "at least one"),
+    (lambda: make_heterogeneous_suite(0, 0.5, 0.3), "at least one"),
+    (lambda: make_heterogeneous_suite(3, 0.5, multipliers=[np.nan, 1.0, 2.0]), "not finite"),
+    (lambda: make_heterogeneous_suite(3, 0.5, np.nan), "not finite"),
     (lambda: make_heterogeneous_suite(3, -0.5), "sensitivity must be nonnegative"),
+    (lambda: make_heterogeneous_suite(3, np.nan), "sensitivity must be finite"),
+    (lambda: make_heterogeneous_suite(3, np.inf), "sensitivity must be finite"),
     (lambda: make_heterogeneous_suite(3, 0.5, sigma2=-1.0), "noise variance must be nonnegative"),
+    (lambda: make_heterogeneous_suite(3, 0.5, sigma2=np.nan), "noise variance must be finite"),
     (lambda: make_heterogeneous_suite(3, 0.5, zbar=np.ones((2, 4))), "2 rows for 3 agents"),
     (lambda: make_heterogeneous_suite(2, 0.5, kind=STRATEGIC, shards=[
         (np.ones((3, 2)), np.ones(3)), (np.ones((0, 2)), np.ones(0))]), "nonempty"),
@@ -609,9 +616,12 @@ def test_environment_rejects_mismatched_loss(pop, loss):
      "need the"),
     (lambda: dataclasses.replace(one_agent_env(GAUSSIAN), rows=one_agent_env(STRATEGIC).rows,
                                  sizes=np.array([3])), "exactly one population kind"),
-], ids=["empty", "negative_eps", "negative_sigma2", "zbar_rows", "empty_shard",
+], ids=["empty", "no_agents", "no_agents_spread", "nan_multiplier", "nan_spread", "negative_eps",
+        "nan_eps", "inf_eps", "negative_sigma2", "nan_sigma2", "zbar_rows", "empty_shard",
         "empty_shard_stacked", "feature_dim", "gaussian_logistic", "strategic_quadratic",
         "both_kinds"])
+# every check fires before a numpy warning, such as the mean of an empty grid
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_environment_rejects_bad_input(build, match):
     with pytest.raises(ValueError, match=match):
         build()

@@ -58,6 +58,22 @@ def old_forcing_rule(monkeypatch):
         hv, g, iterations, 1e-3 * min(1.0, float(np.linalg.norm(g)))))
 
 
+def plain_forcing_rule(monkeypatch):
+    """Make every frozen Newton step solve its CG to ``min(0.5, |g|)``.
+
+    That was the rule before the safeguard ``0.5 inner_tol / |g|``; the tests
+    compare the two in one process.
+    """
+    cg = oracle._conjugate_gradient
+    monkeypatch.setattr(oracle, "_conjugate_gradient", lambda hv, g, iterations, rtol: cg(
+        hv, g, iterations, min(0.5, float(np.linalg.norm(g)))))
+
+
+def frozen_scores(env, theta, deployed):
+    """A fresh scoring ``F theta + eps_row (deployed . theta)`` of the shifted rows."""
+    return env.rows.features @ theta + env.rows.eps * float(deployed @ theta)
+
+
 def counting_hessians(monkeypatch, counts):
     """Count Newton steps (Hessians built) and Hessian-vector products in ``counts``."""
     build = oracle._frozen_hessian
@@ -158,7 +174,7 @@ def test_frozen_hessian_matches_gradient_differences():
     worst = 0.0
     for _ in range(20):
         theta, deployed = rng.standard_normal(4), rng.standard_normal(4)
-        hv = _frozen_hessian(env, theta, deployed)
+        hv = _frozen_hessian(env, frozen_scores(env, theta, deployed), deployed)
         for _ in range(3):
             v = rng.standard_normal(4)
             fd = (decoupled_full_gradient(env, theta + 1e-6 * v, deployed)
@@ -229,10 +245,15 @@ def strategic_oracle_unit(seed=7):
     return res, probe
 
 
-def test_forcing_rule_cuts_hessian_products(monkeypatch):
+def assert_unit_cuts_products(monkeypatch, reference_rule, factor):
+    """The shipped rule needs at most ``factor`` times the reference rule's Hessian products.
+
+    Both run the strategic_oracle unit; Newton steps may grow by 2, and the
+    deployments, probe ratio and budget counts must hold.
+    """
     counts = {"newton": 0, "products": 0}
     with monkeypatch.context() as m:
-        old_forcing_rule(m)
+        reference_rule(m)
         counting_hessians(m, counts)
         old_res, old_probe = strategic_oracle_unit()
     old_counts = dict(counts)
@@ -240,12 +261,82 @@ def test_forcing_rule_cuts_hessian_products(monkeypatch):
     with monkeypatch.context() as m:
         counting_hessians(m, counts)
         res, probe = strategic_oracle_unit()
-    assert counts["products"] <= 0.7 * old_counts["products"]
+    assert counts["products"] <= factor * old_counts["products"]
     assert counts["newton"] <= old_counts["newton"] + 2
     assert res.converged and res.residual <= 1e-6
     assert res.deployments == old_res.deployments
     assert probe.empirical_ratio == pytest.approx(old_probe.empirical_ratio, rel=0, abs=1e-9)
     assert res.budget_exhausted == probe.budget_exhausted == 0
+    assert old_res.budget_exhausted == old_probe.budget_exhausted == 0
+
+
+def test_forcing_rule_cuts_hessian_products(monkeypatch):
+    assert_unit_cuts_products(monkeypatch, old_forcing_rule, 0.7)
+
+
+def test_safeguarded_forcing_stops_oversolving(monkeypatch):
+    # the last Newton step of each solve no longer runs CG to |g| ~ 1e-8
+    assert_unit_cuts_products(monkeypatch, plain_forcing_rule, 0.75)
+
+
+@pytest.mark.parametrize("inner_tol", [1e-8, 1e-12, 0.0])
+def test_forcing_cap_binds_far_from_the_solution(monkeypatch, inner_tol):
+    # started far out, |g| > 0.5, so the first steps solve CG only to 0.5
+    env = strategic_env(eps_avg=0.3, m=[5, 8, 11], spread=0.5, beta=0.2)
+    deployed = np.full(4, 30.0)
+    rtols = []
+    cg = oracle._conjugate_gradient
+
+    def recording(hv, g, iterations, rtol):
+        rtols.append(rtol)
+        return cg(hv, g, iterations, rtol)
+
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_conjugate_gradient", recording)
+        if inner_tol > 0:
+            solved = apply_M(env, deployed, inner=200, inner_tol=inner_tol)
+            assert np.linalg.norm(decoupled_full_gradient(env, solved, deployed)) <= inner_tol
+        else:
+            # |g| <= 0 never holds in floating point, so the budget runs out;
+            # the safeguard term is 0 and the steps are the plain rule's
+            with pytest.warns(RuntimeWarning, match="budget"):
+                solved = apply_M(env, deployed, inner=40, inner_tol=inner_tol)
+            with monkeypatch.context() as plain, pytest.warns(RuntimeWarning, match="budget"):
+                plain_forcing_rule(plain)
+                assert np.array_equal(apply_M(env, deployed, inner=40, inner_tol=inner_tol), solved)
+            assert np.linalg.norm(decoupled_full_gradient(env, solved, deployed)) <= 1e-14
+    assert rtols[0] == 0.5 and max(rtols) == 0.5
+
+
+def test_hessian_from_line_search_scores_equals_fresh_scoring(monkeypatch):
+    # the Hessian weights reuse the accepted iterate's scores; they must be the
+    # weights a fresh scoring of that iterate gives, bit for bit
+    env = preset_env("hetero_vs_homo")
+    rng = np.random.default_rng(19)
+    build = oracle._frozen_hessian
+    iterate = {}
+    gradient = oracle.decoupled_full_gradient
+    builds = []
+
+    def recording_gradient(env_, theta, deployed):
+        iterate["theta"] = np.array(theta)
+        return gradient(env_, theta, deployed)
+
+    def checking(env_, scores, deployed):
+        hv = build(env_, scores, deployed)
+        fresh = build(env_, frozen_scores(env_, iterate["theta"], deployed), deployed)
+        for _ in range(2):
+            v = rng.standard_normal(env_.dim)
+            assert np.array_equal(hv(v), fresh(v))
+        builds.append(1)
+        return hv
+
+    monkeypatch.setattr(oracle, "decoupled_full_gradient", recording_gradient)
+    monkeypatch.setattr(oracle, "_frozen_hessian", checking)
+    center = stable_point(env)
+    for deployed in (np.zeros(env.dim), center + rng.uniform(-1.0, 1.0, env.dim)):
+        apply_M(env, deployed)
+    assert len(builds) > 4
 
 
 def test_stable_jacobian_matches_differences_of_G():
