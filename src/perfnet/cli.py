@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -114,12 +115,8 @@ def _cmd_fixed_point(args) -> int:
         center = stable if stable is not None else np.zeros(env.dim)
     probe = oracle.contraction_probe(env, center=center, inner=args.inner)
     report = {
+        **asdict(result),
         "theta_ps": [float(v) for v in result.theta_ps],
-        "residual": result.residual,
-        "deployments": result.deployments,
-        "converged": result.converged,
-        "diverged": result.diverged,
-        "budget_exhausted": result.budget_exhausted,
         "contraction": {
             "empirical": probe.empirical_ratio,
             "bound": probe.theoretical_bound,

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -12,7 +11,6 @@ from .environment import expit
 
 __all__ = [
     "DatasetError",
-    "DatasetBundle",
     "load_dataset",
     "standardize_features",
     "partition_agents",
@@ -80,26 +78,6 @@ def standardize_features(x: np.ndarray, train_idx: np.ndarray) -> np.ndarray:
     return (x - mean) / std
 
 
-@dataclass(frozen=True)
-class DatasetBundle:
-    """A corpus split into disjoint per-agent shards and a test shard."""
-
-    features: np.ndarray
-    labels: np.ndarray
-    agent_indices: tuple
-    test_indices: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return len(self.agent_indices)
-
-    def shards(self) -> list:
-        return [(self.features[idx], self.labels[idx]) for idx in self.agent_indices]
-
-    def test_set(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.features[self.test_indices], self.labels[self.test_indices]
-
-
 def partition_agents(
     x: np.ndarray,
     y: np.ndarray,
@@ -108,11 +86,13 @@ def partition_agents(
     test_count: int,
     seed: int,
     standardize: bool = True,
-) -> DatasetBundle:
-    """Deterministic shuffled split: n shards of ``per_agent`` rows plus a test shard.
+) -> tuple[list, tuple[np.ndarray, np.ndarray]]:
+    """Deterministic shuffled split into n shards of ``per_agent`` rows and a test set.
 
-    Standardization statistics come from the pooled training shards and are
-    applied to every row, test included.
+    Returns ``(shards, test)`` as :func:`synthetic_agent_shards` does, each a
+    ``(features, labels)`` pair in corpus row order. Standardization
+    statistics come from the pooled training shards and are applied to every
+    row, test included.
     """
     m = len(y)
     need = n * per_agent + test_count
@@ -125,8 +105,8 @@ def partition_agents(
     test = np.sort(perm[n * per_agent : need])
     if standardize:
         x = standardize_features(x, train)
-    shards = tuple(np.sort(train[k * per_agent : (k + 1) * per_agent]) for k in range(n))
-    return DatasetBundle(features=x, labels=y, agent_indices=shards, test_indices=test)
+    parts = [np.sort(train[k * per_agent : (k + 1) * per_agent]) for k in range(n)]
+    return [(x[idx], y[idx]) for idx in parts], (x[test], y[test])
 
 
 def synthetic_corpus(

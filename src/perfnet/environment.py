@@ -321,7 +321,7 @@ def make_heterogeneous_suite(
     spread: float = 0.0,
     kind: str = GAUSSIAN,
     *,
-    multipliers=None,
+    eps=None,
     zbar=10.0,
     sigma2: float = 50.0,
     shards=None,
@@ -330,8 +330,9 @@ def make_heterogeneous_suite(
     """Environment with sensitivities ``eps_i = m_i * eps_avg`` on a grid of mean 1.
 
     ``spread=0`` gives the homogeneous setting ``eps_i = eps_avg``. An explicit
-    ``multipliers`` grid overrides ``spread`` and must be finite and average
-    to 1 within 1e-12, else :class:`CalibrationError`. For the gaussian kind
+    ``eps`` list overrides ``spread`` and is used exactly as given: it must be
+    finite, hold n values and average to ``eps_avg`` within 1e-12 relative,
+    else :class:`CalibrationError`. For the gaussian kind
     ``zbar`` may be a scalar, a length-d vector shared by all agents, or an
     (n, d) array.
     The strategic kind takes ``shards``, a length-n list of ``(X_i, y_i)``
@@ -340,18 +341,21 @@ def make_heterogeneous_suite(
     # checked before any mean, which would warn on an empty grid
     if n < 1:
         raise ValueError("environment needs at least one population")
-    if multipliers is None:
+    if eps is None:
         mult = eps_multipliers(n, spread)
+        # a NaN spread is reported as a bad grid, not as a NaN sensitivity
+        if not np.all(np.isfinite(mult)):
+            raise CalibrationError("multiplier grid is not finite")
+        eps = mult * eps_avg
     else:
-        mult = np.asarray(multipliers, dtype=float)
-        if mult.shape != (n,):
-            raise CalibrationError(f"need {n} multipliers, got shape {mult.shape}")
-    # NaN fails no comparison, so a NaN grid would pass the mean test alone
-    if not np.all(np.isfinite(mult)):
-        raise CalibrationError("multiplier grid is not finite")
-    if abs(mult.mean() - 1.0) > 1e-12:
-        raise CalibrationError(f"multiplier grid mean {float(mult.mean())} is not 1")
-    eps = mult * eps_avg
+        eps = np.array(eps, dtype=float)
+        if eps.shape != (n,):
+            raise CalibrationError(f"need {n} sensitivities, got shape {eps.shape}")
+        # NaN fails no comparison, so a NaN list would pass the mean test alone
+        if not np.all(np.isfinite(eps)):
+            raise CalibrationError("sensitivity list is not finite")
+        if abs(eps.mean() - eps_avg) > 1e-12 * abs(eps_avg):
+            raise CalibrationError(f"sensitivity mean {float(eps.mean())} is not eps_avg = {eps_avg}")
 
     if kind == GAUSSIAN:
         zb = np.array(zbar, dtype=float)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -194,16 +195,11 @@ def build_mixing(tc) -> topology.MixingMatrix | topology.MixingSchedule:
 
 
 def _eps_arguments(ec):
-    if ec.eps_list is not None:
-        eps = np.asarray(ec.eps_list, dtype=float)
-        if len(eps) != ec.n:
-            raise ConfigError(f"eps_list has {len(eps)} entries for n={ec.n}")
-        if ec.eps_avg == 0.0:
-            if np.any(eps != 0.0):
-                raise ConfigError("eps_avg=0 requires an all-zero eps_list")
-            return {"multipliers": np.ones(ec.n)}
-        return {"multipliers": eps / ec.eps_avg}
-    return {"spread": ec.spread}
+    if ec.eps_list is None:
+        return {"spread": ec.spread}
+    if len(ec.eps_list) != ec.n:
+        raise ConfigError(f"eps_list has {len(ec.eps_list)} entries for n={ec.n}")
+    return {"eps": ec.eps_list}
 
 
 def build_environment(ec, seed: int) -> tuple[Environment, tuple | None]:
@@ -250,10 +246,9 @@ def _strategic_shards(ec, seed: int) -> tuple[list, tuple]:
                 m=sc.synthetic.m, d=sc.synthetic.dim, seed=sc.synthetic.seed,
                 signal=sc.synthetic.signal,
             )
-        bundle = partition_agents(
+        shards, test = partition_agents(
             x, y, ec.n, sc.per_agent, sc.test_split, seed=seed, standardize=sc.standardize
         )
-        shards, test = bundle.shards(), bundle.test_set()
     if sc.data_mode == "homogeneous":
         pooled_x = np.concatenate([s[0] for s in shards])
         pooled_y = np.concatenate([s[1] for s in shards])
@@ -466,14 +461,7 @@ def theory_report(cfg: Config, recorded_ts=None, env: Environment | None = None)
     gamma1 = engine.gamma(cfg.step, 1)
     report = {
         "applicable": True,
-        "constants": {
-            k: getattr(tc, k)
-            for k in (
-                "mu", "L", "sigma", "varsigma", "delta", "eps_avg", "eps_max",
-                "rho", "n", "gamma1", "gap0_sq", "q0_sq",
-                "mu_tilde", "c1", "c2", "c3", "D", "delta_bar",
-            )
-        },
+        "constants": asdict(tc),
         "gamma_cap": cap.cap,
         "binding_term": cap.binding,
         "cap_terms": cap.terms,

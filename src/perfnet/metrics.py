@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -37,20 +37,11 @@ __all__ = [
     "write_aggregate_csv",
 ]
 
-CSV_COLUMNS = (
-    "t",
-    "gap_sq",
-    "consensus_sq_norm",
-    "consensus_sq",
-    "risk",
-    "risk_se",
-    "grad_norm_sq",
-    "accuracy",
-)
-
 
 @dataclass
 class MetricRecord:
+    """One row of ``metrics.csv``: the fields, in order, are its columns."""
+
     t: int
     gap_sq: float | None = None
     consensus_sq_norm: float = 0.0
@@ -59,6 +50,9 @@ class MetricRecord:
     risk_se: float | None = None
     grad_norm_sq: float | None = None
     accuracy: float | None = None
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(MetricRecord))
 
 
 def consensus_error(theta: np.ndarray) -> tuple[float, float]:
@@ -299,10 +293,4 @@ def write_aggregate_csv(path, agg: dict) -> None:
 
 
 def rate_fit_json(metric: str, fit: RateFit) -> dict:
-    return {
-        "metric": metric,
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "r2": fit.r2,
-        "window": [fit.window[0], fit.window[1]],
-    }
+    return {"metric": metric, **asdict(fit)}

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import contextlib
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,6 +58,14 @@ class NoFixedPointError(RuntimeError):
 
 @dataclass(frozen=True)
 class FixedPointResult:
+    """:func:`repeated_gd_fixed_point`'s last finite iterate ``theta_ps`` and how it got there.
+
+    ``residual`` is the last deployment's move ``|theta_k - theta_{k-1}|``, the
+    quantity compared with ``tol`` (inf after a divergence or with no
+    deployment); ``deployments`` counts the map evaluations made; and
+    ``budget_exhausted`` the strategic frozen solves that ran out of inner steps.
+    """
+
     theta_ps: np.ndarray
     residual: float
     deployments: int
@@ -338,7 +346,8 @@ def repeated_gd_fixed_point(
 ) -> FixedPointResult:
     """Iterate the deployment map until successive decisions agree within ``tol``.
 
-    Convergence is geometric whenever the map contracts
+    Repeated risk minimization (Perdomo et al., ICML 2020), one :func:`apply_M`
+    per deployment. Convergence is geometric whenever the map contracts
     (``eps_avg * L / mu < 1``). If the iterates blow past
     ``divergence_threshold`` a no-fixed-point result is returned with
     ``diverged=True`` rather than raising: beyond the stability threshold
@@ -346,28 +355,21 @@ def repeated_gd_fixed_point(
     deployments that run out of inner budget are counted in
     ``budget_exhausted``, under one warning for the call.
     """
-    with _exhausted_solves() as exhausted:
-        result = _iterate_map(env, deployments, inner, tol, inner_tol, theta0, divergence_threshold)
-    _warn_exhausted(exhausted[0], result.deployments, inner, inner_tol)
-    return replace(result, budget_exhausted=exhausted[0])
-
-
-def _iterate_map(env, deployments, inner, tol, inner_tol, theta0, divergence_threshold):
-    """:func:`repeated_gd_fixed_point` without the budget count."""
     theta = np.zeros(env.dim) if theta0 is None else np.atleast_1d(np.asarray(theta0, dtype=float))
-    used = 0
-    for _ in range(deployments):
-        nxt = apply_M(env, theta, inner=inner, inner_tol=inner_tol)
-        used += 1
-        if not np.all(np.isfinite(nxt)) or np.max(np.abs(nxt)) > divergence_threshold:
-            return FixedPointResult(theta, float("inf"), used, converged=False, diverged=True)
-        delta = float(np.linalg.norm(nxt - theta))
-        theta = nxt
-        if delta <= tol:
-            residual = float(np.linalg.norm(apply_M(env, theta, inner=inner, inner_tol=inner_tol) - theta))
-            return FixedPointResult(theta, residual, used + 1, converged=True)
-    residual = float(np.linalg.norm(apply_M(env, theta, inner=inner, inner_tol=inner_tol) - theta))
-    return FixedPointResult(theta, residual, used + 1, converged=False)
+    used, residual, converged, diverged = 0, float("inf"), False, False
+    with _exhausted_solves() as exhausted:
+        for used in range(1, deployments + 1):
+            nxt = apply_M(env, theta, inner=inner, inner_tol=inner_tol)
+            if not np.all(np.isfinite(nxt)) or np.max(np.abs(nxt)) > divergence_threshold:
+                residual, diverged = float("inf"), True
+                break
+            residual = float(np.linalg.norm(nxt - theta))
+            theta = nxt
+            if residual <= tol:
+                converged = True
+                break
+    _warn_exhausted(exhausted[0], used, inner, inner_tol)
+    return FixedPointResult(theta, residual, used, converged, diverged, exhausted[0])
 
 
 def contraction_probe(

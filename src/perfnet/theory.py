@@ -12,7 +12,7 @@ ratio condition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -279,17 +279,16 @@ def bound_curves(tc: TheoryConstants, schedule: StepSchedule, ts) -> BoundCurves
 
 
 def write_curves_csv(path, curves: BoundCurves) -> None:
-    """One row per iteration: ``t`` and the five bound series of :func:`bound_curves`.
+    """One row per iteration, one column per :class:`BoundCurves` field in order.
 
-    Values are written as ``repr(float(v))``, the shortest text that parses
-    back to the same float.
+    ``t`` is written as an integer and the bound series as ``repr(float(v))``,
+    the shortest text that parses back to the same float.
     """
-    series = (curves.gap_bound, curves.consensus_bound, curves.term_transient,
-              curves.term_network, curves.term_fluctuation)
+    names = [f.name for f in fields(BoundCurves)]
     with open(path, "w", newline="") as fh:
-        fh.write("t,gap_bound,consensus_bound,term_transient,term_network,term_fluctuation\n")
-        for k, t in enumerate(curves.t):
-            fh.write(",".join([str(int(t)), *(repr(float(col[k])) for col in series)]) + "\n")
+        fh.write(",".join(names) + "\n")
+        for t, *bounds in zip(*(getattr(curves, name) for name in names)):
+            fh.write(",".join([str(int(t)), *(repr(float(v)) for v in bounds)]) + "\n")
 
 
 def transient_threshold(tc: TheoryConstants, C: float = 1.0) -> float:

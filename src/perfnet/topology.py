@@ -386,4 +386,4 @@ def schedule_mixing(s: GraphSchedule) -> MixingSchedule:
         )
     for w in mats:
         w.setflags(write=False)
-    return MixingSchedule(matrices=tuple(mats), window=check.window, rho=rho)
+    return MixingSchedule(matrices=tuple(mats), window=s.window, rho=rho)

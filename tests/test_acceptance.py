@@ -6,7 +6,10 @@ module takes several minutes on one core.
 """
 
 import json
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +23,7 @@ from perfnet.experiments import (
     preset,
     run_disconnected_baseline,
     run_experiment,
+    run_nonperformative_baseline,
     run_single,
 )
 from perfnet.metrics import (
@@ -80,6 +84,21 @@ def gaussian_sweep(tmp_path_factory):
     return cfg, out, manifest
 
 
+def spam_seed(seed, out):
+    """One criterion-9 seed: the paired runs' summary and the shift-aware run's metrics."""
+    cfg = preset("spam_logistic").replace(**{
+        "run.T": 20_000, "run.record_every": 100, "run.batch": 32,
+        "run.seed": seed,
+        "step.a0": 20.0, "step.a1": 1000.0,
+        "environment.eps_avg": 1.0,
+        "experiment.seeds": [seed],
+    })
+    summary = run_nonperformative_baseline(cfg, out=out / str(seed))
+    return summary, read_metrics_csv(
+        out / str(seed) / "spam_logistic" / "nonperformative_baseline" / "dsgd_gd" / "metrics.csv"
+    )
+
+
 @pytest.fixture(scope="session")
 def spam_runs(tmp_path_factory):
     """Criterion-9 paired runs (shift-aware vs zero-shift baseline) per seed.
@@ -87,25 +106,15 @@ def spam_runs(tmp_path_factory):
     The corpus is the shipped synthetic stand-in at the reference scale
     (4601 rows, 48 features, 25 shards of 138 plus 1150 test rows). The
     schedule is shortened relative to the preset default to keep the
-    qualitative gate affordable; the criterion is directional.
+    qualitative gate affordable; the criterion is directional. The seeds are
+    independent and run on up to two worker processes.
     """
-    from perfnet.experiments import run_nonperformative_baseline
-
     out = tmp_path_factory.mktemp("crit9")
-    summaries, gd_runs = [], []
-    for seed in SPAM_SEEDS:
-        cfg = preset("spam_logistic").replace(**{
-            "run.T": 20_000, "run.record_every": 100, "run.batch": 32,
-            "run.seed": seed,
-            "step.a0": 20.0, "step.a1": 1000.0,
-            "environment.eps_avg": 1.0,
-            "experiment.seeds": [seed],
-        })
-        summaries.append(run_nonperformative_baseline(cfg, out=out / str(seed)))
-        gd_runs.append(read_metrics_csv(
-            out / str(seed) / "spam_logistic" / "nonperformative_baseline"
-            / "dsgd_gd" / "metrics.csv"
-        ))
+    # spawn, not fork: the session has already started BLAS threads
+    with ProcessPoolExecutor(max_workers=min(2, os.cpu_count() or 1),
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        runs = list(pool.map(spam_seed, SPAM_SEEDS, [out] * len(SPAM_SEEDS)))
+    summaries, gd_runs = (list(part) for part in zip(*runs))
     return summaries, gd_runs
 
 

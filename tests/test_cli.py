@@ -320,3 +320,28 @@ def test_baseline_disconnected_cli(tmp_path, capsys):
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert out["isolated_agent"] == 24
+
+
+def test_published_schemas_are_pinned(tmp_path, capsys):
+    """Each artifact's columns and keys, in order; a renamed or reordered field fails here."""
+    path = tmp_path / "metrics.csv"
+    write_metrics_csv(path, [MetricRecord(t=t, gap_sq=1.0 / t) for t in range(100, 2100, 100)])
+    assert path.read_text().splitlines()[0] == (
+        "t,gap_sq,consensus_sq_norm,consensus_sq,risk,risk_se,grad_norm_sq,accuracy")
+
+    assert main(["rate-check", str(path)]) == 0
+    assert list(json.loads(capsys.readouterr().out)) == ["metric", "slope", "intercept", "r2", "window"]
+
+    cfg = tiny_gaussian_cfg(tmp_path)
+    curves = tmp_path / "curves.csv"
+    assert main(["theory", cfg, "--curves", str(curves)]) == 0
+    assert list(json.loads(capsys.readouterr().out)["constants"]) == [
+        "mu", "L", "sigma", "varsigma", "delta", "eps_avg", "eps_max", "rho", "n",
+        "gamma1", "gap0_sq", "q0_sq", "mu_tilde", "c1", "c2", "c3", "D", "delta_bar"]
+    assert curves.read_text().splitlines()[0] == (
+        "t,gap_bound,consensus_bound,term_transient,term_network,term_fluctuation")
+
+    assert main(["fixed-point", cfg]) == 0
+    assert list(json.loads(capsys.readouterr().out)) == [
+        "theta_ps", "residual", "deployments", "converged", "diverged", "budget_exhausted",
+        "contraction", "stable_point"]

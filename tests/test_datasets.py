@@ -66,29 +66,40 @@ def test_dim_selection(tmp_path):
         load_dataset(p, dim=9)
 
 
+def split_rows(m, *args, **kwargs):
+    """``partition_agents`` on a corpus whose one feature is the row id.
+
+    Returns the labels of the corpus and the split; each shard's and the
+    test set's feature column names the corpus rows it holds.
+    """
+    _, y = synthetic_corpus(m=m, d=1, seed=0)
+    ids = np.arange(m, dtype=float)[:, None]
+    return y, partition_agents(ids, y, *args, standardize=False, **kwargs)
+
+
 def test_partition_reference_sizes():
-    x, y = synthetic_corpus(m=4601, d=8, seed=0)
-    b = partition_agents(x, y, n=25, per_agent=138, test_count=1150, seed=3)
-    used = np.concatenate([*b.agent_indices, b.test_indices])
+    y, (shards, test) = split_rows(4601, n=25, per_agent=138, test_count=1150, seed=3)
+    used = np.concatenate([*(x[:, 0] for x, _ in shards), test[0][:, 0]])
     assert len(used) == 4600 and len(set(used)) == 4600  # one row unused
-    assert all(len(idx) == 138 for idx in b.agent_indices)
-    assert len(b.test_indices) == 1150
+    assert len(shards) == 25 and all(len(x) == len(labels) == 138 for x, labels in shards)
+    assert len(test[0]) == len(test[1]) == 1150
+    # every label travels with its row
+    for x, labels in [*shards, test]:
+        assert np.array_equal(labels, y[x[:, 0].astype(int)])
 
 
 def test_partition_single_agent_owns_everything():
-    x, y = synthetic_corpus(m=100, d=4, seed=0)
-    b = partition_agents(x, y, n=1, per_agent=100, test_count=0, seed=1)
-    assert len(b.agent_indices[0]) == 100 and len(b.test_indices) == 0
+    _, (shards, test) = split_rows(100, n=1, per_agent=100, test_count=0, seed=1)
+    assert len(shards) == 1 and len(shards[0][0]) == 100 and len(test[0]) == 0
 
 
 def test_partition_deterministic():
-    x, y = synthetic_corpus(m=300, d=4, seed=0)
-    a = partition_agents(x, y, 5, 40, 50, seed=9)
-    b = partition_agents(x, y, 5, 40, 50, seed=9)
-    assert all(np.array_equal(i, j) for i, j in zip(a.agent_indices, b.agent_indices))
-    assert np.array_equal(a.test_indices, b.test_indices)
-    c = partition_agents(x, y, 5, 40, 50, seed=10)
-    assert not np.array_equal(a.test_indices, c.test_indices)
+    _, (a, a_test) = split_rows(300, 5, 40, 50, seed=9)
+    _, (b, b_test) = split_rows(300, 5, 40, 50, seed=9)
+    assert all(np.array_equal(i[0], j[0]) for i, j in zip(a, b))
+    assert np.array_equal(a_test[0], b_test[0])
+    _, (_, c_test) = split_rows(300, 5, 40, 50, seed=10)
+    assert not np.array_equal(a_test[0], c_test[0])
 
 
 def test_partition_insufficient_rows_message():

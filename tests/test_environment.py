@@ -343,7 +343,7 @@ def test_suite_mean_exact():
 
 def test_suite_rejects_uncentered_grid():
     with pytest.raises(CalibrationError):
-        make_heterogeneous_suite(3, 0.5, multipliers=[0.5, 1.0, 2.0])
+        make_heterogeneous_suite(3, 0.5, eps=[0.5, 1.0, 2.0])
 
 
 def test_eps_multipliers_symmetric():
@@ -597,7 +597,7 @@ def test_environment_rejects_mismatched_loss(pop, loss):
                          sigma2=np.empty(0)), "at least one"),
     (lambda: make_heterogeneous_suite(0, 0.5), "at least one"),
     (lambda: make_heterogeneous_suite(0, 0.5, 0.3), "at least one"),
-    (lambda: make_heterogeneous_suite(3, 0.5, multipliers=[np.nan, 1.0, 2.0]), "not finite"),
+    (lambda: make_heterogeneous_suite(3, 0.5, eps=[np.nan, 1.0, 2.0]), "not finite"),
     (lambda: make_heterogeneous_suite(3, 0.5, np.nan), "not finite"),
     (lambda: make_heterogeneous_suite(3, -0.5), "sensitivity must be nonnegative"),
     (lambda: make_heterogeneous_suite(3, np.nan), "sensitivity must be finite"),

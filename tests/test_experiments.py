@@ -200,6 +200,18 @@ def test_theory_report_inapplicable_beyond_condition():
     assert report["applicable"] is False and "eps_avg" in report["reason"]
 
 
+def test_eps_list_used_as_given():
+    # with eps_avg the list's mean, 0.39999999999999997, dividing by eps_avg and
+    # multiplying back would give 0.10000000000000002 and 0.4000000000000001
+    eps = [0.1, 0.7, 0.4]
+    cfg = tiny_gaussian(eps=float(np.mean(eps))).replace(**{
+        "topology.n": 3, "environment.n": 3,
+        "environment.eps_grid": None, "environment.eps_list": eps,
+    })
+    env, _ = build_environment(cfg.environment, cfg.run.seed)
+    assert env.eps.tolist() == [0.1, 0.7, 0.4]
+
+
 def test_disconnected_baseline_artifacts(tmp_path):
     eps = [0.89] * 24 + [1.01]
     mean = float(np.mean(eps))

@@ -423,6 +423,28 @@ def test_repeated_gd_insensitive_one_step():
     assert res.deployments <= 3
 
 
+def test_repeated_gd_residual_is_the_last_move(monkeypatch):
+    # at the last iterate |G| is already below inner_tol, so a frozen solve
+    # warm-started there returns its start: |M(theta) - theta| measured that
+    # way reads exactly 0, while the last move does not
+    env = preset_env("hetero_vs_homo")
+    calls = []
+    apply_M = oracle.apply_M
+
+    def recording(env_, theta, **kwargs):
+        image = apply_M(env_, theta, **kwargs)
+        calls.append((np.array(theta), image))
+        return image
+
+    monkeypatch.setattr(oracle, "apply_M", recording)
+    res = repeated_gd_fixed_point(env)
+    theta, image = calls[-1]
+    assert res.converged and res.deployments == len(calls)
+    assert np.array_equal(res.theta_ps, image)
+    assert res.residual == float(np.linalg.norm(image - theta))
+    assert 0.0 < res.residual <= 1e-8
+
+
 def test_repeated_gd_agrees_with_closed_form_across_regimes():
     for eps in [0.0, 0.3, 0.9, 0.99]:
         env = gaussian_env(eps_avg=eps, spread=0.4 if eps else 0.0)
@@ -518,11 +540,11 @@ def test_repeated_gd_counts_budget_exhaustion_under_one_warning(monkeypatch):
     with warnings.catch_warnings(record=True) as record:
         warnings.simplefilter("always")
         res = repeated_gd_fixed_point(env, deployments=3, inner=1, tol=0.0, inner_tol=1e-14)
-    # three deployments and the residual's
-    assert len(missed) == res.deployments == 4
+    # one frozen solve per deployment
+    assert len(missed) == res.deployments == 3
     assert res.budget_exhausted == sum(missed) > 0
     assert [w.category for w in record] == [RuntimeWarning]
-    assert f"budget 1 exhausted in {sum(missed)} of 4 frozen solves" in str(record[0].message)
+    assert f"budget 1 exhausted in {sum(missed)} of 3 frozen solves" in str(record[0].message)
     assert record[0].filename == __file__
 
 

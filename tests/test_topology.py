@@ -253,6 +253,18 @@ def test_schedule_mixing_certifies_contraction():
     assert ms.at(0) is ms.matrices[0] and ms.at(3) is ms.matrices[1]
 
 
+def test_schedule_mixing_keeps_the_declared_window():
+    # the ring alone is connected, so the smallest connected window is 1, but
+    # rho certifies products over the declared window of 3
+    ring = build_ring(6)
+    ms = schedule_mixing(GraphSchedule(graphs=(ring, ring), window=3))
+    dev = ms.matrices[0] - np.full((6, 6), 1.0 / 6.0)
+    assert ms.window == 3
+    assert ms.rho == pytest.approx(1.0 - np.linalg.norm(np.linalg.matrix_power(dev, 3), 2), abs=1e-12)
+    assert ms.rho == pytest.approx(0.7037, abs=1e-4)
+    assert 1.0 - np.linalg.norm(dev, 2) == pytest.approx(1.0 / 3.0)
+
+
 def test_schedule_mixing_rejects_never_connected():
     g = from_edge_list(3, [(0, 1)])
     with pytest.raises(DisconnectedGraphError):
