@@ -217,8 +217,11 @@ def build_environment(ec, seed: int) -> tuple[Environment, tuple | None]:
     try:
         env = make_heterogeneous_suite(ec.n, ec.eps_avg, kind=ec.kind, **suite_kw, **eps_kw)
     except CalibrationError as exc:
-        # a spread grid averages 1 by construction and _eps_arguments has
-        # checked the list's length, so only an eps_list off its eps_avg lands here
+        # a finite spread grid averages 1 by construction, so a spread lands
+        # here only when its grid is not finite (a NaN spread)
+        if ec.eps_list is None:
+            raise ConfigError(str(exc)) from exc
+        # _eps_arguments has checked the list's length
         raise ConfigError(
             f"environment.eps_list averages {float(np.mean(ec.eps_list))}, "
             f"not environment.eps_avg = {ec.eps_avg}"

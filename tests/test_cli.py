@@ -110,6 +110,8 @@ def test_non_integer_thread_count_exits_two(tmp_path, capsys, monkeypatch):
 BUILD_ERRORS = {
     "star_with_uniform_weights": {"topology.kind": "star"},
     "eps_list_off_its_average": {"environment.eps_grid": None, "environment.eps_list": [0.5] * 25},
+    # json writes and reads NaN, so this spread reaches the suite builder
+    "nan_spread": {"environment.eps_grid": {"spread": float("nan")}},
     "negative_noise_variance": {"environment.gaussian.sigma2": -1.0},
     "negative_step_a0": {"step.a0": -1.0},
     "removed_risk_mc": {"experiment.risk_mc": 256},
@@ -180,6 +182,8 @@ def test_theory_on_unbuildable_config_exits_two(tmp_path, capsys, case):
     if case == "eps_list_off_its_average":
         # in the config's own terms, with plain floats
         assert err == "config error: environment.eps_list averages 0.5, not environment.eps_avg = 0.9\n"
+    if case == "nan_spread":
+        assert err == "config error: multiplier grid for spread nan is not finite\n"
 
 
 def test_fixed_point_emits_json(tmp_path, capsys):

@@ -140,20 +140,44 @@ def test_logistic_large_score_no_overflow():
     assert np.isfinite(big) and big == pytest.approx(1000.0 + 0.5 * loss.beta * 1e6)
 
 
-def test_expit_is_scipys_bit_for_bit():
-    # A numpy rewrite, 1 / (1 + np.exp(-x)), is not a substitute: numpy's SIMD
-    # exp differed from glibc's in the last bit on 38 801 of 2e6 standard
-    # normals on an AVX-512 host, which would change every strategic artifact
-    # and tie them to the CPU. The error filter also catches its overflow
-    # warning at large negative scores.
+def numpy_sigmoid(x):
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
+def test_expit_is_numpys_sigmoid_within_4_ulp_of_scipy():
+    # numpy's SIMD exp differs from glibc's, which scipy's ufunc calls, in the
+    # last bits: on 38 801 of 2e6 standard normals on an AVX-512 host, by at
+    # most 4 ulp. The error filter catches an overflow warning at large
+    # negative scores.
     z = np.random.default_rng(0).standard_normal(100_000)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for x in [z, 40.0 * z, 800.0 * z, np.array([np.inf, -np.inf, np.nan, 0.0])]:
-            assert np.array_equal(environment.expit(x).view(np.int64), expit(x).view(np.int64))
-        got, want = environment.expit(0.3), expit(0.3)
-        assert type(got) is type(want)
-        assert np.asarray(got).view(np.int64) == np.asarray(want).view(np.int64)
+            got = environment.expit(x)
+            assert np.array_equal(got.view(np.int64), numpy_sigmoid(x).view(np.int64))
+            np.testing.assert_array_max_ulp(got, expit(x), maxulp=4)
+        got = environment.expit(0.3)
+        assert type(got) is np.float64
+        assert np.asarray(got).view(np.int64) == np.asarray(numpy_sigmoid(0.3)).view(np.int64)
+
+
+def test_expit_bits_do_not_depend_on_layout():
+    # a seed's scores are an (n, b) slice of the (S, n, b) batch; each value
+    # must come out the same alone, from a strided view and at an offset, or
+    # a seed run in a batch would not match the seed run alone
+    S, n, b = 3, 5, 7
+    scores = 40.0 * np.random.default_rng(1).standard_normal((S, n, b))
+    batch = environment.expit(scores)
+    for idx in np.ndindex(S, n, b):
+        assert batch[idx] == environment.expit(scores[idx])
+    for k in range(S):
+        assert np.array_equal(batch[k], environment.expit(scores[k].copy()))
+    assert np.array_equal(batch[:, :, 1::2], environment.expit(scores[:, :, 1::2]))
+    assert np.array_equal(batch[:, 1], environment.expit(scores[:, 1]))
+    shifted = np.empty(scores.size + 1)
+    shifted[1:] = scores.ravel()
+    assert np.array_equal(batch.ravel(), environment.expit(shifted[1:]))
 
 
 @pytest.mark.parametrize("kind", [QUADRATIC, LOGISTIC])

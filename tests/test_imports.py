@@ -1,9 +1,9 @@
 """What the package imports and exports.
 
-Every name in a module's ``__all__`` resolves, and a fresh interpreter doing
-gaussian work never loads scipy.special. The fresh-interpreter checks run in
-their own subprocess, because this test process has long since imported
-everything the other tests needed.
+Every name in a module's ``__all__`` resolves, and a fresh interpreter never
+loads scipy, which only the tests use as a reference. The fresh-interpreter
+checks run in their own subprocess, because this test process has long since
+imported everything the other tests needed.
 """
 
 import importlib
@@ -22,7 +22,7 @@ SRC = str(Path(perfnet.__file__).resolve().parent.parent)
 
 LOADED = """
 import json, sys
-print(json.dumps({m: m in sys.modules for m in ("scipy.special", "concurrent.futures.process")}))
+print(json.dumps({m: m in sys.modules for m in ("scipy", "concurrent.futures.process")}))
 """
 
 
@@ -53,13 +53,19 @@ build_mixing(cfg.topology)
 theory_report(cfg, env=env)
 run_experiment(cfg.replace(**{"run.T": 200}), out="out", threads=1)
 """, tmp_path)
-    assert loaded == {"scipy.special": False, "concurrent.futures.process": False}
+    assert loaded == {"scipy": False, "concurrent.futures.process": False}
 
 
-def test_logistic_environment_loads_scipy_special(tmp_path):
+def test_strategic_workflow_never_imports_scipy(tmp_path):
     loaded = fresh_modules("""
-from perfnet.experiments import build_environment, preset
-cfg = preset("spam_logistic")
-build_environment(cfg.environment, cfg.run.seed)
+from perfnet.experiments import build_environment, preset, run_experiment, theory_report
+from perfnet.oracle import repeated_gd_fixed_point
+for name in ("spam_logistic", "hetero_vs_homo"):
+    cfg = preset(name)
+    env, _ = build_environment(cfg.environment, cfg.run.seed)
+    theory_report(cfg, env=env)
+run_experiment(preset("spam_logistic").replace(**{"run.T": 100, "experiment.seeds": [1]}),
+               out="out", threads=1)
+repeated_gd_fixed_point(env, tol=1e-6)
 """, tmp_path)
-    assert loaded["scipy.special"]
+    assert not loaded["scipy"]
