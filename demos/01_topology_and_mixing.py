@@ -2,7 +2,7 @@
 
 Builds the 25-agent ring used throughout, inspects its uniform 1/3 weights
 and spectral gap, compares with Metropolis weights on an irregular star,
-and validates a time-varying schedule.
+and certifies a time-varying schedule.
 """
 
 import numpy as np
@@ -13,9 +13,10 @@ from perfnet import (
     build_star,
     from_edge_list,
     metropolis_weights,
+    schedule_mixing,
     uniform_neighbor_weights,
-    validate_schedule,
 )
+from perfnet.topology import DisconnectedGraphError
 
 ring = build_ring(25)
 mix = uniform_neighbor_weights(ring)
@@ -32,5 +33,9 @@ print("  hub row:", np.round(w.weights[0], 4))
 # two sparse graphs that are individually disconnected but union to the ring
 cycle = [(i, (i + 1) % 25) for i in range(25)]
 halves = (from_edge_list(25, cycle[0::2]), from_edge_list(25, cycle[1::2]))
-check = validate_schedule(GraphSchedule(graphs=halves, window=4))
-print(f"\nalternating half-rings: certified connectivity window B = {check.window}")
+try:
+    schedule_mixing(GraphSchedule(graphs=halves, window=1))
+except DisconnectedGraphError as exc:
+    print(f"\nalternating half-rings, window B = 1: refused ({exc})")
+mix2 = schedule_mixing(GraphSchedule(graphs=halves, window=2))
+print(f"alternating half-rings, window B = 2: contraction rho = {mix2.rho:.4f}")

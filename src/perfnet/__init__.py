@@ -22,7 +22,6 @@ from .topology import (
     metropolis_weights,
     schedule_mixing,
     uniform_neighbor_weights,
-    validate_schedule,
 )
 from .environment import make_heterogeneous_suite
 from .engine import RunConfig, StepSchedule, run

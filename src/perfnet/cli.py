@@ -151,7 +151,10 @@ def _cmd_theory(args) -> int:
 
 
 def _cmd_rate_check(args) -> int:
-    cols = metrics.read_metrics_csv(args.metrics_csv)
+    try:
+        cols = metrics.read_metrics_csv(args.metrics_csv)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read metrics CSV {args.metrics_csv}: {exc}") from None
     if args.metric not in cols:
         raise ConfigError(f"metric {args.metric!r} not in {args.metrics_csv}")
     try:

@@ -9,7 +9,7 @@ dataset/edge-list/schedule paths are resolved against the config file's
 directory at load time.
 
 Schedule files are JSON too: ``{"n": int, "window": B, "graphs": [edges...]}``
-where each ``edges`` entry is a list of ``[i, j]`` pairs (self-loops
+where each ``edges`` entry lists integer ``[i, j]`` pairs (self-loops
 implicit). Edge-list files are plain text, one ``i j`` pair per line.
 """
 
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -228,6 +229,12 @@ class ExperimentSection:
     seeds: list = field(default_factory=lambda: [1000])
     out: str = "out"
     theory_delta: float = 0.1
+
+    def __post_init__(self):
+        # a repeated seed would write one run directory and count twice in the aggregates
+        repeated = sorted(s for s, k in Counter(self.seeds).items() if k > 1)
+        if repeated:
+            raise ConfigError(f"experiment.seeds repeats {repeated}")
 
 
 @dataclass(frozen=True)

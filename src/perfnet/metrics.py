@@ -225,6 +225,8 @@ def read_metrics_csv(path) -> dict:
     """Columns as float arrays; missing cells become NaN."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
+    if not rows:
+        raise ValueError(f"{path} is empty")
     header, data = rows[0], rows[1:]
     out = {}
     for j, col in enumerate(header):

@@ -1,8 +1,24 @@
 """Communication graphs, doubly stochastic mixing matrices, and time-varying schedules.
 
 Graphs are undirected, carry a self-loop at every vertex, and are immutable
-after construction. Mixing matrices come with a certified spectral gap
-``rho`` such that ``||W - (1/n) 11^T||_2 = 1 - rho``.
+after construction. With ``J = (1/n) 11^T``, mixing matrices come with a
+certified spectral gap ``rho = 1 - ||W - J||_2``.
+
+The certificate is the only connectivity test: a graph mixes when ``rho > 0``
+(:func:`spectral_gap`), and a schedule with window ``B`` mixes when every
+cyclic window product ``(W_{t+B-1} - J) ... (W_t - J) = P - J``, where ``P``
+is the product of the window's ``W_t``, has norm below 1
+(:func:`schedule_mixing`). Every weight rule here is symmetric and doubly
+stochastic with a positive diagonal, and then the norm is below 1 exactly
+when each window's union graph is connected:
+
+- If a window's union has a component ``S``, every ``W_t`` in the window
+  fixes the indicator ``1_S``, and so does ``P``; so ``P - J`` fixes the
+  nonzero vector ``1_S - (|S|/n) 1`` and has norm 1.
+- If the union is connected, the positive diagonals put the union into the
+  support of ``P``. Then ``P^T P`` is an irreducible, aperiodic, symmetric
+  stochastic matrix, its eigenvalue 1 is simple, and ``||P - J||_2^2``, its
+  second-largest eigenvalue, is below 1.
 """
 
 from __future__ import annotations
@@ -20,7 +36,6 @@ __all__ = [
     "MixingMatrix",
     "GraphSchedule",
     "MixingSchedule",
-    "ScheduleCheck",
     "build_ring",
     "build_complete",
     "build_star",
@@ -29,7 +44,6 @@ __all__ = [
     "uniform_neighbor_weights",
     "metropolis_weights",
     "spectral_gap",
-    "validate_schedule",
     "schedule_mixing",
 ]
 
@@ -51,15 +65,18 @@ class IrregularGraphError(TopologyError):
     """Raised when uniform neighbor weights are requested on an irregular graph."""
 
 
-def _norm_edge(i: int, j: int) -> tuple[int, int]:
-    return (i, j) if i <= j else (j, i)
+def _check_vertices(i, j) -> None:
+    # a float, a bool or a string is not a vertex, even when it equals one
+    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in (i, j)):
+        raise TopologyError(f"edge ({i!r}, {j!r}) has a non-integer vertex")
 
 
 @dataclass(frozen=True)
 class Graph:
     """Undirected graph on vertices ``0..n-1``; every vertex has a self-loop.
 
-    Edges are stored as normalized ``(min, max)`` pairs, self-loops included.
+    Edges are stored as normalized ``(min, max)`` integer pairs, self-loops
+    included.
     """
 
     n: int
@@ -69,88 +86,44 @@ class Graph:
         if self.n < 1:
             raise TopologyError(f"agent count must be positive, got {self.n}")
         for i, j in self.edges:
+            _check_vertices(i, j)
             if not (0 <= i <= j < self.n):
                 raise TopologyError(f"edge ({i},{j}) outside vertex range 0..{self.n - 1}")
         missing = [i for i in range(self.n) if (i, i) not in self.edges]
         if missing:
             raise TopologyError(f"vertices {missing} lack self-loops")
 
-    def neighbors(self, i: int) -> list[int]:
-        """Neighbors of ``i`` excluding ``i`` itself, sorted."""
-        out = set()
-        for a, b in self.edges:
-            if a == i and b != i:
-                out.add(b)
-            elif b == i and a != i:
-                out.add(a)
-        return sorted(out)
-
     def degree(self, i: int, include_self: bool = True) -> int:
-        return len(self.neighbors(i)) + (1 if include_self else 0)
+        return int(self.adjacency(include_self)[i].sum())
 
     def adjacency(self, include_self: bool = True) -> np.ndarray:
+        i, j = np.array(list(self.edges)).T
         a = np.zeros((self.n, self.n))
-        for i, j in self.edges:
-            if i == j:
-                if include_self:
-                    a[i, i] = 1.0
-            else:
-                a[i, j] = 1.0
-                a[j, i] = 1.0
+        a[i, j] = a[j, i] = (i != j) | include_self
         return a
-
-    def is_connected(self) -> bool:
-        if self.n == 1:
-            return True
-        adj = {i: [] for i in range(self.n)}
-        for i, j in self.edges:
-            if i != j:
-                adj[i].append(j)
-                adj[j].append(i)
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n
-
-    def union(self, other: "Graph") -> "Graph":
-        if self.n != other.n:
-            raise TopologyError("cannot union graphs of different sizes")
-        return Graph(self.n, self.edges | other.edges)
-
-
-def _with_self_loops(n: int, pairs) -> frozenset:
-    edges = {(i, i) for i in range(n)}
-    for i, j in pairs:
-        if i != j:
-            edges.add(_norm_edge(i, j))
-    return frozenset(edges)
 
 
 def build_ring(n: int) -> Graph:
     """Ring graph with self-loops; for n <= 2 this is the complete graph."""
-    pairs = [(i, (i + 1) % n) for i in range(n)]
-    return Graph(n, _with_self_loops(n, pairs))
+    return from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def build_complete(n: int) -> Graph:
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return Graph(n, _with_self_loops(n, pairs))
+    return from_edge_list(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def build_star(n: int) -> Graph:
     """Star graph with vertex 0 as the hub."""
-    pairs = [(0, j) for j in range(1, n)]
-    return Graph(n, _with_self_loops(n, pairs))
+    return from_edge_list(n, [(0, j) for j in range(1, n)])
 
 
 def from_edge_list(n: int, pairs) -> Graph:
     """Graph from explicit undirected pairs; self-loops are implicit."""
-    return Graph(n, _with_self_loops(n, pairs))
+    edges = {(i, i) for i in range(n)}
+    for i, j in pairs:
+        _check_vertices(i, j)
+        edges.add((i, j) if i <= j else (j, i))
+    return Graph(n, frozenset(edges))
 
 
 def read_edge_list(path, n: int | None = None) -> Graph:
@@ -195,20 +168,6 @@ class MixingMatrix:
         return self.weights.shape[0]
 
 
-def _validate_stochastic(w: np.ndarray, atol: float = _STOCHASTIC_ATOL) -> None:
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise TopologyError(f"mixing matrix must be square, got shape {w.shape}")
-    if np.min(w) < -atol:
-        raise TopologyError("mixing matrix has negative entries")
-    if not np.allclose(w.sum(axis=1), 1.0, atol=atol):
-        raise TopologyError("row sums differ from 1")
-    if not np.allclose(w.sum(axis=0), 1.0, atol=atol):
-        raise TopologyError("column sums differ from 1")
-    if not np.allclose(w, w.T, atol=atol):
-        raise TopologyError("mixing matrix must be symmetric")
-
-
 def spectral_gap(w: np.ndarray) -> float:
     """Exact spectral gap ``1 - |lambda_2|`` of a symmetric doubly stochastic matrix.
 
@@ -217,37 +176,41 @@ def spectral_gap(w: np.ndarray) -> float:
     Raises :class:`DisconnectedGraphError` when the gap is zero (no mixing).
     """
     w = np.asarray(w, dtype=float)
-    _validate_stochastic(w)
-    n = w.shape[0]
-    if n == 1:
+    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+        raise TopologyError(f"mixing matrix must be square, got shape {w.shape}")
+    if np.min(w) < -_STOCHASTIC_ATOL:
+        raise TopologyError("mixing matrix has negative entries")
+    if not np.allclose(w.sum(axis=1), 1.0, atol=_STOCHASTIC_ATOL):
+        raise TopologyError("row sums differ from 1")
+    if not np.allclose(w.sum(axis=0), 1.0, atol=_STOCHASTIC_ATOL):
+        raise TopologyError("column sums differ from 1")
+    if not np.allclose(w, w.T, atol=_STOCHASTIC_ATOL):
+        raise TopologyError("mixing matrix must be symmetric")
+    if w.shape[0] == 1:
         return 1.0
     eig = np.sort(np.linalg.eigvalsh(w))
     # The consensus eigenvalue is eig[-1] == 1 (Perron root); drop one copy.
-    second = max(abs(eig[0]), abs(eig[-2]))
-    rho = 1.0 - second
+    rho = 1.0 - max(abs(eig[0]), abs(eig[-2]))
     if rho <= _RHO_FLOOR:
-        raise DisconnectedGraphError(
-            f"spectral gap {rho:.3e} is not positive; matrix cannot mix"
-        )
+        raise DisconnectedGraphError(f"spectral gap {rho:.3e} is not positive; matrix cannot mix")
     return float(rho)
 
 
 def _certify(w: np.ndarray) -> MixingMatrix:
     rho = spectral_gap(w)
-    w = np.asarray(w, dtype=float)
     w.setflags(write=False)
     return MixingMatrix(weights=w, rho=rho)
 
 
 def uniform_neighbor_weights(g: Graph) -> MixingMatrix:
     """``W_ij = 1/deg`` on each edge of a regular graph (degree counts the self-loop)."""
-    degs = [g.degree(i) for i in range(g.n)]
-    if len(set(degs)) != 1:
+    a = g.adjacency()
+    degs = a.sum(axis=1)
+    if np.any(degs != degs[0]):
         raise IrregularGraphError(
-            f"degrees {sorted(set(degs))} are not all equal; use metropolis_weights"
+            f"degrees {np.unique(degs).astype(int).tolist()} are not all equal; use metropolis_weights"
         )
-    w = g.adjacency() / degs[0]
-    return _certify(w)
+    return _certify(a / degs[0])
 
 
 def _metropolis_matrix(g: Graph) -> np.ndarray:
@@ -256,22 +219,15 @@ def _metropolis_matrix(g: Graph) -> np.ndarray:
     Degrees exclude the self-loop. Valid (doubly stochastic) even when the
     graph is disconnected, which schedule construction relies on.
     """
-    n = g.n
-    deg = np.array([g.degree(i, include_self=False) for i in range(n)], dtype=float)
-    w = np.zeros((n, n))
-    for i, j in g.edges:
-        if i != j:
-            v = 1.0 / (1.0 + max(deg[i], deg[j]))
-            w[i, j] = v
-            w[j, i] = v
+    a = g.adjacency(include_self=False)
+    deg = a.sum(axis=1)
+    w = a / (1.0 + np.maximum.outer(deg, deg))
     np.fill_diagonal(w, 1.0 - w.sum(axis=1))
     return w
 
 
 def metropolis_weights(g: Graph) -> MixingMatrix:
-    """Symmetric doubly stochastic weights for any connected graph."""
-    if not g.is_connected():
-        raise DisconnectedGraphError("graph is disconnected; spectral gap would be zero")
+    """Symmetric doubly stochastic weights; a disconnected graph has no spectral gap."""
     return _certify(_metropolis_matrix(g))
 
 
@@ -294,46 +250,6 @@ class GraphSchedule:
     @property
     def n(self) -> int:
         return self.graphs[0].n
-
-    def at(self, t: int) -> Graph:
-        return self.graphs[t % len(self.graphs)]
-
-
-@dataclass(frozen=True)
-class ScheduleCheck:
-    """Result of window-connectivity validation.
-
-    ``window`` is the smallest certified window when ``connected``;
-    ``violation_at`` is the first failing start index otherwise.
-    """
-
-    connected: bool
-    window: int | None
-    violation_at: int | None
-
-
-def _window_union(s: GraphSchedule, start: int, length: int) -> Graph:
-    g = s.graphs[start % len(s.graphs)]
-    for k in range(1, length):
-        g = g.union(s.graphs[(start + k) % len(s.graphs)])
-    return g
-
-
-def validate_schedule(s: GraphSchedule) -> ScheduleCheck:
-    """Certify the smallest window B' <= declared B whose every cyclic union is connected.
-
-    Violations are reported as a result, not raised: a momentarily
-    disconnected graph is legal as long as some window unions to connected.
-    """
-    m = len(s.graphs)
-    for b in range(1, s.window + 1):
-        if all(_window_union(s, t, b).is_connected() for t in range(m)):
-            return ScheduleCheck(connected=True, window=b, violation_at=None)
-    for t in range(m):
-        if not _window_union(s, t, s.window).is_connected():
-            return ScheduleCheck(connected=False, window=None, violation_at=t)
-    # Unreachable: if every declared-window union is connected the loop above returned.
-    raise AssertionError("schedule validation inconsistency")
 
 
 @dataclass(frozen=True)
@@ -359,31 +275,24 @@ class MixingSchedule:
 def schedule_mixing(s: GraphSchedule) -> MixingSchedule:
     """Build per-graph Metropolis weights and certify the window contraction factor.
 
-    Individual graphs may be disconnected; only the B-window product must
-    contract.
+    Individual graphs may be disconnected; only the product over each cyclic
+    window of ``s.window`` steps must contract. The first window start whose
+    product does not is named in a :class:`DisconnectedGraphError`.
     """
-    check = validate_schedule(s)
-    if not check.connected:
-        raise DisconnectedGraphError(
-            f"schedule window starting at {check.violation_at} has a disconnected union"
-        )
     mats = [_metropolis_matrix(g) for g in s.graphs]
-
-    n = s.n
-    proj = np.full((n, n), 1.0 / n)
-    devs = [w - proj for w in mats]
+    devs = [w - 1.0 / s.n for w in mats]
     m = len(mats)
     worst = 0.0
     for start in range(m):
-        p = np.eye(n)
+        p = np.eye(s.n)
         for k in range(s.window):
             p = devs[(start + k) % m] @ p
-        worst = max(worst, float(np.linalg.norm(p, 2)))
-    rho = 1.0 - worst
-    if rho <= _RHO_FLOOR:
-        raise DisconnectedGraphError(
-            f"window product norm {worst:.6f} does not contract"
-        )
+        norm = float(np.linalg.norm(p, 2))
+        if 1.0 - norm <= _RHO_FLOOR:
+            raise DisconnectedGraphError(
+                f"schedule window starting at {start} does not contract: product norm {norm:.6f}"
+            )
+        worst = max(worst, norm)
     for w in mats:
         w.setflags(write=False)
-    return MixingSchedule(matrices=tuple(mats), window=s.window, rho=rho)
+    return MixingSchedule(matrices=tuple(mats), window=s.window, rho=1.0 - worst)

@@ -124,9 +124,14 @@ BUILD_ERRORS = {
     "schedule_window_a_float": {"topology.kind": "schedule", "topology.schedule_file": "window_float.json"},
     "schedule_window_a_bool": {"topology.kind": "schedule", "topology.schedule_file": "window_bool.json"},
     "schedule_window_a_numeral": {"topology.kind": "schedule", "topology.schedule_file": "window_str.json"},
+    "schedule_window_does_not_mix": {"topology.kind": "schedule", "topology.schedule_file": "matchings.json"},
+    "schedule_vertex_a_float": {"topology.kind": "schedule", "topology.schedule_file": "vertex_float.json"},
+    "schedule_vertex_a_bool": {"topology.kind": "schedule", "topology.schedule_file": "vertex_bool.json"},
+    "repeated_seed": {"experiment.seeds": [5, 5, 6]},
 }
 
 RING = json.dumps([[i, (i + 1) % 25] for i in range(25)])
+RING_MATCHINGS = [json.dumps([[i, (i + 1) % 25] for i in range(k, 25, 2)]) for k in (0, 1)]
 
 # schedule files the cases above name, written beside the config
 SCHEDULE_FILES = {
@@ -139,6 +144,10 @@ SCHEDULE_FILES = {
     "window_float.json": '{"graphs": [%s], "window": 2.7}' % RING,
     "window_bool.json": '{"graphs": [%s], "window": true}' % RING,
     "window_str.json": '{"graphs": [%s], "window": "3"}' % RING,
+    # the ring's two matchings: each alone is disconnected, so window 1 cannot mix
+    "matchings.json": '{"graphs": [%s, %s], "window": 1}' % (RING_MATCHINGS[0], RING_MATCHINGS[1]),
+    "vertex_float.json": '{"graphs": [[[0.5, 1]]]}',
+    "vertex_bool.json": '{"graphs": [[[true, 2]]]}',
 }
 
 
@@ -184,6 +193,12 @@ def test_theory_on_unbuildable_config_exits_two(tmp_path, capsys, case):
         assert err == "config error: environment.eps_list averages 0.5, not environment.eps_avg = 0.9\n"
     if case == "nan_spread":
         assert err == "config error: multiplier grid for spread nan is not finite\n"
+    if case == "schedule_window_does_not_mix":
+        assert "window starting at 0 does not contract" in err
+    if case.startswith("schedule_vertex"):
+        assert "non-integer vertex" in err
+    if case == "repeated_seed":
+        assert err == "config error: experiment.seeds repeats [5]\n"
 
 
 def test_fixed_point_emits_json(tmp_path, capsys):
@@ -311,6 +326,16 @@ def test_rate_check_on_csv(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["slope"] == pytest.approx(-1.0, abs=1e-9)
     assert out["metric"] == "gap_sq"
+
+
+@pytest.mark.parametrize("text", [None, ""], ids=["missing", "empty"])
+def test_rate_check_on_unreadable_csv_exits_two(tmp_path, capsys, text):
+    path = tmp_path / "metrics.csv"
+    if text is not None:
+        path.write_text(text)
+    assert main(["rate-check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read metrics CSV {path}:")
 
 
 def test_baseline_disconnected_cli(tmp_path, capsys):

@@ -66,6 +66,13 @@ def test_n_mismatch_rejected():
         Config.from_dict(d)
 
 
+def test_repeated_seed_rejected():
+    d = preset("gaussian_mean").to_dict()
+    d["experiment"]["seeds"] = [5, 6, 5, 7, 6]
+    with pytest.raises(ConfigError, match=r"experiment.seeds repeats \[5, 6\]"):
+        Config.from_dict(d)
+
+
 def test_bad_version_rejected():
     d = preset("gaussian_mean").to_dict()
     d["config_version"] = 99

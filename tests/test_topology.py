@@ -17,14 +17,13 @@ from perfnet.topology import (
     schedule_mixing,
     spectral_gap,
     uniform_neighbor_weights,
-    validate_schedule,
 )
 
 
 # ---------------------------------------------------------------- oracles
 
 def union_find_connected(n, edges):
-    """Independent connectivity check (the library uses BFS)."""
+    """Independent connectivity check (the library reads the spectral gap)."""
     parent = list(range(n))
 
     def find(a):
@@ -56,12 +55,40 @@ def connected_graphs(draw):
     return from_edge_list(n, pairs)
 
 
+@st.composite
+def any_graphs(draw, n=None):
+    """Random pairs on up to 10 vertices: connected or not, regular or not."""
+    n = n if n is not None else draw(st.integers(min_value=1, max_value=10))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
+    return from_edge_list(n, pairs)
+
+
+@st.composite
+def circulant_graphs(draw):
+    """Regular graphs: vertex i meets i +- s for each offset s, under a random relabeling.
+
+    Connected exactly when gcd(n, offsets) == 1, which the tests do not use:
+    union-find is the oracle.
+    """
+    n = draw(st.integers(min_value=2, max_value=12))
+    offsets = draw(st.sets(st.integers(1, n // 2), min_size=1, max_size=3))
+    perm = draw(st.permutations(range(n)))
+    return from_edge_list(n, [(perm[i], perm[(i + s) % n]) for i in range(n) for s in offsets])
+
+
+@st.composite
+def schedules(draw):
+    n = draw(st.integers(min_value=1, max_value=8))
+    graphs = draw(st.lists(any_graphs(n), min_size=1, max_size=4))
+    return GraphSchedule(graphs=tuple(graphs), window=draw(st.integers(1, 3)))
+
+
 # ---------------------------------------------------------------- graphs
 
 def test_ring_25_degrees():
     g = build_ring(25)
     assert all(g.degree(i) == 3 for i in range(25))
-    assert g.is_connected()
+    assert union_find_connected(25, g.edges)
 
 
 def test_ring_single_vertex():
@@ -83,20 +110,40 @@ def test_self_loops_required():
         Graph(2, frozenset({(0, 1)}))
 
 
-def test_union_and_neighbors():
-    a = from_edge_list(4, [(0, 1)])
-    b = from_edge_list(4, [(2, 3)])
-    u = a.union(b)
-    assert not a.is_connected()
-    assert u.neighbors(1) == [0]
-    assert union_find_connected(4, u.edges) == u.is_connected()
+def test_adjacency_and_degree():
+    g = from_edge_list(4, [(1, 0), (2, 3), (0, 1)])
+    assert g.edges == frozenset({(0, 0), (1, 1), (2, 2), (3, 3), (0, 1), (2, 3)})
+    a = g.adjacency()
+    assert np.array_equal(a, [[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]])
+    assert np.array_equal(g.adjacency(include_self=False), a - np.eye(4))
+    assert [g.degree(i) for i in range(4)] == [2, 2, 2, 2]
+    s = build_star(4)
+    assert [s.degree(i, include_self=False) for i in range(4)] == [3, 1, 1, 1]
+
+
+@pytest.mark.parametrize("edge", [(0.5, 1), (1.0, 2), (True, 2), (0, False), ("1", 2), (None, 0)])
+def test_from_edge_list_rejects_non_integer_vertices(edge):
+    with pytest.raises(TopologyError, match="non-integer vertex"):
+        from_edge_list(3, [(0, 1), edge])
+
+
+def test_graph_rejects_non_integer_vertices():
+    with pytest.raises(TopologyError, match=r"edge \(0\.0, 1\) has a non-integer vertex"):
+        Graph(2, frozenset({(0, 0), (1, 1), (0.0, 1)}))
+
+
+def test_numpy_integer_vertices_are_valid():
+    g = from_edge_list(3, [(np.int64(2), np.int32(0)), (np.uint8(1), 2)])
+    assert g.edges == frozenset({(0, 0), (1, 1), (2, 2), (0, 2), (1, 2)})
+    plain = from_edge_list(3, [(0, 2), (1, 2)])
+    assert np.array_equal(metropolis_weights(g).weights, metropolis_weights(plain).weights)
 
 
 def test_read_edge_list(tmp_path):
     p = tmp_path / "edges.txt"
     p.write_text("# a ring of three\n0 1\n1 2\n2 0\n")
     g = read_edge_list(p)
-    assert g.n == 3 and g.is_connected()
+    assert g.n == 3 and union_find_connected(3, g.edges)
     bad = tmp_path / "bad.txt"
     bad.write_text("0 1\n1 two\n")
     with pytest.raises(TopologyError, match="bad.txt:2"):
@@ -161,6 +208,26 @@ def test_metropolis_rejects_disconnected():
         metropolis_weights(g)
 
 
+@settings(max_examples=200, deadline=None)
+@given(any_graphs())
+def test_metropolis_refuses_exactly_the_disconnected_graphs(g):
+    if union_find_connected(g.n, g.edges):
+        assert metropolis_weights(g).rho > 0.0
+    else:
+        with pytest.raises(DisconnectedGraphError):
+            metropolis_weights(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(circulant_graphs())
+def test_uniform_refuses_exactly_the_disconnected_regular_graphs(g):
+    if union_find_connected(g.n, g.edges):
+        assert uniform_neighbor_weights(g).rho > 0.0
+    else:
+        with pytest.raises(DisconnectedGraphError):
+            uniform_neighbor_weights(g)
+
+
 # ---------------------------------------------------------------- spectral gap
 
 def test_spectral_gap_projector():
@@ -223,24 +290,55 @@ def ring_matchings(n):
     return first, second
 
 
+def window_unions_connected(s):
+    """Union-find verdict on each cyclic window's union of edges, by start."""
+    m = len(s.graphs)
+    return [
+        union_find_connected(s.n, set().union(*(s.graphs[(t + k) % m].edges for k in range(s.window))))
+        for t in range(m)
+    ]
+
+
 def test_constant_schedule_certificate_is_one():
-    s = GraphSchedule(graphs=(build_ring(6),), window=4)
-    check = validate_schedule(s)
-    assert check.connected and check.window == 1
+    ring = build_ring(6)
+    ms = schedule_mixing(GraphSchedule(graphs=(ring,), window=1))
+    assert ms.window == 1
+    assert ms.rho == pytest.approx(metropolis_weights(ring).rho, abs=1e-12)
 
 
 def test_alternating_matchings_certify_window_two():
     a, b = ring_matchings(25)
-    assert not a.is_connected() and not b.is_connected()
-    assert union_find_connected(25, a.union(b).edges)
-    check = validate_schedule(GraphSchedule(graphs=(a, b), window=2))
-    assert check.connected and check.window == 2
+    assert not union_find_connected(25, a.edges) and not union_find_connected(25, b.edges)
+    assert a.edges | b.edges == build_ring(25).edges
+    with pytest.raises(DisconnectedGraphError, match="starting at 0 does not contract"):
+        schedule_mixing(GraphSchedule(graphs=(a, b), window=1))
+    assert schedule_mixing(GraphSchedule(graphs=(a, b), window=2)).rho > 0.0
 
 
 def test_schedule_with_isolated_vertex_violates_at_zero():
     g = from_edge_list(4, [(0, 1), (1, 2)])  # vertex 3 isolated in every graph
-    check = validate_schedule(GraphSchedule(graphs=(g, g), window=2))
-    assert not check.connected and check.violation_at == 0
+    with pytest.raises(DisconnectedGraphError, match="starting at 0 does not contract"):
+        schedule_mixing(GraphSchedule(graphs=(g, g), window=3))
+
+
+def test_schedule_names_the_first_window_that_does_not_contract():
+    # windows of two: {a, b} unions to the ring, {b, empty} and {empty, a} do not
+    a, b = ring_matchings(6)
+    empty = from_edge_list(6, [])
+    with pytest.raises(DisconnectedGraphError, match="starting at 1 does not contract"):
+        schedule_mixing(GraphSchedule(graphs=(a, b, empty), window=2))
+    assert schedule_mixing(GraphSchedule(graphs=(a, b, empty), window=3)).rho > 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(schedules())
+def test_schedule_mixing_refuses_exactly_the_disconnected_windows(s):
+    verdicts = window_unions_connected(s)
+    if all(verdicts):
+        assert schedule_mixing(s).rho > 0.0
+    else:
+        with pytest.raises(DisconnectedGraphError, match=f"starting at {verdicts.index(False)} does not"):
+            schedule_mixing(s)
 
 
 def test_schedule_mixing_certifies_contraction():
