@@ -28,7 +28,7 @@ print(f"  circulant check: 1 - (1 + 2 cos(2 pi/25))/3 = "
 star = build_star(5)
 w = metropolis_weights(star)
 print(f"\nstar(5) is irregular, Metropolis weights give rho = {w.rho:.4f}")
-print("  hub row:", np.round(w.weights[0], 4))
+print("  hub row:", np.round(w.matrices[0][0], 4))
 
 # two sparse graphs that are individually disconnected but union to the ring
 cycle = [(i, (i + 1) % 25) for i in range(25)]

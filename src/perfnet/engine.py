@@ -185,9 +185,9 @@ def run(
     """Execute the scheme for ``config.T`` iterations.
 
     ``config`` and ``schedule`` are a config's ``run`` and ``step`` sections.
-    ``mixing`` is a :class:`~perfnet.topology.MixingMatrix` or a
-    :class:`~perfnet.topology.MixingSchedule` (time-varying weights are taken
-    at index t+1 for the step into iteration t+1, cycling the sequence).
+    ``mixing`` is a :class:`~perfnet.topology.Mixing`; the step into iteration
+    t+1 mixes with ``mixing.at(t + 1)``, so a static graph's one matrix is used
+    at every step and a schedule's matrices are cycled.
     ``sink(t, theta)`` is invoked at t = 0, every ``record_every`` iterations,
     at t = T, and at the last finite state before a divergence stop, with the
     (n, d) decisions at iteration t; whatever it returns is appended to the
@@ -223,7 +223,6 @@ def run(
     streams = [agent_streams(seed, n) for seed in seeds]
     chunk = max(1, min(_CHUNK, _CHUNK_DRAWS // (S * n * config.batch)))
     sampler = make_engine_sampler(env, config.batch, streams, chunk=chunk)
-    weights_at = mixing.at if hasattr(mixing, "at") else (lambda t: mixing.weights)
     K = max(1, min(_BLOCK, _BLOCK_BYTES // (S * n * d * 8) - 1))
     block = np.empty((K + 1, S, n, d))
     block[0] = theta0
@@ -241,7 +240,7 @@ def run(
     live, t0 = list(range(S)), 0
     while live and t0 < config.T:
         k = min(K, config.T - t0)
-        _advance(block, k, t0, weights_at, lambda t: gamma(schedule, t), env[0], sampler)
+        _advance(block, k, t0, mixing.at, lambda t: gamma(schedule, t), env[0], sampler)
         # block[j] holds iteration t0 + j; seed s is finite through block[kept[s]]
         kept = _first_failures(block[1:k + 1], config.divergence_threshold)
         for t in range(t0 + 1, t0 + k + 1):

@@ -43,7 +43,6 @@ from .environment import (
 
 __all__ = [
     "preset",
-    "build_graph",
     "build_mixing",
     "build_environment",
     "run_single",
@@ -148,20 +147,6 @@ def preset(name: str, **overrides) -> Config:
     return cfg
 
 
-def build_graph(tc) -> topology.Graph | topology.GraphSchedule:
-    if tc.kind == "ring":
-        return topology.build_ring(tc.n)
-    if tc.kind == "complete":
-        return topology.build_complete(tc.n)
-    if tc.kind == "star":
-        return topology.build_star(tc.n)
-    if tc.kind == "edge_list":
-        return topology.read_edge_list(tc.edge_file, tc.n)
-    if tc.kind == "schedule":
-        return _load_schedule(tc.schedule_file, tc.n)
-    raise ConfigError(f"unknown topology kind {tc.kind!r}")
-
-
 def _load_schedule(path, n: int) -> topology.GraphSchedule:
     try:
         data = json.loads(Path(path).read_text())
@@ -181,12 +166,13 @@ def _load_schedule(path, n: int) -> topology.GraphSchedule:
     return topology.GraphSchedule(graphs=graphs, window=window)
 
 
-def build_mixing(tc) -> topology.MixingMatrix | topology.MixingSchedule:
+def build_mixing(tc) -> topology.Mixing:
     """Weights for the configured graph; a graph the weights cannot serve is a config error."""
+    builders = {"ring": topology.build_ring, "complete": topology.build_complete, "star": topology.build_star}
     try:
-        g = build_graph(tc)
-        if isinstance(g, topology.GraphSchedule):
-            return topology.schedule_mixing(g)
+        if tc.kind == "schedule":
+            return topology.schedule_mixing(_load_schedule(tc.schedule_file, tc.n))
+        g = topology.read_edge_list(tc.edge_file, tc.n) if tc.kind == "edge_list" else builders[tc.kind](tc.n)
         if tc.weights == "uniform":
             return topology.uniform_neighbor_weights(g)
         return topology.metropolis_weights(g)
@@ -444,7 +430,8 @@ def theory_report(cfg: Config, recorded_ts=None, env: Environment | None = None)
     ``env`` is the config's environment at ``cfg.run.seed``; it is built
     from ``cfg`` when omitted. Returns ``{"applicable": False, "reason": ...}``
     when the constants are undefined for the instance (no stable point, zero
-    sensitivity, estimates unavailable) instead of raising.
+    sensitivity, estimates unavailable, or a window above 1, whose rho bounds
+    window products and not the per-step gap the constants take) instead of raising.
     """
     if env is None:
         env, _ = build_environment(cfg.environment, cfg.run.seed)
@@ -452,6 +439,10 @@ def theory_report(cfg: Config, recorded_ts=None, env: Environment | None = None)
     if theta_ps is None:
         return {"applicable": False, "reason": "no closed-form stable point for this instance"}
     mixing = build_mixing(cfg.topology)
+    if mixing.window > 1:
+        return {"applicable": False, "reason": (
+            f"rho = {mixing.rho:.6g} certifies {mixing.window}-step window products, "
+            "not each step; the rate constants need a per-step spectral gap")}
     try:
         tc = theory.instance_constants(
             env, mixing.rho, cfg.step, theta0=cfg.run.theta0,

@@ -222,12 +222,15 @@ def write_metrics_csv(path, records) -> None:
 
 
 def read_metrics_csv(path) -> dict:
-    """Columns as float arrays; missing cells become NaN."""
+    """Columns as float arrays; empty cells become NaN, and a row of the wrong length is refused."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise ValueError(f"{path} is empty")
     header, data = rows[0], rows[1:]
+    for lineno, r in enumerate(data, start=2):
+        if len(r) != len(header):
+            raise ValueError(f"{path}:{lineno}: {len(r)} fields for {len(header)} columns")
     out = {}
     for j, col in enumerate(header):
         out[col] = np.array(

@@ -1,8 +1,10 @@
 """Communication graphs, doubly stochastic mixing matrices, and time-varying schedules.
 
 Graphs are undirected, carry a self-loop at every vertex, and are immutable
-after construction. With ``J = (1/n) 11^T``, mixing matrices come with a
-certified spectral gap ``rho = 1 - ||W - J||_2``.
+after construction. Every weight rule returns one type, :class:`Mixing`: a
+cycled sequence of matrices with a window ``B`` and a certified gap ``rho``.
+A static graph is the one-matrix sequence with window 1, and with
+``J = (1/n) 11^T`` its ``rho = 1 - ||W - J||_2`` is the spectral gap.
 
 The certificate is the only connectivity test: a graph mixes when ``rho > 0``
 (:func:`spectral_gap`), and a schedule with window ``B`` mixes when every
@@ -33,9 +35,8 @@ __all__ = [
     "DisconnectedGraphError",
     "IrregularGraphError",
     "Graph",
-    "MixingMatrix",
+    "Mixing",
     "GraphSchedule",
-    "MixingSchedule",
     "build_ring",
     "build_complete",
     "build_star",
@@ -157,15 +158,21 @@ def read_edge_list(path, n: int | None = None) -> Graph:
 
 
 @dataclass(frozen=True)
-class MixingMatrix:
-    """Symmetric doubly stochastic weights with certified spectral gap."""
+class Mixing:
+    """Doubly stochastic weights ``W_t = matrices[t % len(matrices)]``, cycled in time.
 
-    weights: np.ndarray
+    ``rho`` certifies every cyclic product of ``window`` consecutive steps:
+    ``||A_{t+B-1} ... A_t||_2 <= 1 - rho`` with ``A_t = W_t - (1/n) 11^T``. At
+    window 1 it is a per-step spectral gap; a static graph is one matrix at
+    window 1.
+    """
+
+    matrices: tuple
+    window: int
     rho: float
 
-    @property
-    def n(self) -> int:
-        return self.weights.shape[0]
+    def at(self, t: int) -> np.ndarray:
+        return self.matrices[t % len(self.matrices)]
 
 
 def spectral_gap(w: np.ndarray) -> float:
@@ -196,13 +203,13 @@ def spectral_gap(w: np.ndarray) -> float:
     return float(rho)
 
 
-def _certify(w: np.ndarray) -> MixingMatrix:
+def _certify(w: np.ndarray) -> Mixing:
     rho = spectral_gap(w)
     w.setflags(write=False)
-    return MixingMatrix(weights=w, rho=rho)
+    return Mixing((w,), 1, rho)
 
 
-def uniform_neighbor_weights(g: Graph) -> MixingMatrix:
+def uniform_neighbor_weights(g: Graph) -> Mixing:
     """``W_ij = 1/deg`` on each edge of a regular graph (degree counts the self-loop)."""
     a = g.adjacency()
     degs = a.sum(axis=1)
@@ -226,7 +233,7 @@ def _metropolis_matrix(g: Graph) -> np.ndarray:
     return w
 
 
-def metropolis_weights(g: Graph) -> MixingMatrix:
+def metropolis_weights(g: Graph) -> Mixing:
     """Symmetric doubly stochastic weights; a disconnected graph has no spectral gap."""
     return _certify(_metropolis_matrix(g))
 
@@ -252,27 +259,27 @@ class GraphSchedule:
         return self.graphs[0].n
 
 
-@dataclass(frozen=True)
-class MixingSchedule:
-    """Per-step mixing matrices for a B-connected schedule.
+def _window_product(devs: list, start: int, window: int) -> np.ndarray:
+    """``devs[start + window - 1] ... devs[start]``, indices cyclic, in O(m log window) products.
 
-    ``rho`` certifies every cyclic window product: ``||A_{t+B-1} ... A_t||_2
-    <= 1 - rho`` with ``A_t = W_t - (1/n) 11^T``.
+    A window longer than the cycle is ``R C^q``: ``C`` is the product of one
+    cycle from ``start``, and ``R`` that of its first ``window % m`` factors.
     """
+    m, n = len(devs), devs[0].shape[0]
 
-    matrices: tuple
-    window: int
-    rho: float
+    def run(length: int) -> np.ndarray:
+        p = np.eye(n)
+        for k in range(length):
+            p = devs[(start + k) % m] @ p
+        return p
 
-    @property
-    def n(self) -> int:
-        return self.matrices[0].shape[0]
-
-    def at(self, t: int) -> np.ndarray:
-        return self.matrices[t % len(self.matrices)]
+    if window <= m:
+        return run(window)
+    q, r = divmod(window, m)
+    return run(r) @ np.linalg.matrix_power(run(m), q)
 
 
-def schedule_mixing(s: GraphSchedule) -> MixingSchedule:
+def schedule_mixing(s: GraphSchedule) -> Mixing:
     """Build per-graph Metropolis weights and certify the window contraction factor.
 
     Individual graphs may be disconnected; only the product over each cyclic
@@ -281,13 +288,9 @@ def schedule_mixing(s: GraphSchedule) -> MixingSchedule:
     """
     mats = [_metropolis_matrix(g) for g in s.graphs]
     devs = [w - 1.0 / s.n for w in mats]
-    m = len(mats)
     worst = 0.0
-    for start in range(m):
-        p = np.eye(s.n)
-        for k in range(s.window):
-            p = devs[(start + k) % m] @ p
-        norm = float(np.linalg.norm(p, 2))
+    for start in range(len(mats)):
+        norm = float(np.linalg.norm(_window_product(devs, start, s.window), 2))
         if 1.0 - norm <= _RHO_FLOOR:
             raise DisconnectedGraphError(
                 f"schedule window starting at {start} does not contract: product norm {norm:.6f}"
@@ -295,4 +298,4 @@ def schedule_mixing(s: GraphSchedule) -> MixingSchedule:
         worst = max(worst, norm)
     for w in mats:
         w.setflags(write=False)
-    return MixingSchedule(matrices=tuple(mats), window=s.window, rho=1.0 - worst)
+    return Mixing(tuple(mats), s.window, 1.0 - worst)

@@ -338,6 +338,19 @@ def test_rate_check_on_unreadable_csv_exits_two(tmp_path, capsys, text):
     assert err.startswith(f"config error: cannot read metrics CSV {path}:")
 
 
+@pytest.mark.parametrize("text, line, fields", [
+    ("t,gap_sq\n100,1.0\n200\n", 3, 1),
+    ("t,gap_sq\n100,1.0,7\n", 2, 3),
+], ids=["short_row", "long_row"])
+def test_rate_check_on_ragged_csv_exits_two(tmp_path, capsys, text, line, fields):
+    path = tmp_path / "metrics.csv"
+    path.write_text(text)
+    assert main(["rate-check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read metrics CSV {path}: ")
+    assert f"{path}:{line}: {fields} fields for 2 columns" in err
+
+
 def test_baseline_disconnected_cli(tmp_path, capsys):
     eps = [0.89] * 24 + [1.01]
     path = tiny_gaussian_cfg(

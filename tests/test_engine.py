@@ -164,10 +164,10 @@ def test_average_preservation_holds_on_large_decisions(monkeypatch):
 
 def test_average_check_catches_weights_that_are_not_column_stochastic(monkeypatch):
     # agent 0 keeps its own decision: every row still sums to 1, column 0 does not
-    weights = uniform_neighbor_weights(build_ring(4)).weights.copy()
+    weights = uniform_neighbor_weights(build_ring(4)).matrices[0].copy()
     weights[0] = [1.0, 0.0, 0.0, 0.0]
     env = gaussian_env(4, 0.9, spread=0.5, sigma2=50.0)
-    _, drifts = average_drifts(monkeypatch, env, SimpleNamespace(weights=weights),
+    _, drifts = average_drifts(monkeypatch, env, SimpleNamespace(at=lambda t: weights),
                                StepSchedule.constant(0.01), T=200, seed=11)
     assert drifts.max() > 1e6 * AVERAGE_TOL
 
@@ -182,10 +182,10 @@ def test_consensus_contracts_under_pure_mixing():
     theta0 = state.theta.copy()
     for t in range(50):
         prev = state.theta - state.theta.mean(axis=0)
-        state = dsgd_gd_step(state, mix.weights, env, gamma_t=0.0)
+        state = dsgd_gd_step(state, mix.matrices[0], env, gamma_t=0.0)
         cur = state.theta - state.theta.mean(axis=0)
         assert np.sum(cur**2) <= (1.0 - mix.rho) ** 2 * np.sum(prev**2) + 1e-15
-    assert np.allclose(state.theta, np.linalg.matrix_power(mix.weights, 50) @ theta0)
+    assert np.allclose(state.theta, np.linalg.matrix_power(mix.matrices[0], 50) @ theta0)
 
 
 # ---------------------------------------------------------------- full runs
@@ -246,7 +246,7 @@ def test_greedy_deployment_uses_pre_mixing_decision(monkeypatch):
     states = [x for _, x in traj.records]
     for k in range(20):
         assert np.array_equal(recorded[k][0], states[k])
-        mixed = mix.weights @ states[k]
+        mixed = mix.matrices[0] @ states[k]
         if not np.allclose(mixed, states[k]):
             assert not np.array_equal(recorded[k][0], mixed)
 
@@ -299,8 +299,8 @@ def test_batch_gradient_is_sample_average():
     # collect what the step would sample, then reproduce the update by hand
     manual_streams = agent_streams(5, 2)
     z = np.stack([sample_batch(env, i, state.theta[i], 8, manual_streams[i]) for i in range(2)])
-    nxt = dsgd_gd_step(state, mix.weights, env, gamma_t=0.1, batch=8)
-    want = mix.weights @ state.theta - 0.1 * (state.theta - z.mean(axis=1))
+    nxt = dsgd_gd_step(state, mix.matrices[0], env, gamma_t=0.1, batch=8)
+    want = mix.matrices[0] @ state.theta - 0.1 * (state.theta - z.mean(axis=1))
     assert np.allclose(nxt.theta, want, atol=1e-12)
 
 
@@ -319,7 +319,7 @@ def test_step_without_sampler_matches_run(kind):
     traj = run(RunConfig(T=5, batch=3, seed=13), env, mix, sched)
     state = SchemeState(np.zeros((3, env.dim)), 0, agent_streams(13, 3))
     for t in range(5):
-        state = dsgd_gd_step(state, mix.weights, env, gamma(sched, t + 1), batch=3)
+        state = dsgd_gd_step(state, mix.matrices[0], env, gamma(sched, t + 1), batch=3)
     assert state.theta.tobytes() == traj.final_theta.tobytes()
 
 
@@ -386,7 +386,7 @@ def stepped(cfg, envs, mix, sched, seeds):
     state = SchemeState(np.zeros((len(seeds), n, d)), 0, streams)
     states, stops = [state.theta.copy()], [None] * len(seeds)
     for t in range(1, cfg.T + 1):
-        state = dsgd_gd_step(state, mix.weights, envs[0], gamma(sched, t), batch=cfg.batch,
+        state = dsgd_gd_step(state, mix.matrices[0], envs[0], gamma(sched, t), batch=cfg.batch,
                              sampler=sampler, divergence_threshold=cfg.divergence_threshold)
         states.append(state.theta.copy())
         for s in np.flatnonzero(state.diverged):

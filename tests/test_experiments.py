@@ -200,6 +200,29 @@ def test_theory_report_inapplicable_beyond_condition():
     assert report["applicable"] is False and "eps_avg" in report["reason"]
 
 
+def ring_schedule(tmp_path, graphs, window):
+    """The eps 0.2 gaussian config on a schedule of 25-ring edge sets."""
+    path = tmp_path / f"schedule_{len(graphs)}_{window}.json"
+    path.write_text(json.dumps({"graphs": graphs, "window": window}))
+    topology = {"topology.kind": "schedule", "topology.schedule_file": str(path)}
+    return tiny_gaussian(eps=0.2).replace(**topology)
+
+
+def test_theory_report_refuses_window_certificates(tmp_path):
+    cycle = [[i, (i + 1) % 25] for i in range(25)]
+    matchings = ring_schedule(tmp_path, [cycle[0::2], cycle[1::2]], 2)
+    report = theory_report(matchings)
+    assert report == {"applicable": False, "reason": report["reason"]}
+    rho = build_mixing(matchings.topology).rho
+    assert rho == pytest.approx(0.0299, abs=1e-4)
+    assert f"rho = {rho:.6g} certifies 2-step window products" in report["reason"]
+    # one graph at window 1: rho certifies each step, and the report is the static ring's
+    ring = theory_report(ring_schedule(tmp_path, [cycle], 1), recorded_ts=[0, 10, 100])
+    static = theory_report(tiny_gaussian(eps=0.2), recorded_ts=[0, 10, 100])
+    assert ring["applicable"] is True
+    assert ring["gamma_cap"] == pytest.approx(static["gamma_cap"], rel=1e-12)
+
+
 def test_eps_list_used_as_given():
     # with eps_avg the list's mean, 0.39999999999999997, dividing by eps_avg and
     # multiplying back would give 0.10000000000000002 and 0.4000000000000001

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -136,7 +138,7 @@ def test_numpy_integer_vertices_are_valid():
     g = from_edge_list(3, [(np.int64(2), np.int32(0)), (np.uint8(1), 2)])
     assert g.edges == frozenset({(0, 0), (1, 1), (2, 2), (0, 2), (1, 2)})
     plain = from_edge_list(3, [(0, 2), (1, 2)])
-    assert np.array_equal(metropolis_weights(g).weights, metropolis_weights(plain).weights)
+    assert np.array_equal(metropolis_weights(g).matrices[0], metropolis_weights(plain).matrices[0])
 
 
 def test_read_edge_list(tmp_path):
@@ -153,20 +155,20 @@ def test_read_edge_list(tmp_path):
 # ---------------------------------------------------------------- weights
 
 def test_uniform_ring_25_entries_are_one_third():
-    w = uniform_neighbor_weights(build_ring(25)).weights
+    w = uniform_neighbor_weights(build_ring(25)).matrices[0]
     nz = w[w != 0]
     assert np.allclose(nz, 1.0 / 3.0) and len(nz) == 75
 
 
 def test_uniform_single_vertex_identity():
     m = uniform_neighbor_weights(build_ring(1))
-    assert np.array_equal(m.weights, [[1.0]]) and m.rho == 1.0
+    assert np.array_equal(m.matrices[0], [[1.0]]) and m.rho == 1.0
 
 
 def test_uniform_ring3_rho_from_eigen_oracle():
     # (1/3) * all-ones has eigenvalues {1, 0, 0}, so the gap is exactly 1
     m = uniform_neighbor_weights(build_ring(3))
-    assert np.allclose(m.weights, np.full((3, 3), 1.0 / 3.0))
+    assert np.allclose(m.matrices[0], np.full((3, 3), 1.0 / 3.0))
     assert m.rho == pytest.approx(1.0, abs=1e-12)
 
 
@@ -178,7 +180,7 @@ def test_uniform_rejects_irregular():
 def test_metropolis_star3_by_hand():
     # hub degree 2, leaves degree 1: off-diagonal 1/(1+2) = 1/3,
     # leaf diagonals absorb to 2/3
-    w = metropolis_weights(build_star(3)).weights
+    w = metropolis_weights(build_star(3)).matrices[0]
     expected = np.array([
         [1 / 3, 1 / 3, 1 / 3],
         [1 / 3, 2 / 3, 0.0],
@@ -189,15 +191,15 @@ def test_metropolis_star3_by_hand():
 
 
 def test_metropolis_complete2():
-    w = metropolis_weights(build_complete(2)).weights
+    w = metropolis_weights(build_complete(2)).matrices[0]
     assert np.allclose(w, 0.5)
 
 
 def test_metropolis_matches_uniform_on_ring():
     # 2-regular ring: both rules give 1/3 everywhere on the support
     # (the Metropolis diagonal is 1 - 2/3, one ulp away from 1/3)
-    a = metropolis_weights(build_ring(25)).weights
-    b = uniform_neighbor_weights(build_ring(25)).weights
+    a = metropolis_weights(build_ring(25)).matrices[0]
+    b = uniform_neighbor_weights(build_ring(25)).matrices[0]
     assert np.allclose(a, b, atol=1e-15)
     assert np.array_equal(a != 0, b != 0)
 
@@ -256,7 +258,8 @@ def test_spectral_gap_rejects_nonstochastic():
 @given(connected_graphs())
 def test_mixing_matrix_invariants(g):
     m = metropolis_weights(g)
-    w = m.weights
+    w = m.matrices[0]
+    assert m.window == 1 and len(m.matrices) == 1 and m.at(7) is w  # a static graph is window 1
     assert np.all(np.abs(w.sum(axis=1) - 1.0) < 1e-12)
     assert np.all(np.abs(w.sum(axis=0) - 1.0) < 1e-12)
     assert np.array_equal(w, w.T)
@@ -273,10 +276,10 @@ def test_gap_invariant_under_relabeling_and_mean_preserved(g, seed):
     m = metropolis_weights(g)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(g.n)
-    pw = m.weights[np.ix_(perm, perm)]
+    pw = m.matrices[0][np.ix_(perm, perm)]
     assert spectral_gap(pw) == pytest.approx(m.rho, abs=1e-10)
     theta = rng.standard_normal((g.n, 3))
-    mixed = m.weights @ theta
+    mixed = m.matrices[0] @ theta
     assert np.allclose(mixed.mean(axis=0), theta.mean(axis=0), atol=1e-10)
 
 
@@ -361,6 +364,33 @@ def test_schedule_mixing_keeps_the_declared_window():
     assert ms.rho == pytest.approx(1.0 - np.linalg.norm(np.linalg.matrix_power(dev, 3), 2), abs=1e-12)
     assert ms.rho == pytest.approx(0.7037, abs=1e-4)
     assert 1.0 - np.linalg.norm(dev, 2) == pytest.approx(1.0 / 3.0)
+
+
+def sequential_window_norm(ms, start):
+    """``||A_{start+B-1} ... A_start||_2``, multiplied out one factor at a time."""
+    n = ms.matrices[0].shape[0]
+    p = np.eye(n)
+    for k in range(ms.window):
+        p = (ms.at(start + k) - 1.0 / n) @ p
+    return np.linalg.norm(p, 2)
+
+
+@pytest.mark.parametrize("window", [4, 11], ids=["m+1", "3m+2"])
+def test_long_window_matches_the_sequential_product(window):
+    a, b = ring_matchings(25)
+    chords = from_edge_list(25, [(0, 12), (5, 18)])
+    ms = schedule_mixing(GraphSchedule(graphs=(a, b, chords), window=window))
+    worst = max(sequential_window_norm(ms, start) for start in range(3))
+    assert 0.5 < worst < 1.0  # a product far from both identity and zero
+    assert ms.rho == pytest.approx(1.0 - worst, abs=1e-12)
+
+
+def test_huge_window_certifies_in_logarithmic_time():
+    a, b = ring_matchings(25)
+    start = time.perf_counter()
+    ms = schedule_mixing(GraphSchedule(graphs=(a, b), window=10**9))
+    assert time.perf_counter() - start < 1.0
+    assert ms.window == 10**9 and ms.rho == pytest.approx(1.0)
 
 
 def test_schedule_mixing_rejects_never_connected():
