@@ -162,6 +162,8 @@ def _cmd_rate_check(args) -> int:
     except metrics.FitUnavailableError as exc:
         print(json.dumps({"metric": args.metric, "error": str(exc)}, indent=2))
         return EXIT_OK
+    except ValueError as exc:
+        raise ConfigError(f"rate-check --window: {exc}") from None
     print(json.dumps(metrics.rate_fit_json(args.metric, fit), indent=2))
     return EXIT_OK
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -47,6 +48,13 @@ DIVERGENCE_THRESHOLD = 1e12
 
 class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
+
+
+def _integers(where: str, **values) -> None:
+    """Refuse any value that is not an integer; a bool or a float such as 1e5 is not one."""
+    for name, v in values.items():
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+            raise ConfigError(f"{where}.{name} must be an integer, got {json.dumps(v, default=repr)}")
 
 
 def _from_dict(cls, data: dict, where: str):
@@ -217,10 +225,17 @@ class RunConfig:
     divergence_threshold: float = DIVERGENCE_THRESHOLD
 
     def __post_init__(self):
+        _integers("run", T=self.T, batch=self.batch, record_every=self.record_every, seed=self.seed)
         if self.T < 0:
             raise ConfigError(f"run.T must be nonnegative, got {self.T}")
         if self.batch < 1 or self.record_every < 1:
             raise ConfigError("run.batch and run.record_every must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"run.seed must be nonnegative, got {self.seed}")
+        # NaN fails the comparison too
+        if not self.divergence_threshold > 0:
+            raise ConfigError(
+                f"run.divergence_threshold must be positive, got {self.divergence_threshold}")
 
 
 @dataclass(frozen=True)
@@ -231,6 +246,10 @@ class ExperimentSection:
     theory_delta: float = 0.1
 
     def __post_init__(self):
+        _integers("experiment", **{f"seeds[{k}]": s for k, s in enumerate(self.seeds)})
+        negative = sorted(s for s in self.seeds if s < 0)
+        if negative:
+            raise ConfigError(f"experiment.seeds must be nonnegative, got {negative}")
         # a repeated seed would write one run directory and count twice in the aggregates
         repeated = sorted(s for s, k in Counter(self.seeds).items() if k > 1)
         if repeated:

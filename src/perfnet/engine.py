@@ -14,11 +14,10 @@ agent evaluation order and thread count. Within a stream, position encodes
 (iteration, draw index) because every iteration consumes a fixed number of
 draws.
 
-:func:`run` advances its seeds a block of iterations at a time, writing each
-iteration's decisions in place into one preallocated array, and tests for
-divergence once per block. That scan still locates each seed's first failing
-iteration exactly, so a run stops every seed where stepping one iteration at
-a time with :func:`dsgd_gd_step`, the one-iteration block, would.
+:func:`run` advances its seeds a block of iterations at a time. Each
+iteration is one :func:`dsgd_gd_step`, which writes its decisions in place
+into one preallocated array, and one scan per block tests for divergence. That
+scan still locates each seed's first failing iteration exactly.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DIVERGENCE_THRESHOLD, RunConfig, StepSchedule
+from .config import RunConfig, StepSchedule
 from .environment import (
     Environment,
     deployed_gradients,
@@ -43,7 +42,6 @@ __all__ = [
     "StepSchedule",
     "gamma",
     "RunConfig",
-    "SchemeState",
     "Trajectory",
     "dsgd_gd_step",
     "run",
@@ -85,21 +83,6 @@ def gamma(schedule: StepSchedule, t: int) -> float:
 
 
 @dataclass
-class SchemeState:
-    """Stacked agent decisions at iteration t plus their RNG streams, for :func:`dsgd_gd_step`.
-
-    ``theta`` is (..., n, d): its leading axes index seeds, each with its
-    list of n generators in ``streams``. ``t`` counts steps, and ``diverged``
-    is False until a seed stops, then one flag per seed.
-    """
-
-    theta: np.ndarray  # (..., n, d)
-    t: int
-    streams: list
-    diverged: bool | np.ndarray = False
-
-
-@dataclass
 class Trajectory:
     """Metric records plus the final (last finite) state of a run."""
 
@@ -114,64 +97,27 @@ def _first_failures(rows: np.ndarray, threshold: float) -> np.ndarray:
 
     That is the index of the seed's first row with an entry over the threshold
     in absolute value, or k when none has one. One reduction over the whole
-    stack; NaN and inf entries fail the comparison as well.
+    stack; NaN and inf entries fail the comparison as well, even under an
+    infinite threshold.
     """
-    ok = np.abs(rows).max(axis=(-2, -1)) <= threshold
+    ok = np.abs(rows).max(axis=(-2, -1)) <= min(threshold, np.finfo(float).max)
     return np.where(ok.all(axis=0), len(rows), ok.argmin(axis=0))
 
 
-def _advance(block, k, t0, weights_at, gamma_at, env, sampler) -> None:
-    """Write iterations t0 + 1 .. t0 + k into ``block[1:k + 1]``, starting from ``block[0]``.
+def dsgd_gd_step(theta, weights, env: Environment, gamma_t: float, draw, out=None) -> np.ndarray:
+    """One DSGD-GD iteration of the (..., n, d) decisions ``theta``; returns the next decisions.
 
-    ``block`` is (K + 1, ..., n, d). Row j is deployed and drawn for, its
-    gradient (a new array) is scaled in place, and the mixed rows are written
-    straight into row j + 1, which the gradient is then subtracted from. A
-    seed that fails keeps stepping to the end of the block, so overflow here
-    is expected and raises no warning; the caller locates the failure.
+    ``draw(theta)`` deploys ``theta`` and draws its samples (a sampler from
+    :func:`make_engine_sampler`). The gradient, taken at ``theta`` itself and
+    returned as a new array, is scaled by ``gamma_t`` in place and subtracted
+    from the mixed decisions ``weights @ theta``, which are written into
+    ``out`` when it is given.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(k):
-            t = t0 + j + 1
-            theta, nxt = block[j], block[j + 1]
-            grads = deployed_gradients(env, theta, sampler(theta))  # at pre-mixing theta
-            grads *= gamma_at(t)
-            np.matmul(weights_at(t), theta, out=nxt)
-            nxt -= grads
-
-
-def dsgd_gd_step(
-    state: SchemeState,
-    weights: np.ndarray,
-    env: Environment,
-    gamma_t: float,
-    batch: int = 1,
-    sampler=None,
-    divergence_threshold: float = DIVERGENCE_THRESHOLD,
-) -> SchemeState:
-    """One two-phase update. Returns the state at iteration t+1.
-
-    The one-iteration block of :func:`run`: the same update and the same
-    divergence rule. The draw ignores ``state.theta``; the gradient is taken at
-    it, the deployment. Without a ``sampler`` one unbuffered iteration of an
-    (n, d) state is drawn from ``state.streams``, exactly as :func:`run`'s
-    sampler would draw it. A seed whose update is non-finite or oversized, now
-    or at an earlier step, keeps its previous finite rows and is flagged in
-    ``diverged``; the other seeds, which share ``env``'s loss, move, and ``t``
-    advances.
-    """
-    theta = state.theta
-    if sampler is None:
-        sampler = make_engine_sampler(env, batch, state.streams, chunk=1)
-    block = np.empty((2,) + theta.shape)
-    block[0] = theta
-    _advance(block, 1, state.t, lambda t: weights, lambda t: gamma_t, env, sampler)
-    nxt = block[1]
-    kept = _first_failures(block[1:], divergence_threshold)  # per seed, 0 if the step failed
-    if state.diverged is False and kept.all():
-        return SchemeState(nxt, state.t + 1, state.streams)
-    stopped = state.diverged | (kept == 0)
-    return SchemeState(np.where(stopped[..., None, None], theta, nxt), state.t + 1, state.streams,
-                       diverged=stopped)
+    grads = deployed_gradients(env, theta, draw(theta))  # at pre-mixing theta
+    grads *= gamma_t
+    nxt = np.matmul(weights, theta, out=out)
+    nxt -= grads
+    return nxt
 
 
 def run(
@@ -205,10 +151,9 @@ def run(
     Iterations are written in place into a block of up to 64 of them (fewer
     when the block would exceed 256 KB), and one scan per block finds each
     seed's first non-finite or oversized iteration. A seed that diverges stops
-    alone, at exactly that iteration, with its last finite decisions, as under
-    :func:`dsgd_gd_step`; it steps on from those decisions, its results
-    discarded, and the batch ends after the block in which every seed has
-    stopped, or at t = T.
+    alone, at exactly that iteration, with its last finite decisions; it steps
+    on from those decisions, its results discarded, and the batch ends after
+    the block in which every seed has stopped, or at t = T.
     """
     one = seeds is None
     if one:
@@ -240,7 +185,12 @@ def run(
     live, t0 = list(range(S)), 0
     while live and t0 < config.T:
         k = min(K, config.T - t0)
-        _advance(block, k, t0, mixing.at, lambda t: gamma(schedule, t), env[0], sampler)
+        # a failing seed steps on to the end of the block, so overflow here is
+        # expected and raises no warning; the scan below locates the failure
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(k):
+                t = t0 + j + 1
+                dsgd_gd_step(block[j], mixing.at(t), env[0], gamma(schedule, t), sampler, out=block[j + 1])
         # block[j] holds iteration t0 + j; seed s is finite through block[kept[s]]
         kept = _first_failures(block[1:k + 1], config.divergence_threshold)
         for t in range(t0 + 1, t0 + k + 1):

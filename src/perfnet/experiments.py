@@ -245,9 +245,21 @@ def _strategic_shards(ec, seed: int) -> tuple[list, tuple]:
     return shards, test
 
 
+def _check_theta0(cfg: Config, env: Environment) -> None:
+    """Refuse a ``run.theta0`` that is neither one number nor one per coordinate of ``env``'s decisions."""
+    try:
+        shape = np.asarray(cfg.run.theta0, dtype=float).shape
+    except (TypeError, ValueError):
+        shape = None
+    if shape not in ((), (1,), (env.dim,)):
+        raise ConfigError(f"run.theta0 must be a number or {env.dim} numbers, "
+                          f"got {json.dumps(cfg.run.theta0, default=repr)}")
+
+
 def _seed_parts(cfg: Config, seed: int):
     """One seed's environment, test split (or None) and standard metric recorder."""
     env, test = build_environment(cfg.environment, seed)
+    _check_theta0(cfg, env)
     sink = metrics.metric_recorder(env, theta_ps=oracle.closed_form_or_none(env), test_data=test)
     return env, test, sink
 
@@ -435,6 +447,7 @@ def theory_report(cfg: Config, recorded_ts=None, env: Environment | None = None)
     """
     if env is None:
         env, _ = build_environment(cfg.environment, cfg.run.seed)
+    _check_theta0(cfg, env)
     theta_ps = oracle.closed_form_or_none(env)
     if theta_ps is None:
         return {"applicable": False, "reason": "no closed-form stable point for this instance"}

@@ -128,8 +128,11 @@ def rate_fit(
     The window is the last ``window`` fraction of recorded points with
     ``t >= min_t``. Nonpositive values inside the window are dropped with a
     warning; fewer than ``min_points`` usable points raises
-    :class:`FitUnavailableError`.
+    :class:`FitUnavailableError`, and a ``window`` outside (0, 1] raises
+    ValueError.
     """
+    if not 0 < window <= 1:  # NaN fails the comparison too
+        raise ValueError(f"the fit window is a fraction in (0, 1], got {window}")
     ts = np.asarray(ts, dtype=float)
     values = np.asarray(values, dtype=float)
     if ts.shape != values.shape:

@@ -1,15 +1,17 @@
-"""Per-sample references for the batched library paths.
+"""Per-sample and per-iteration references for the batched library paths.
 
 The library draws base samples a chunk at a time and applies each agent's
 shift by algebra (``make_engine_sampler``, ``deployed_gradients``), and it
 scores and differentiates over whole datasets at once (``exact_risk``,
-``decoupled_full_gradient``). The functions here do the same work one agent
-and one sample at a time, in the plainest form, so the tests can check the
-batched paths against them.
+``decoupled_full_gradient``). Its ``engine.run`` advances blocks of
+iterations and scans each block for divergence once. The functions here do
+the same work one agent and one sample, or one iteration, at a time, in the
+plainest form, so the tests can check the batched paths against them.
 """
 
 import numpy as np
 
+from perfnet.engine import agent_streams, dsgd_gd_step, gamma
 from perfnet.environment import (
     GAUSSIAN,
     QUADRATIC,
@@ -19,6 +21,7 @@ from perfnet.environment import (
     _check_theta,
     _softplus_minus_yu,
     expit,
+    make_engine_sampler,
 )
 
 
@@ -78,3 +81,30 @@ def decoupled_risk_gradient(env: Environment, i: int, theta, deployed) -> np.nda
     theta = _check_theta(env, theta)
     deployed = _check_theta(env, deployed)
     return theta - env.zbar_stack[i] - env.eps[i] * deployed
+
+
+def stepped(cfg, envs, mixing, schedule, seeds):
+    """Each seed's stop iteration (or None) and its (S, n, d) decisions by t, one step at a time.
+
+    Each iteration is one ``dsgd_gd_step`` with an unbuffered (``chunk=1``)
+    sampler. A seed stops at the first iteration that gives it a non-finite
+    entry or one above ``cfg.divergence_threshold`` in absolute value, and
+    from then on keeps its last finite rows.
+    """
+    n, d = envs[0].n, envs[0].dim
+    draw = make_engine_sampler(envs, cfg.batch, [agent_streams(seed, n) for seed in seeds], chunk=1)
+    theta = np.empty((len(seeds), n, d))
+    theta[...] = cfg.theta0
+    states, stops = [theta.copy()], [None] * len(seeds)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, cfg.T + 1):
+            nxt = dsgd_gd_step(theta, mixing.at(t), envs[0], gamma(schedule, t), draw)
+            for s in range(len(seeds)):
+                if stops[s] is None and not (np.isfinite(nxt[s]).all()
+                                             and np.abs(nxt[s]).max() <= cfg.divergence_threshold):
+                    stops[s] = t
+                if stops[s] is not None:
+                    nxt[s] = theta[s]
+            theta = nxt
+            states.append(theta.copy())
+    return stops, states

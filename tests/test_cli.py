@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -105,7 +106,20 @@ def test_non_integer_thread_count_exits_two(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("config error: PERFNET_THREADS")
 
 
-# configs that parse but fail when loaded or built; the last one cannot be
+# run and experiment fields of the wrong type or range; each error names its field
+FIELD_ERRORS = {
+    "run_T_a_float": {"run.T": 1e5},  # how JSON users write 1e5 iterations
+    "run_batch_a_float": {"run.batch": 2.5},
+    "run_record_every_a_float": {"run.record_every": 200.0},
+    "run_seed_a_float": {"run.seed": 1.5},
+    "seed_a_bool": {"experiment.seeds": [True]},
+    "negative_seed": {"experiment.seeds": [-1]},
+    "nan_divergence_threshold": {"run.divergence_threshold": float("nan")},
+    "negative_divergence_threshold": {"run.divergence_threshold": -1.0},
+    "theta0_of_the_wrong_length": {"run.theta0": [1.0, 2.0]},  # the preset's d is 1
+}
+
+# configs that parse but fail when loaded or built; the step a0 case cannot be
 # written by save_config, because the step section rejects it
 BUILD_ERRORS = {
     "star_with_uniform_weights": {"topology.kind": "star"},
@@ -128,6 +142,7 @@ BUILD_ERRORS = {
     "schedule_vertex_a_float": {"topology.kind": "schedule", "topology.schedule_file": "vertex_float.json"},
     "schedule_vertex_a_bool": {"topology.kind": "schedule", "topology.schedule_file": "vertex_bool.json"},
     "repeated_seed": {"experiment.seeds": [5, 5, 6]},
+    **FIELD_ERRORS,
 }
 
 RING = json.dumps([[i, (i + 1) % 25] for i in range(25)])
@@ -199,6 +214,26 @@ def test_theory_on_unbuildable_config_exits_two(tmp_path, capsys, case):
         assert "non-integer vertex" in err
     if case == "repeated_seed":
         assert err == "config error: experiment.seeds repeats [5]\n"
+    if case in FIELD_ERRORS:
+        assert next(iter(overrides)) in err
+
+
+@pytest.mark.parametrize("overrides", [
+    {"run.theta0": [1.0, 2.0]},
+    {"run.divergence_threshold": float("nan")},
+], ids=["theta0_of_the_wrong_length", "nan_divergence_threshold"])
+def test_run_on_misconfigured_run_section_exits_two(tmp_path, capsys, overrides):
+    # not divergence (exit 3) and not numpy's broadcast error (exit 1); the
+    # field is set in the JSON, since Config.replace refuses the NaN itself
+    path = tmp_path / "cfg.json"
+    d = json.loads(Path(tiny_gaussian_cfg(tmp_path)).read_text())
+    (key, val), = overrides.items()
+    section, leaf = key.split(".")
+    d[section][leaf] = val
+    path.write_text(json.dumps(d))
+    assert main(["run", str(path), "--threads", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and next(iter(overrides)) in err
 
 
 def test_fixed_point_emits_json(tmp_path, capsys):
@@ -349,6 +384,15 @@ def test_rate_check_on_ragged_csv_exits_two(tmp_path, capsys, text, line, fields
     err = capsys.readouterr().err
     assert err.startswith(f"config error: cannot read metrics CSV {path}: ")
     assert f"{path}:{line}: {fields} fields for 2 columns" in err
+
+
+@pytest.mark.parametrize("window", ["nan", "0", "-0.5", "1.5"])
+def test_rate_check_on_window_outside_the_unit_interval_exits_two(tmp_path, capsys, window):
+    path = tmp_path / "metrics.csv"
+    write_metrics_csv(path, [MetricRecord(t=int(t), gap_sq=7.0 / t) for t in range(100, 2000, 20)])
+    assert main(["rate-check", str(path), "--window", window]) == 2
+    assert capsys.readouterr().err.startswith("config error: rate-check --window:")
+    assert main(["rate-check", str(path), "--window", "1"]) == 0
 
 
 def test_baseline_disconnected_cli(tmp_path, capsys):

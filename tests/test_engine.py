@@ -8,7 +8,6 @@ import pytest
 import perfnet.engine as engine
 from perfnet.engine import (
     RunConfig,
-    SchemeState,
     StepSchedule,
     agent_streams,
     dsgd_gd_step,
@@ -23,11 +22,16 @@ from perfnet.environment import (
     make_heterogeneous_suite,
 )
 from perfnet.topology import build_complete, build_ring, uniform_neighbor_weights
-from reference import decoupled_risk_gradient, sample_batch
+from reference import decoupled_risk_gradient, sample_batch, stepped
 
 
 def gaussian_env(n, eps_avg, spread=0.0, zbar=10.0, sigma2=0.0):
     return make_heterogeneous_suite(n, eps_avg, spread, zbar=zbar, sigma2=sigma2)
+
+
+def draw_for(env, seed, batch=1):
+    """An unbuffered sampler of ``env`` on the streams of ``seed``, for single steps."""
+    return make_engine_sampler(env, batch, agent_streams(seed, env.n), chunk=1)
 
 
 def consensus_sink(t, theta):
@@ -68,17 +72,15 @@ def test_schedule_validation():
 def test_single_agent_reduces_to_gradient_descent():
     env = gaussian_env(1, 0.0, zbar=5.0)
     w = np.array([[1.0]])
-    state = SchemeState(np.zeros((1, 1)), 0, agent_streams(0, 1))
-    nxt = dsgd_gd_step(state, w, env, gamma_t=0.5)
-    assert np.allclose(nxt.theta, [[2.5]], atol=1e-15)
+    nxt = dsgd_gd_step(np.zeros((1, 1)), w, env, 0.5, draw_for(env, 0))
+    assert np.allclose(nxt, [[2.5]], atol=1e-15)
 
 
 def test_zero_step_is_pure_mixing():
     env = gaussian_env(2, 0.0)
     w = np.full((2, 2), 0.5)
-    state = SchemeState(np.array([[0.0], [4.0]]), 0, agent_streams(0, 2))
-    nxt = dsgd_gd_step(state, w, env, gamma_t=0.0)
-    assert np.allclose(nxt.theta, [[2.0], [2.0]])
+    nxt = dsgd_gd_step(np.array([[0.0], [4.0]]), w, env, 0.0, draw_for(env, 0))
+    assert np.allclose(nxt, [[2.0], [2.0]])
 
 
 def test_scalar_recursion_oracle():
@@ -178,14 +180,14 @@ def test_consensus_contracts_under_pure_mixing():
     mix = uniform_neighbor_weights(build_ring(n))
     rng = np.random.default_rng(0)
     env = gaussian_env(n, 0.0)
-    state = SchemeState(rng.standard_normal((n, 1)), 0, agent_streams(0, n))
-    theta0 = state.theta.copy()
+    draw = draw_for(env, 0)
+    theta = theta0 = rng.standard_normal((n, 1))
     for t in range(50):
-        prev = state.theta - state.theta.mean(axis=0)
-        state = dsgd_gd_step(state, mix.matrices[0], env, gamma_t=0.0)
-        cur = state.theta - state.theta.mean(axis=0)
+        prev = theta - theta.mean(axis=0)
+        theta = dsgd_gd_step(theta, mix.matrices[0], env, 0.0, draw)
+        cur = theta - theta.mean(axis=0)
         assert np.sum(cur**2) <= (1.0 - mix.rho) ** 2 * np.sum(prev**2) + 1e-15
-    assert np.allclose(state.theta, np.linalg.matrix_power(mix.matrices[0], 50) @ theta0)
+    assert np.allclose(theta, np.linalg.matrix_power(mix.matrices[0], 50) @ theta0)
 
 
 # ---------------------------------------------------------------- full runs
@@ -258,6 +260,14 @@ def test_finite_rejects_nan_inf_and_oversized(bad):
     assert engine._first_failures(theta[None], 1e12) == 0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_finite_rejects_nan_and_inf_under_an_infinite_threshold(bad):
+    # a config may set divergence_threshold to inf; inf rows are still no final state
+    theta = np.ones((3, 2))
+    theta[1, 0] = bad
+    assert engine._first_failures(theta[None], np.inf) == 0
+
+
 def test_finite_accepts_entries_at_the_threshold():
     theta = np.array([[1e12, -1e12], [0.0, 5.0]])
     assert engine._first_failures(theta[None], 1e12) == 1
@@ -277,36 +287,33 @@ def test_divergence_flag_and_truncation():
 
 
 def test_step_divergence_keeps_rows_and_flag():
-    # noiseless, eps = 0: one unit step sends both agents to zbar +- 0.5,
-    # past the threshold; the seed keeps its rows, its flag is set, t moves,
-    # and a later finite step (pure mixing) neither moves it nor clears it
+    # noiseless, eps = 0: one unit step sends both agents from 1 to zbar = 10,
+    # past the threshold; the seed stops at t = 1 with its start rows, and the
+    # later steps of the run neither move it nor clear its flag
     env = gaussian_env(2, 0.0, zbar=10.0)
-    w = np.full((2, 2), 0.5)
-    theta = np.array([[1.0], [2.0]])
-    state = SchemeState(theta, 0, agent_streams(0, 2))
-    state = dsgd_gd_step(state, w, env, gamma_t=1.0, divergence_threshold=5.0)
-    assert np.shape(state.diverged) == () and bool(state.diverged) is True
-    assert np.array_equal(state.theta, theta) and state.t == 1
-    state = dsgd_gd_step(state, w, env, gamma_t=0.0, divergence_threshold=5.0)
-    assert bool(state.diverged) is True
-    assert np.array_equal(state.theta, theta) and state.t == 2
+    mix = uniform_neighbor_weights(build_complete(2))
+    cfg = RunConfig(T=3, seed=0, theta0=1.0, divergence_threshold=5.0)
+    traj = run(cfg, env, mix, StepSchedule.constant(1.0), sink=consensus_sink)
+    assert traj.diverged and traj.diverged_at == 1
+    assert np.array_equal(traj.final_theta, [[1.0], [1.0]])
+    assert [t for t, _ in traj.records] == [0]
 
 
 def test_batch_gradient_is_sample_average():
     env = gaussian_env(2, 0.3, sigma2=50.0)
     mix = uniform_neighbor_weights(build_complete(2))
-    state = SchemeState(np.array([[1.0], [2.0]]), 0, agent_streams(5, 2))
+    theta = np.array([[1.0], [2.0]])
     # collect what the step would sample, then reproduce the update by hand
     manual_streams = agent_streams(5, 2)
-    z = np.stack([sample_batch(env, i, state.theta[i], 8, manual_streams[i]) for i in range(2)])
-    nxt = dsgd_gd_step(state, mix.matrices[0], env, gamma_t=0.1, batch=8)
-    want = mix.matrices[0] @ state.theta - 0.1 * (state.theta - z.mean(axis=1))
-    assert np.allclose(nxt.theta, want, atol=1e-12)
+    z = np.stack([sample_batch(env, i, theta[i], 8, manual_streams[i]) for i in range(2)])
+    nxt = dsgd_gd_step(theta, mix.matrices[0], env, 0.1, draw_for(env, 5, batch=8))
+    want = mix.matrices[0] @ theta - 0.1 * (theta - z.mean(axis=1))
+    assert np.allclose(nxt, want, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", [GAUSSIAN, STRATEGIC])
 def test_step_without_sampler_matches_run(kind):
-    # the unbuffered no-sampler step consumes the streams exactly as run's sampler
+    # single steps on an unbuffered sampler consume the streams exactly as run's sampler
     if kind == GAUSSIAN:
         env = gaussian_env(3, 0.5, spread=0.4, sigma2=50.0)
     else:
@@ -316,11 +323,10 @@ def test_step_without_sampler_matches_run(kind):
         env = make_heterogeneous_suite(3, 0.5, 0.4, kind=STRATEGIC, shards=shards, beta=0.1)
     mix = uniform_neighbor_weights(build_complete(3))
     sched = StepSchedule.constant(0.05)
-    traj = run(RunConfig(T=5, batch=3, seed=13), env, mix, sched)
-    state = SchemeState(np.zeros((3, env.dim)), 0, agent_streams(13, 3))
-    for t in range(5):
-        state = dsgd_gd_step(state, mix.matrices[0], env, gamma(sched, t + 1), batch=3)
-    assert state.theta.tobytes() == traj.final_theta.tobytes()
+    cfg = RunConfig(T=5, batch=3, seed=13)
+    traj = run(cfg, env, mix, sched)
+    _, states = stepped(cfg, [env], mix, sched, [13])
+    assert states[-1][0].tobytes() == traj.final_theta.tobytes()
 
 
 def batch_envs(kind):
@@ -378,24 +384,8 @@ def test_divergence_stops_only_that_seed():
             assert traj.records[-1][0] == traj.diverged_at - 1
 
 
-def stepped(cfg, envs, mix, sched, seeds):
-    """Each seed's stop step and its states by t, from a dsgd_gd_step loop."""
-    n, d = envs[0].n, envs[0].dim
-    streams = [agent_streams(seed, n) for seed in seeds]
-    sampler = make_engine_sampler(envs, cfg.batch, streams, chunk=1)
-    state = SchemeState(np.zeros((len(seeds), n, d)), 0, streams)
-    states, stops = [state.theta.copy()], [None] * len(seeds)
-    for t in range(1, cfg.T + 1):
-        state = dsgd_gd_step(state, mix.matrices[0], envs[0], gamma(sched, t), batch=cfg.batch,
-                             sampler=sampler, divergence_threshold=cfg.divergence_threshold)
-        states.append(state.theta.copy())
-        for s in np.flatnonzero(state.diverged):
-            stops[s] = stops[s] or t
-    return stops, states
-
-
 def assert_matches_stepped(cfg, envs, mix, sched, seeds):
-    """run equals the dsgd_gd_step loop; its sinks keep the rows they are handed."""
+    """run equals the one-step-at-a-time reference; its sinks keep the rows they are handed."""
     batch = run(cfg, envs, mix, sched, sink=[lambda t, theta: (t, theta)] * len(seeds),
                 seeds=seeds)
     stops, states = stepped(cfg, envs, mix, sched, seeds)
@@ -406,7 +396,7 @@ def assert_matches_stepped(cfg, envs, mix, sched, seeds):
         assert [t for t, _ in traj.records] == times
         for t, rows in traj.records:
             assert rows.tobytes() == states[t][s].tobytes()
-        assert traj.final_theta.tobytes() == states[last][s].tobytes()
+        assert traj.final_theta.tobytes() == states[-1][s].tobytes()  # kept since the stop
     return stops
 
 
@@ -492,6 +482,35 @@ def test_batch_rejects_mismatched_environments():
             StepSchedule.constant(0.1), seeds=[0, 1])
 
 
+@pytest.mark.parametrize("seeds", [None, [4, 5, 6]], ids=["one_seed", "three_seeds"])
+def test_run_takes_one_dsgd_gd_step_per_iteration(monkeypatch, seeds):
+    # the benchmark times engine.run's iterations as its dsgd_gd_step calls
+    outputs = []
+    real_step = engine.dsgd_gd_step
+
+    def counting_step(*args, **kwargs):
+        out = real_step(*args, **kwargs)
+        outputs.append(out.copy())
+        return out
+
+    monkeypatch.setattr(engine, "dsgd_gd_step", counting_step)
+    env = gaussian_env(3, 0.5, spread=0.4, sigma2=50.0)
+    mix = uniform_neighbor_weights(build_ring(3))
+    sched = StepSchedule.inverse_time(5.0, 50.0)
+    T = 2 * K + 5
+    cfg = RunConfig(T=T, record_every=10, seed=4)
+    if seeds is None:
+        trajs = [run(cfg, env, mix, sched, sink=consensus_sink)]
+    else:
+        trajs = run(cfg, [env] * 3, mix, sched, sink=[consensus_sink] * 3, seeds=seeds)
+    assert len(outputs) == T
+    for s, traj in enumerate(trajs):
+        assert not traj.diverged
+        assert [t for t, _ in traj.records] == [*range(0, T, 10), T]
+        for t, rows in traj.records[1:]:
+            assert rows.tobytes() == outputs[t - 1][s].tobytes()
+
+
 def test_time_varying_mixing_converges():
     from perfnet.topology import GraphSchedule, from_edge_list, schedule_mixing
     n = 6
@@ -502,11 +521,11 @@ def test_time_varying_mixing_converges():
     )
     ms = schedule_mixing(sched)
     env = gaussian_env(n, 0.5, sigma2=0.0)
-    rng = np.random.default_rng(2)
-    state = SchemeState(rng.standard_normal((n, 1)), 0, agent_streams(0, n))
+    draw = draw_for(env, 0)
+    theta = np.random.default_rng(2).standard_normal((n, 1))
     for t in range(1200):
-        state = dsgd_gd_step(state, ms.at(t + 1), env, gamma_t=0.05)
-    assert np.allclose(state.theta, 20.0, atol=1e-6)  # 10 / (1 - 0.5)
+        theta = dsgd_gd_step(theta, ms.at(t + 1), env, 0.05, draw)
+    assert np.allclose(theta, 20.0, atol=1e-6)  # 10 / (1 - 0.5)
 
 
 # ---------------------------------------------------------------- bias probe
