@@ -17,7 +17,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import experiments, metrics, oracle, theory
-from .config import ConfigError, load_config
+from .config import INTEGER_FIELDS, ConfigError, load_config
 from .datasets import DatasetError
 from .environment import decoupled_full_gradient
 
@@ -69,13 +69,24 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
-def _parse_values(raw: str) -> list:
+def _parse_values(raw: str, axis: str) -> list:
+    """``--values`` tokens as numbers where they parse, else as strings.
+
+    A token is an int only on an axis the config requires to be an integer
+    (``config.INTEGER_FIELDS``); elsewhere every number is a float, so a
+    token such as ``1e5`` on such an axis stays a config error.
+    """
+    parsers = (int, float) if axis in INTEGER_FIELDS else (float,)
     out = []
     for tok in raw.split(","):
         tok = tok.strip()
-        try:
-            out.append(float(tok))
-        except ValueError:
+        for parse in parsers:
+            try:
+                out.append(parse(tok))
+                break
+            except ValueError:
+                pass
+        else:
             out.append(tok)
     return out
 
@@ -91,7 +102,7 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     manifest = experiments.run_experiment(
-        cfg, axis=args.axis, values=_parse_values(args.values),
+        cfg, axis=args.axis, values=_parse_values(args.values, args.axis),
         out=args.out, threads=args.threads,
     )
     print(json.dumps({k: manifest[k] for k in ("name", "axis", "values", "wall_time_s",

@@ -31,6 +31,7 @@ __all__ = [
     "StrategicConfig",
     "EnvironmentConfig",
     "DIVERGENCE_THRESHOLD",
+    "INTEGER_FIELDS",
     "StepSchedule",
     "RunConfig",
     "ExperimentSection",
@@ -213,6 +214,11 @@ class StepSchedule:
         return cls("inverse_time", a0=a0, a1=a1)
 
 
+# the run fields that must be integers; a sweep parses its values for them as int
+_RUN_INTEGERS = ("T", "batch", "record_every", "seed")
+INTEGER_FIELDS = frozenset(f"run.{name}" for name in _RUN_INTEGERS)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Iteration budget and reproducibility knobs for one run."""
@@ -225,7 +231,7 @@ class RunConfig:
     divergence_threshold: float = DIVERGENCE_THRESHOLD
 
     def __post_init__(self):
-        _integers("run", T=self.T, batch=self.batch, record_every=self.record_every, seed=self.seed)
+        _integers("run", **{name: getattr(self, name) for name in _RUN_INTEGERS})
         if self.T < 0:
             raise ConfigError(f"run.T must be nonnegative, got {self.T}")
         if self.batch < 1 or self.record_every < 1:

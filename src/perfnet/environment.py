@@ -175,6 +175,20 @@ class Environment:
         arr.setflags(write=False)
         return arr
 
+    @cached_property
+    def rows32(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """``(rows.features, rows.eps)`` as read-only float32 copies; None for a gaussian environment.
+
+        Only the frozen Newton–CG's Hessian-vector products read them, so a
+        run that never solves a frozen problem never builds them.
+        """
+        if self.rows is None:
+            return None
+        pair = (self.rows.features.astype(np.float32), self.rows.eps.astype(np.float32))
+        for arr in pair:
+            arr.setflags(write=False)
+        return pair
+
 
 def _check_theta(env_or_loss, theta: np.ndarray) -> np.ndarray:
     theta = np.atleast_1d(np.asarray(theta, dtype=float))

@@ -4,9 +4,11 @@ The library draws base samples a chunk at a time and applies each agent's
 shift by algebra (``make_engine_sampler``, ``deployed_gradients``), and it
 scores and differentiates over whole datasets at once (``exact_risk``,
 ``decoupled_full_gradient``). Its ``engine.run`` advances blocks of
-iterations and scans each block for divergence once. The functions here do
-the same work one agent and one sample, or one iteration, at a time, in the
-plainest form, so the tests can check the batched paths against them.
+iterations and scans each block for divergence once, and its frozen Newton
+solves take Hessian-vector products in float32. The functions here do the
+same work one agent and one sample, or one iteration, at a time, or in
+float64, in the plainest form, so the tests can check the library's paths
+against them.
 """
 
 import numpy as np
@@ -81,6 +83,24 @@ def decoupled_risk_gradient(env: Environment, i: int, theta, deployed) -> np.nda
     theta = _check_theta(env, theta)
     deployed = _check_theta(env, deployed)
     return theta - env.zbar_stack[i] - env.eps[i] * deployed
+
+
+def frozen_hessian(env: Environment, scores, deployed):
+    """The frozen objective's Hessian-vector product in float64, from the stacked rows.
+
+    ``H v = X^T (c * X v) + beta v`` with ``c = w p (1 - p)``, ``p =
+    sigmoid(scores)`` and the shifted design ``X = F + eps_row deployed^T``,
+    as ``oracle._frozen_hessian`` computes it in float32.
+    """
+    rows = env.rows
+    p = expit(scores)
+    c = rows.weights * p * (1.0 - p)
+
+    def hv(v):
+        u = c * (rows.features @ v + rows.eps * float(deployed @ v))
+        return u @ rows.features + float(u @ rows.eps) * deployed + env.loss.beta * v
+
+    return hv
 
 
 def stepped(cfg, envs, mixing, schedule, seeds):

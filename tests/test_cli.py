@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from perfnet.cli import main
-from perfnet.config import save_config
+from perfnet.config import config_hash, load_config, save_config
 from perfnet.experiments import preset
 from perfnet.metrics import MetricRecord, write_metrics_csv
 
@@ -67,6 +67,38 @@ def test_sweep_expected_divergence_exit_zero(tmp_path, capsys):
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert out["values"] == [1.2]
+
+
+def test_sweep_over_an_integer_field(tmp_path, capsys):
+    path = tiny_gaussian_cfg(tmp_path)
+    rc = main(["sweep", path, "--axis", "run.T", "--values", "100,200", "--threads", "1"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["values"] == [100, 200]
+    root = tmp_path / "out" / "gaussian_mean"
+    for T in (100, 200):
+        rows = (root / f"run.T={T}" / "1" / "metrics.csv").read_text().splitlines()
+        assert rows[-1].split(",")[0] == str(T)
+
+
+@pytest.mark.parametrize("values", ["1e2", "100.5", "many"])
+def test_sweep_over_an_integer_field_refuses_a_non_integer_token(tmp_path, capsys, values):
+    path = tiny_gaussian_cfg(tmp_path)
+    rc = main(["sweep", path, "--axis", "run.T", "--values", values, "--threads", "1"])
+    assert rc == 2
+    assert "run.T must be an integer" in capsys.readouterr().err
+
+
+def test_sweep_over_a_float_field_keeps_float_values(tmp_path, capsys):
+    # an integral token on a float axis stays a float, so the manifest's
+    # values and cell names are what they were before integer axes parsed as int
+    path = tiny_gaussian_cfg(tmp_path, **{"run.T": 100})
+    rc = main(["sweep", path, "--axis", "eps_avg", "--values", "1,0.5", "--threads", "1"])
+    assert rc == 0
+    manifest = json.loads((tmp_path / "out" / "gaussian_mean" / "manifest.json").read_text())
+    assert manifest["values"] == [1.0, 0.5]
+    assert all(isinstance(v, float) for v in manifest["values"])
+    assert manifest["config_hash"] == config_hash(load_config(path))
+    assert sorted(manifest["results"]) == ["0.5", "1"]
 
 
 def test_config_error_exit_two(tmp_path, capsys):

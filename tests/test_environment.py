@@ -6,7 +6,7 @@ import pytest
 from scipy.special import expit
 
 import perfnet.environment as environment
-from perfnet.engine import stream
+from perfnet.engine import RunConfig, StepSchedule, run, stream
 from perfnet.environment import (
     GAUSSIAN,
     LOGISTIC,
@@ -24,6 +24,8 @@ from perfnet.environment import (
     make_engine_sampler,
     make_heterogeneous_suite,
 )
+from perfnet.oracle import apply_M
+from perfnet.topology import build_complete, uniform_neighbor_weights
 from reference import decoupled_risk_gradient, loss_gradient, loss_value, sample_batch, shard
 
 
@@ -322,6 +324,25 @@ def test_gaussian_zbar_mean_and_eps_avg_are_cached():
     assert np.array_equal(decoupled_full_gradient(env, theta, deployed),
                           theta - env.zbar_stack.mean(axis=0) - float(env.eps.mean()) * deployed)
     assert unequal_shard_env().zbar_mean is None
+
+
+def test_float32_rows_are_read_only_built_once_and_only_for_a_frozen_solve():
+    env = unequal_shard_env()
+    mix = uniform_neighbor_weights(build_complete(env.n))
+    run(RunConfig(T=20, batch=2, seed=3), env, mix, StepSchedule.constant(0.05))
+    assert "rows32" not in vars(env)
+    apply_M(env, np.ones(env.dim))
+    built = vars(env)["rows32"]
+    features, eps = built
+    assert features.dtype == eps.dtype == np.float32
+    assert np.array_equal(features, env.rows.features.astype(np.float32))
+    assert np.array_equal(eps, env.rows.eps.astype(np.float32))
+    for arr in built:
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    apply_M(env, -np.ones(env.dim))
+    assert env.rows32 is built
+    assert gaussian_env().rows32 is None
 
 
 @pytest.mark.parametrize("d", [1, 3])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from perfnet import oracle
+from perfnet.datasets import synthetic_agent_shards
 from perfnet.engine import DATA_STREAM, PROBE_STREAM, stream
 from perfnet.environment import (
     UnsupportedKindError,
@@ -24,6 +25,7 @@ from perfnet.oracle import (
     repeated_gd_fixed_point,
     stable_point,
 )
+from reference import frozen_hessian
 
 
 def gaussian_env(n=25, eps_avg=0.9, spread=0.0, zbar=10.0, sigma2=50.0):
@@ -337,6 +339,45 @@ def test_hessian_from_line_search_scores_equals_fresh_scoring(monkeypatch):
     for deployed in (np.zeros(env.dim), center + rng.uniform(-1.0, 1.0, env.dim)):
         apply_M(env, deployed)
     assert len(builds) > 4
+
+
+@pytest.mark.parametrize("name", ["hetero_vs_homo", "spam_logistic"])
+def test_single_precision_hessian_matches_float64_reference(name):
+    # the bound sits under the smallest CG tolerance the default inner_tol
+    # asks for, sqrt(0.5e-10) = 7.1e-6
+    env = preset_env(name)
+    rng = np.random.default_rng(29)
+    center = stable_point(env)
+    for point in (np.zeros(env.dim), center, center + rng.uniform(-1.0, 1.0, env.dim)):
+        scores = frozen_scores(env, point, point)
+        hv = _frozen_hessian(env, scores, point)
+        want = frozen_hessian(env, scores, point)
+        for _ in range(3):
+            v = rng.standard_normal(env.dim)
+            got, ref = hv(v), want(v)
+            assert got.dtype == np.float64
+            assert np.linalg.norm(got - ref) <= 5e-6 * np.linalg.norm(ref)
+
+
+def test_single_precision_hessian_on_a_badly_scaled_problem(monkeypatch):
+    # features x 1000 and beta = 1e-8 make the frozen Hessian's condition
+    # number huge; the float32 model may cost at most one extra Newton step
+    shards, _ = synthetic_agent_shards(n=10, per_agent=60, d=40, seed=5)
+    env = make_heterogeneous_suite(10, 1e-7, kind="strategic_shift",
+                                   shards=[(1000.0 * x, y) for x, y in shards], beta=1e-8)
+    counts = {"newton": 0, "products": 0}
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_frozen_hessian", frozen_hessian)
+        counting_hessians(m, counts)
+        float64_run = repeated_gd_fixed_point(env, tol=1e-8)
+    float64_steps = counts["newton"]
+    counts.update(newton=0, products=0)
+    with monkeypatch.context() as m:
+        counting_hessians(m, counts)
+        res = repeated_gd_fixed_point(env, tol=1e-8)
+    assert float64_run.converged and float64_run.budget_exhausted == 0
+    assert res.converged and res.budget_exhausted == 0
+    assert counts["newton"] <= float64_steps + 1
 
 
 def test_stable_jacobian_matches_differences_of_G():
