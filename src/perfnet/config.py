@@ -288,20 +288,21 @@ class Config:
     def from_dict(cls, data: dict) -> "Config":
         return _from_dict(cls, data, "config")
 
-    def replace(self, **section_updates) -> "Config":
-        """New config with whole sections or dotted leaf fields replaced.
+    def replace(self, **updates) -> "Config":
+        """New config with fields replaced by dotted path (``**{"environment.eps_avg": 1.01}``).
 
-        Accepts section objects (``step=StepSchedule(...)``) or dotted paths
-        (``**{"environment.eps_avg": 1.01}``).
+        A path may end at a whole section, given as a dict. Every part before
+        the last must name a section, else :class:`ConfigError`.
         """
         d = self.to_dict()
-        for key, val in section_updates.items():
+        for key, val in updates.items():
             parts = key.split(".")
             node = d
-            for p in parts[:-1]:
-                node = node[p]
-            if hasattr(val, "__dataclass_fields__"):
-                val = asdict(val)
+            for k, p in enumerate(parts[:-1]):
+                node = node.get(p)
+                if not isinstance(node, dict):
+                    where = ".".join(parts[:k + 1])
+                    raise ConfigError(f"cannot set {key}: {where} is not a config section")
             node[parts[-1]] = val
         return Config.from_dict(d)
 

@@ -143,10 +143,11 @@ def run(
     The seeds advance together as one (S, n, d) array program. With
     ``seeds``, ``config.seed`` is not used: ``env`` and ``sink`` (if given)
     are sequences with one entry per seed, the environments share one loss
-    and size, and one :class:`Trajectory` per seed is returned. Without it
-    the run is a batch of one seed, ``config.seed``, and returns its
-    :class:`Trajectory`. Each seed draws from its own streams, so its
-    trajectory is bit-identical to a run of that seed alone.
+    (kind, dimension and ``beta``) and size, and one :class:`Trajectory` per
+    seed is returned. Without it the run is a batch of one seed,
+    ``config.seed``, and returns its :class:`Trajectory`. Each seed draws from
+    its own streams, so its trajectory is bit-identical to a run of that seed
+    alone.
 
     Iterations are written in place into a block of up to 64 of them (fewer
     when the block would exceed 256 KB), and one scan per block finds each
@@ -162,8 +163,8 @@ def run(
         sink = [None] * len(seeds)
     S = len(seeds)
     n, d = env[0].n, env[0].dim
-    if any(e.loss != env[0].loss or e.n != n for e in env):
-        raise ValueError("the seeds of a batch need one loss and one agent count")
+    if any((e.kind, e.dim, e.beta, e.n) != (env[0].kind, d, env[0].beta, n) for e in env):
+        raise ValueError("the seeds of a batch need one loss (kind, dim, beta) and one agent count")
     theta0 = np.broadcast_to(np.atleast_1d(np.asarray(config.theta0, dtype=float)), (d,))
     streams = [agent_streams(seed, n) for seed in seeds]
     chunk = max(1, min(_CHUNK, _CHUNK_DRAWS // (S * n * config.batch)))

@@ -1,4 +1,4 @@
-"""Decision-dependent populations and loss functions.
+"""Decision-dependent populations and their losses.
 
 Two population kinds are supported:
 
@@ -8,10 +8,10 @@ Two population kinds are supported:
   a query at decision ``theta`` draws a base pair uniformly and reveals the
   feature vector shifted to ``X + eps_i * theta`` (labels are untouched).
 
-Losses are ``quadratic`` (``|theta - Z|^2 / 2``, strongly convex and smooth
-with constants exactly 1) for gaussian populations, ridge-regularized
-``logistic`` for strategic ones. Only this module decides how each population
-kind samples, scores and differentiates.
+The kind fixes the loss: ``|theta - Z|^2 / 2`` (strongly convex and smooth
+with constants exactly 1) for gaussian populations, ``beta``-ridge logistic
+for strategic ones. Only this module decides how each population kind
+samples, scores and differentiates.
 """
 
 from __future__ import annotations
@@ -25,11 +25,8 @@ import numpy as np
 __all__ = [
     "GAUSSIAN",
     "STRATEGIC",
-    "QUADRATIC",
-    "LOGISTIC",
     "UnsupportedKindError",
     "CalibrationError",
-    "LossSpec",
     "Environment",
     "deployed_gradients",
     "decoupled_full_gradient",
@@ -43,10 +40,6 @@ __all__ = [
 
 GAUSSIAN = "gaussian_mean"
 STRATEGIC = "strategic_shift"
-QUADRATIC = "quadratic"
-LOGISTIC = "logistic"
-
-_LOSS_OF = {GAUSSIAN: QUADRATIC, STRATEGIC: LOGISTIC}
 
 
 class UnsupportedKindError(ValueError):
@@ -55,21 +48,6 @@ class UnsupportedKindError(ValueError):
 
 class CalibrationError(ValueError):
     """A sensitivity grid whose mean is off target."""
-
-
-@dataclass(frozen=True)
-class LossSpec:
-    """Loss function family; ``beta`` is the logistic ridge coefficient."""
-
-    kind: str
-    dim: int
-    beta: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in (QUADRATIC, LOGISTIC):
-            raise UnsupportedKindError(f"unknown loss kind {self.kind!r}")
-        if self.kind == LOGISTIC and self.beta <= 0:
-            raise ValueError(f"logistic loss needs beta > 0, got {self.beta}")
 
 
 class _Rows(NamedTuple):
@@ -83,22 +61,24 @@ class _Rows(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class Environment:
-    """n agents' populations as read-only arrays stacked per agent, plus the shared loss.
+    """n agents' populations as read-only arrays stacked per agent.
 
     ``eps`` (n,) holds the sensitivities. A gaussian environment sets
-    ``zbar_stack`` (n, d) and ``sigma2`` (n,); a strategic one sets ``rows``,
-    every shard stacked row by row in agent order, and the shard ``sizes``
-    (n,). The other kind's fields are None. Full-batch gradients and exact
-    risks make one pass over ``rows`` instead of a loop over agents; agent i's
-    shard is the slice of ``sizes[i]`` rows after the first ``sizes[:i].sum()``.
+    ``zbar_stack`` (n, d) and ``sigma2`` (n,); a strategic one sets
+    ``features`` (N, d) and ``labels`` (N,), every shard stacked row by row in
+    agent order, the shard ``sizes`` (n,) and a ridge ``beta`` > 0. The other
+    kind's fields are None and a gaussian ``beta`` is 0. The kind and ``dim``
+    are read from the data; agent i's shard is the ``sizes[i]`` rows after
+    the first ``sizes[:i].sum()``.
     """
 
-    loss: LossSpec
     eps: np.ndarray
     zbar_stack: np.ndarray | None = None
     sigma2: np.ndarray | None = None
-    rows: _Rows | None = None
+    features: np.ndarray | None = None
+    labels: np.ndarray | None = None
     sizes: np.ndarray | None = None
+    beta: float = 0.0
 
     def __post_init__(self):
         n = len(self.eps)
@@ -108,7 +88,7 @@ class Environment:
             raise ValueError("sensitivity must be finite")
         if np.any(self.eps < 0):
             raise ValueError(f"sensitivity must be nonnegative, got {self.eps.min()}")
-        if (self.zbar_stack is None) == (self.rows is None):
+        if (self.zbar_stack is None) == (self.features is None):
             raise ValueError("environment needs the data of exactly one population kind")
         if self.kind == GAUSSIAN:
             if self.sigma2 is None:
@@ -119,22 +99,23 @@ class Environment:
                 raise ValueError(f"noise variance must be nonnegative, got {self.sigma2.min()}")
             if self.zbar_stack.shape[0] != n:
                 raise ValueError(f"zbar has {self.zbar_stack.shape[0]} rows for {n} agents")
-            dim = self.zbar_stack.shape[1]
+            if self.beta != 0:
+                raise ValueError(f"gaussian population takes no ridge beta, got {self.beta}")
         else:
             if self.sizes is None or len(self.sizes) != n or np.any(self.sizes <= 0):
                 raise ValueError("strategic population needs a nonempty base dataset")
-            dim = self.rows.features.shape[1]
-        if _LOSS_OF[self.kind] != self.loss.kind:
-            raise ValueError(f"{self.kind} populations need the {_LOSS_OF[self.kind]} loss")
-        if dim != self.loss.dim:
-            raise ValueError(f"population dim {dim} does not match loss dim {self.loss.dim}")
-        for arr in (self.eps, self.zbar_stack, self.sigma2, self.sizes, *(self.rows or ())):
+            m = len(self.features)
+            if self.labels is None or self.labels.shape != (m,) or self.sizes.sum() != m:
+                raise ValueError(f"labels and shard sizes must match the {m} feature rows")
+            if not self.beta > 0:
+                raise ValueError(f"strategic population needs a ridge beta > 0, got {self.beta}")
+        for arr in (self.eps, self.zbar_stack, self.sigma2, self.features, self.labels, self.sizes):
             if arr is not None:
                 arr.setflags(write=False)
 
     @property
     def kind(self) -> str:
-        return GAUSSIAN if self.rows is None else STRATEGIC
+        return GAUSSIAN if self.features is None else STRATEGIC
 
     @property
     def n(self) -> int:
@@ -142,7 +123,7 @@ class Environment:
 
     @property
     def dim(self) -> int:
-        return self.loss.dim
+        return (self.zbar_stack if self.features is None else self.features).shape[1]
 
     @cached_property
     def eps_avg(self) -> float:
@@ -157,14 +138,14 @@ class Environment:
         """Strong-convexity constant of the decoupled objective."""
         if self.kind == GAUSSIAN:
             return 1.0
-        return self.loss.beta
+        return self.beta
 
     @cached_property
     def smoothness(self) -> float:
         """Gradient Lipschitz constant; logistic uses beta + max ||x||^2 / 4."""
         if self.kind == GAUSSIAN:
             return 1.0
-        return self.loss.beta + float(np.max(np.sum(self.rows.features**2, axis=1))) / 4.0
+        return self.beta + float(np.max(np.sum(self.features**2, axis=1))) / 4.0
 
     @cached_property
     def zbar_mean(self) -> np.ndarray | None:
@@ -174,6 +155,17 @@ class Environment:
         arr = self.zbar_stack.mean(axis=0)
         arr.setflags(write=False)
         return arr
+
+    @cached_property
+    def rows(self) -> _Rows | None:
+        """Stacked shards with each row's ``eps`` and weight ``1 / (n m_i)``; None for gaussian."""
+        if self.features is None:
+            return None
+        rows = _Rows(self.features, self.labels, np.repeat(self.eps, self.sizes),
+                     np.repeat(1.0 / (self.n * self.sizes), self.sizes))
+        for arr in rows[2:]:
+            arr.setflags(write=False)
+        return rows
 
     @cached_property
     def rows32(self) -> tuple[np.ndarray, np.ndarray] | None:
@@ -223,8 +215,9 @@ def _softplus_minus_yu(u, y):
 def deployed_gradients(env: Environment, thetas: np.ndarray, samples) -> np.ndarray:
     """Batch-averaged stochastic gradients for all agents at once.
 
-    ``thetas`` is (n, d), or (S, n, d) for a batch of seeds that share
-    ``env``'s loss; ``samples`` is one :func:`make_engine_sampler` draw.
+    ``thetas`` is (n, d), or (S, n, d) for a batch of seeds whose
+    environments share ``env``'s kind, dimension and ``beta``; ``samples`` is
+    one :func:`make_engine_sampler` draw.
     Returns the stack of gradients shaped like ``thetas``, each evaluated at
     the agent's own pre-mixing decision, which is also the deployment.
 
@@ -243,7 +236,7 @@ def deployed_gradients(env: Environment, thetas: np.ndarray, samples) -> np.ndar
     resid = expit((rows @ thetas[..., None])[..., 0] + eps * sq) - y
     # (r @ F + eps (sum r) theta) / b + beta theta, with the per-agent scalars
     # gathered first so that only three (..., n, d) operations remain
-    coef = eps * resid.sum(axis=-1, keepdims=True) / b + env.loss.beta
+    coef = eps * resid.sum(axis=-1, keepdims=True) / b + env.beta
     return (resid[..., None, :] @ rows)[..., 0, :] / b + coef * thetas
 
 
@@ -263,7 +256,7 @@ def decoupled_full_gradient(env: Environment, theta, deployed) -> np.ndarray:
     rows = env.rows
     scores = rows.features @ theta + rows.eps * float(deployed @ theta)
     resid = rows.weights * (expit(scores) - rows.labels)
-    return resid @ rows.features + float(resid @ rows.eps) * deployed + env.loss.beta * theta
+    return resid @ rows.features + float(resid @ rows.eps) * deployed + env.beta * theta
 
 
 def exact_risk(env: Environment, theta) -> float:
@@ -282,7 +275,7 @@ def exact_risk(env: Environment, theta) -> float:
     rows = env.rows
     sq = float(theta @ theta)
     core = _softplus_minus_yu(rows.features @ theta + rows.eps * sq, rows.labels)
-    return float(rows.weights @ core) + 0.5 * env.loss.beta * sq
+    return float(rows.weights @ core) + 0.5 * env.beta * sq
 
 
 def assumption_constants(env: Environment, theta_ps) -> tuple[float, float]:
@@ -311,11 +304,11 @@ def assumption_constants(env: Environment, theta_ps) -> tuple[float, float]:
     noise_sq = 0.0
     hetero_sq = 0.0
     bounds = np.cumsum(env.sizes)[:-1]
-    for f, y, eps in zip(np.split(env.rows.features, bounds), np.split(env.rows.labels, bounds),
+    for f, y, eps in zip(np.split(env.features, bounds), np.split(env.labels, bounds),
                          env.eps.tolist()):
         x = f + eps * theta_ps
         resid = expit(x @ theta_ps) - y
-        grads = resid[:, None] * x + env.loss.beta * theta_ps
+        grads = resid[:, None] * x + env.beta * theta_ps
         gi = grads.mean(axis=0)
         noise_sq = max(noise_sq, float(np.mean(np.sum((grads - gi) ** 2, axis=1))))
         hetero_sq = max(hetero_sq, float(np.sum((gi - grad_avg) ** 2)))
@@ -350,7 +343,8 @@ def make_heterogeneous_suite(
     ``zbar`` may be a scalar, a length-d vector shared by all agents, or an
     (n, d) array.
     The strategic kind takes ``shards``, a length-n list of ``(X_i, y_i)``
-    pairs (share one pair n times for a homogeneous base).
+    pairs (share one pair n times for a homogeneous base), and the ridge
+    ``beta``, which the gaussian kind ignores.
     """
     # checked before any mean, which would warn on an empty grid
     if n < 1:
@@ -377,41 +371,36 @@ def make_heterogeneous_suite(
             zb = np.full((n, 1), float(zb))
         elif zb.ndim == 1:
             zb = np.tile(zb, (n, 1))
-        return Environment(LossSpec(QUADRATIC, dim=zb.shape[1]), eps, zbar_stack=zb,
-                           sigma2=np.full(n, sigma2, dtype=float))
+        return Environment(eps, zbar_stack=zb, sigma2=np.full(n, sigma2, dtype=float))
 
     if kind == STRATEGIC:
         # empty shards are refused before 1 / (n * m_i) would divide by zero
         if shards is None or len(shards) != n or not all(len(y) for _, y in shards):
             raise ValueError(f"strategic suite needs {n} nonempty dataset shards")
-        sizes = np.array([len(y) for _, y in shards])
-        rows = _Rows(
+        return Environment(
+            eps,
             features=np.concatenate([np.asarray(x, dtype=float) for x, _ in shards]),
             labels=np.concatenate([np.asarray(y, dtype=float) for _, y in shards]),
-            eps=np.repeat(eps, sizes),
-            weights=np.repeat(1.0 / (n * sizes), sizes),
+            sizes=np.array([len(y) for _, y in shards]),
+            beta=beta,
         )
-        return Environment(LossSpec(LOGISTIC, dim=rows.features.shape[1], beta=beta), eps,
-                           rows=rows, sizes=sizes)
 
     raise UnsupportedKindError(f"unknown population kind {kind!r}")
 
 
-def make_engine_sampler(env, batch: int, streams, chunk: int = 256):
-    """Per-agent sampler for the iteration loop, buffered for speed.
+def make_engine_sampler(envs, batch: int, streams, chunk: int = 256):
+    """Per-agent sampler for the iteration loop of a batch of seeds, buffered for speed.
 
-    ``env`` is one :class:`Environment` with ``streams`` its n per-agent
-    generators, and ``draw(thetas)`` takes (n, d). For a batch of S seeds,
-    ``env`` is a sequence of S environments of one kind and size, ``streams``
-    holds one list of n generators per seed, ``draw`` takes (S, n, d) and its
-    samples carry the same leading seed axis.
+    ``envs`` holds S environments of one kind and size, one per seed, and
+    ``streams`` one list of n per-agent generators per seed; ``draw(thetas)``
+    takes (S, n, d) and its samples carry the same leading seed axis.
 
     No draw depends on the deployment; :func:`deployed_gradients` applies each
     agent's shift by algebra. Gaussian draws are ``(base, keep)``: the batch-mean
-    base draws ``zbar_i + sigma_i * mean_b xi`` (..., n, d), computed a chunk at a
+    base draws ``zbar_i + sigma_i * mean_b xi`` (S, n, d), computed a chunk at a
     time into a new array that later draws never overwrite, and the read-only
-    ``1 - eps_i`` (..., n, 1). Strategic draws are ``(F, Y, eps)``: the gathered
-    base rows, their labels and each agent's sensitivity (..., n, 1), which travel
+    ``1 - eps_i`` (S, n, 1). Strategic draws are ``(F, Y, eps)``: the gathered
+    base rows, their labels and each agent's sensitivity (S, n, 1), which travel
     with the draws because the seeds of one batch may differ in them.
 
     Each agent draws from its own stream, so results do not depend on agent
@@ -419,11 +408,9 @@ def make_engine_sampler(env, batch: int, streams, chunk: int = 256):
     of iterations in one preallocated buffer consumes the streams in exactly
     the same order as unbuffered per-iteration draws.
     """
-    one = isinstance(env, Environment)
-    envs, streams = ((env,), (streams,)) if one else (tuple(env), tuple(streams))
+    envs, streams = tuple(envs), tuple(streams)
     S, n, d = len(envs), envs[0].n, envs[0].dim
-    lead = () if one else (S,)  # a single environment keeps no seed axis
-    eps = np.stack([e.eps for e in envs]).reshape(lead + (n, 1))
+    eps = np.stack([e.eps for e in envs])[..., None]
 
     if envs[0].kind == GAUSSIAN:
         scale = np.sqrt(np.stack([e.sigma2 for e in envs])).reshape(S, n, 1, 1)
@@ -438,7 +425,7 @@ def make_engine_sampler(env, batch: int, streams, chunk: int = 256):
                     for g, out in zip(gens, buf):
                         g.standard_normal(out=out)
                 base = zbar + scale * noise.mean(axis=3)
-                yield from np.moveaxis(base, 2, 0).reshape((chunk,) + lead + (n, d))
+                yield from np.moveaxis(base, 2, 0)
 
         draws = base_draws()
         return lambda thetas: (next(draws), keep)
@@ -447,7 +434,6 @@ def make_engine_sampler(env, batch: int, streams, chunk: int = 256):
     # indices offset by the agent's first row
     eps.setflags(write=False)
     pos = chunk
-    rows = [e.rows for e in envs]
     sizes = [e.sizes for e in envs]
     firsts = [np.cumsum(m) - m for m in sizes]
     idx = np.empty((S, n, chunk, batch), dtype=np.intp)
@@ -461,11 +447,11 @@ def make_engine_sampler(env, batch: int, streams, chunk: int = 256):
             pos = 0
         x = np.empty((S, n, batch, d))
         y = np.empty((S, n, batch))
-        for s, r in enumerate(rows):
+        for s, e in enumerate(envs):
             # the indices are in range; "clip" lets take write into x directly
-            np.take(r.features, idx[s, :, pos], axis=0, out=x[s], mode="clip")
-            np.take(r.labels, idx[s, :, pos], out=y[s], mode="clip")
+            np.take(e.features, idx[s, :, pos], axis=0, out=x[s], mode="clip")
+            np.take(e.labels, idx[s, :, pos], out=y[s], mode="clip")
         pos += 1
-        return x.reshape(lead + x.shape[1:]), y.reshape(lead + y.shape[1:]), eps
+        return x, y, eps
 
     return draw

@@ -330,7 +330,6 @@ def run_experiment(
     """
     exp = cfg.experiment
     out_root = Path(out if out is not None else exp.out) / exp.name
-    out_root.mkdir(parents=True, exist_ok=True)
     if axis is None:
         axis = "data_mode" if (
             cfg.environment.kind == STRATEGIC
@@ -349,6 +348,7 @@ def run_experiment(
         key: (cfg.replace(**{_axis_path(axis): value}), out_root / f"{axis}={key}")
         for key, value in {_fmt_value(v): v for v in values}.items()
     }
+    out_root.mkdir(parents=True, exist_ok=True)
     # contiguous groups of near-equal size, one batched job per value and group
     groups = np.array_split(exp.seeds, min(workers, len(exp.seeds))) if exp.seeds else []
     groups = [[int(seed) for seed in group] for group in groups]
@@ -505,8 +505,7 @@ def run_disconnected_baseline(cfg: Config, isolated: int, out: str | None = None
     metrics.write_metrics_csv(networked_dir / "metrics.csv", rec_net)
 
     one = slice(isolated, isolated + 1)
-    solo_env = Environment(env.loss, env.eps[one], zbar_stack=env.zbar_stack[one],
-                           sigma2=env.sigma2[one])
+    solo_env = Environment(env.eps[one], zbar_stack=env.zbar_stack[one], sigma2=env.sigma2[one])
     solo_ps = oracle.closed_form_or_none(solo_env)
     sink = metrics.metric_recorder(solo_env, theta_ps=solo_ps)
     solo_mix = topology.uniform_neighbor_weights(topology.build_ring(1))

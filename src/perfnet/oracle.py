@@ -170,7 +170,7 @@ def _frozen_hessian(env, scores, deployed):
     p = expit(scores)
     c = (env.rows.weights * p * (1.0 - p)).astype(np.float32)
     deployed32 = deployed.astype(np.float32)
-    beta = env.loss.beta
+    beta = env.beta
 
     def hv(v):
         v32 = v.astype(np.float32)
@@ -220,7 +220,7 @@ def _solve_frozen(env, deployed, start, inner, inner_tol):
     if env.kind == GAUSSIAN:
         return env.zbar_mean + env.eps_avg * deployed
     rows = env.rows
-    beta = env.loss.beta
+    beta = env.beta
 
     def objective(t):
         """The frozen objective at ``t``, and the scores ``X t`` it was computed from."""
@@ -303,7 +303,7 @@ def _stable_jacobian(env, theta):
     p = expit(x @ theta)
     cx = x.T * (rows.weights * p * (1.0 - p))
     jac = cx @ x + np.outer(cx @ rows.eps, theta)
-    jac[np.diag_indices_from(jac)] += float(rows.weights * (p - rows.labels) @ rows.eps) + env.loss.beta
+    jac[np.diag_indices_from(jac)] += float(rows.weights * (p - rows.labels) @ rows.eps) + env.beta
     return jac
 
 

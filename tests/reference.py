@@ -11,14 +11,14 @@ float64, in the plainest form, so the tests can check the library's paths
 against them.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
 from perfnet.engine import agent_streams, dsgd_gd_step, gamma
 from perfnet.environment import (
     GAUSSIAN,
-    QUADRATIC,
     Environment,
-    LossSpec,
     UnsupportedKindError,
     _check_theta,
     _softplus_minus_yu,
@@ -26,12 +26,28 @@ from perfnet.environment import (
     make_engine_sampler,
 )
 
+QUADRATIC = "quadratic"
+LOGISTIC = "logistic"
+
+
+class LossSpec(NamedTuple):
+    """A per-sample loss on decisions of ``dim``: ``quadratic``, or ``logistic`` with ridge ``beta``."""
+
+    kind: str
+    dim: int
+    beta: float = 0.0
+
+
+def loss_of(env: Environment) -> LossSpec:
+    """The loss that ``env``'s kind fixes: quadratic for gaussian, ridge logistic for strategic."""
+    return LossSpec(QUADRATIC if env.kind == GAUSSIAN else LOGISTIC, env.dim, env.beta)
+
 
 def shard(env: Environment, i: int):
-    """Agent i's strategic base data ``(features, labels)``: its slice of ``env.rows``."""
+    """Agent i's strategic base data ``(features, labels)``: its slice of the stacked rows."""
     first = int(env.sizes[:i].sum())
     end = first + int(env.sizes[i])
-    return env.rows.features[first:end], env.rows.labels[first:end]
+    return env.features[first:end], env.labels[first:end]
 
 
 def sample_batch(env: Environment, i: int, theta, batch: int, rng):
@@ -98,7 +114,7 @@ def frozen_hessian(env: Environment, scores, deployed):
 
     def hv(v):
         u = c * (rows.features @ v + rows.eps * float(deployed @ v))
-        return u @ rows.features + float(u @ rows.eps) * deployed + env.loss.beta * v
+        return u @ rows.features + float(u @ rows.eps) * deployed + env.beta * v
 
     return hv
 

@@ -17,7 +17,7 @@ import pytest
 
 from perfnet.config import Config
 from perfnet.engine import RunConfig, StepSchedule, run, stream
-from perfnet.environment import LossSpec, make_heterogeneous_suite
+from perfnet.environment import make_heterogeneous_suite
 from perfnet.experiments import (
     build_environment,
     preset,
@@ -52,7 +52,7 @@ from perfnet.topology import (
     schedule_mixing,
     uniform_neighbor_weights,
 )
-from reference import loss_gradient, loss_value
+from reference import LossSpec, loss_gradient, loss_value
 
 GAUSSIAN_SEEDS = list(range(9000, 9010))  # the preset's default seed list
 SPAM_SEEDS = list(range(1000, 1010))

@@ -88,6 +88,21 @@ def test_sweep_over_an_integer_field_refuses_a_non_integer_token(tmp_path, capsy
     assert "run.T must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("axis, missing", [
+    ("nothing.x", "nothing"),
+    ("environment.nothing.x", "environment.nothing"),
+    ("run.T.x", "run.T"),
+])
+def test_sweep_over_an_axis_that_is_not_a_config_path_exits_two(tmp_path, capsys, axis, missing):
+    # refused before the experiment directory is made
+    path = tiny_gaussian_cfg(tmp_path)
+    rc = main(["sweep", path, "--axis", axis, "--values", "100", "--threads", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"{missing} is not a config section" in err
+    assert not (tmp_path / "out" / "gaussian_mean").exists()
+
+
 def test_sweep_over_a_float_field_keeps_float_values(tmp_path, capsys):
     # an integral token on a float axis stays a float, so the manifest's
     # values and cell names are what they were before integer axes parsed as int

@@ -30,8 +30,9 @@ def gaussian_env(n, eps_avg, spread=0.0, zbar=10.0, sigma2=0.0):
 
 
 def draw_for(env, seed, batch=1):
-    """An unbuffered sampler of ``env`` on the streams of ``seed``, for single steps."""
-    return make_engine_sampler(env, batch, agent_streams(seed, env.n), chunk=1)
+    """An unbuffered sampler of ``env`` on the streams of ``seed``, for single steps on (n, d)."""
+    draw = make_engine_sampler([env], batch, [agent_streams(seed, env.n)], chunk=1)
+    return lambda theta: tuple(part[0] for part in draw(theta[None]))
 
 
 def consensus_sink(t, theta):

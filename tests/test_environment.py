@@ -9,12 +9,9 @@ import perfnet.environment as environment
 from perfnet.engine import RunConfig, StepSchedule, run, stream
 from perfnet.environment import (
     GAUSSIAN,
-    LOGISTIC,
-    QUADRATIC,
     STRATEGIC,
     CalibrationError,
     Environment,
-    LossSpec,
     UnsupportedKindError,
     assumption_constants,
     decoupled_full_gradient,
@@ -24,9 +21,19 @@ from perfnet.environment import (
     make_engine_sampler,
     make_heterogeneous_suite,
 )
-from perfnet.oracle import apply_M
+from perfnet.oracle import apply_M, stable_point
 from perfnet.topology import build_complete, uniform_neighbor_weights
-from reference import decoupled_risk_gradient, loss_gradient, loss_value, sample_batch, shard
+from reference import (
+    LOGISTIC,
+    QUADRATIC,
+    LossSpec,
+    decoupled_risk_gradient,
+    loss_gradient,
+    loss_of,
+    loss_value,
+    sample_batch,
+    shard,
+)
 
 
 # ---------------------------------------------------------------- oracles
@@ -127,9 +134,10 @@ def test_loss_value_on_a_batch_is_per_sample(kind):
     theta = np.full(env.dim, 0.3)
     draw = sample_batch(env, 1, theta, 6, stream(2, 1))
     singles = list(draw) if kind == GAUSSIAN else list(zip(*draw))
-    got = loss_value(env.loss, theta, draw)
+    loss = loss_of(env)
+    got = loss_value(loss, theta, draw)
     assert got.shape == (6,)
-    assert np.allclose(got, [loss_value(env.loss, theta, z) for z in singles], rtol=1e-12, atol=0)
+    assert np.allclose(got, [loss_value(loss, theta, z) for z in singles], rtol=1e-12, atol=0)
 
 
 def test_logistic_large_score_no_overflow():
@@ -263,7 +271,7 @@ def test_decoupled_full_gradient_strategic_matches_shard_average():
     for i in range(env.n):
         features, labels = shard(env, i)
         per_sample = np.array([
-            loss_gradient(env.loss, theta, (features[k] + env.eps[i] * deployed, labels[k]))
+            loss_gradient(loss_of(env), theta, (features[k] + env.eps[i] * deployed, labels[k]))
             for k in range(len(labels))
         ])
         total += per_sample.mean(axis=0)
@@ -287,7 +295,7 @@ def test_decoupled_full_gradient_strategic_unequal_shards():
     deployed = np.array([1.0, 0.0, -1.0])
     want = np.mean([
         np.mean([
-            loss_gradient(env.loss, theta, (x + eps * deployed, y))
+            loss_gradient(loss_of(env), theta, (x + eps * deployed, y))
             for x, y in zip(*shard(env, i))
         ], axis=0)
         for i, eps in enumerate(env.eps)
@@ -308,6 +316,25 @@ def test_strategic_rows_are_stacked_read_only():
         rows.features[0, 0] = 1.0
     with pytest.raises(ValueError):
         env.sizes[0] = 1
+
+
+def test_new_sensitivities_give_new_rows():
+    # the per-row sensitivities are derived from eps, so a copy with new eps
+    # cannot keep the old ones, even after the original's rows were built
+    env = unequal_shard_env()
+    old_rows = env.rows
+    new = np.array([0.1, 0.7, 1.3])
+    moved = dataclasses.replace(env, eps=new)
+    assert np.array_equal(moved.rows.eps, np.repeat(new, env.sizes))
+    assert np.array_equal(moved.rows.weights, old_rows.weights)
+    fresh = make_heterogeneous_suite(3, float(new.mean()), kind=STRATEGIC, eps=new, beta=env.beta,
+                                     shards=[shard(env, i) for i in range(env.n)])
+    theta = np.array([0.2, -0.1, 0.4])
+    deployed = np.array([1.0, 0.0, -1.0])
+    assert np.array_equal(decoupled_full_gradient(moved, theta, deployed),
+                          decoupled_full_gradient(fresh, theta, deployed))
+    assert not np.array_equal(decoupled_full_gradient(env, theta, deployed),
+                              decoupled_full_gradient(fresh, theta, deployed))
     assert gaussian_env().rows is None
 
 
@@ -357,7 +384,7 @@ def test_gaussian_exact_risk_equals_population_loop(d):
         for _ in range(n)
     ]
     eps, zbar, sigma2 = (np.array(col) for col in zip(*agents))
-    env = Environment(LossSpec(QUADRATIC, d), eps, zbar_stack=zbar, sigma2=sigma2)
+    env = Environment(eps, zbar_stack=zbar, sigma2=sigma2)
     for theta in (np.zeros(d), rng.normal(0.0, 5.0, d), rng.normal(0.0, 1e4, d)):
         total = 0.0
         for e, z, s2 in agents:
@@ -408,12 +435,18 @@ def test_smoothness_constants():
 
 # ---------------------------------------------------------------- engine plumbing
 
+def draw_alone(env, batch, streams, chunk=256):
+    """A sampler of ``env`` alone, as a batch of one seed, on (n, d) decisions and n ``streams``."""
+    draw = make_engine_sampler([env], batch, [streams], chunk=chunk)
+    return lambda thetas: tuple(part[0] for part in draw(thetas[None]))
+
+
 def test_engine_sampler_matches_plain_sampling():
     # a draw is (zbar_i + sigma_i * mean_b xi, 1 - eps_i), xi drawn one
     # iteration at a time from agent i's stream
     env = gaussian_env(n=3, eps_avg=0.4, sigma2=9.0)
     thetas = np.array([[1.0], [2.0], [3.0]])
-    fast = make_engine_sampler(env, batch=2, streams=[stream(5, 1, i) for i in range(3)], chunk=4)
+    fast = draw_alone(env, batch=2, streams=[stream(5, 1, i) for i in range(3)], chunk=4)
     out = [fast(thetas) for _ in range(6)]
     slow_streams = [stream(5, 1, i) for i in range(3)]
     for k in range(6):
@@ -434,8 +467,8 @@ def gaussian_gradients_written_out(env, thetas, gens, batch):
 def unequal_noise_env():
     """Three agents with their own sensitivity, base mean and noise variance."""
     z = np.array([3.0, 10.0, -5.0])
-    return Environment(LossSpec(QUADRATIC, dim=2), np.array([0.2, 0.9, 1.4]),
-                       zbar_stack=np.column_stack([z, -z]), sigma2=np.array([1.0, 4.0, 50.0]))
+    return Environment(np.array([0.2, 0.9, 1.4]), zbar_stack=np.column_stack([z, -z]),
+                       sigma2=np.array([1.0, 4.0, 50.0]))
 
 
 @pytest.mark.parametrize("batch", [1, 4])
@@ -444,7 +477,7 @@ def test_gaussian_gradient_is_the_mean_shift_identity(batch):
     # over the shifted sample that earlier releases formed
     env = unequal_noise_env()
     thetas = np.random.default_rng(2).standard_normal((3, 2))
-    draw = make_engine_sampler(env, batch, agent_streams_of(11), chunk=3)
+    draw = draw_alone(env, batch, agent_streams_of(11), chunk=3)
     written, shifted = agent_streams_of(11), agent_streams_of(11)
     for _ in range(7):
         got = deployed_gradients(env, thetas, draw(thetas))
@@ -456,7 +489,7 @@ def test_gaussian_gradient_is_the_mean_shift_identity(batch):
 
 def test_gaussian_draw_kept_by_the_caller_is_not_overwritten():
     env = unequal_noise_env()
-    draw = make_engine_sampler(env, 4, agent_streams_of(12), chunk=2)
+    draw = draw_alone(env, 4, agent_streams_of(12), chunk=2)
     thetas = np.zeros((3, 2))
     first = draw(thetas)
     kept = first[0].copy()
@@ -490,8 +523,7 @@ def test_batched_sampler_gives_each_seed_its_own_draws(kind):
     thetas = np.random.default_rng(0).standard_normal((3, 3, 2))
     # chunk lengths differ on purpose: buffering must not change the draws
     batched = make_engine_sampler(envs, 4, [agent_streams_of(s) for s in seeds], chunk=3)
-    alone = [make_engine_sampler(env, 4, agent_streams_of(s), chunk=5)
-             for env, s in zip(envs, seeds)]
+    alone = [draw_alone(env, 4, agent_streams_of(s), chunk=5) for env, s in zip(envs, seeds)]
     for _ in range(8):
         got = batched(thetas)
         grads = deployed_gradients(envs[0], thetas, got)
@@ -546,7 +578,7 @@ def test_batched_deployed_gradients_equal_per_seed_calls(kind):
 def test_deployed_gradients_logistic_within_1e12_of_the_shifted_copy():
     env = strategic_env(n=4, eps_avg=0.8, spread=0.5, d=6, m=40, beta=0.05)
     thetas = np.random.default_rng(4).standard_normal((4, 6))
-    rows, labels, eps = make_engine_sampler(env, 32, agent_streams_of(8, n=4))(thetas)
+    rows, labels, eps = draw_alone(env, 32, agent_streams_of(8, n=4))(thetas)
     got = deployed_gradients(env, thetas, (rows, labels, eps))
     assert np.array_equal(got, logistic_gradients_written_out(thetas, rows, labels, eps, 0.05))
     assert_close_per_agent(got, logistic_gradients_shifted_copy(thetas, rows, labels, eps, 0.05),
@@ -561,7 +593,7 @@ def test_batch_with_a_zero_sensitivity_arm_gives_each_seed_its_alone_gradient():
     env_zero = make_heterogeneous_suite(3, 0.0, kind=STRATEGIC, shards=shards, beta=0.1)
     thetas = np.random.default_rng(5).standard_normal((2, 3, 4))
     batched = make_engine_sampler([env, env_zero], 8, [agent_streams_of(9), agent_streams_of(9)])
-    alone = [make_engine_sampler(e, 8, agent_streams_of(9)) for e in (env, env_zero)]
+    alone = [draw_alone(e, 8, agent_streams_of(9)) for e in (env, env_zero)]
     for _ in range(4):
         samples = batched(thetas)
         assert np.array_equal(samples[2][:, :, 0], np.stack([env.eps, env_zero.eps]))
@@ -574,7 +606,7 @@ def test_batch_with_a_zero_sensitivity_arm_gives_each_seed_its_alone_gradient():
 def test_shifting_the_sampler_rows_reproduces_the_shifted_population():
     env = strategic_env(n=3, eps_avg=0.6, spread=0.5, d=4, m=12)
     thetas = np.random.default_rng(6).standard_normal((3, 4))
-    rows, labels, eps = make_engine_sampler(env, 5, agent_streams_of(10), chunk=1)(thetas)
+    rows, labels, eps = draw_alone(env, 5, agent_streams_of(10), chunk=1)(thetas)
     gens = agent_streams_of(10)
     for i in range(env.n):
         features, labels_i = shard(env, i)
@@ -602,7 +634,7 @@ def test_deployed_gradients_logistic_matches_per_sample():
     for i in range(2):
         shifted = xs[i] + env.eps[i] * thetas[i]
         want = np.mean(
-            [loss_gradient(env.loss, thetas[i], (shifted[b], ys[i, b])) for b in range(4)],
+            [loss_gradient(loss_of(env), thetas[i], (shifted[b], ys[i, b])) for b in range(4)],
             axis=0,
         )
         assert np.allclose(got[i], want, atol=1e-12)
@@ -618,6 +650,25 @@ def test_assumption_constants_gaussian_exact():
     assert varsigma == pytest.approx(np.sqrt(np.max(a**2 + b**2)), rel=1e-12)
 
 
+def test_assumption_constants_strategic_equal_a_per_agent_loop():
+    # sigma^2 = max_i mean_k |g_ik - g_i|^2 and varsigma^2 = max_i |g_i - g|^2,
+    # with g_ik the per-sample gradients on agent i's shard shifted to theta_ps,
+    # g_i their mean and g the agent average of the g_i
+    env = unequal_shard_env()
+    theta_ps = stable_point(env)
+    loss = loss_of(env)
+    grads = [
+        np.array([loss_gradient(loss, theta_ps, (x + eps * theta_ps, y))
+                  for x, y in zip(*shard(env, i))])
+        for i, eps in enumerate(env.eps)
+    ]
+    means = [g.mean(axis=0) for g in grads]
+    avg = np.mean(means, axis=0)
+    sigma = np.sqrt(max(np.mean(np.sum((g - m) ** 2, axis=1)) for g, m in zip(grads, means)))
+    varsigma = np.sqrt(max(np.sum((m - avg) ** 2) for m in means))
+    assert assumption_constants(env, theta_ps) == pytest.approx((sigma, varsigma), rel=1e-12, abs=0)
+
+
 # ---------------------------------------------------------------- input checks
 
 def one_agent_env(kind):
@@ -628,18 +679,9 @@ def one_agent_env(kind):
                                     shards=[(np.ones((3, 2)), np.array([0.0, 1.0, 1.0]))])
 
 
-@pytest.mark.parametrize("pop, loss", [
-    (one_agent_env(GAUSSIAN), LossSpec(LOGISTIC, dim=1, beta=0.1)),
-    (one_agent_env(STRATEGIC), LossSpec(QUADRATIC, dim=2)),
-])
-def test_environment_rejects_mismatched_loss(pop, loss):
-    with pytest.raises(ValueError, match="need the"):
-        dataclasses.replace(pop, loss=loss)
-
-
 @pytest.mark.parametrize("build, match", [
-    (lambda: Environment(LossSpec(QUADRATIC, dim=1), np.empty(0), zbar_stack=np.empty((0, 1)),
-                         sigma2=np.empty(0)), "at least one"),
+    (lambda: Environment(np.empty(0), zbar_stack=np.empty((0, 1)), sigma2=np.empty(0)),
+     "at least one"),
     (lambda: make_heterogeneous_suite(0, 0.5), "at least one"),
     (lambda: make_heterogeneous_suite(0, 0.5, 0.3), "at least one"),
     (lambda: make_heterogeneous_suite(3, 0.5, eps=[np.nan, 1.0, 2.0]), "not finite"),
@@ -653,18 +695,21 @@ def test_environment_rejects_mismatched_loss(pop, loss):
     (lambda: make_heterogeneous_suite(2, 0.5, kind=STRATEGIC, shards=[
         (np.ones((3, 2)), np.ones(3)), (np.ones((0, 2)), np.ones(0))]), "nonempty"),
     (lambda: dataclasses.replace(one_agent_env(STRATEGIC), sizes=np.array([0])), "nonempty"),
-    (lambda: dataclasses.replace(one_agent_env(STRATEGIC), loss=LossSpec(LOGISTIC, dim=3, beta=0.1)),
-     "dim 2 does not match loss dim 3"),
-    (lambda: dataclasses.replace(one_agent_env(GAUSSIAN), loss=LossSpec(LOGISTIC, dim=1, beta=0.1)),
-     "need the"),
-    (lambda: dataclasses.replace(one_agent_env(STRATEGIC), loss=LossSpec(QUADRATIC, dim=2)),
-     "need the"),
-    (lambda: dataclasses.replace(one_agent_env(GAUSSIAN), rows=one_agent_env(STRATEGIC).rows,
-                                 sizes=np.array([3])), "exactly one population kind"),
+    (lambda: dataclasses.replace(one_agent_env(STRATEGIC), sizes=np.array([4])), "3 feature rows"),
+    (lambda: dataclasses.replace(one_agent_env(STRATEGIC), labels=np.ones(2)), "3 feature rows"),
+    (lambda: dataclasses.replace(one_agent_env(STRATEGIC), labels=np.ones((3, 1))),
+     "3 feature rows"),
+    (lambda: dataclasses.replace(one_agent_env(STRATEGIC), beta=0.0), "beta > 0"),
+    (lambda: dataclasses.replace(one_agent_env(STRATEGIC), beta=-0.1), "beta > 0"),
+    (lambda: dataclasses.replace(one_agent_env(STRATEGIC), beta=np.nan), "beta > 0"),
+    (lambda: dataclasses.replace(one_agent_env(GAUSSIAN), beta=0.1), "no ridge beta"),
+    (lambda: dataclasses.replace(one_agent_env(GAUSSIAN), features=np.ones((3, 2)),
+                                 labels=np.ones(3), sizes=np.array([3]), beta=0.1),
+     "exactly one population kind"),
 ], ids=["empty", "no_agents", "no_agents_spread", "nan_multiplier", "nan_spread", "negative_eps",
         "nan_eps", "inf_eps", "negative_sigma2", "nan_sigma2", "zbar_rows", "empty_shard",
-        "empty_shard_stacked", "feature_dim", "gaussian_logistic", "strategic_quadratic",
-        "both_kinds"])
+        "empty_shard_stacked", "size_rows", "label_rows", "label_shape", "strategic_zero_beta",
+        "strategic_negative_beta", "strategic_nan_beta", "gaussian_beta", "both_kinds"])
 # every check fires before a numpy warning, such as the mean of an empty grid
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_environment_rejects_bad_input(build, match):

@@ -21,7 +21,7 @@ from perfnet.metrics import (
     write_metrics_csv,
 )
 from perfnet.oracle import closed_form_multi_ps, repeated_gd_fixed_point
-from reference import loss_value, sample_batch, shard
+from reference import loss_of, loss_value, sample_batch, shard
 
 
 def gaussian_env(n=25, eps_avg=0.9, spread=0.0, zbar=10.0, sigma2=50.0):
@@ -61,7 +61,7 @@ def sampled_risk(env, theta, draws, rng):
     means = np.empty(env.n)
     variances = np.empty(env.n)
     for i in range(env.n):
-        vals = loss_value(env.loss, theta, sample_batch(env, i, theta, draws, rng))
+        vals = loss_value(loss_of(env), theta, sample_batch(env, i, theta, draws, rng))
         means[i] = vals.mean()
         variances[i] = vals.var(ddof=1)
     return float(means.mean()), float(np.sqrt(variances.sum() / draws)) / env.n
@@ -123,7 +123,7 @@ def test_risk_strategic_exact_unequal_shards():
                                    shards=shards, beta=0.1)
     theta = np.array([0.3, -0.2, 0.5])
     want = np.mean([
-        np.mean([loss_value(env.loss, theta, (x + eps * theta, y))
+        np.mean([loss_value(loss_of(env), theta, (x + eps * theta, y))
                  for x, y in zip(*shard(env, i))])
         for i, eps in enumerate(env.eps)
     ])

@@ -234,7 +234,7 @@ def test_apply_M_forcing_rule_keeps_accuracy(monkeypatch):
         with monkeypatch.context() as m:
             old_forcing_rule(m)
             old = apply_M(env, deployed, inner_tol=inner_tol)
-        assert np.max(np.abs(solved - old)) <= 2 * inner_tol / env.loss.beta
+        assert np.max(np.abs(solved - old)) <= 2 * inner_tol / env.beta
 
 
 def strategic_oracle_unit(seed=7):
