@@ -111,6 +111,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_fixed_point(args) -> int:
+    if not args.tol >= 0:
+        raise ConfigError(f"fixed-point --tol must be a nonnegative number, got {args.tol}")
     cfg = load_config(args.config)
     env, _ = experiments.build_environment(cfg.environment, cfg.run.seed)
     result = oracle.repeated_gd_fixed_point(

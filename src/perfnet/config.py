@@ -288,6 +288,17 @@ class Config:
     def from_dict(cls, data: dict) -> "Config":
         return _from_dict(cls, data, "config")
 
+    def get(self, path: str):
+        """The value at a dotted path (``"environment.eps_avg"``).
+
+        Raises :class:`ConfigError` where :meth:`replace` would, and also when
+        the last part is not a field of its section.
+        """
+        section, name = _section(self.to_dict(), path, "read")
+        if name not in section:
+            raise ConfigError(f"cannot read {path}: {path} is not a config field")
+        return section[name]
+
     def replace(self, **updates) -> "Config":
         """New config with fields replaced by dotted path (``**{"environment.eps_avg": 1.01}``).
 
@@ -296,15 +307,23 @@ class Config:
         """
         d = self.to_dict()
         for key, val in updates.items():
-            parts = key.split(".")
-            node = d
-            for k, p in enumerate(parts[:-1]):
-                node = node.get(p)
-                if not isinstance(node, dict):
-                    where = ".".join(parts[:k + 1])
-                    raise ConfigError(f"cannot set {key}: {where} is not a config section")
-            node[parts[-1]] = val
+            section, name = _section(d, key, "set")
+            section[name] = val
         return Config.from_dict(d)
+
+
+def _section(d: dict, path: str, verb: str) -> tuple[dict, str]:
+    """The section of the config dict ``d`` that holds dotted ``path``, and the path's last part.
+
+    Raises :class:`ConfigError` ("cannot <verb> <path>: ...") naming the
+    first part before the last that is not a section.
+    """
+    parts = path.split(".")
+    for k, part in enumerate(parts[:-1]):
+        d = d.get(part)
+        if not isinstance(d, dict):
+            raise ConfigError(f"cannot {verb} {path}: {'.'.join(parts[:k + 1])} is not a config section")
+    return d, parts[-1]
 
 
 _NESTED = {

@@ -240,7 +240,7 @@ def deployed_gradients(env: Environment, thetas: np.ndarray, samples) -> np.ndar
     return (resid[..., None, :] @ rows)[..., 0, :] / b + coef * thetas
 
 
-def decoupled_full_gradient(env: Environment, theta, deployed) -> np.ndarray:
+def decoupled_full_gradient(env: Environment, theta, deployed, scores=None) -> np.ndarray:
     """Gradient of the agent-averaged decoupled risk, distributions frozen at ``deployed``.
 
     Gaussian populations use the closed form; strategic ones average the loss
@@ -248,13 +248,19 @@ def decoupled_full_gradient(env: Environment, theta, deployed) -> np.ndarray:
     deterministic. The shifted rows ``x = F + eps_row * deployed`` are never
     formed: ``x @ theta = F @ theta + eps_row * (deployed @ theta)`` and
     ``r @ x = r @ F + (r @ eps_row) * deployed``.
+
+    ``scores``, when given, must be those row scores ``F @ theta + eps_row *
+    (deployed @ theta)`` of this same ``theta`` and ``deployed``, computed with
+    that expression; the strategic branch then skips recomputing them, and the
+    result is bit for bit the same. The gaussian branch ignores them.
     """
     theta = _check_theta(env, theta)
     deployed = _check_theta(env, deployed)
     if env.kind == GAUSSIAN:
         return theta - env.zbar_mean - env.eps_avg * deployed
     rows = env.rows
-    scores = rows.features @ theta + rows.eps * float(deployed @ theta)
+    if scores is None:
+        scores = rows.features @ theta + rows.eps * float(deployed @ theta)
     resid = rows.weights * (expit(scores) - rows.labels)
     return resid @ rows.features + float(resid @ rows.eps) * deployed + env.beta * theta
 

@@ -337,10 +337,7 @@ def run_experiment(
             and cfg.environment.strategic.synthetic.style == "per_agent"
         ) else "eps_avg"
     if values is None:
-        node = cfg.to_dict()
-        for part in _axis_path(axis).split("."):
-            node = node[part]
-        values = [node]
+        values = [cfg.get(_axis_path(axis))]
 
     workers = pool_size(threads)
     # one config and cell per sweep value; a value listed twice runs once

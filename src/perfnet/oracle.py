@@ -16,7 +16,11 @@ Eisenstat & Steihaug 1982). The safeguard ``0.5 inner_tol / |g|`` stops the
 oversolving of the last steps: a full step leaves a gradient of about the CG
 residual, so a residual of ``0.5 inner_tol`` already lands below the stop
 ``|g| <= inner_tol``, and a tighter one buys no accuracy in the result
-(Kelley 1995, section 6.3; Eisenstat & Walker 1996).
+(Kelley 1995, section 6.3; Eisenstat & Walker 1996). Each step scores its
+iterate ``X theta`` once, in the Armijo objective: the accepted point's
+scores give both the Hessian weights and the gradient, which takes them as
+``decoupled_full_gradient``'s ``scores`` and returns the bits a fresh
+scoring would.
 
 The Hessian-vector products run in float32: the features, row sensitivities,
 curvature weights and deployed decision are cast, the product is returned as
@@ -212,8 +216,9 @@ def _solve_frozen(env, deployed, start, inner, inner_tol):
     Newton. A full step leaves a gradient of about the CG residual, so the
     safeguard ``0.5 inner_tol / |g|`` asks the last step for no more than
     the stop ``|g| <= inner_tol`` needs (Kelley 1995, section 6.3; Eisenstat
-    & Walker 1996); the stop itself is unchanged. The Hessian weights reuse
-    the scores ``X theta`` of the accepted line-search point. If ``inner``
+    & Walker 1996); the stop itself is unchanged. The Hessian weights and
+    the gradient, in each step and in the check after the last, reuse the
+    scores ``X theta`` of the accepted line-search point. If ``inner``
     steps end before that stop, a warning flags the partial result at the
     caller of :func:`apply_M`.
     """
@@ -231,7 +236,7 @@ def _solve_frozen(env, deployed, start, inner, inner_tol):
     theta = np.array(start, dtype=float)
     f, scores = objective(theta)
     for _ in range(inner):
-        g = decoupled_full_gradient(env, theta, deployed)
+        g = decoupled_full_gradient(env, theta, deployed, scores)
         gn = float(np.linalg.norm(g))
         if gn <= inner_tol:
             return theta
@@ -249,7 +254,7 @@ def _solve_frozen(env, deployed, start, inner, inner_tol):
                 trial = theta - t * step
                 f_trial, trial_scores = objective(trial)
         theta, f, scores = trial, f_trial, trial_scores
-    gn = float(np.linalg.norm(decoupled_full_gradient(env, theta, deployed)))
+    gn = float(np.linalg.norm(decoupled_full_gradient(env, theta, deployed, scores)))
     if gn > inner_tol:
         warnings.warn(
             f"inner Newton budget {inner} exhausted with gradient norm {gn:.3e} > {inner_tol:.1e}",
@@ -376,8 +381,11 @@ def repeated_gd_fixed_point(
     ``diverged=True`` rather than raising: beyond the stability threshold
     unbounded growth is the expected, reportable outcome. Strategic
     deployments that run out of inner budget are counted in
-    ``budget_exhausted``, under one warning for the call.
+    ``budget_exhausted``, under one warning for the call. A ``tol`` that is
+    NaN or negative raises ``ValueError``: no residual could ever meet it.
     """
+    if not tol >= 0:
+        raise ValueError(f"tol must be a nonnegative number, got {tol}")
     theta = np.zeros(env.dim) if theta0 is None else np.atleast_1d(np.asarray(theta0, dtype=float))
     used, residual, converged, diverged = 0, float("inf"), False, False
     with _exhausted_solves() as exhausted:
@@ -415,8 +423,14 @@ def contraction_probe(
     ``q |a - center|`` of ``M(center)``, and ``q`` is well below 1 wherever
     the probe is meaningful. Each solve still runs to ``inner_tol`` or is
     counted in ``budget_exhausted`` (one warning for the call), so the start
-    moves the ratio only by solver tolerance.
+    moves the ratio only by solver tolerance. ``pairs`` below 1 and a
+    ``radius`` that is not a positive finite number raise ``ValueError``:
+    with no pair measured the ratio would read 0, a contraction.
     """
+    if pairs < 1:
+        raise ValueError(f"pairs must be at least 1, got {pairs}")
+    if not (radius > 0 and np.isfinite(radius)):
+        raise ValueError(f"radius must be a positive finite number, got {radius}")
     if rng is None:
         rng = stream(0, PROBE_STREAM)
     if center is None:

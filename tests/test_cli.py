@@ -293,6 +293,20 @@ def test_fixed_point_emits_json(tmp_path, capsys):
     assert out["contraction"]["bound"] == pytest.approx(0.9)
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_fixed_point_refuses_a_tolerance_no_residual_can_meet(tmp_path, capsys, monkeypatch, tol):
+    from perfnet import oracle
+
+    def never(*args, **kwargs):
+        raise AssertionError("solved with a tolerance that was refused")
+
+    monkeypatch.setattr(oracle, "repeated_gd_fixed_point", never)
+    rc = main(["fixed-point", tiny_gaussian_cfg(tmp_path), "--tol", tol])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "--tol" in err
+
+
 def test_fixed_point_strategic_stable_point_and_inner(tmp_path, capsys, monkeypatch):
     from perfnet import oracle
     seen = []

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from perfnet.config import Config
+from perfnet.config import Config, ConfigError
 from perfnet.experiments import (
     build_environment,
     build_mixing,
@@ -182,6 +182,19 @@ def test_empty_seeds_empty_manifest(tmp_path):
     cfg = tiny_gaussian(seeds=())
     manifest = run_experiment(cfg, out=tmp_path, threads=1)
     assert manifest["results"] == {} or all(not v for v in manifest["results"].values())
+
+
+@pytest.mark.parametrize("axis, message", [
+    ("nothing.x", "nothing is not a config section"),
+    ("environment.nothing.x", "environment.nothing is not a config section"),
+    ("run.T.x", "run.T is not a config section"),
+    ("run.nothing", "run.nothing is not a config field"),
+])
+def test_default_value_of_an_axis_that_is_not_a_config_path_is_a_config_error(tmp_path, axis, message):
+    # without values the sweep reads the axis's value from the config
+    with pytest.raises(ConfigError, match=message):
+        run_experiment(tiny_gaussian(T=10), axis=axis, out=tmp_path, threads=1)
+    assert not (tmp_path / "gaussian_mean").exists()
 
 
 def test_theory_report_applicable_instance():

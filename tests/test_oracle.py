@@ -320,9 +320,9 @@ def test_hessian_from_line_search_scores_equals_fresh_scoring(monkeypatch):
     gradient = oracle.decoupled_full_gradient
     builds = []
 
-    def recording_gradient(env_, theta, deployed):
+    def recording_gradient(env_, theta, deployed, scores=None):
         iterate["theta"] = np.array(theta)
-        return gradient(env_, theta, deployed)
+        return gradient(env_, theta, deployed, scores)
 
     def checking(env_, scores, deployed):
         hv = build(env_, scores, deployed)
@@ -339,6 +339,52 @@ def test_hessian_from_line_search_scores_equals_fresh_scoring(monkeypatch):
     for deployed in (np.zeros(env.dim), center + rng.uniform(-1.0, 1.0, env.dim)):
         apply_M(env, deployed)
     assert len(builds) > 4
+
+
+@pytest.mark.parametrize("name", ["hetero_vs_homo", "spam_logistic"])
+def test_gradient_from_given_scores_equals_fresh_scoring(name):
+    env = preset_env(name)
+    rng = np.random.default_rng(23)
+    center = stable_point(env)
+    off = center + rng.uniform(-1.0, 1.0, env.dim)
+    for theta in (np.zeros(env.dim), center, off):
+        for deployed in (theta, off if theta is not off else center):
+            fresh = decoupled_full_gradient(env, theta, deployed)
+            given = decoupled_full_gradient(env, theta, deployed,
+                                            scores=frozen_scores(env, theta, deployed))
+            assert np.array_equal(given, fresh)
+
+
+def test_gaussian_gradient_ignores_scores():
+    env = gaussian_env(spread=0.3)
+    theta, deployed = np.array([3.0]), np.array([5.0])
+    assert np.array_equal(decoupled_full_gradient(env, theta, deployed, scores=np.full(1, np.nan)),
+                          decoupled_full_gradient(env, theta, deployed))
+
+
+@pytest.mark.parametrize("seed, counts", [(7, (39, 207, 54)), (31, None)])
+def test_frozen_solve_reusing_scores_matches_fresh_scoring(monkeypatch, seed, counts):
+    # the frozen solve hands the line search's scores to the gradient; a
+    # gradient that drops them and scores afresh must give the same bits
+    gradient = oracle.decoupled_full_gradient
+    runs = []
+    for fresh in (False, True):
+        tally = {"newton": 0, "products": 0, "gradients": 0}
+
+        def counting_gradient(env_, theta, deployed, scores=None):
+            tally["gradients"] += 1
+            return gradient(env_, theta, deployed, None if fresh else scores)
+
+        with monkeypatch.context() as m:
+            counting_hessians(m, tally)
+            m.setattr(oracle, "decoupled_full_gradient", counting_gradient)
+            res, probe = strategic_oracle_unit(seed)
+        runs.append((res.theta_ps.tobytes(), res.residual, res.deployments, res.converged,
+                     probe.empirical_ratio, tally["newton"], tally["products"], tally["gradients"]))
+    assert runs[0] == runs[1]
+    assert runs[0][3] and runs[0][4] < 1.0
+    if counts is not None:
+        assert runs[0][5:] == counts
 
 
 @pytest.mark.parametrize("name", ["hetero_vs_homo", "spam_logistic"])
@@ -494,6 +540,12 @@ def test_repeated_gd_agrees_with_closed_form_across_regimes():
         assert np.allclose(res.theta_ps, closed_form_multi_ps(env), atol=1e-8)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, -1e-12])
+def test_repeated_gd_refuses_a_tolerance_no_residual_can_meet(tol):
+    with pytest.raises(ValueError, match="tol"):
+        repeated_gd_fixed_point(gaussian_env(), tol=tol)
+
+
 def test_contraction_chain_geometric():
     env = gaussian_env(eps_avg=0.9)
     theta_ps = closed_form_multi_ps(env)
@@ -525,6 +577,21 @@ def test_contraction_strategic_within_bound():
     report = contraction_probe(env, pairs=6, radius=0.5, rng=stream(4, 7),
                                inner=3000, inner_tol=1e-12)
     assert report.empirical_ratio <= report.theoretical_bound + 1e-6
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"pairs": 0}, "pairs"),
+    ({"pairs": -3}, "pairs"),
+    ({"radius": 0.0}, "radius"),
+    ({"radius": -1.0}, "radius"),
+    ({"radius": float("nan")}, "radius"),
+    ({"radius": float("inf")}, "radius"),
+])
+def test_contraction_probe_refuses_a_probe_that_measures_no_pair(kwargs, match):
+    # unrefused, all but the negative radius read ratio 0.0, a contraction,
+    # with no pair measured; a box radius is positive by definition
+    with pytest.raises(ValueError, match=match):
+        contraction_probe(gaussian_env(), rng=stream(2, 7), **kwargs)
 
 
 def cold_start_probe_ratio(env, pairs, radius, rng, center, inner_tol):
