@@ -20,7 +20,7 @@ from perfnet.topology import DisconnectedGraphError
 
 ring = build_ring(25)
 mix = uniform_neighbor_weights(ring)
-print(f"ring(25): degree {ring.degree(0)} per vertex, weights 1/3 on every edge")
+print(f"ring(25): degree {ring.adjacency()[0].sum():g} per vertex, weights 1/3 on every edge")
 print(f"  spectral gap rho = {mix.rho:.6f}")
 print(f"  circulant check: 1 - (1 + 2 cos(2 pi/25))/3 = "
       f"{1 - (1 + 2 * np.cos(2 * np.pi / 25)) / 3:.6f}")

@@ -113,6 +113,9 @@ def _cmd_sweep(args) -> int:
 def _cmd_fixed_point(args) -> int:
     if not args.tol >= 0:
         raise ConfigError(f"fixed-point --tol must be a nonnegative number, got {args.tol}")
+    for flag, budget in (("--deployments", args.deployments), ("--inner", args.inner)):
+        if budget < 1:
+            raise ConfigError(f"fixed-point {flag} must be at least 1, got {budget}")
     cfg = load_config(args.config)
     env, _ = experiments.build_environment(cfg.environment, cfg.run.seed)
     result = oracle.repeated_gd_fixed_point(

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import numbers
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
@@ -176,6 +177,25 @@ class EnvironmentConfig:
             raise ConfigError("give eps_grid or eps_list, not both")
         if self.eps_grid is not None and set(self.eps_grid) != {"spread"}:
             raise ConfigError("eps_grid must be an object with a single 'spread' key")
+        eps = self.eps_list
+        # a list of n finite numbers whose mean is eps_avg within 1e-12 relative
+        if eps is not None:
+            if not isinstance(eps, (list, tuple)) or not all(
+                    isinstance(v, numbers.Real) and not isinstance(v, bool) for v in eps):
+                raise ConfigError(
+                    f"environment.eps_list must be a list of numbers, got {json.dumps(eps, default=repr)}")
+            if not eps or len(eps) != self.n:
+                raise ConfigError(f"eps_list has {len(eps)} entries for n={self.n}")
+            bad = [v for v in eps if not math.isfinite(v)]
+            if bad:
+                raise ConfigError(f"environment.eps_list has non-finite entries {bad}")
+            try:
+                mean = math.fsum(eps) / len(eps)
+            except OverflowError:  # finite entries whose sum is not: a plain sum gives inf or nan
+                mean = sum(eps) / len(eps)
+            if not abs(mean - self.eps_avg) <= 1e-12 * abs(self.eps_avg):  # a NaN eps_avg fails too
+                raise ConfigError(
+                    f"environment.eps_list averages {mean}, not environment.eps_avg = {self.eps_avg}")
         if self.kind == "gaussian_mean" and self.gaussian is None:
             object.__setattr__(self, "gaussian", GaussianConfig())
         if self.kind == "strategic_shift" and self.strategic is None:

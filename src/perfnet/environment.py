@@ -26,7 +26,6 @@ __all__ = [
     "GAUSSIAN",
     "STRATEGIC",
     "UnsupportedKindError",
-    "CalibrationError",
     "Environment",
     "deployed_gradients",
     "decoupled_full_gradient",
@@ -44,10 +43,6 @@ STRATEGIC = "strategic_shift"
 
 class UnsupportedKindError(ValueError):
     """Operation requested for a population/loss kind that does not support it."""
-
-
-class CalibrationError(ValueError):
-    """A sensitivity grid whose mean is off target."""
 
 
 class _Rows(NamedTuple):
@@ -345,9 +340,8 @@ def make_heterogeneous_suite(
     ``spread=0`` gives the homogeneous setting ``eps_i = eps_avg``. An explicit
     ``eps`` list overrides ``spread`` and is used exactly as given: it must be
     finite, hold n values and average to ``eps_avg`` within 1e-12 relative,
-    else :class:`CalibrationError`. For the gaussian kind
-    ``zbar`` may be a scalar, a length-d vector shared by all agents, or an
-    (n, d) array.
+    else ``ValueError``. For the gaussian kind ``zbar`` may be a scalar, a
+    length-d vector shared by all agents, or an (n, d) array.
     The strategic kind takes ``shards``, a length-n list of ``(X_i, y_i)``
     pairs (share one pair n times for a homogeneous base), and the ridge
     ``beta``, which the gaussian kind ignores.
@@ -359,17 +353,17 @@ def make_heterogeneous_suite(
         mult = eps_multipliers(n, spread)
         # a NaN spread is reported as a bad grid, not as a NaN sensitivity
         if not np.all(np.isfinite(mult)):
-            raise CalibrationError(f"multiplier grid for spread {spread} is not finite")
+            raise ValueError(f"multiplier grid for spread {spread} is not finite")
         eps = mult * eps_avg
     else:
         eps = np.array(eps, dtype=float)
         if eps.shape != (n,):
-            raise CalibrationError(f"need {n} sensitivities, got shape {eps.shape}")
+            raise ValueError(f"need {n} sensitivities, got shape {eps.shape}")
         # NaN fails no comparison, so a NaN list would pass the mean test alone
         if not np.all(np.isfinite(eps)):
-            raise CalibrationError("sensitivity list is not finite")
+            raise ValueError("sensitivity list is not finite")
         if abs(eps.mean() - eps_avg) > 1e-12 * abs(eps_avg):
-            raise CalibrationError(f"sensitivity mean {float(eps.mean())} is not eps_avg = {eps_avg}")
+            raise ValueError(f"sensitivity mean {float(eps.mean())} is not eps_avg = {eps_avg}")
 
     if kind == GAUSSIAN:
         zb = np.array(zbar, dtype=float)
@@ -380,7 +374,6 @@ def make_heterogeneous_suite(
         return Environment(eps, zbar_stack=zb, sigma2=np.full(n, sigma2, dtype=float))
 
     if kind == STRATEGIC:
-        # empty shards are refused before 1 / (n * m_i) would divide by zero
         if shards is None or len(shards) != n or not all(len(y) for _, y in shards):
             raise ValueError(f"strategic suite needs {n} nonempty dataset shards")
         return Environment(

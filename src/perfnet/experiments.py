@@ -33,13 +33,7 @@ from .datasets import (
     synthetic_agent_shards,
     synthetic_corpus,
 )
-from .environment import (
-    CalibrationError,
-    Environment,
-    GAUSSIAN,
-    STRATEGIC,
-    make_heterogeneous_suite,
-)
+from .environment import GAUSSIAN, STRATEGIC, Environment, make_heterogeneous_suite
 
 __all__ = [
     "preset",
@@ -180,40 +174,22 @@ def build_mixing(tc) -> topology.Mixing:
         raise ConfigError(str(exc)) from exc
 
 
-def _eps_arguments(ec):
-    if ec.eps_list is None:
-        return {"spread": ec.spread}
-    if len(ec.eps_list) != ec.n:
-        raise ConfigError(f"eps_list has {len(ec.eps_list)} entries for n={ec.n}")
-    return {"eps": ec.eps_list}
-
-
 def build_environment(ec, seed: int) -> tuple[Environment, tuple | None]:
     """Instantiate the environment; returns (env, test_data or None).
 
     Strategic data partitioning is keyed by the run seed, so reruns of a
-    manifest reproduce the identical split.
+    manifest reproduce the identical split. The config has checked its
+    ``eps_list``; a spread, population or loss parameter out of range is a
+    :class:`ConfigError` with the suite's own message.
     """
-    eps_kw = _eps_arguments(ec)
     if ec.kind == GAUSSIAN:
         suite_kw, test = {"zbar": ec.gaussian.zbar, "sigma2": ec.gaussian.sigma2}, None
     else:
         shards, test = _strategic_shards(ec, seed)
         suite_kw = {"shards": shards, "beta": ec.strategic.beta}
     try:
-        env = make_heterogeneous_suite(ec.n, ec.eps_avg, kind=ec.kind, **suite_kw, **eps_kw)
-    except CalibrationError as exc:
-        # a finite spread grid averages 1 by construction, so a spread lands
-        # here only when its grid is not finite (a NaN spread)
-        if ec.eps_list is None:
-            raise ConfigError(str(exc)) from exc
-        # _eps_arguments has checked the list's length
-        raise ConfigError(
-            f"environment.eps_list averages {float(np.mean(ec.eps_list))}, "
-            f"not environment.eps_avg = {ec.eps_avg}"
-        ) from exc
+        env = make_heterogeneous_suite(ec.n, ec.eps_avg, ec.spread, ec.kind, eps=ec.eps_list, **suite_kw)
     except ValueError as exc:
-        # population or loss parameters out of range
         raise ConfigError(str(exc)) from exc
     return env, test
 
@@ -278,17 +254,27 @@ def _risk_diverged(records) -> bool:
     return bool(max(risks) > RISK_DIVERGENCE_FACTOR * risks[0])
 
 
+def _run_seeds(cfg: Config, envs, sinks, seeds, csv_paths, mixing=None) -> list:
+    """Run ``seeds`` as one batch of ``cfg`` and write each seed's ``metrics.csv`` to its path.
+
+    ``mixing`` defaults to the config's topology. Returns one trajectory per seed.
+    """
+    if mixing is None:
+        mixing = build_mixing(cfg.topology)
+    trajs = engine.run(cfg.run, envs, mixing, cfg.step, sink=sinks, seeds=seeds)
+    for traj, csv_path in zip(trajs, csv_paths):
+        Path(csv_path).parent.mkdir(parents=True, exist_ok=True)
+        metrics.write_metrics_csv(csv_path, traj.records)
+    return trajs
+
+
 def _run_job(args) -> list:
     """One batch of seeds of one sweep value; returns a summary per seed."""
     cfg, seeds, csv_paths = args
     t0 = time.perf_counter()
     envs, _, sinks = zip(*(_seed_parts(cfg, seed) for seed in seeds))
-    trajs = engine.run(cfg.run, envs, build_mixing(cfg.topology), cfg.step,
-                       sink=sinks, seeds=seeds)
     summaries = []
-    for seed, traj, csv_path in zip(seeds, trajs, csv_paths):
-        Path(csv_path).parent.mkdir(parents=True, exist_ok=True)
-        metrics.write_metrics_csv(csv_path, traj.records)
+    for seed, traj in zip(seeds, _run_seeds(cfg, envs, sinks, seeds, csv_paths)):
         risk_diverged = _risk_diverged(traj.records)
         summaries.append({
             "seed": seed,
@@ -486,28 +472,23 @@ def run_disconnected_baseline(cfg: Config, isolated: int, out: str | None = None
     the single-agent threshold) diverges alone while the networked run can
     still converge on the strength of the average.
     """
-    env, _ = build_environment(cfg.environment, cfg.run.seed)
-    if env.kind != GAUSSIAN:
+    if cfg.environment.kind != GAUSSIAN:
         raise ConfigError("disconnected baseline is defined for gaussian presets")
-    if not 0 <= isolated < env.n:
+    if not 0 <= isolated < cfg.environment.n:
         raise ConfigError(f"isolated agent index {isolated} out of range")
 
-    out_root = Path(out if out is not None else cfg.experiment.out) / cfg.experiment.name
-    networked_dir = out_root / "disconnected_baseline" / "networked"
-    isolated_dir = out_root / "disconnected_baseline" / f"isolated_{isolated}"
-    networked_dir.mkdir(parents=True, exist_ok=True)
-    isolated_dir.mkdir(parents=True, exist_ok=True)
-
-    traj_net, rec_net = run_single(cfg)
-    metrics.write_metrics_csv(networked_dir / "metrics.csv", rec_net)
+    base_dir = Path(out if out is not None else cfg.experiment.out) / cfg.experiment.name
+    base_dir /= "disconnected_baseline"
+    seed = cfg.run.seed
+    env, _, sink = _seed_parts(cfg, seed)
+    [traj_net] = _run_seeds(cfg, [env], [sink], [seed], [base_dir / "networked" / "metrics.csv"])
 
     one = slice(isolated, isolated + 1)
     solo_env = Environment(env.eps[one], zbar_stack=env.zbar_stack[one], sigma2=env.sigma2[one])
-    solo_ps = oracle.closed_form_or_none(solo_env)
-    sink = metrics.metric_recorder(solo_env, theta_ps=solo_ps)
+    solo_sink = metrics.metric_recorder(solo_env, theta_ps=oracle.closed_form_or_none(solo_env))
     solo_mix = topology.uniform_neighbor_weights(topology.build_ring(1))
-    traj_solo = engine.run(cfg.run, solo_env, solo_mix, cfg.step, sink=sink)
-    metrics.write_metrics_csv(isolated_dir / "metrics.csv", traj_solo.records)
+    [traj_solo] = _run_seeds(cfg, [solo_env], [solo_sink], [seed],
+                             [base_dir / f"isolated_{isolated}" / "metrics.csv"], mixing=solo_mix)
 
     solo_risks = [r.risk for r in traj_solo.records if r.risk is not None]
     tail = solo_risks[-max(2, len(solo_risks) // 10):]
@@ -516,13 +497,11 @@ def run_disconnected_baseline(cfg: Config, isolated: int, out: str | None = None
         "isolated_eps": float(env.eps[isolated]),
         "isolated_diverged": traj_solo.diverged or _risk_diverged(traj_solo.records),
         "isolated_tail_increasing": all(b > a for a, b in zip(tail, tail[1:])),
-        "networked_diverged": traj_net.diverged or _risk_diverged(rec_net),
-        "networked_final_risk": rec_net[-1].risk,
+        "networked_diverged": traj_net.diverged or _risk_diverged(traj_net.records),
+        "networked_final_risk": traj_net.records[-1].risk,
         "isolated_final_risk": solo_risks[-1] if solo_risks else None,
     }
-    (out_root / "disconnected_baseline" / "baseline.json").write_text(
-        json.dumps(summary, indent=2) + "\n"
-    )
+    (base_dir / "baseline.json").write_text(json.dumps(summary, indent=2) + "\n")
     return summary
 
 
@@ -542,19 +521,15 @@ def run_nonperformative_baseline(cfg: Config, out: str | None = None) -> dict:
     if env.kind != STRATEGIC or test is None:
         raise ConfigError("nonperformative baseline needs a strategic preset with a test split")
 
-    out_root = Path(out if out is not None else cfg.experiment.out) / cfg.experiment.name
-    base_dir = out_root / "nonperformative_baseline"
-    (base_dir / "dsgd_gd").mkdir(parents=True, exist_ok=True)
-    (base_dir / "nonperformative").mkdir(parents=True, exist_ok=True)
-
+    base_dir = Path(out if out is not None else cfg.experiment.out) / cfg.experiment.name
+    base_dir /= "nonperformative_baseline"
     zero_cfg = cfg.replace(**{"environment.eps_avg": 0.0, "environment.eps_grid": None,
                               "environment.eps_list": None})
     env_zero, _ = build_environment(zero_cfg.environment, seed)
     sink_zero = metrics.metric_recorder(env_zero, test_data=test, accuracy_env=env)
-    traj_gd, traj_zero = engine.run(cfg.run, [env, env_zero], build_mixing(cfg.topology),
-                                    cfg.step, sink=[sink, sink_zero], seeds=[seed, seed])
-    metrics.write_metrics_csv(base_dir / "dsgd_gd" / "metrics.csv", traj_gd.records)
-    metrics.write_metrics_csv(base_dir / "nonperformative" / "metrics.csv", traj_zero.records)
+    traj_gd, traj_zero = _run_seeds(
+        cfg, [env, env_zero], [sink, sink_zero], [seed, seed],
+        [base_dir / "dsgd_gd" / "metrics.csv", base_dir / "nonperformative" / "metrics.csv"])
 
     # each arm's last record scores its final (last finite) decisions
     acc_gd = traj_gd.records[-1].accuracy

@@ -126,10 +126,10 @@ def rate_fit(
     """Least-squares slope of log(value) against log(t) over a tail window.
 
     The window is the last ``window`` fraction of recorded points with
-    ``t >= min_t``. Nonpositive values inside the window are dropped with a
-    warning; fewer than ``min_points`` usable points raises
-    :class:`FitUnavailableError`, and a ``window`` outside (0, 1] raises
-    ValueError.
+    ``t >= min_t``, ``t > 0`` (whose log exists) and a finite value.
+    Nonpositive values inside the window are dropped with a warning; fewer
+    than ``min_points`` usable points raises :class:`FitUnavailableError`,
+    and a ``window`` outside (0, 1] raises ValueError.
     """
     if not 0 < window <= 1:  # NaN fails the comparison too
         raise ValueError(f"the fit window is a fraction in (0, 1], got {window}")
@@ -137,7 +137,7 @@ def rate_fit(
     values = np.asarray(values, dtype=float)
     if ts.shape != values.shape:
         raise ValueError("t and value series must have matching shapes")
-    eligible = np.flatnonzero((ts >= min_t) & np.isfinite(values))
+    eligible = np.flatnonzero((ts >= min_t) & (ts > 0) & np.isfinite(values))
     start = len(eligible) - max(int(np.ceil(window * len(eligible))), 0)
     tail = eligible[start:]
     keep = tail[values[tail] > 0]

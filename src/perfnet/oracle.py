@@ -264,6 +264,13 @@ def _solve_frozen(env, deployed, start, inner, inner_tol):
     return theta
 
 
+def _check_budgets(**budgets) -> None:
+    """Refuse any count below 1; NaN, being no count, fails the test too."""
+    for name, value in budgets.items():
+        if not value >= 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+
+
 @contextlib.contextmanager
 def _exhausted_solves():
     """Count the frozen solves in the block that run out of inner budget.
@@ -383,9 +390,11 @@ def repeated_gd_fixed_point(
     deployments that run out of inner budget are counted in
     ``budget_exhausted``, under one warning for the call. A ``tol`` that is
     NaN or negative raises ``ValueError``: no residual could ever meet it.
+    So does a ``deployments`` or ``inner`` budget below 1.
     """
     if not tol >= 0:
         raise ValueError(f"tol must be a nonnegative number, got {tol}")
+    _check_budgets(deployments=deployments, inner=inner)
     theta = np.zeros(env.dim) if theta0 is None else np.atleast_1d(np.asarray(theta0, dtype=float))
     used, residual, converged, diverged = 0, float("inf"), False, False
     with _exhausted_solves() as exhausted:
@@ -425,10 +434,10 @@ def contraction_probe(
     counted in ``budget_exhausted`` (one warning for the call), so the start
     moves the ratio only by solver tolerance. ``pairs`` below 1 and a
     ``radius`` that is not a positive finite number raise ``ValueError``:
-    with no pair measured the ratio would read 0, a contraction.
+    with no pair measured the ratio would read 0, a contraction. So does an
+    ``inner`` budget below 1.
     """
-    if pairs < 1:
-        raise ValueError(f"pairs must be at least 1, got {pairs}")
+    _check_budgets(pairs=pairs, inner=inner)
     if not (radius > 0 and np.isfinite(radius)):
         raise ValueError(f"radius must be a positive finite number, got {radius}")
     if rng is None:

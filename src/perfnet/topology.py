@@ -94,9 +94,6 @@ class Graph:
         if missing:
             raise TopologyError(f"vertices {missing} lack self-loops")
 
-    def degree(self, i: int, include_self: bool = True) -> int:
-        return int(self.adjacency(include_self)[i].sum())
-
     def adjacency(self, include_self: bool = True) -> np.ndarray:
         i, j = np.array(list(self.edges)).T
         a = np.zeros((self.n, self.n))

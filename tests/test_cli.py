@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ from perfnet.cli import main
 from perfnet.config import config_hash, load_config, save_config
 from perfnet.experiments import preset
 from perfnet.metrics import MetricRecord, write_metrics_csv
+from perfnet.topology import build_star, metropolis_weights
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -27,12 +29,13 @@ def tiny_gaussian_cfg(tmp_path, **extra):
     return write_cfg(tmp_path, cfg)
 
 
-def tiny_strategic_cfg(tmp_path):
+def tiny_strategic_cfg(tmp_path, **extra):
     cfg = preset("hetero_vs_homo").replace(**{
         "environment.strategic.synthetic": {"style": "per_agent", "per_agent": 20, "dim": 5},
         "environment.strategic.beta": 0.01,
         "environment.strategic.test_split": 50,
         "experiment.out": str(tmp_path / "out"),
+        **extra,
     })
     return write_cfg(tmp_path, cfg)
 
@@ -103,6 +106,26 @@ def test_sweep_over_an_axis_that_is_not_a_config_path_exits_two(tmp_path, capsys
     assert not (tmp_path / "out" / "gaussian_mean").exists()
 
 
+def test_sweep_that_breaks_the_eps_list_exits_two_and_makes_no_directory(tmp_path, capsys):
+    # the sweep's eps_avg is not the list's average, so the cell's config is refused
+    eps = [0.89] * 24 + [1.01]
+    mean = math.fsum(eps) / 25
+    path = tiny_gaussian_cfg(tmp_path, **{"environment.eps_list": eps, "environment.eps_grid": None,
+                                          "environment.eps_avg": mean})
+    rc = main(["sweep", path, "--axis", "eps_avg", "--values", "0.5", "--threads", "1"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"config error: environment.eps_list averages {mean}, not environment.eps_avg = 0.5\n")
+    assert not (tmp_path / "out" / "gaussian_mean").exists()
+
+
+def test_star_with_metropolis_weights_runs(tmp_path, capsys):
+    path = tiny_gaussian_cfg(tmp_path, **{"topology.kind": "star", "topology.weights": "metropolis"})
+    assert main(["run", path, "--threads", "1"]) == 0
+    report = json.loads((tmp_path / "out" / "gaussian_mean" / "eps_avg=0.9" / "theory.json").read_text())
+    assert report["constants"]["rho"] == metropolis_weights(build_star(25)).rho
+
+
 def test_sweep_over_a_float_field_keeps_float_values(tmp_path, capsys):
     # an integral token on a float axis stays a float, so the manifest's
     # values and cell names are what they were before integer axes parsed as int
@@ -171,6 +194,8 @@ FIELD_ERRORS = {
 BUILD_ERRORS = {
     "star_with_uniform_weights": {"topology.kind": "star"},
     "eps_list_off_its_average": {"environment.eps_grid": None, "environment.eps_list": [0.5] * 25},
+    "eps_list_a_number": {"environment.eps_grid": None, "environment.eps_list": 0.5},
+    "eps_list_not_finite": {"environment.eps_grid": None, "environment.eps_list": [0.9] * 24 + [float("nan")]},
     # json writes and reads NaN, so this spread reaches the suite builder
     "nan_spread": {"environment.eps_grid": {"spread": float("nan")}},
     "negative_noise_variance": {"environment.gaussian.sigma2": -1.0},
@@ -253,6 +278,10 @@ def test_theory_on_unbuildable_config_exits_two(tmp_path, capsys, case):
     if case == "eps_list_off_its_average":
         # in the config's own terms, with plain floats
         assert err == "config error: environment.eps_list averages 0.5, not environment.eps_avg = 0.9\n"
+    if case == "eps_list_a_number":
+        assert err == "config error: environment.eps_list must be a list of numbers, got 0.5\n"
+    if case == "eps_list_not_finite":
+        assert err == "config error: environment.eps_list has non-finite entries [nan]\n"
     if case == "nan_spread":
         assert err == "config error: multiplier grid for spread nan is not finite\n"
     if case == "schedule_window_does_not_mix":
@@ -305,6 +334,22 @@ def test_fixed_point_refuses_a_tolerance_no_residual_can_meet(tmp_path, capsys, 
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "--tol" in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--deployments", "-5"), ("--deployments", "0"), ("--inner", "0"), ("--inner", "-1"),
+])
+def test_fixed_point_refuses_a_budget_below_one(tmp_path, capsys, monkeypatch, flag, value):
+    from perfnet import oracle
+
+    def never(*args, **kwargs):
+        raise AssertionError("solved with a budget that was refused")
+
+    monkeypatch.setattr(oracle, "repeated_gd_fixed_point", never)
+    # refused before the config is read: the file does not exist
+    rc = main(["fixed-point", str(tmp_path / "missing.json"), flag, value])
+    assert rc == 2
+    assert capsys.readouterr().err == f"config error: fixed-point {flag} must be at least 1, got {value}\n"
 
 
 def test_fixed_point_strategic_stable_point_and_inner(tmp_path, capsys, monkeypatch):
@@ -424,6 +469,34 @@ def test_rate_check_on_csv(tmp_path, capsys):
     assert out["metric"] == "gap_sq"
 
 
+def test_rate_check_on_a_metric_not_in_the_csv_exits_two(tmp_path, capsys):
+    path = tmp_path / "metrics.csv"
+    write_metrics_csv(path, [MetricRecord(t=int(t), gap_sq=7.0 / t) for t in range(100, 2000, 20)])
+    assert main(["rate-check", str(path), "--metric", "nope"]) == 2
+    assert capsys.readouterr().err == f"config error: metric 'nope' not in {path}\n"
+
+
+def test_rate_check_with_too_few_points_reports_the_error(tmp_path, capsys):
+    path = tmp_path / "metrics.csv"
+    write_metrics_csv(path, [MetricRecord(t=t, gap_sq=7.0 / t) for t in range(100, 1000, 100)])
+    assert main(["rate-check", str(path), "--window", "1"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"metric": "gap_sq", "error": "only 9 positive points in window, need 10"}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_rate_check_from_t_zero_skips_the_t_zero_row(tmp_path, capfd):
+    # capfd, not capsys: LAPACK prints its complaints about log(0) to the process's stdout
+    path = tmp_path / "metrics.csv"
+    write_metrics_csv(path, [MetricRecord(t=t, gap_sq=7.0 / max(t, 1)) for t in range(0, 2000, 20)])
+    assert main(["rate-check", str(path), "--window", "1", "--min-t", "0"]) == 0
+    out, err = capfd.readouterr()
+    assert err == ""
+    fit = json.loads(out)
+    assert fit["window"] == [20.0, 1980.0]
+    assert fit["slope"] == pytest.approx(-1.0, abs=1e-9)
+
+
 @pytest.mark.parametrize("text", [None, ""], ids=["missing", "empty"])
 def test_rate_check_on_unreadable_csv_exits_two(tmp_path, capsys, text):
     path = tmp_path / "metrics.csv"
@@ -467,6 +540,17 @@ def test_baseline_disconnected_cli(tmp_path, capsys):
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert out["isolated_agent"] == 24
+
+
+def test_baseline_nonperformative_cli(tmp_path, capsys):
+    path = tiny_strategic_cfg(tmp_path, **{"run.T": 200})
+    assert main(["baseline", path, "--nonperformative"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert list(out) == ["dsgd_gd_accuracy", "nonperformative_accuracy", "dsgd_gd_wins", "eps_avg"]
+    base = tmp_path / "out" / "hetero_vs_homo" / "nonperformative_baseline"
+    for arm in ("dsgd_gd", "nonperformative"):
+        assert (base / arm / "metrics.csv").read_text().splitlines()[-1].startswith("200,")
+    assert json.loads((base / "baseline.json").read_text()) == out
 
 
 def test_published_schemas_are_pinned(tmp_path, capsys):

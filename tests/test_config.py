@@ -73,6 +73,41 @@ def test_repeated_seed_rejected():
         Config.from_dict(d)
 
 
+@pytest.mark.parametrize("eps_list, message", [
+    (0.5, "environment.eps_list must be a list of numbers, got 0.5"),
+    ({"a": 1}, 'environment.eps_list must be a list of numbers, got {"a": 1}'),
+    ([0.9] * 24 + ["0.9"], "environment.eps_list must be a list of numbers"),
+    ([0.9] * 24 + [True], "environment.eps_list must be a list of numbers"),
+    ([0.9] * 24 + [None], "environment.eps_list must be a list of numbers"),
+    ([0.9] * 3, "eps_list has 3 entries for n=25"),
+    ([], "eps_list has 0 entries for n=25"),
+    ([0.9] * 24 + [float("nan")], "environment.eps_list has non-finite entries [nan]"),
+    ([0.9] * 23 + [float("inf"), float("-inf")], "environment.eps_list has non-finite entries [inf, -inf]"),
+    ([0.5] * 25, "environment.eps_list averages 0.5, not environment.eps_avg = 0.9"),
+    ([1e308] * 25, "environment.eps_list averages inf, not environment.eps_avg = 0.9"),
+], ids=["number", "object", "string_entry", "bool_entry", "null_entry", "short", "empty",
+        "nan_entry", "inf_entries", "off_its_average", "sum_overflows"])
+def test_eps_list_refused_when_the_config_loads(eps_list, message):
+    d = preset("gaussian_mean").to_dict()
+    d["environment"].update(eps_grid=None, eps_list=eps_list)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        Config.from_dict(d)
+
+
+def test_eps_list_accepted_at_its_mean():
+    eps = [0.89] * 24 + [1.01]
+    d = preset("gaussian_mean").to_dict()
+    d["environment"].update(eps_grid=None, eps_list=eps, eps_avg=sum(eps) / 25)
+    assert Config.from_dict(d).environment.eps_list == eps
+    # within 1e-12 relative of eps_avg, not further
+    d["environment"]["eps_avg"] *= 1 + 1e-10
+    with pytest.raises(ConfigError, match="averages"):
+        Config.from_dict(d)
+    d["environment"]["eps_avg"] = float("nan")
+    with pytest.raises(ConfigError, match="averages"):
+        Config.from_dict(d)
+
+
 def test_bad_version_rejected():
     d = preset("gaussian_mean").to_dict()
     d["config_version"] = 99

@@ -10,7 +10,6 @@ from perfnet.engine import RunConfig, StepSchedule, run, stream
 from perfnet.environment import (
     GAUSSIAN,
     STRATEGIC,
-    CalibrationError,
     Environment,
     UnsupportedKindError,
     assumption_constants,
@@ -414,7 +413,7 @@ def test_suite_mean_exact():
 
 
 def test_suite_rejects_uncentered_grid():
-    with pytest.raises(CalibrationError):
+    with pytest.raises(ValueError, match="sensitivity mean"):
         make_heterogeneous_suite(3, 0.5, eps=[0.5, 1.0, 2.0])
 
 

@@ -264,6 +264,41 @@ def test_disconnected_baseline_artifacts(tmp_path):
     assert json.loads((base / "baseline.json").read_text())["isolated_agent"] == 24
 
 
+def test_disconnected_baseline_builds_its_environment_once(tmp_path, monkeypatch):
+    from perfnet import experiments
+    calls = []
+    build = experiments.build_environment
+
+    def counting_build(ec, seed):
+        calls.append(seed)
+        return build(ec, seed)
+
+    monkeypatch.setattr(experiments, "build_environment", counting_build)
+    eps = [0.89] * 24 + [1.01]
+    cfg = tiny_gaussian(T=100, seeds=(1,)).replace(**{
+        "environment.eps_list": eps, "environment.eps_grid": None, "environment.eps_avg": float(np.mean(eps)),
+    })
+    run_disconnected_baseline(cfg, isolated=24, out=tmp_path)
+    assert calls == [cfg.run.seed]
+
+
+@pytest.mark.parametrize("cfg, isolated, match", [
+    (tiny_spam(), 0, "defined for gaussian presets"),
+    (tiny_gaussian(), 25, "isolated agent index 25 out of range"),
+    (tiny_gaussian(), -1, "isolated agent index -1 out of range"),
+], ids=["strategic", "past_the_last_agent", "negative"])
+def test_disconnected_baseline_refuses_before_building(tmp_path, monkeypatch, cfg, isolated, match):
+    from perfnet import experiments
+
+    def never(*args, **kwargs):
+        raise AssertionError("built an environment for a refused baseline")
+
+    monkeypatch.setattr(experiments, "build_environment", never)
+    with pytest.raises(ConfigError, match=match):
+        run_disconnected_baseline(cfg, isolated=isolated, out=tmp_path)
+    assert not any(tmp_path.iterdir())
+
+
 def test_nonperformative_baseline_artifacts(tmp_path):
     cfg = tiny_spam()
     summary = run_nonperformative_baseline(cfg, out=tmp_path)

@@ -286,6 +286,17 @@ def test_rate_fit_drops_nonpositive_with_warning():
     assert fit.slope == pytest.approx(-1.0, abs=1e-6)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_rate_fit_ignores_points_at_t_zero():
+    # every metrics.csv starts with a t = 0 row, whose log does not exist
+    ts = np.arange(0, 2000, 20)
+    vals = 7.0 / np.maximum(ts, 1)
+    fit = rate_fit(ts, vals, window=1.0, min_t=0)
+    assert fit == rate_fit(ts, vals, window=1.0, min_t=1)
+    assert fit.window == (20.0, 1980.0)
+    assert fit.slope == pytest.approx(-1.0, abs=1e-9)
+
+
 def test_rate_fit_unavailable_when_sparse():
     with pytest.raises(FitUnavailableError):
         rate_fit(np.arange(1, 6), np.ones(5), window=1.0, min_t=1)

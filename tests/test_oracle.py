@@ -546,6 +546,19 @@ def test_repeated_gd_refuses_a_tolerance_no_residual_can_meet(tol):
         repeated_gd_fixed_point(gaussian_env(), tol=tol)
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    ({"deployments": 0}, "deployments must be at least 1, got 0"),
+    ({"deployments": -5}, "deployments must be at least 1, got -5"),
+    ({"inner": 0}, "inner must be at least 1, got 0"),
+    ({"inner": -1}, "inner must be at least 1, got -1"),
+], ids=["no_deployments", "negative_deployments", "no_inner", "negative_inner"])
+def test_repeated_gd_refuses_a_budget_below_one(kwargs, match):
+    # unrefused, deployments=-5 returned residual inf after no deployment, and
+    # a gaussian solve, which reads no inner budget, ignored inner=-1
+    with pytest.raises(ValueError, match=match):
+        repeated_gd_fixed_point(gaussian_env(), **kwargs)
+
+
 def test_contraction_chain_geometric():
     env = gaussian_env(eps_avg=0.9)
     theta_ps = closed_form_multi_ps(env)
@@ -586,6 +599,8 @@ def test_contraction_strategic_within_bound():
     ({"radius": -1.0}, "radius"),
     ({"radius": float("nan")}, "radius"),
     ({"radius": float("inf")}, "radius"),
+    ({"inner": 0}, "inner must be at least 1"),
+    ({"inner": -1}, "inner must be at least 1"),
 ])
 def test_contraction_probe_refuses_a_probe_that_measures_no_pair(kwargs, match):
     # unrefused, all but the negative radius read ratio 0.0, a contraction,
