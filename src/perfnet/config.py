@@ -59,6 +59,13 @@ def _integers(where: str, **values) -> None:
             raise ConfigError(f"{where}.{name} must be an integer, got {json.dumps(v, default=repr)}")
 
 
+def _reals(where: str, **values) -> None:
+    """Refuse any value that is not a real number; a bool, a string or null is not one."""
+    for name, v in values.items():
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            raise ConfigError(f"{where}.{name} must be a number, got {json.dumps(v, default=repr)}")
+
+
 def _from_dict(cls, data: dict, where: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{where}: expected an object, got {type(data).__name__}")
@@ -96,6 +103,7 @@ class TopologyConfig:
     schedule_file: str | None = None
 
     def __post_init__(self):
+        _integers("topology", n=self.n)
         if self.kind not in ("ring", "complete", "star", "edge_list", "schedule"):
             raise ConfigError(f"topology.kind {self.kind!r} unknown")
         if self.weights not in ("uniform", "metropolis"):
@@ -177,6 +185,10 @@ class EnvironmentConfig:
             raise ConfigError("give eps_grid or eps_list, not both")
         if self.eps_grid is not None and set(self.eps_grid) != {"spread"}:
             raise ConfigError("eps_grid must be an object with a single 'spread' key")
+        _integers("environment", n=self.n)
+        _reals("environment", eps_avg=self.eps_avg)
+        if self.eps_grid is not None:
+            _reals("environment.eps_grid", spread=self.eps_grid["spread"])
         eps = self.eps_list
         # a list of n finite numbers whose mean is eps_avg within 1e-12 relative
         if eps is not None:

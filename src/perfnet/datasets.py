@@ -72,10 +72,14 @@ def load_dataset(path, dim: int | None = None) -> tuple[np.ndarray, np.ndarray]:
 
 def standardize_features(x: np.ndarray, train_idx: np.ndarray) -> np.ndarray:
     """Per-column z-score using statistics from the training rows only."""
-    mean = x[train_idx].mean(axis=0)
-    std = x[train_idx].std(axis=0)
+    rows = x[train_idx]
+    mean = rows.mean(axis=0)
+    std = rows.std(axis=0)
     std[std == 0] = 1.0
-    return (x - mean) / std
+    # in place: one corpus-sized result, not a temporary and then a result
+    out = x - mean
+    out /= std
+    return out
 
 
 def partition_agents(

@@ -17,9 +17,11 @@ for any pool size and grouping.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
@@ -204,13 +206,7 @@ def _strategic_shards(ec, seed: int) -> tuple[list, tuple]:
             test_per_agent=max(1, sc.test_split // ec.n),
         )
     else:
-        if sc.dataset is not None:
-            x, y = load_dataset(sc.dataset, dim=sc.dim)
-        else:
-            x, y = synthetic_corpus(
-                m=sc.synthetic.m, d=sc.synthetic.dim, seed=sc.synthetic.seed,
-                signal=sc.synthetic.signal,
-            )
+        x, y = _corpus(sc)
         shards, test = partition_agents(
             x, y, ec.n, sc.per_agent, sc.test_split, seed=seed, standardize=sc.standardize
         )
@@ -219,6 +215,46 @@ def _strategic_shards(ec, seed: int) -> tuple[list, tuple]:
         pooled_y = np.concatenate([s[1] for s in shards])
         shards = [(pooled_x, pooled_y)] * ec.n
     return shards, test
+
+
+# The corpus of a strategic config does not depend on the run seed. Within
+# run_experiment and the nonperformative baseline, _corpora maps (dataset,
+# dim, synthetic) to its (x, y), so one call draws or parses each corpus
+# once, and each pool worker it forks keeps its own; elsewhere it is None.
+_corpora: dict | None = None
+
+
+@contextmanager
+def _corpus_per_call():
+    """Keep each corpus built within the block in ``_corpora``, and drop them all when it ends."""
+    global _corpora
+    _corpora = {}
+    try:
+        yield
+    finally:
+        _corpora = None
+
+
+def _corpus(sc) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only (features, labels) corpus of strategic config ``sc``.
+
+    ``load_dataset`` and ``synthetic_corpus`` are looked up in this module at
+    call time, and not called when ``_corpora`` holds the corpus.
+    """
+    key = (sc.dataset, sc.dim, sc.synthetic)
+    if _corpora is not None and key in _corpora:
+        return _corpora[key]
+    if sc.dataset is not None:
+        corpus = load_dataset(sc.dataset, dim=sc.dim)
+    else:
+        syn = sc.synthetic
+        corpus = synthetic_corpus(m=syn.m, d=syn.dim, seed=syn.seed, signal=syn.signal)
+    # every seed's partition reads the same arrays
+    for arr in corpus:
+        arr.setflags(write=False)
+    if _corpora is not None:
+        _corpora[key] = corpus
+    return corpus
 
 
 def _check_theta0(cfg: Config, env: Environment) -> None:
@@ -268,8 +304,12 @@ def _run_seeds(cfg: Config, envs, sinks, seeds, csv_paths, mixing=None) -> list:
     return trajs
 
 
-def _run_job(args) -> list:
-    """One batch of seeds of one sweep value; returns a summary per seed."""
+def _run_job(args, keep_reference: bool = False) -> tuple[list, Environment | None]:
+    """One batch of seeds of one sweep value.
+
+    Returns a summary per seed and, with ``keep_reference``, the environment
+    of the config's run seed if the batch ran that seed (else None).
+    """
     cfg, seeds, csv_paths = args
     t0 = time.perf_counter()
     envs, _, sinks = zip(*(_seed_parts(cfg, seed) for seed in seeds))
@@ -284,7 +324,8 @@ def _run_job(args) -> list:
             "flagged": traj.diverged or risk_diverged,
         })
     wall_s = (time.perf_counter() - t0) / len(seeds)
-    return [{**summary, "wall_s": wall_s} for summary in summaries]
+    reference = envs[seeds.index(cfg.run.seed)] if keep_reference and cfg.run.seed in seeds else None
+    return [{**summary, "wall_s": wall_s} for summary in summaries], reference
 
 
 def _axis_path(axis: str) -> str:
@@ -296,6 +337,7 @@ def _fmt_value(v) -> str:
     return f"{v:g}" if isinstance(v, float) else str(v)
 
 
+@_corpus_per_call()
 def run_experiment(
     cfg: Config,
     axis: str | None = None,
@@ -335,7 +377,6 @@ def run_experiment(
     # contiguous groups of near-equal size, one batched job per value and group
     groups = np.array_split(exp.seeds, min(workers, len(exp.seeds))) if exp.seeds else []
     groups = [[int(seed) for seed in group] for group in groups]
-    keys = [key for key in cells for _ in groups]
     payloads = [(vcfg, seeds, [str(cell / str(seed) / "metrics.csv") for seed in seeds])
                 for vcfg, cell in cells.values() for seeds in groups]
 
@@ -348,22 +389,27 @@ def run_experiment(
         import numpy.random  # noqa: F401
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            summaries = list(pool.map(_run_job, payloads))
+            jobs = iter(list(pool.map(_run_job, payloads)))
     else:
-        summaries = [_run_job(p) for p in payloads]
-
-    results: dict = {key: {} for key in cells}
-    for key, group in zip(keys, summaries):
-        for summary in group:
-            results[key][str(summary["seed"])] = summary
+        # lazily: a value's jobs run once the value before it is aggregated
+        jobs = (_run_job(p, keep_reference=True) for p in payloads)
 
     # one reference environment per value, at the config's run seed, serves
-    # both the regime check and the theory report
+    # both the regime check and the theory report: the environment of the
+    # job that ran that seed in this process, else a new one
+    results: dict = {}
     convergent = {}
     for key, (vcfg, cell) in cells.items():
-        env, _ = build_environment(vcfg.environment, vcfg.run.seed)
+        results[key], env = {}, None
+        for group, reference in itertools.islice(jobs, len(groups)):
+            results[key].update((str(summary["seed"]), summary) for summary in group)
+            if reference is not None:
+                env = reference
+        if env is None:
+            env, _ = build_environment(vcfg.environment, vcfg.run.seed)
         convergent[key] = oracle.existence_check(env.eps_avg, env.mu, env.smoothness).exists
         _aggregate_cell(vcfg, env, cell, results[key].values())
+        env = reference = None  # freed before the next value's jobs run
 
     flagged_in_convergent = any(
         s["flagged"] for key in cells if convergent[key] for s in results[key].values()
@@ -505,6 +551,7 @@ def run_disconnected_baseline(cfg: Config, isolated: int, out: str | None = None
     return summary
 
 
+@_corpus_per_call()
 def run_nonperformative_baseline(cfg: Config, out: str | None = None) -> dict:
     """Train with zero sensitivity, then evaluate under the shift the decision induces.
 

@@ -91,16 +91,21 @@ def shifted_test_accuracy(env: Environment, theta, features, labels) -> float:
         raise ValueError("empty test set")
     theta = np.asarray(theta, dtype=float)
     if theta.ndim == 1:
-        theta = np.tile(theta, (env.n, 1))
+        theta = np.broadcast_to(theta, (env.n, theta.size))
     pos = labels == 1
     valid = pos | (labels == 0)
     m = len(features)
+    # one stacked (m, d) @ (d, 1) per agent: numpy runs each as its own gemv,
+    # which gives each agent's scores the bits of features @ theta_i, whereas
+    # one (m, d) @ (d, n) GEMM could differ in the last bit and is large
+    # enough for the BLAS to spread over threads
+    scores = np.matmul(features, theta[:, :, None])[:, :, 0]
+    sq = np.matmul(theta[:, None, :], theta[:, :, None])[:, 0, 0]
+    scores += (env.eps * sq)[:, None]
+    counts = np.count_nonzero(((scores >= 0.0) == pos) & valid, axis=1)
     acc = 0.0
-    for eps, th in zip(env.eps.tolist(), theta):
-        # one (m, d) @ (d,) per agent: a single (m, d) @ (d, n) product
-        # would be large enough for the BLAS to spread over threads
-        scores = features @ th + eps * float(th @ th)
-        acc += np.count_nonzero(((scores >= 0.0) == pos) & valid) / m
+    for count in counts.tolist():
+        acc += count / m
     return acc / env.n
 
 

@@ -5,10 +5,10 @@ shift by algebra (``make_engine_sampler``, ``deployed_gradients``), and it
 scores and differentiates over whole datasets at once (``exact_risk``,
 ``decoupled_full_gradient``). Its ``engine.run`` advances blocks of
 iterations and scans each block for divergence once, and its frozen Newton
-solves take Hessian-vector products in float32. The functions here do the
-same work one agent and one sample, or one iteration, at a time, or in
-float64, in the plainest form, so the tests can check the library's paths
-against them.
+solves take Hessian-vector products in float32. It scores test accuracy for
+all agents in one stacked product. The functions here do the same work one
+agent and one sample, or one iteration, at a time, or in float64, in the
+plainest form, so the tests can check the library's paths against them.
 """
 
 from typing import NamedTuple
@@ -144,3 +144,20 @@ def stepped(cfg, envs, mixing, schedule, seeds):
             theta = nxt
             states.append(theta.copy())
     return stops, states
+
+
+def shifted_test_accuracy(env: Environment, theta, features, labels) -> float:
+    """``metrics.shifted_test_accuracy`` with one mat-vec and one count per agent."""
+    features = np.asarray(features, dtype=float)
+    labels = np.asarray(labels)
+    theta = np.asarray(theta, dtype=float)
+    if theta.ndim == 1:
+        theta = np.tile(theta, (env.n, 1))
+    pos = labels == 1
+    valid = pos | (labels == 0)
+    m = len(features)
+    acc = 0.0
+    for eps, th in zip(env.eps.tolist(), theta):
+        scores = features @ th + eps * float(th @ th)
+        acc += np.count_nonzero(((scores >= 0.0) == pos) & valid) / m
+    return acc / env.n

@@ -187,6 +187,12 @@ FIELD_ERRORS = {
     "nan_divergence_threshold": {"run.divergence_threshold": float("nan")},
     "negative_divergence_threshold": {"run.divergence_threshold": -1.0},
     "theta0_of_the_wrong_length": {"run.theta0": [1.0, 2.0]},  # the preset's d is 1
+    "eps_avg_a_numeral": {"environment.eps_avg": "0.9"},
+    "eps_avg_null": {"environment.eps_avg": None},
+    "spread_null": {"environment.eps_grid": {"spread": None}},
+    "spread_a_numeral": {"environment.eps_grid": {"spread": "0.05"}},
+    "n_a_numeral": {"environment.n": "25"},
+    "topology_n_a_numeral": {"topology.n": "25"},
 }
 
 # configs that parse but fail when loaded or built; the step a0 case cannot be

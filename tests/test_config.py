@@ -94,6 +94,34 @@ def test_eps_list_refused_when_the_config_loads(eps_list, message):
         Config.from_dict(d)
 
 
+@pytest.mark.parametrize("section, values, message", [
+    ("environment", {"eps_avg": "0.9"}, 'environment.eps_avg must be a number, got "0.9"'),
+    ("environment", {"eps_avg": None}, "environment.eps_avg must be a number, got null"),
+    ("environment", {"eps_avg": True}, "environment.eps_avg must be a number, got true"),
+    ("environment", {"eps_grid": {"spread": None}}, "environment.eps_grid.spread must be a number, got null"),
+    ("environment", {"eps_grid": {"spread": "0.05"}},
+     'environment.eps_grid.spread must be a number, got "0.05"'),
+    ("environment", {"eps_grid": {"spread": False}}, "environment.eps_grid.spread must be a number, got false"),
+    ("environment", {"n": "25"}, 'environment.n must be an integer, got "25"'),
+    ("environment", {"n": 25.0}, "environment.n must be an integer, got 25.0"),
+    ("environment", {"n": True}, "environment.n must be an integer, got true"),
+    ("topology", {"n": "25"}, 'topology.n must be an integer, got "25"'),
+], ids=["eps_avg_numeral", "eps_avg_null", "eps_avg_bool", "spread_null", "spread_numeral",
+        "spread_bool", "n_numeral", "n_float", "n_bool", "topology_n_numeral"])
+def test_numbers_refused_when_the_config_loads(section, values, message):
+    d = preset("gaussian_mean").to_dict()
+    d[section].update(values)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        Config.from_dict(d)
+
+
+def test_numbers_of_any_real_type_accepted():
+    d = preset("gaussian_mean").to_dict()
+    d["environment"].update(eps_avg=1, eps_grid={"spread": 0})
+    env = Config.from_dict(d).environment
+    assert (env.eps_avg, env.spread) == (1, 0.0)
+
+
 def test_eps_list_accepted_at_its_mean():
     eps = [0.89] * 24 + [1.01]
     d = preset("gaussian_mean").to_dict()

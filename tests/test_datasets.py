@@ -115,6 +115,15 @@ def test_standardize_uses_train_stats_only():
     assert out[2, 0] == pytest.approx(99.0)
 
 
+def test_standardize_has_the_bits_of_the_plain_expression():
+    x, _ = synthetic_corpus(m=500, d=7, seed=3)
+    x[:, 2] = 4.0  # a constant column keeps std 1
+    train = np.arange(0, 500, 3)
+    mean, std = x[train].mean(axis=0), x[train].std(axis=0)
+    std[std == 0] = 1.0
+    assert standardize_features(x, train).tobytes() == ((x - mean) / std).tobytes()
+
+
 def test_synthetic_shards_shapes_and_test_pool():
     shards, (xt, yt) = synthetic_agent_shards(n=4, per_agent=30, d=6,
                                               heterogeneity=0.5, seed=2,

@@ -1,9 +1,13 @@
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
 
+from perfnet import experiments
 from perfnet.config import Config, ConfigError
+from perfnet.datasets import synthetic_corpus, write_corpus_csv
 from perfnet.experiments import (
     build_environment,
     build_mixing,
@@ -329,3 +333,125 @@ def test_strategic_run_records_exact_risk_by_default():
     env, _ = build_environment(cfg.environment, cfg.run.seed)
     assert records[-1].risk == exact_risk(env, traj.final_theta.mean(axis=0))
     assert all(r.risk_se == 0.0 for r in records)
+
+
+# ---------------------------------------------------------------- corpus memo and reference environment
+
+def csv_spam(tmp_path, seeds=(3, 4, 5)):
+    """tiny_spam on a CSV copy of its synthetic corpus."""
+    x, y = synthetic_corpus(m=700, d=10, seed=7)
+    path = tmp_path / "corpus.csv"
+    write_corpus_csv(path, x, y)
+    return tiny_spam(seeds=seeds).replace(**{
+        "environment.strategic.synthetic": None, "environment.strategic.dataset": str(path),
+    })
+
+
+@pytest.fixture
+def loads(monkeypatch):
+    """The paths ``load_dataset`` is called with from here on."""
+    calls = []
+    load = experiments.load_dataset
+
+    def counting_load(path, dim=None):
+        calls.append(path)
+        return load(path, dim=dim)
+
+    monkeypatch.setattr(experiments, "load_dataset", counting_load)
+    return calls
+
+
+def test_csv_corpus_is_parsed_once_per_call(tmp_path, loads):
+    cfg = csv_spam(tmp_path)
+    run_experiment(cfg, out=tmp_path / "seeds", threads=1)
+    assert len(loads) == 1
+    run_experiment(cfg, axis="eps_avg", values=[0.5, 1.0], out=tmp_path / "sweep", threads=1)
+    assert len(loads) == 2
+    run_nonperformative_baseline(cfg.replace(**{"run.seed": 3}), out=tmp_path / "np")
+    assert len(loads) == 3
+    assert experiments._corpora is None
+
+
+def test_corpus_arrays_are_read_only(tmp_path):
+    for cfg in (csv_spam(tmp_path), tiny_spam()):
+        for arr in experiments._corpus(cfg.environment.strategic):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+
+
+def test_each_call_reads_the_csv_afresh(tmp_path, loads):
+    cfg = csv_spam(tmp_path, seeds=(3,))
+    run_experiment(cfg, out=tmp_path / "first", threads=1)
+    x, y = synthetic_corpus(m=700, d=10, seed=8)
+    write_corpus_csv(cfg.environment.strategic.dataset, x, y)
+    run_experiment(cfg, out=tmp_path / "second", threads=1)
+    assert len(loads) == 2
+    first, second = (_artifacts(tmp_path / name) for name in ("first", "second"))
+    assert first.keys() == second.keys() and first != second
+
+
+def _artifacts(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file() and p.name != "manifest.json"}
+
+
+@pytest.mark.parametrize("source", ["synthetic", "csv"])
+def test_corpus_memo_leaves_artifacts_unchanged(tmp_path, monkeypatch, source):
+    cfg = csv_spam(tmp_path, seeds=(3, 4)) if source == "csv" else tiny_spam(seeds=(3, 4))
+    run_experiment(cfg, axis="eps_avg", values=[0.5, 1.0], out=tmp_path / "memo", threads=1)
+    build = experiments.build_environment
+
+    def build_afresh(ec, seed):
+        experiments._corpora.clear()
+        return build(ec, seed)
+
+    monkeypatch.setattr(experiments, "build_environment", build_afresh)
+    run_experiment(cfg, axis="eps_avg", values=[0.5, 1.0], out=tmp_path / "afresh", threads=1)
+    memo, afresh = _artifacts(tmp_path / "memo"), _artifacts(tmp_path / "afresh")
+    # per value: two metrics.csv, aggregate.csv, ratefit.json and theory.json
+    assert len(memo) == 10 and "spam_logistic/eps_avg=0.5/theory.json" in memo
+    assert memo == afresh
+
+
+@pytest.mark.parametrize("threads, run_seed, events", [
+    # the reference is the environment the run-seed job built, and a value
+    # is aggregated before the next value's jobs run
+    (1, 4, [3, 4, 5, "0.5", 3, 4, 5, "0.9"]),
+    (1, 9, [3, 4, 5, 9, "0.5", 3, 4, 5, 9, "0.9"]),  # no job ran seed 9: one more build
+    (2, 4, [4, "0.5", 4, "0.9"]),  # the jobs ran in workers: one reference build per value
+])
+def test_reference_environment_comes_from_the_job_that_ran_it(tmp_path, monkeypatch, threads, run_seed, events):
+    calls = []
+    build, aggregate = experiments.build_environment, experiments._aggregate_cell
+
+    def counting_build(ec, seed):
+        calls.append(seed)
+        return build(ec, seed)
+
+    def noting_aggregate(vcfg, env, cell, summaries):
+        calls.append(cell.name.split("=")[1])
+        return aggregate(vcfg, env, cell, summaries)
+
+    monkeypatch.setattr(experiments, "build_environment", counting_build)
+    monkeypatch.setattr(experiments, "_aggregate_cell", noting_aggregate)
+    cfg = tiny_gaussian(T=100, seeds=(3, 4, 5)).replace(**{"run.seed": run_seed})
+    run_experiment(cfg, axis="eps_avg", values=[0.5, 0.9], out=tmp_path / "kept", threads=threads)
+    assert calls == events
+
+
+def test_in_process_sweep_holds_one_value_environments_at_a_time(tmp_path, monkeypatch):
+    alive, built = [], []
+    build = experiments.build_environment
+
+    def tracking_build(ec, seed):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in built))
+        env, test = build(ec, seed)
+        built.append(weakref.ref(env))
+        return env, test
+
+    monkeypatch.setattr(experiments, "build_environment", tracking_build)
+    cfg = tiny_gaussian(T=100, seeds=(3, 4)).replace(**{"run.seed": 3})
+    run_experiment(cfg, axis="eps_avg", values=[0.5, 0.7, 0.9], out=tmp_path, threads=1)
+    # each value's first build sees none of the earlier values' environments
+    assert alive == [0, 1, 0, 1, 0, 1]

@@ -21,6 +21,7 @@ from perfnet.metrics import (
     write_metrics_csv,
 )
 from perfnet.oracle import closed_form_multi_ps, repeated_gd_fixed_point
+import reference
 from reference import loss_of, loss_value, sample_batch, shard
 
 
@@ -252,6 +253,42 @@ def test_accuracy_counts_like_the_astype_rule_for_any_labels(labels):
     rng = np.random.default_rng(12)
     for theta in (w, -0.7 * w, rng.standard_normal((3, 4)), np.zeros(4)):
         assert shifted_test_accuracy(env, theta, xt, yt) == astype_tail_accuracy(env, theta, xt, yt)
+
+
+def _strategic_env(n, eps_avg, spread, x, y):
+    return make_heterogeneous_suite(n, eps_avg, spread, kind="strategic_shift",
+                                    shards=[(x, y)] * n, beta=0.01)
+
+
+def test_accuracy_equals_the_per_agent_loop_bit_for_bit():
+    # one agent or many, a shared or per-agent decision in either memory
+    # order, and labels that are floats, integers, off {0, 1} or NaN
+    rng = np.random.default_rng(21)
+    for n, d, m in ((1, 1, 1), (1, 4, 50), (3, 4, 150), (25, 48, 1150), (7, 100, 33)):
+        x = rng.standard_normal((m, d)) * 10.0 ** rng.uniform(-3, 3, size=d)
+        env = _strategic_env(n, 1.3, 0.6 if n > 1 else 0.0, x, np.ones(m))
+        for y in ((rng.uniform(size=m) < 0.5).astype(float), rng.integers(-1, 3, size=m),
+                  rng.choice([0.0, 1.0, 0.5, np.nan, -0.0], size=m)):
+            for theta in (rng.standard_normal(d), rng.standard_normal((n, d)),
+                          np.asfortranarray(rng.standard_normal((n, d))), np.zeros(d)):
+                for features in (x, np.asfortranarray(x)):
+                    got = shifted_test_accuracy(env, theta, features, y)
+                    assert got == reference.shifted_test_accuracy(env, theta, x, y)
+
+
+def test_accuracy_counts_a_row_scoring_exactly_zero_as_positive_like_the_loop():
+    # at eps = 0.5 and theta_i = (1, 0), rows (-0.5, 3) and (-0.5, -1) score
+    # -0.5 + 0.5 = 0 and classify positive; agent 2 scores every row nonzero
+    x = np.array([[-0.5, 3.0], [-0.5, -1.0], [2.0, 0.0], [-2.0, 0.0]])
+    env = _strategic_env(3, 0.5, 0.0, x, np.ones(4))
+    theta = np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.5]])
+    for y, want in (([1.0, 1.0, 1.0, 0.0], 2.5 / 3), ([0.0, 0.0, 1.0, 0.0], 1.0 / 3)):
+        y = np.array(y)
+        assert shifted_test_accuracy(env, theta, x, y) == want
+        assert reference.shifted_test_accuracy(env, theta, x, y) == want
+    # the shared decision (1, 0) scores rows 0 and 1 exactly 0 for every agent
+    y = np.array([1.0, 0.0, 1.0, 0.0])
+    assert shifted_test_accuracy(env, theta[0], x, y) == reference.shifted_test_accuracy(env, theta[0], x, y) == 0.75
 
 
 # ---------------------------------------------------------------- rate fit
