@@ -72,21 +72,16 @@ def _parser() -> argparse.ArgumentParser:
 def _parse_values(raw: str, axis: str) -> list:
     """``--values`` tokens as numbers where they parse, else as strings.
 
-    A token is an int only on an axis the config requires to be an integer
-    (``config.INTEGER_FIELDS``); elsewhere every number is a float, so a
-    token such as ``1e5`` on such an axis stays a config error.
+    A token is an int on an integer axis (``config.INTEGER_FIELDS``) and a
+    float on any other; one that does not parse, such as ``1e5`` on an
+    integer axis, stays a string for the config to accept or refuse.
     """
-    parsers = (int, float) if axis in INTEGER_FIELDS else (float,)
+    parse = int if axis in INTEGER_FIELDS else float
     out = []
-    for tok in raw.split(","):
-        tok = tok.strip()
-        for parse in parsers:
-            try:
-                out.append(parse(tok))
-                break
-            except ValueError:
-                pass
-        else:
+    for tok in map(str.strip, raw.split(",")):
+        try:
+            out.append(parse(tok))
+        except ValueError:
             out.append(tok)
     return out
 

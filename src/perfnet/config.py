@@ -13,15 +13,15 @@ where each ``edges`` entry lists integer ``[i, j]`` pairs (self-loops
 implicit). Edge-list files are plain text, one ``i j`` pair per line.
 """
 
-from __future__ import annotations
-
 import hashlib
 import json
 import math
 import numbers
+import typing
 from collections import Counter
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
+from types import NoneType, UnionType
 
 __all__ = [
     "CONFIG_VERSION",
@@ -52,18 +52,48 @@ class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
 
 
-def _integers(where: str, **values) -> None:
-    """Refuse any value that is not an integer; a bool or a float such as 1e5 is not one."""
-    for name, v in values.items():
-        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-            raise ConfigError(f"{where}.{name} must be an integer, got {json.dumps(v, default=repr)}")
+# what an error message calls a value of each annotated type
+_NOUNS = {int: "an integer", float: "a number", str: "a string", bool: "true or false",
+          list[int]: "a list of integers", list[float]: "a list of numbers",
+          list[list[float]]: "a list of lists of numbers"}
 
 
-def _reals(where: str, **values) -> None:
-    """Refuse any value that is not a real number; a bool, a string or null is not one."""
-    for name, v in values.items():
-        if isinstance(v, bool) or not isinstance(v, numbers.Real):
-            raise ConfigError(f"{where}.{name} must be a number, got {json.dumps(v, default=repr)}")
+def _options(tp) -> tuple:
+    """The types an annotation admits: the members of a union, else the type itself."""
+    return typing.get_args(tp) if isinstance(tp, UnionType) else (tp,)
+
+
+def _fits(value, tp) -> bool:
+    """Whether ``value`` has type ``tp``: a bool is not a number, an int is a float, a list's items count."""
+    if typing.get_origin(tp) is list:
+        return isinstance(value, (list, tuple)) and all(_fits(v, typing.get_args(tp)[0]) for v in value)
+    if tp in (int, float):
+        return isinstance(value, numbers.Integral if tp is int else numbers.Real) and not isinstance(value, bool)
+    return isinstance(value, tp)
+
+
+def _typed(cls):
+    """A frozen dataclass that checks each field against its annotation, building a section given as a dict.
+
+    Its own ``__post_init__`` checks run after, on values of the declared types.
+    """
+    own_checks = getattr(cls, "__post_init__", None)
+
+    def __post_init__(self):
+        for f in fields(self):
+            value, options, path = getattr(self, f.name), _options(f.type), _PREFIXES[cls] + f.name
+            nested = next((tp for tp in options if is_dataclass(tp)), None)
+            if nested is not None and value is not None and not isinstance(value, nested):
+                value = _from_dict(nested, value, f"config.{path}")
+                object.__setattr__(self, f.name, value)
+            if not any(_fits(value, tp) for tp in options):
+                nouns = " or ".join(_NOUNS.get(tp, "an object") for tp in options if tp is not NoneType)
+                raise ConfigError(f"{path} must be {nouns}, got {json.dumps(value, default=repr)}")
+        if own_checks is not None:
+            own_checks(self)
+
+    cls.__post_init__ = __post_init__
+    return dataclass(frozen=True)(cls)
 
 
 def _from_dict(cls, data: dict, where: str):
@@ -73,22 +103,13 @@ def _from_dict(cls, data: dict, where: str):
     unknown = set(data) - known
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    kwargs = {}
-    for f in fields(cls):
-        if f.name not in data:
-            continue
-        val = data[f.name]
-        nested = _NESTED.get((cls, f.name))
-        if nested is not None and val is not None:
-            val = _from_dict(nested, val, f"{where}.{f.name}")
-        kwargs[f.name] = val
     try:
-        return cls(**kwargs)
+        return cls(**data)
     except TypeError as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
 
-@dataclass(frozen=True)
+@_typed
 class TopologyConfig:
     """Graph and mixing weights; ``weights`` applies to static graphs only.
 
@@ -103,7 +124,6 @@ class TopologyConfig:
     schedule_file: str | None = None
 
     def __post_init__(self):
-        _integers("topology", n=self.n)
         if self.kind not in ("ring", "complete", "star", "edge_list", "schedule"):
             raise ConfigError(f"topology.kind {self.kind!r} unknown")
         if self.weights not in ("uniform", "metropolis"):
@@ -114,13 +134,13 @@ class TopologyConfig:
             raise ConfigError("topology.kind=schedule needs schedule_file")
 
 
-@dataclass(frozen=True)
+@_typed
 class GaussianConfig:
-    zbar: float | list = 10.0
+    zbar: float | list[float] | list[list[float]] = 10.0
     sigma2: float = 50.0
 
 
-@dataclass(frozen=True)
+@_typed
 class SyntheticConfig:
     """Parametric generator used instead of a dataset file.
 
@@ -143,7 +163,7 @@ class SyntheticConfig:
             raise ConfigError(f"synthetic.style {self.style!r} unknown")
 
 
-@dataclass(frozen=True)
+@_typed
 class StrategicConfig:
     dataset: str | None = None
     beta: float = 1e-4
@@ -168,13 +188,20 @@ class StrategicConfig:
             )
 
 
-@dataclass(frozen=True)
+@_typed
+class EpsGrid:
+    """Sensitivities on a symmetric multiplicative grid around ``eps_avg`` with half-width ``spread``."""
+
+    spread: float
+
+
+@_typed
 class EnvironmentConfig:
     kind: str = "gaussian_mean"
     n: int = 25
     eps_avg: float = 0.9
-    eps_grid: dict | None = None     # {"spread": s}
-    eps_list: list | None = None
+    eps_grid: EpsGrid | None = None
+    eps_list: list[float] | None = None
     gaussian: GaussianConfig | None = None
     strategic: StrategicConfig | None = None
 
@@ -183,19 +210,9 @@ class EnvironmentConfig:
             raise ConfigError(f"environment.kind {self.kind!r} unknown")
         if self.eps_grid is not None and self.eps_list is not None:
             raise ConfigError("give eps_grid or eps_list, not both")
-        if self.eps_grid is not None and set(self.eps_grid) != {"spread"}:
-            raise ConfigError("eps_grid must be an object with a single 'spread' key")
-        _integers("environment", n=self.n)
-        _reals("environment", eps_avg=self.eps_avg)
-        if self.eps_grid is not None:
-            _reals("environment.eps_grid", spread=self.eps_grid["spread"])
         eps = self.eps_list
-        # a list of n finite numbers whose mean is eps_avg within 1e-12 relative
+        # n finite numbers whose mean is eps_avg within 1e-12 relative
         if eps is not None:
-            if not isinstance(eps, (list, tuple)) or not all(
-                    isinstance(v, numbers.Real) and not isinstance(v, bool) for v in eps):
-                raise ConfigError(
-                    f"environment.eps_list must be a list of numbers, got {json.dumps(eps, default=repr)}")
             if not eps or len(eps) != self.n:
                 raise ConfigError(f"eps_list has {len(eps)} entries for n={self.n}")
             bad = [v for v in eps if not math.isfinite(v)]
@@ -215,10 +232,10 @@ class EnvironmentConfig:
 
     @property
     def spread(self) -> float:
-        return float(self.eps_grid["spread"]) if self.eps_grid else 0.0
+        return float(self.eps_grid.spread) if self.eps_grid else 0.0
 
 
-@dataclass(frozen=True)
+@_typed
 class StepSchedule:
     """Constant or inverse-time step sizes: gamma_t = gamma or a0 / (a1 + t)."""
 
@@ -246,12 +263,7 @@ class StepSchedule:
         return cls("inverse_time", a0=a0, a1=a1)
 
 
-# the run fields that must be integers; a sweep parses its values for them as int
-_RUN_INTEGERS = ("T", "batch", "record_every", "seed")
-INTEGER_FIELDS = frozenset(f"run.{name}" for name in _RUN_INTEGERS)
-
-
-@dataclass(frozen=True)
+@_typed
 class RunConfig:
     """Iteration budget and reproducibility knobs for one run."""
 
@@ -259,11 +271,10 @@ class RunConfig:
     batch: int = 1
     record_every: int = 200
     seed: int = 1000
-    theta0: float | list = 0.0
+    theta0: float | list[float] = 0.0
     divergence_threshold: float = DIVERGENCE_THRESHOLD
 
     def __post_init__(self):
-        _integers("run", **{name: getattr(self, name) for name in _RUN_INTEGERS})
         if self.T < 0:
             raise ConfigError(f"run.T must be nonnegative, got {self.T}")
         if self.batch < 1 or self.record_every < 1:
@@ -276,15 +287,14 @@ class RunConfig:
                 f"run.divergence_threshold must be positive, got {self.divergence_threshold}")
 
 
-@dataclass(frozen=True)
+@_typed
 class ExperimentSection:
     name: str = "experiment"
-    seeds: list = field(default_factory=lambda: [1000])
+    seeds: list[int] = field(default_factory=lambda: [1000])
     out: str = "out"
     theory_delta: float = 0.1
 
     def __post_init__(self):
-        _integers("experiment", **{f"seeds[{k}]": s for k, s in enumerate(self.seeds)})
         negative = sorted(s for s in self.seeds if s < 0)
         if negative:
             raise ConfigError(f"experiment.seeds must be nonnegative, got {negative}")
@@ -294,7 +304,7 @@ class ExperimentSection:
             raise ConfigError(f"experiment.seeds repeats {repeated}")
 
 
-@dataclass(frozen=True)
+@_typed
 class Config:
     config_version: int = CONFIG_VERSION
     topology: TopologyConfig = field(default_factory=TopologyConfig)
@@ -358,21 +368,20 @@ def _section(d: dict, path: str, verb: str) -> tuple[dict, str]:
     return d, parts[-1]
 
 
-_NESTED = {
-    (Config, "topology"): TopologyConfig,
-    (Config, "environment"): EnvironmentConfig,
-    (Config, "step"): StepSchedule,
-    (Config, "run"): RunConfig,
-    (Config, "experiment"): ExperimentSection,
-    (EnvironmentConfig, "gaussian"): GaussianConfig,
-    (EnvironmentConfig, "strategic"): StrategicConfig,
-    (StrategicConfig, "synthetic"): SyntheticConfig,
-}
+def _prefixes(cls, prefix: str = "") -> dict:
+    """Each section class under ``cls`` mapped to its dotted path prefix, read off the annotations."""
+    out = {cls: prefix}
+    for f in fields(cls):
+        for tp in _options(f.type):
+            if is_dataclass(tp):
+                out.update(_prefixes(tp, f"{prefix}{f.name}."))
+    return out
 
-_PATH_FIELDS = (
-    ("topology", "edge_file"),
-    ("topology", "schedule_file"),
-    ("environment", "strategic", "dataset"),
+
+_PREFIXES = _prefixes(Config)
+# the integer fields, by dotted path; a sweep parses its values for them as int
+INTEGER_FIELDS = frozenset(
+    prefix + f.name for cls, prefix in _PREFIXES.items() for f in fields(cls) if int in _options(f.type)
 )
 
 
@@ -385,18 +394,13 @@ def load_config(path) -> Config:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+    cfg = Config.from_dict(data)
+    strategic = cfg.environment.strategic
+    paths = {"topology.edge_file": cfg.topology.edge_file, "topology.schedule_file": cfg.topology.schedule_file,
+             "environment.strategic.dataset": strategic and strategic.dataset}
     base = path.resolve().parent
-    for chain in _PATH_FIELDS:
-        node = data
-        for key in chain[:-1]:
-            node = node.get(key) if isinstance(node, dict) else None
-            if node is None:
-                break
-        if isinstance(node, dict) and node.get(chain[-1]):
-            p = Path(node[chain[-1]])
-            if not p.is_absolute():
-                node[chain[-1]] = str(base / p)
-    return Config.from_dict(data)
+    resolved = {key: str(base / p) for key, p in paths.items() if p and not Path(p).is_absolute()}
+    return cfg.replace(**resolved) if resolved else cfg
 
 
 def save_config(cfg: Config, path) -> None:

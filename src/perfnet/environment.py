@@ -28,6 +28,7 @@ __all__ = [
     "UnsupportedKindError",
     "Environment",
     "deployed_gradients",
+    "shifted_scores",
     "decoupled_full_gradient",
     "exact_risk",
     "assumption_constants",
@@ -235,19 +236,23 @@ def deployed_gradients(env: Environment, thetas: np.ndarray, samples) -> np.ndar
     return (resid[..., None, :] @ rows)[..., 0, :] / b + coef * thetas
 
 
+def shifted_scores(env: Environment, theta, deployed) -> np.ndarray:
+    """Scores ``x @ theta`` of the strategic rows ``x = F + eps_row * deployed``, never formed."""
+    rows = env.rows
+    return rows.features @ theta + rows.eps * float(deployed @ theta)
+
+
 def decoupled_full_gradient(env: Environment, theta, deployed, scores=None) -> np.ndarray:
     """Gradient of the agent-averaged decoupled risk, distributions frozen at ``deployed``.
 
     Gaussian populations use the closed form; strategic ones average the loss
     gradient over the full shifted empirical dataset, which makes the result
-    deterministic. The shifted rows ``x = F + eps_row * deployed`` are never
-    formed: ``x @ theta = F @ theta + eps_row * (deployed @ theta)`` and
+    deterministic. The shifted rows ``x`` are never formed:
     ``r @ x = r @ F + (r @ eps_row) * deployed``.
 
-    ``scores``, when given, must be those row scores ``F @ theta + eps_row *
-    (deployed @ theta)`` of this same ``theta`` and ``deployed``, computed with
-    that expression; the strategic branch then skips recomputing them, and the
-    result is bit for bit the same. The gaussian branch ignores them.
+    ``scores``, when given, must be ``shifted_scores(env, theta, deployed)``;
+    they are then not recomputed, and the bits are the same. The gaussian
+    branch ignores them.
     """
     theta = _check_theta(env, theta)
     deployed = _check_theta(env, deployed)
@@ -255,17 +260,18 @@ def decoupled_full_gradient(env: Environment, theta, deployed, scores=None) -> n
         return theta - env.zbar_mean - env.eps_avg * deployed
     rows = env.rows
     if scores is None:
-        scores = rows.features @ theta + rows.eps * float(deployed @ theta)
+        scores = shifted_scores(env, theta, deployed)
     resid = rows.weights * (expit(scores) - rows.labels)
     return resid @ rows.features + float(resid @ rows.eps) * deployed + env.beta * theta
 
 
-def exact_risk(env: Environment, theta) -> float:
+def exact_risk(env: Environment, theta, scores=None) -> float:
     """Agent-averaged loss at ``theta`` under the distributions ``theta`` induces.
 
     Gaussian populations use the closed form (the residual term plus half the
     noise variance per dimension); strategic ones average the loss over the
-    full shifted empirical datasets in one pass over ``rows``.
+    full shifted empirical datasets in one pass over ``rows``. ``scores`` is
+    as in :func:`decoupled_full_gradient`, with ``deployed = theta``.
     """
     theta = _check_theta(env, theta)
     if env.kind == GAUSSIAN:
@@ -274,9 +280,10 @@ def exact_risk(env: Environment, theta) -> float:
         # left-to-right like a loop over agents; np.sum would add pairwise
         return float(np.cumsum(terms)[-1]) / env.n
     rows = env.rows
-    sq = float(theta @ theta)
-    core = _softplus_minus_yu(rows.features @ theta + rows.eps * sq, rows.labels)
-    return float(rows.weights @ core) + 0.5 * env.beta * sq
+    if scores is None:
+        scores = shifted_scores(env, theta, theta)
+    core = _softplus_minus_yu(scores, rows.labels)
+    return float(rows.weights @ core) + 0.5 * env.beta * float(theta @ theta)
 
 
 def assumption_constants(env: Environment, theta_ps) -> tuple[float, float]:

@@ -259,10 +259,7 @@ def _corpus(sc) -> tuple[np.ndarray, np.ndarray]:
 
 def _check_theta0(cfg: Config, env: Environment) -> None:
     """Refuse a ``run.theta0`` that is neither one number nor one per coordinate of ``env``'s decisions."""
-    try:
-        shape = np.asarray(cfg.run.theta0, dtype=float).shape
-    except (TypeError, ValueError):
-        shape = None
+    shape = np.asarray(cfg.run.theta0, dtype=float).shape
     if shape not in ((), (1,), (env.dim,)):
         raise ConfigError(f"run.theta0 must be a number or {env.dim} numbers, "
                           f"got {json.dumps(cfg.run.theta0, default=repr)}")

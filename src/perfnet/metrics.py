@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .environment import Environment, decoupled_full_gradient, exact_risk
+from .environment import GAUSSIAN, Environment, decoupled_full_gradient, exact_risk, shifted_scores
 
 __all__ = [
     "MetricRecord",
@@ -63,13 +63,14 @@ def consensus_error(theta: np.ndarray) -> tuple[float, float]:
     return raw, raw / theta.shape[0]
 
 
-def decoupled_grad_norm(env: Environment, theta) -> float:
+def decoupled_grad_norm(env: Environment, theta, scores=None) -> float:
     """Squared norm of the agent-averaged decoupled-risk gradient at (theta; theta).
 
     Exact for gaussian populations; full-batch over the shifted empirical
-    datasets otherwise. Zero exactly at the stable point.
+    datasets otherwise. Zero exactly at the stable point. ``scores`` is as
+    in :func:`~perfnet.environment.exact_risk`.
     """
-    g = decoupled_full_gradient(env, theta, theta)
+    g = decoupled_full_gradient(env, theta, theta, scores)
     return float(np.dot(g, g))
 
 
@@ -195,16 +196,18 @@ def metric_recorder(
     def record(t: int, theta: np.ndarray) -> MetricRecord:
         bar = theta.mean(axis=-2)
         raw, norm = consensus_error(theta)
+        # the risk and the gradient share one scoring of the strategic rows
+        scores = None if env.kind == GAUSSIAN else shifted_scores(env, bar, bar)
         rec = MetricRecord(
             t=t,
             consensus_sq=raw,
             consensus_sq_norm=norm,
-            risk=exact_risk(env, bar),
+            risk=exact_risk(env, bar, scores),
             risk_se=0.0,
         )
         if theta_ps is not None:
             rec.gap_sq = float(np.sum((bar - theta_ps) ** 2))
-        rec.grad_norm_sq = decoupled_grad_norm(env, bar)
+        rec.grad_norm_sq = decoupled_grad_norm(env, bar, scores)
         if test_data is not None:
             rec.accuracy = shifted_test_accuracy(acc_env, theta, *test_data)
         return rec

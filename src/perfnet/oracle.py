@@ -51,6 +51,7 @@ from .environment import (
     _softplus_minus_yu,
     decoupled_full_gradient,
     expit,
+    shifted_scores,
 )
 
 __all__ = [
@@ -229,7 +230,7 @@ def _solve_frozen(env, deployed, start, inner, inner_tol):
 
     def objective(t):
         """The frozen objective at ``t``, and the scores ``X t`` it was computed from."""
-        scores = rows.features @ t + rows.eps * float(deployed @ t)
+        scores = shifted_scores(env, t, deployed)
         value = float(rows.weights @ _softplus_minus_yu(scores, rows.labels)) + 0.5 * beta * float(t @ t)
         return value, scores
 

@@ -83,6 +83,21 @@ def test_sweep_over_an_integer_field(tmp_path, capsys):
         assert rows[-1].split(",")[0] == str(T)
 
 
+@pytest.mark.parametrize("axis, values", [
+    ("environment.strategic.per_agent", [100, 120]),
+    ("environment.strategic.synthetic.m", [4601, 4700]),
+])
+def test_sweep_over_an_integer_strategic_field(tmp_path, capsys, axis, values):
+    cfg = preset("spam_logistic").replace(**{
+        "run.T": 20, "run.record_every": 10, "experiment.seeds": [1], "experiment.out": str(tmp_path / "out"),
+    })
+    rc = main(["sweep", write_cfg(tmp_path, cfg), "--axis", axis, "--values", ",".join(map(str, values)),
+               "--threads", "1"])
+    assert rc == 0
+    manifest = json.loads((tmp_path / "out" / "spam_logistic" / "manifest.json").read_text())
+    assert manifest["values"] == values and all(isinstance(v, int) for v in manifest["values"])
+
+
 @pytest.mark.parametrize("values", ["1e2", "100.5", "many"])
 def test_sweep_over_an_integer_field_refuses_a_non_integer_token(tmp_path, capsys, values):
     path = tiny_gaussian_cfg(tmp_path)
@@ -193,6 +208,8 @@ FIELD_ERRORS = {
     "spread_a_numeral": {"environment.eps_grid": {"spread": "0.05"}},
     "n_a_numeral": {"environment.n": "25"},
     "topology_n_a_numeral": {"topology.n": "25"},
+    "theory_delta_a_numeral": {"experiment.theory_delta": "0.1"},
+    "edge_file_a_number": {"topology.edge_file": 5},
 }
 
 # configs that parse but fail when loaded or built; the step a0 case cannot be
@@ -244,11 +261,21 @@ SCHEDULE_FILES = {
 }
 
 
-# strategic blocks that name a data source twice, or a dataset-only field
-# without a dataset
+# strategic blocks that name a data source twice, set a dataset-only field
+# without a dataset, or hold a value of the wrong type
 STRATEGIC_ERRORS = {
     "dataset_and_synthetic": ({"dataset": "corpus.csv"}, "not both"),
     "dim_without_dataset": ({"dim": 5}, "synthetic.dim"),
+    "per_agent_a_float": ({"per_agent": 138.0}, "environment.strategic.per_agent must be an integer, got 138.0"),
+    "beta_a_numeral": ({"beta": "1e-4"}, 'environment.strategic.beta must be a number, got "1e-4"'),
+    "standardize_a_string": ({"standardize": "no"},
+                             'environment.strategic.standardize must be true or false, got "no"'),
+    "dataset_a_list": ({"dataset": ["a.csv"], "synthetic": None},
+                       'environment.strategic.dataset must be a string, got ["a.csv"]'),
+    "synthetic_m_a_float": ({"synthetic": {"m": 4601.0, "dim": 48}},
+                            "environment.strategic.synthetic.m must be an integer, got 4601.0"),
+    "synthetic_seed_a_float": ({"synthetic": {"seed": 7.5, "dim": 48}},
+                               "environment.strategic.synthetic.seed must be an integer, got 7.5"),
 }
 
 

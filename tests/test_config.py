@@ -1,5 +1,8 @@
+import dataclasses
 import json
 import re
+import types
+import typing
 from pathlib import Path
 
 import pytest
@@ -223,3 +226,104 @@ def test_engine_takes_the_config_sections():
     assert engine.StepSchedule is config.StepSchedule
     cfg = preset("gaussian_mean")
     assert isinstance(cfg.run, engine.RunConfig) and isinstance(cfg.step, engine.StepSchedule)
+
+
+def _options(tp):
+    return typing.get_args(tp) if isinstance(tp, types.UnionType) else (tp,)
+
+
+def _leaf_fields(cls=Config, prefix=""):
+    """Every field that is not a section, as (dotted path, annotation), read off ``dataclasses.fields``."""
+    for f in dataclasses.fields(cls):
+        sections = [tp for tp in _options(f.type) if dataclasses.is_dataclass(tp)]
+        if sections:
+            yield from _leaf_fields(sections[0], f"{prefix}{f.name}.")
+        else:
+            yield f"{prefix}{f.name}", f.type
+
+
+def _wrong_value(tp):
+    """A value of none of the types ``tp`` admits."""
+    first = next(t for t in _options(tp) if t is not type(None))
+    if typing.get_origin(first) is list:
+        return ["x"]
+    return {int: 2.5, float: "1.0", str: 7, bool: "no"}[first]
+
+
+LEAF_FIELDS = dict(_leaf_fields())
+
+
+def test_the_leaf_fields_cover_every_section():
+    sections = {path.rsplit(".", 1)[0] for path in LEAF_FIELDS if "." in path}
+    assert sections == {"topology", "environment", "environment.eps_grid", "environment.gaussian",
+                        "environment.strategic", "environment.strategic.synthetic", "step", "run",
+                        "experiment"}
+    assert "config_version" in LEAF_FIELDS
+
+
+@pytest.mark.parametrize("path", LEAF_FIELDS)
+def test_every_field_refuses_a_value_of_another_type(path):
+    d = preset("spam_logistic" if ".strategic." in path else "gaussian_mean").to_dict()
+    *sections, leaf = path.split(".")
+    node = d
+    for section in sections:
+        node = node[section]
+    wrong = _wrong_value(LEAF_FIELDS[path])
+    node[leaf] = wrong
+    with pytest.raises(ConfigError) as info:
+        Config.from_dict(d)
+    assert str(info.value).startswith(f"{path} must be ")
+    assert str(info.value).endswith(f", got {json.dumps(wrong)}")
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: config.RunConfig(T=1e5), "run.T must be an integer, got 100000.0"),
+    (lambda: config.RunConfig(seed=True), "run.seed must be an integer, got true"),
+    (lambda: config.SyntheticConfig(m=4601.0), "environment.strategic.synthetic.m must be an integer, got 4601.0"),
+    (lambda: config.StrategicConfig(standardize="no", synthetic=config.SyntheticConfig()),
+     'environment.strategic.standardize must be true or false, got "no"'),
+    (lambda: config.ExperimentSection(seeds=[1, 2.0]), "experiment.seeds must be a list of integers, got [1, 2.0]"),
+    (lambda: config.EnvironmentConfig(eps_grid={"spread": "0.05"}),
+     'environment.eps_grid.spread must be a number, got "0.05"'),
+    (lambda: config.Config(topology=None), "topology must be an object, got null"),
+], ids=["T_a_float", "seed_a_bool", "m_a_float", "standardize_a_string", "seed_list_of_floats",
+        "spread_a_numeral", "topology_null"])
+def test_sections_refuse_a_value_of_another_type_when_constructed(build, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        build()
+
+
+def test_a_section_given_as_a_dict_is_built_from_it():
+    env = config.EnvironmentConfig(eps_grid={"spread": 0.05})
+    assert env.eps_grid == config.EpsGrid(spread=0.05) and env.spread == 0.05
+    assert dataclasses.asdict(env)["eps_grid"] == {"spread": 0.05}
+
+
+def test_integer_fields_are_read_off_the_annotations():
+    assert config.INTEGER_FIELDS == {
+        "config_version", "topology.n", "environment.n",
+        "environment.strategic.per_agent", "environment.strategic.test_split", "environment.strategic.dim",
+        "environment.strategic.synthetic.m", "environment.strategic.synthetic.per_agent",
+        "environment.strategic.synthetic.dim", "environment.strategic.synthetic.seed",
+        "run.T", "run.batch", "run.record_every", "run.seed",
+    }
+
+
+@pytest.mark.parametrize("path, value", [
+    ("topology.edge_file", 5),
+    ("topology.schedule_file", True),
+    ("environment.strategic.dataset", ["a.csv"]),
+])
+def test_a_path_that_is_not_a_string_is_a_config_error(tmp_path, path, value):
+    # load_config resolves only string paths, and leaves the rest to the type check
+    d = preset("spam_logistic").to_dict()
+    d["environment"]["strategic"]["synthetic"] = None
+    *sections, leaf = path.split(".")
+    node = d
+    for section in sections:
+        node = node[section]
+    node[leaf] = value
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(d))
+    with pytest.raises(ConfigError, match=re.escape(f"{path} must be a string, got {json.dumps(value)}")):
+        load_config(p)

@@ -5,6 +5,7 @@ import warnings
 
 from hypothesis import given, settings, strategies as st
 
+from perfnet import environment, metrics
 from perfnet.engine import stream
 from perfnet.environment import exact_risk, make_heterogeneous_suite
 from perfnet.metrics import (
@@ -14,6 +15,7 @@ from perfnet.metrics import (
     aggregate_columns,
     consensus_error,
     decoupled_grad_norm,
+    metric_recorder,
     rate_fit,
     read_metrics_csv,
     shifted_test_accuracy,
@@ -289,6 +291,30 @@ def test_accuracy_counts_a_row_scoring_exactly_zero_as_positive_like_the_loop():
     # the shared decision (1, 0) scores rows 0 and 1 exactly 0 for every agent
     y = np.array([1.0, 0.0, 1.0, 0.0])
     assert shifted_test_accuracy(env, theta[0], x, y) == reference.shifted_test_accuracy(env, theta[0], x, y) == 0.75
+
+
+def test_record_scores_the_rows_once_with_the_bits_of_two_passes(monkeypatch):
+    # the risk and the gradient norm each scoring the rows themselves
+    rng = np.random.default_rng(5)
+    shards = [(rng.standard_normal((m, 6)), rng.integers(0, 2, m).astype(float)) for m in (30, 41, 17)]
+    env = make_heterogeneous_suite(3, 0.7, 0.5, kind="strategic_shift", shards=shards, beta=0.01)
+    thetas = [rng.standard_normal((3, 6)) * scale for scale in (0.1, 1.0, 10.0)]
+    two_pass = [(exact_risk(env, theta.mean(axis=0)), decoupled_grad_norm(env, theta.mean(axis=0)))
+                for theta in thetas]
+    calls, original = [], environment.shifted_scores
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    # the recorder's own call, and any the risk or the gradient would make
+    monkeypatch.setattr(metrics, "shifted_scores", counted)
+    monkeypatch.setattr(environment, "shifted_scores", counted)
+    record = metric_recorder(env)
+    for theta, (risk, grad_norm_sq) in zip(thetas, two_pass):
+        rec = record(10, theta)
+        assert (rec.risk, rec.grad_norm_sq) == (risk, grad_norm_sq)
+    assert len(calls) == len(thetas)
 
 
 # ---------------------------------------------------------------- rate fit
