@@ -358,13 +358,14 @@ def _section(d: dict, path: str, verb: str) -> tuple[dict, str]:
     """The section of the config dict ``d`` that holds dotted ``path``, and the path's last part.
 
     Raises :class:`ConfigError` ("cannot <verb> <path>: ...") naming the
-    first part before the last that is not a section.
+    first part before the last that is not a section, or is a section unset here.
     """
     parts = path.split(".")
     for k, part in enumerate(parts[:-1]):
-        d = d.get(part)
+        d, head = d.get(part), ".".join(parts[:k + 1])
         if not isinstance(d, dict):
-            raise ConfigError(f"cannot {verb} {path}: {'.'.join(parts[:k + 1])} is not a config section")
+            why = "is unset in this config" if head + "." in _PREFIXES.values() else "is not a config section"
+            raise ConfigError(f"cannot {verb} {path}: {head} {why}")
     return d, parts[-1]
 
 

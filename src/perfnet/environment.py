@@ -16,7 +16,7 @@ samples, scores and differentiates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import NamedTuple
 
@@ -108,6 +108,10 @@ class Environment:
         for arr in (self.eps, self.zbar_stack, self.sigma2, self.features, self.labels, self.sizes):
             if arr is not None:
                 arr.setflags(write=False)
+
+    def __reduce__(self):
+        """Pickle as the constructor's arguments, so an unpickled copy's arrays are read-only too."""
+        return Environment, tuple(getattr(self, f.name) for f in fields(self))
 
     @property
     def kind(self) -> str:

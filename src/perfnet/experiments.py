@@ -10,9 +10,9 @@ Artifact layout under the experiment's output directory::
 
 Each sweep value's seeds are split into contiguous groups, one per worker,
 and a group runs as one seed-batched :func:`~perfnet.engine.run`. The jobs
-run in a process pool capped by the PERFNET_THREADS environment variable;
-every run is deterministic in (config, seed), so results are byte-identical
-for any pool size and grouping.
+run in a process pool capped by PERFNET_THREADS, or in this process for one
+worker; each value aggregates as its jobs arrive. Runs are deterministic in
+(config, seed), so results are byte-identical for any pool size and grouping.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import itertools
 import json
 import os
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict
 from pathlib import Path
 
@@ -301,11 +301,11 @@ def _run_seeds(cfg: Config, envs, sinks, seeds, csv_paths, mixing=None) -> list:
     return trajs
 
 
-def _run_job(args, keep_reference: bool = False) -> tuple[list, Environment | None]:
+def _run_job(args) -> tuple[list, Environment | None]:
     """One batch of seeds of one sweep value.
 
-    Returns a summary per seed and, with ``keep_reference``, the environment
-    of the config's run seed if the batch ran that seed (else None).
+    Returns a summary per seed and the environment of the config's run seed
+    if the batch ran that seed (else None); a pool worker returns it pickled.
     """
     cfg, seeds, csv_paths = args
     t0 = time.perf_counter()
@@ -321,8 +321,7 @@ def _run_job(args, keep_reference: bool = False) -> tuple[list, Environment | No
             "flagged": traj.diverged or risk_diverged,
         })
     wall_s = (time.perf_counter() - t0) / len(seeds)
-    reference = envs[seeds.index(cfg.run.seed)] if keep_reference and cfg.run.seed in seeds else None
-    return [{**summary, "wall_s": wall_s} for summary in summaries], reference
+    return [{**summary, "wall_s": wall_s} for summary in summaries], dict(zip(seeds, envs)).get(cfg.run.seed)
 
 
 def _axis_path(axis: str) -> str:
@@ -350,8 +349,10 @@ def run_experiment(
     is the expected outcome.
 
     Each value's seeds run as ``min(workers, len(seeds))`` batched jobs of
-    contiguous seeds. A seed's ``wall_s`` in the manifest is its equal share
-    of its job's wall time (building, running and writing the whole batch).
+    contiguous seeds; one loop receives them in order, and writes a value's
+    artifacts once its jobs are in. A seed's ``wall_s`` in the manifest is
+    its equal share of its job's wall time (building, running and writing
+    the whole batch).
     """
     exp = cfg.experiment
     out_root = Path(out if out is not None else exp.out) / exp.name
@@ -378,35 +379,31 @@ def run_experiment(
                 for vcfg, cell in cells.values() for seeds in groups]
 
     t0 = time.perf_counter()
-    if workers > 1 and len(payloads) > 1:
+    pooled = workers > 1 and len(payloads) > 1
+    if pooled:
         from concurrent.futures import ProcessPoolExecutor
 
         # numpy loads numpy.random on first use; loading it before the pool
         # forks spares each worker its own import (~15 ms)
         import numpy.random  # noqa: F401
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            jobs = iter(list(pool.map(_run_job, payloads)))
-    else:
-        # lazily: a value's jobs run once the value before it is aggregated
-        jobs = (_run_job(p, keep_reference=True) for p in payloads)
-
-    # one reference environment per value, at the config's run seed, serves
-    # both the regime check and the theory report: the environment of the
-    # job that ran that seed in this process, else a new one
+    # map runs each job here as it is received; a value's reference environment,
+    # at run.seed, is the one its job returned, else a new one
     results: dict = {}
     convergent = {}
-    for key, (vcfg, cell) in cells.items():
-        results[key], env = {}, None
-        for group, reference in itertools.islice(jobs, len(groups)):
-            results[key].update((str(summary["seed"]), summary) for summary in group)
-            if reference is not None:
-                env = reference
-        if env is None:
-            env, _ = build_environment(vcfg.environment, vcfg.run.seed)
-        convergent[key] = oracle.existence_check(env.eps_avg, env.mu, env.smoothness).exists
-        _aggregate_cell(vcfg, env, cell, results[key].values())
-        env = reference = None  # freed before the next value's jobs run
+    with ProcessPoolExecutor(max_workers=workers) if pooled else nullcontext() as pool:
+        jobs = (pool.map if pooled else map)(_run_job, payloads)
+        for key, (vcfg, cell) in cells.items():
+            results[key], env = {}, None
+            for group, reference in itertools.islice(jobs, len(groups)):
+                results[key].update((str(summary["seed"]), summary) for summary in group)
+                if reference is not None:
+                    env = reference
+            if env is None:
+                env, _ = build_environment(vcfg.environment, vcfg.run.seed)
+            convergent[key] = oracle.existence_check(env.eps_avg, env.mu, env.smoothness).exists
+            _aggregate_cell(vcfg, env, cell, results[key].values())
+            env = reference = None  # freed before the next value's jobs are received
 
     flagged_in_convergent = any(
         s["flagged"] for key in cells if convergent[key] for s in results[key].values()

@@ -48,6 +48,14 @@ def test_run_success_exit_zero(tmp_path, capsys):
     assert (tmp_path / "out" / "gaussian_mean" / "manifest.json").exists()
 
 
+def test_strategic_run_on_two_workers_writes_each_seed(tmp_path, capsys):
+    # the strategic sampler runs through the process pool
+    path = tiny_strategic_cfg(tmp_path, **{"run.T": 200, "experiment.seeds": [1, 2]})
+    assert main(["run", path, "--threads", "2"]) == 0
+    for seed in (1, 2):
+        assert (tmp_path / "out" / "hetero_vs_homo" / "data_mode=heterogeneous" / str(seed) / "metrics.csv").stat().st_size
+
+
 def test_run_divergence_in_convergent_regime_exit_three(tmp_path, capsys):
     # stable point exists (eps 0.9) but the constant step is far beyond the
     # stability range of the recursion (|1 - gamma (1 - eps)| > 1)

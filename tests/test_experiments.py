@@ -1,5 +1,6 @@
 import gc
 import json
+import multiprocessing
 import weakref
 
 import numpy as np
@@ -44,6 +45,17 @@ def tiny_spam(T=150, seeds=(1,)):
         "environment.strategic.synthetic.dim": 10,
         "step.a1": 500.0,
         "step.a0": 5.0,
+    })
+
+
+def tiny_hetero(T=150, seeds=(1,)):
+    return preset("hetero_vs_homo").replace(**{
+        "run.T": T,
+        "run.record_every": 30,
+        "run.batch": 4,
+        "experiment.seeds": list(seeds),
+        "environment.strategic.synthetic": {"style": "per_agent", "per_agent": 20, "dim": 5},
+        "environment.strategic.test_split": 50,
     })
 
 
@@ -120,23 +132,45 @@ def test_thread_count_does_not_change_bytes(tmp_path, monkeypatch):
         assert a == b
 
 
-@pytest.mark.parametrize("make", [tiny_gaussian, tiny_spam])
+@pytest.mark.parametrize("make", [tiny_gaussian, tiny_spam, tiny_hetero])
 def test_seed_grouping_does_not_change_bytes(tmp_path, make):
-    # threads=1 runs the three seeds as one batch, threads=2 as batches of 2 and 1
-    cfg = make(T=150, seeds=(3, 4, 5))
-    one = run_experiment(cfg, out=tmp_path / "one", threads=1)
-    two = run_experiment(cfg, out=tmp_path / "two", threads=2)
-    name, value = cfg.experiment.name, next(iter(one["results"]))
-    cell_one = next((tmp_path / "one" / name).glob("*=*"))
-    cell_two = tmp_path / "two" / name / cell_one.name
-    for rel in ("3/metrics.csv", "4/metrics.csv", "5/metrics.csv", "aggregate.csv"):
-        assert (cell_one / rel).read_bytes() == (cell_two / rel).read_bytes()
-    # a batch's seeds share its wall time equally
-    walls_one = [one["results"][value][s].pop("wall_s") for s in ("3", "4", "5")]
-    walls_two = [two["results"][value][s].pop("wall_s") for s in ("3", "4", "5")]
-    assert len(set(walls_one)) == 1
-    assert walls_two[0] == walls_two[1] != walls_two[2]
+    # threads=1 runs the three seeds as one batch, threads=2 as batches of 2
+    # and 1 in a pool, whose first job returns the run seed's environment
+    cfg = make(T=150, seeds=(3, 4, 5)).replace(**{"run.seed": 4})
+    axis, values = ("data_mode", ["heterogeneous", "homogeneous"]) if make is tiny_hetero else ("eps_avg", [0.5, 0.9])
+    one = run_experiment(cfg, axis=axis, values=values, out=tmp_path / "one", threads=1)
+    two = run_experiment(cfg, axis=axis, values=values, out=tmp_path / "two", threads=2)
+    # every artifact of every cell: metrics.csv, aggregate.csv, ratefit.json,
+    # theory.json and, where written, theory_curves.csv
+    files_one, files_two = _artifacts(tmp_path / "one"), _artifacts(tmp_path / "two")
+    for value in one["results"]:
+        cell = f"{cfg.experiment.name}/{axis}={value}/"
+        assert {cell + rel for rel in ("3/metrics.csv", "4/metrics.csv", "5/metrics.csv", "aggregate.csv",
+                                       "ratefit.json", "theory.json")} <= files_one.keys()
+    assert files_one == files_two
+    assert one["convergent_regime"] == two["convergent_regime"]
+    for value in one["results"]:
+        # a batch's seeds share its wall time equally
+        walls_one = [one["results"][value][s].pop("wall_s") for s in ("3", "4", "5")]
+        walls_two = [two["results"][value][s].pop("wall_s") for s in ("3", "4", "5")]
+        assert len(set(walls_one)) == 1
+        assert walls_two[0] == walls_two[1] != walls_two[2]
     assert one["results"] == two["results"]
+
+
+def test_pooled_sweep_aggregates_each_value_inside_the_pool(tmp_path, monkeypatch):
+    children = []
+    aggregate = experiments._aggregate_cell
+
+    def noting_aggregate(vcfg, env, cell, summaries):
+        children.append(len(multiprocessing.active_children()))
+        return aggregate(vcfg, env, cell, summaries)
+
+    monkeypatch.setattr(experiments, "_aggregate_cell", noting_aggregate)
+    run_experiment(tiny_gaussian(T=100, seeds=(3, 4)), axis="eps_avg", values=[0.5, 0.9],
+                   out=tmp_path, threads=2)
+    # each value is aggregated while the pool's workers still run
+    assert len(children) == 2 and all(children)
 
 
 def test_batched_divergent_cell_matches_seeds_alone(tmp_path):
@@ -193,6 +227,7 @@ def test_empty_seeds_empty_manifest(tmp_path):
     ("environment.nothing.x", "environment.nothing is not a config section"),
     ("run.T.x", "run.T is not a config section"),
     ("run.nothing", "run.nothing is not a config field"),
+    ("environment.strategic.per_agent", "environment.strategic is unset in this config"),
 ])
 def test_default_value_of_an_axis_that_is_not_a_config_path_is_a_config_error(tmp_path, axis, message):
     # without values the sweep reads the axis's value from the config
@@ -418,7 +453,8 @@ def test_corpus_memo_leaves_artifacts_unchanged(tmp_path, monkeypatch, source):
     # is aggregated before the next value's jobs run
     (1, 4, [3, 4, 5, "0.5", 3, 4, 5, "0.9"]),
     (1, 9, [3, 4, 5, 9, "0.5", 3, 4, 5, 9, "0.9"]),  # no job ran seed 9: one more build
-    (2, 4, [4, "0.5", 4, "0.9"]),  # the jobs ran in workers: one reference build per value
+    (2, 4, ["0.5", "0.9"]),  # the workers return the reference: the parent builds none
+    (2, 9, [9, "0.5", 9, "0.9"]),  # no job ran seed 9: the parent builds one per value
 ])
 def test_reference_environment_comes_from_the_job_that_ran_it(tmp_path, monkeypatch, threads, run_seed, events):
     calls = []
@@ -437,6 +473,27 @@ def test_reference_environment_comes_from_the_job_that_ran_it(tmp_path, monkeypa
     cfg = tiny_gaussian(T=100, seeds=(3, 4, 5)).replace(**{"run.seed": run_seed})
     run_experiment(cfg, axis="eps_avg", values=[0.5, 0.9], out=tmp_path / "kept", threads=threads)
     assert calls == events
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_reference_environment_is_the_run_seeds_at_any_pool_size(tmp_path, monkeypatch, threads):
+    seen = []
+    aggregate = experiments._aggregate_cell
+
+    def noting_aggregate(vcfg, env, cell, summaries):
+        seen.append((vcfg, env))
+        return aggregate(vcfg, env, cell, summaries)
+
+    monkeypatch.setattr(experiments, "_aggregate_cell", noting_aggregate)
+    # seed 5 is the last of one batch at threads=1, and a batch alone at threads=2
+    cfg = tiny_spam(seeds=(3, 4, 5)).replace(**{"run.seed": 5})
+    run_experiment(cfg, axis="eps_avg", values=[0.5, 1.0], out=tmp_path, threads=threads)
+    assert len(seen) == 2
+    for vcfg, env in seen:
+        want, _ = build_environment(vcfg.environment, 5)
+        assert np.array_equal(env.features, want.features) and np.array_equal(env.eps, want.eps)
+        # a reference that crossed the pool is as read-only as one built here
+        assert not any(arr.flags.writeable for arr in (env.eps, env.features, env.labels, env.sizes))
 
 
 def test_in_process_sweep_holds_one_value_environments_at_a_time(tmp_path, monkeypatch):
