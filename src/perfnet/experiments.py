@@ -349,10 +349,10 @@ def run_experiment(
     is the expected outcome.
 
     Each value's seeds run as ``min(workers, len(seeds))`` batched jobs of
-    contiguous seeds; one loop receives them in order, and writes a value's
-    artifacts once its jobs are in. A seed's ``wall_s`` in the manifest is
-    its equal share of its job's wall time (building, running and writing
-    the whole batch).
+    contiguous seeds, on a pool of at most one worker per job; one loop
+    receives them in order, and writes a value's artifacts once its jobs
+    are in. A seed's ``wall_s`` in the manifest is its equal share of its
+    job's wall time (building, running and writing the whole batch).
     """
     exp = cfg.experiment
     out_root = Path(out if out is not None else exp.out) / exp.name
@@ -379,7 +379,10 @@ def run_experiment(
                 for vcfg, cell in cells.values() for seeds in groups]
 
     t0 = time.perf_counter()
-    pooled = workers > 1 and len(payloads) > 1
+    # a forked pool starts all its workers at the first submit, so it gets
+    # no more of them than there are jobs
+    workers = min(workers, len(payloads))
+    pooled = workers > 1
     if pooled:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -1,10 +1,16 @@
 import json
 import math
+import os
+import shutil
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import perfnet
 from perfnet.cli import main
 from perfnet.config import config_hash, load_config, save_config
 from perfnet.experiments import preset
@@ -199,6 +205,23 @@ def test_non_integer_thread_count_exits_two(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("config error: PERFNET_THREADS")
 
 
+@pytest.mark.parametrize("command", [[sys.executable, "-m", "perfnet"], [shutil.which("perfnet")]],
+                         ids=["module", "console_script"])
+def test_entry_point_exits_with_the_cli_code(tmp_path, command):
+    # python -m perfnet, and the installed perfnet script, pass main's exit code on
+    if command[0] is None:
+        pytest.skip("the perfnet console script is not installed")
+    src = str(Path(perfnet.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    d = preset("gaussian_mean").to_dict()
+    d["step"]["a0"] = -1.0
+    (tmp_path / "bad.json").write_text(json.dumps(d))
+    for name, code in (write_cfg(tmp_path, preset("gaussian_mean")), 0), (str(tmp_path / "bad.json"), 2):
+        proc = subprocess.run(command + ["theory", name], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code, proc.stderr
+        assert code == 0 or proc.stderr.startswith("config error:")
+
+
 # run and experiment fields of the wrong type or range; each error names its field
 FIELD_ERRORS = {
     "run_T_a_float": {"run.T": 1e5},  # how JSON users write 1e5 iterations
@@ -331,8 +354,11 @@ def test_theory_on_unbuildable_config_exits_two(tmp_path, capsys, case):
         assert "non-integer vertex" in err
     if case == "repeated_seed":
         assert err == "config error: experiment.seeds repeats [5]\n"
+    if case == "n_a_numeral":
+        # named as a string, not as "topology.n = 25 disagrees with environment.n = 25"
+        assert err == 'config error: environment.n must be an integer, got "25"\n'
     if case in FIELD_ERRORS:
-        assert next(iter(overrides)) in err
+        assert err.startswith(f"config error: {next(iter(overrides))}")
 
 
 @pytest.mark.parametrize("overrides", [
@@ -428,6 +454,28 @@ def test_fixed_point_reports_budget_exhaustion(tmp_path, capsys):
         str(out["budget_exhausted"]), str(out["contraction"]["budget_exhausted"])]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_fixed_point_on_the_strategic_preset_meets_the_stable_point(tmp_path, capsys):
+    assert main(["fixed-point", write_cfg(tmp_path, preset("hetero_vs_homo"))]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["converged"] is True and 0 < out["residual"] <= 1e-8
+    assert out["contraction"]["empirical"] < 1
+    assert out["stable_point"]["residual"] <= 1e-10
+    assert out["budget_exhausted"] == out["contraction"]["budget_exhausted"] == 0
+    # inner_tol / beta bounds the frozen solve's own error, so a cheaper
+    # solver cannot move the answer unnoticed
+    assert np.linalg.norm(np.subtract(out["theta_ps"], out["stable_point"]["theta"])) <= 1e-6
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_fixed_point_on_spam_runs_no_solve_out_of_budget(tmp_path, capsys):
+    # spam's deployments never converge, so each frozen solve starts far from
+    # its answer, and a CG forcing term that under-solves shows as exhaustion
+    assert main(["fixed-point", write_cfg(tmp_path, preset("spam_logistic")), "--deployments", "100"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["budget_exhausted"] == out["contraction"]["budget_exhausted"] == 0
+
+
 def test_fixed_point_computes_the_stable_point_once(tmp_path, capsys, monkeypatch):
     # one deployment cannot converge, so the probe is centred at the stable
     # point that the report also prints
@@ -496,6 +544,18 @@ def test_theory_curves_end_at_T_like_the_run(tmp_path, capsys):
     cell = tmp_path / "out" / "gaussian_mean" / "eps_avg=0.9" / "theory_curves.csv"
     assert curves.read_text().splitlines()[-1].startswith("310,")
     assert curves.read_bytes() == cell.read_bytes()
+
+
+def test_theory_on_a_long_window_answers_not_applicable_at_once(tmp_path, capsys):
+    # window products are taken by repeated squaring; the ring's two matchings
+    # mix over a window, but rho certifies window products and not each step
+    (tmp_path / "long.json").write_text(
+        '{"graphs": [%s, %s], "window": 10000000}' % (RING_MATCHINGS[0], RING_MATCHINGS[1]))
+    cfg = preset("gaussian_mean").replace(**{"topology.kind": "schedule", "topology.schedule_file": "long.json"})
+    start = time.perf_counter()
+    assert main(["theory", write_cfg(tmp_path, cfg)]) == 0
+    assert time.perf_counter() - start < 10
+    assert json.loads(capsys.readouterr().out)["applicable"] is False
 
 
 def test_rate_check_on_csv(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import gc
 import json
 import multiprocessing
@@ -171,6 +172,20 @@ def test_pooled_sweep_aggregates_each_value_inside_the_pool(tmp_path, monkeypatc
                    out=tmp_path, threads=2)
     # each value is aggregated while the pool's workers still run
     assert len(children) == 2 and all(children)
+
+
+def test_pool_starts_no_more_workers_than_jobs(tmp_path, monkeypatch):
+    # a forked pool starts every worker it is given; two seeds are two jobs
+    sizes = []
+    pool = concurrent.futures.ProcessPoolExecutor
+
+    def recording_pool(max_workers=None, **kwargs):
+        sizes.append(max_workers)
+        return pool(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
+    run_experiment(tiny_gaussian(T=100, seeds=(3, 4)), out=tmp_path, threads=4)
+    assert sizes == [2]
 
 
 def test_batched_divergent_cell_matches_seeds_alone(tmp_path):

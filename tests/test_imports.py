@@ -57,15 +57,19 @@ run_experiment(cfg.replace(**{"run.T": 200}), out="out", threads=1)
 
 
 def test_strategic_workflow_never_imports_scipy(tmp_path):
+    # the strategic presets score through expit; the package needs numpy alone
     loaded = fresh_modules("""
+from perfnet.cli import main
+from perfnet.config import save_config
 from perfnet.experiments import build_environment, preset, run_experiment, theory_report
-from perfnet.oracle import repeated_gd_fixed_point
 for name in ("spam_logistic", "hetero_vs_homo"):
     cfg = preset(name)
     env, _ = build_environment(cfg.environment, cfg.run.seed)
     theory_report(cfg, env=env)
 run_experiment(preset("spam_logistic").replace(**{"run.T": 100, "experiment.seeds": [1]}),
                out="out", threads=1)
-repeated_gd_fixed_point(env, tol=1e-6)
+# repeated deployment, the stable point and the contraction probe
+save_config(cfg, "strategic.json")
+main(["fixed-point", "strategic.json"])
 """, tmp_path)
     assert not loaded["scipy"]
