@@ -1,10 +1,12 @@
 """Command-line interface.
 
-Subcommands: ``run``, ``sweep``, ``fixed-point``, ``theory``, ``rate-check``,
-``baseline``. Exit codes: 0 success, 2 configuration error, 3 divergence in
-a regime where a stable point exists, 4 dataset error. A missing edge-list
-or schedule file is a configuration error, a missing dataset file a dataset
-error. The PERFNET_THREADS environment variable caps the worker pool.
+Subcommands: ``run``, ``fixed-point``, ``theory``, ``rate-check``,
+``baseline``. ``run`` runs an experiment: the config's own value of its
+axis, or with ``--axis``/``--values`` a grid of one axis. Exit codes: 0
+success, 2 configuration error, 3 divergence in a regime where a stable
+point exists, 4 dataset error. A missing edge-list or schedule file is a
+configuration error, a missing dataset file a dataset error. The
+PERFNET_THREADS environment variable caps the worker pool.
 """
 
 from __future__ import annotations
@@ -31,17 +33,14 @@ def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="perfnet", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run an experiment config across its seeds")
+    run = sub.add_parser("run", help="run a config across its seeds and axis values")
     run.add_argument("config")
+    run.add_argument("--axis", default=None,
+                     help="eps_avg, or data_mode for a per-agent synthetic config, if left out")
+    run.add_argument("--values", default=None,
+                     help="comma-separated values; the config's own value if left out")
     run.add_argument("--out", default=None)
     run.add_argument("--threads", type=int, default=None)
-
-    sweep = sub.add_parser("sweep", help="run a config over a grid of one axis")
-    sweep.add_argument("config")
-    sweep.add_argument("--axis", required=True)
-    sweep.add_argument("--values", required=True, help="comma-separated values")
-    sweep.add_argument("--out", default=None)
-    sweep.add_argument("--threads", type=int, default=None)
 
     fp = sub.add_parser("fixed-point", help="compute the stable point and contraction report")
     fp.add_argument("config")
@@ -69,7 +68,7 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
-def _parse_values(raw: str, axis: str) -> list:
+def _parse_values(raw: str, axis: str | None) -> list:
     """``--values`` tokens as numbers where they parse, else as strings.
 
     A token is an int on an integer axis (``config.INTEGER_FIELDS``) and a
@@ -88,20 +87,13 @@ def _parse_values(raw: str, axis: str) -> list:
 
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
-    manifest = experiments.run_experiment(cfg, out=args.out, threads=args.threads)
-    print(json.dumps({k: manifest[k] for k in ("name", "config_hash", "wall_time_s",
-                                               "divergence_in_convergent_regime")}, indent=2))
-    return EXIT_DIVERGED if manifest["divergence_in_convergent_regime"] else EXIT_OK
-
-
-def _cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
+    values = None if args.values is None else _parse_values(args.values, args.axis)
     manifest = experiments.run_experiment(
-        cfg, axis=args.axis, values=_parse_values(args.values, args.axis),
-        out=args.out, threads=args.threads,
+        cfg, axis=args.axis, values=values, out=args.out, threads=args.threads,
     )
-    print(json.dumps({k: manifest[k] for k in ("name", "axis", "values", "wall_time_s",
-                                               "divergence_in_convergent_regime")}, indent=2))
+    keys = ("name", "config_hash", "axis", "values", "wall_time_s",
+            "divergence_in_convergent_regime")
+    print(json.dumps({k: manifest[k] for k in keys}, indent=2))
     return EXIT_DIVERGED if manifest["divergence_in_convergent_regime"] else EXIT_OK
 
 
@@ -191,7 +183,6 @@ def _cmd_baseline(args) -> int:
 
 _COMMANDS = {
     "run": _cmd_run,
-    "sweep": _cmd_sweep,
     "fixed-point": _cmd_fixed_point,
     "theory": _cmd_theory,
     "rate-check": _cmd_rate_check,

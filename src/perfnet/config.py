@@ -380,7 +380,7 @@ def _prefixes(cls, prefix: str = "") -> dict:
 
 
 _PREFIXES = _prefixes(Config)
-# the integer fields, by dotted path; a sweep parses its values for them as int
+# the integer fields, by dotted path; `perfnet run --values` parses them as int
 INTEGER_FIELDS = frozenset(
     prefix + f.name for cls, prefix in _PREFIXES.items() for f in fields(cls) if int in _options(f.type)
 )

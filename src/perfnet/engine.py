@@ -68,9 +68,9 @@ def stream(seed: int, tag: int, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def agent_streams(seed: int, n: int, tag: int = SAMPLE_STREAM) -> list:
-    """Independent per-agent streams derived from one master seed."""
-    return [stream(seed, tag, i) for i in range(n)]
+def agent_streams(seed: int, n: int) -> list:
+    """Independent per-agent sample streams derived from one master seed."""
+    return [stream(seed, SAMPLE_STREAM, i) for i in range(n)]
 
 
 def gamma(schedule: StepSchedule, t: int) -> float:

@@ -371,7 +371,6 @@ def run_experiment(
         key: (cfg.replace(**{_axis_path(axis): value}), out_root / f"{axis}={key}")
         for key, value in {_fmt_value(v): v for v in values}.items()
     }
-    out_root.mkdir(parents=True, exist_ok=True)
     # contiguous groups of near-equal size, one batched job per value and group
     groups = np.array_split(exp.seeds, min(workers, len(exp.seeds))) if exp.seeds else []
     groups = [[int(seed) for seed in group] for group in groups]
@@ -425,6 +424,8 @@ def run_experiment(
         "wall_time_s": time.perf_counter() - t0,
         "created_unix": time.time(),
     }
+    # made only now, so a run refused in its jobs leaves no directory behind
+    out_root.mkdir(parents=True, exist_ok=True)
     (out_root / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     return manifest
 

@@ -110,6 +110,10 @@ def shifted_test_accuracy(env: Environment, theta, features, labels) -> float:
     return acc / env.n
 
 
+# rate_fit refuses a window with fewer usable points than this
+_MIN_FIT_POINTS = 10
+
+
 class FitUnavailableError(RuntimeError):
     """Too few usable points to fit a rate."""
 
@@ -127,15 +131,15 @@ def rate_fit(
     values,
     window: float = 0.5,
     min_t: int = 100,
-    min_points: int = 10,
 ) -> RateFit:
     """Least-squares slope of log(value) against log(t) over a tail window.
 
     The window is the last ``window`` fraction of recorded points with
     ``t >= min_t``, ``t > 0`` (whose log exists) and a finite value.
     Nonpositive values inside the window are dropped with a warning; fewer
-    than ``min_points`` usable points raises :class:`FitUnavailableError`,
-    and a ``window`` outside (0, 1] raises ValueError.
+    than ``_MIN_FIT_POINTS`` (10) usable points raises
+    :class:`FitUnavailableError`, and a ``window`` outside (0, 1] raises
+    ValueError.
     """
     if not 0 < window <= 1:  # NaN fails the comparison too
         raise ValueError(f"the fit window is a fraction in (0, 1], got {window}")
@@ -153,9 +157,9 @@ def rate_fit(
             RuntimeWarning,
             stacklevel=2,
         )
-    if len(keep) < min_points:
+    if len(keep) < _MIN_FIT_POINTS:
         raise FitUnavailableError(
-            f"only {len(keep)} positive points in window, need {min_points}"
+            f"only {len(keep)} positive points in window, need {_MIN_FIT_POINTS}"
         )
     x = np.log(ts[keep])
     y = np.log(values[keep])

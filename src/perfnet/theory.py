@@ -291,15 +291,15 @@ def write_curves_csv(path, curves: BoundCurves) -> None:
             fh.write(",".join([str(int(t)), *(repr(float(v)) for v in bounds)]) + "\n")
 
 
-def transient_threshold(tc: TheoryConstants, C: float = 1.0) -> float:
+def transient_threshold(tc: TheoryConstants) -> float:
     """Step-size level below which the noise fluctuation term dominates.
 
-    Once ``gamma_t`` falls under ``C * delta * rho^2 * eps_avg * sigma^2 /
+    Once ``gamma_t`` falls under ``delta * rho^2 * eps_avg * sigma^2 /
     (L (sigma^2 + varsigma^2))`` the network/heterogeneity term is dominated
     and the topology and population heterogeneity no longer affect the rate.
     """
     if tc.sigma <= 0:
         raise ValueError("transient threshold needs sigma > 0")
-    return C * tc.delta * tc.rho**2 * tc.eps_avg * tc.sigma**2 / (
+    return tc.delta * tc.rho**2 * tc.eps_avg * tc.sigma**2 / (
         tc.L * (tc.sigma**2 + tc.varsigma**2)
     )

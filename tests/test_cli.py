@@ -13,7 +13,7 @@ import pytest
 import perfnet
 from perfnet.cli import main
 from perfnet.config import config_hash, load_config, save_config
-from perfnet.experiments import preset
+from perfnet.experiments import preset, run_experiment
 from perfnet.metrics import MetricRecord, write_metrics_csv
 from perfnet.topology import build_star, metropolis_weights
 
@@ -51,6 +51,9 @@ def test_run_success_exit_zero(tmp_path, capsys):
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert out["divergence_in_convergent_regime"] is False
+    assert list(out) == ["name", "config_hash", "axis", "values", "wall_time_s",
+                         "divergence_in_convergent_regime"]
+    assert out["axis"] == "eps_avg" and out["values"] == [0.9]
     assert (tmp_path / "out" / "gaussian_mean" / "manifest.json").exists()
 
 
@@ -80,7 +83,7 @@ def test_sweep_expected_divergence_exit_zero(tmp_path, capsys):
         **{"step.kind": "constant", "step.gamma": 0.05, "step.a0": None, "step.a1": None,
            "environment.eps_grid": {"spread": 0.0}, "run.T": 2500},
     )
-    rc = main(["sweep", path, "--axis", "eps_avg", "--values", "1.2", "--threads", "1"])
+    rc = main(["run", path, "--axis", "eps_avg", "--values", "1.2", "--threads", "1"])
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert out["values"] == [1.2]
@@ -88,7 +91,7 @@ def test_sweep_expected_divergence_exit_zero(tmp_path, capsys):
 
 def test_sweep_over_an_integer_field(tmp_path, capsys):
     path = tiny_gaussian_cfg(tmp_path)
-    rc = main(["sweep", path, "--axis", "run.T", "--values", "100,200", "--threads", "1"])
+    rc = main(["run", path, "--axis", "run.T", "--values", "100,200", "--threads", "1"])
     assert rc == 0
     assert json.loads(capsys.readouterr().out)["values"] == [100, 200]
     root = tmp_path / "out" / "gaussian_mean"
@@ -105,7 +108,7 @@ def test_sweep_over_an_integer_strategic_field(tmp_path, capsys, axis, values):
     cfg = preset("spam_logistic").replace(**{
         "run.T": 20, "run.record_every": 10, "experiment.seeds": [1], "experiment.out": str(tmp_path / "out"),
     })
-    rc = main(["sweep", write_cfg(tmp_path, cfg), "--axis", axis, "--values", ",".join(map(str, values)),
+    rc = main(["run", write_cfg(tmp_path, cfg), "--axis", axis, "--values", ",".join(map(str, values)),
                "--threads", "1"])
     assert rc == 0
     manifest = json.loads((tmp_path / "out" / "spam_logistic" / "manifest.json").read_text())
@@ -115,7 +118,7 @@ def test_sweep_over_an_integer_strategic_field(tmp_path, capsys, axis, values):
 @pytest.mark.parametrize("values", ["1e2", "100.5", "many"])
 def test_sweep_over_an_integer_field_refuses_a_non_integer_token(tmp_path, capsys, values):
     path = tiny_gaussian_cfg(tmp_path)
-    rc = main(["sweep", path, "--axis", "run.T", "--values", values, "--threads", "1"])
+    rc = main(["run", path, "--axis", "run.T", "--values", values, "--threads", "1"])
     assert rc == 2
     assert "run.T must be an integer" in capsys.readouterr().err
 
@@ -128,7 +131,7 @@ def test_sweep_over_an_integer_field_refuses_a_non_integer_token(tmp_path, capsy
 def test_sweep_over_an_axis_that_is_not_a_config_path_exits_two(tmp_path, capsys, axis, missing):
     # refused before the experiment directory is made
     path = tiny_gaussian_cfg(tmp_path)
-    rc = main(["sweep", path, "--axis", axis, "--values", "100", "--threads", "1"])
+    rc = main(["run", path, "--axis", axis, "--values", "100", "--threads", "1"])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and f"{missing} is not a config section" in err
@@ -141,11 +144,75 @@ def test_sweep_that_breaks_the_eps_list_exits_two_and_makes_no_directory(tmp_pat
     mean = math.fsum(eps) / 25
     path = tiny_gaussian_cfg(tmp_path, **{"environment.eps_list": eps, "environment.eps_grid": None,
                                           "environment.eps_avg": mean})
-    rc = main(["sweep", path, "--axis", "eps_avg", "--values", "0.5", "--threads", "1"])
+    rc = main(["run", path, "--axis", "eps_avg", "--values", "0.5", "--threads", "1"])
     assert rc == 2
     assert capsys.readouterr().err == (
         f"config error: environment.eps_list averages {mean}, not environment.eps_avg = 0.5\n")
     assert not (tmp_path / "out" / "gaussian_mean").exists()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("case", ["missing_edge_file", "missing_dataset"])
+def test_run_refused_in_its_jobs_makes_no_directory(tmp_path, capsys, case, threads):
+    # both files are first read when a job builds its seeds
+    if case == "missing_edge_file":
+        path = tiny_gaussian_cfg(tmp_path, **{
+            "topology.kind": "edge_list", "topology.edge_file": str(tmp_path / "missing.txt"),
+            "experiment.seeds": [1, 2]})
+        name, code, prefix = "gaussian_mean", 2, "config error:"
+    else:
+        path = write_cfg(tmp_path, preset("spam_logistic").replace(**{
+            "environment.strategic.dataset": str(tmp_path / "missing.csv"),
+            "environment.strategic.synthetic": None,
+            "experiment.seeds": [1, 2], "experiment.out": str(tmp_path / "out"), "run.T": 10}))
+        name, code, prefix = "spam_logistic", 4, "dataset error:"
+    assert main(["run", path, "--threads", str(threads)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and "missing." in err
+    assert not (tmp_path / "out" / name).exists()
+
+
+def _tree(root):
+    """Every file under ``root`` by relative path; manifests without their timings."""
+    files = {}
+    for p in sorted(root.rglob("*")):
+        if p.is_file():
+            files[str(p.relative_to(root))] = p.read_bytes()
+    manifest = json.loads(files.pop("manifest.json"))
+    for key in ("wall_time_s", "created_unix"):
+        manifest.pop(key)
+    for value in manifest["results"].values():
+        for summary in value.values():
+            summary.pop("wall_s")
+    return files, manifest
+
+
+def test_run_over_values_writes_what_run_experiment_writes(tmp_path, capsys):
+    path = tiny_gaussian_cfg(tmp_path, **{"experiment.seeds": [1, 2]})
+    assert main(["run", path, "--axis", "eps_avg", "--values", "0.5,2", "--threads", "1"]) == 0
+    run_experiment(load_config(path), axis="eps_avg", values=[0.5, 2.0], out=tmp_path / "library", threads=1)
+    cli_files, cli_manifest = _tree(tmp_path / "out" / "gaussian_mean")
+    lib_files, lib_manifest = _tree(tmp_path / "library" / "gaussian_mean")
+    assert "eps_avg=2/2/metrics.csv" in cli_files and "eps_avg=0.5/theory.json" in cli_files
+    assert cli_files == lib_files and cli_manifest == lib_manifest
+
+
+@pytest.mark.parametrize("strategic, cells", [
+    (False, ["eps_avg=0.5", "eps_avg=0.9"]),
+    (True, ["data_mode=heterogeneous", "data_mode=homogeneous"]),
+], ids=["gaussian", "per_agent_synthetic"])
+def test_run_with_values_and_no_axis_sweeps_the_default_axis(tmp_path, capsys, strategic, cells):
+    if strategic:
+        path = tiny_strategic_cfg(tmp_path, **{"run.T": 100, "experiment.seeds": [1]})
+        values, name = "heterogeneous,homogeneous", "hetero_vs_homo"
+    else:
+        path = tiny_gaussian_cfg(tmp_path, **{"run.T": 100})
+        values, name = "0.5,0.9", "gaussian_mean"
+    assert main(["run", path, "--values", values, "--threads", "1"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["axis"] == cells[0].split("=")[0]
+    root = tmp_path / "out" / name
+    assert sorted(p.name for p in root.iterdir() if p.is_dir()) == cells
 
 
 def test_star_with_metropolis_weights_runs(tmp_path, capsys):
@@ -159,7 +226,7 @@ def test_sweep_over_a_float_field_keeps_float_values(tmp_path, capsys):
     # an integral token on a float axis stays a float, so the manifest's
     # values and cell names are what they were before integer axes parsed as int
     path = tiny_gaussian_cfg(tmp_path, **{"run.T": 100})
-    rc = main(["sweep", path, "--axis", "eps_avg", "--values", "1,0.5", "--threads", "1"])
+    rc = main(["run", path, "--axis", "eps_avg", "--values", "1,0.5", "--threads", "1"])
     assert rc == 0
     manifest = json.loads((tmp_path / "out" / "gaussian_mean" / "manifest.json").read_text())
     assert manifest["values"] == [1.0, 0.5]
