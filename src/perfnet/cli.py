@@ -18,7 +18,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import experiments, metrics, oracle, theory
+from . import experiments, metrics, oracle
 from .config import INTEGER_FIELDS, ConfigError, load_config
 from .datasets import DatasetError
 from .environment import decoupled_full_gradient
@@ -147,7 +147,7 @@ def _cmd_theory(args) -> int:
     report = experiments.theory_report(cfg, recorded_ts=ts)
     curves = report.pop("curves", None)
     if curves is not None and args.curves:
-        theory.write_curves_csv(args.curves, curves)
+        metrics.write_csv(args.curves, asdict(curves))
         report["curves"] = args.curves
     print(json.dumps(report, indent=2))
     return EXIT_OK

@@ -16,7 +16,6 @@ __all__ = [
     "partition_agents",
     "synthetic_corpus",
     "synthetic_agent_shards",
-    "write_corpus_csv",
 ]
 
 
@@ -164,9 +163,3 @@ def synthetic_agent_shards(
     test = (np.concatenate(test_x), np.concatenate(test_y))
     return shards, test
 
-
-def write_corpus_csv(path, x: np.ndarray, y: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        for row, label in zip(x, y):
-            w.writerow([repr(float(v)) for v in row] + [str(int(label))])

@@ -13,6 +13,8 @@ and a group runs as one seed-batched :func:`~perfnet.engine.run`. The jobs
 run in a process pool capped by PERFNET_THREADS, or in this process for one
 worker; each value aggregates as its jobs arrive. Runs are deterministic in
 (config, seed), so results are byte-identical for any pool size and grouping.
+Every file goes through ``metrics.write_csv`` or ``write_json``, whole or not
+at all. Only they make directories: a run refused before writing makes none.
 """
 
 from __future__ import annotations
@@ -296,7 +298,6 @@ def _run_seeds(cfg: Config, envs, sinks, seeds, csv_paths, mixing=None) -> list:
         mixing = build_mixing(cfg.topology)
     trajs = engine.run(cfg.run, envs, mixing, cfg.step, sink=sinks, seeds=seeds)
     for traj, csv_path in zip(trajs, csv_paths):
-        Path(csv_path).parent.mkdir(parents=True, exist_ok=True)
         metrics.write_metrics_csv(csv_path, traj.records)
     return trajs
 
@@ -424,23 +425,18 @@ def run_experiment(
         "wall_time_s": time.perf_counter() - t0,
         "created_unix": time.time(),
     }
-    # made only now, so a run refused in its jobs leaves no directory behind
-    out_root.mkdir(parents=True, exist_ok=True)
-    (out_root / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    metrics.write_json(out_root / "manifest.json", manifest)
     return manifest
 
 
 def _aggregate_cell(vcfg: Config, env: Environment, cell: Path, summaries) -> None:
     """Aggregate, rate fits and theory report of one sweep value's seeds."""
-    runs = [
-        metrics.read_metrics_csv(cell / str(seed) / "metrics.csv")
-        for seed in vcfg.experiment.seeds
-        if (cell / str(seed) / "metrics.csv").exists()
-    ]
+    # every seed's job has written its metrics.csv by now
+    runs = [metrics.read_metrics_csv(cell / str(seed) / "metrics.csv") for seed in vcfg.experiment.seeds]
     if not runs:
         return
     agg = metrics.aggregate_columns(runs)
-    metrics.write_aggregate_csv(cell / "aggregate.csv", agg)
+    metrics.write_csv(cell / "aggregate.csv", agg)
 
     fits = []
     # a power law fitted to a blow-up says nothing: no fits once any seed diverged
@@ -454,13 +450,13 @@ def _aggregate_cell(vcfg: Config, env: Environment, cell: Path, summaries) -> No
         except metrics.FitUnavailableError:
             continue
         fits.append(metrics.rate_fit_json(col, fit))
-    (cell / "ratefit.json").write_text(json.dumps(fits, indent=2) + "\n")
+    metrics.write_json(cell / "ratefit.json", fits)
 
     report = theory_report(vcfg, recorded_ts=agg["t"].astype(int), env=env)
     curves = report.pop("curves", None)
-    (cell / "theory.json").write_text(json.dumps(report, indent=2) + "\n")
+    metrics.write_json(cell / "theory.json", report)
     if curves is not None:
-        theory.write_curves_csv(cell / "theory_curves.csv", curves)
+        metrics.write_csv(cell / "theory_curves.csv", asdict(curves))
 
 
 def theory_report(cfg: Config, recorded_ts=None, env: Environment | None = None) -> dict:
@@ -545,7 +541,7 @@ def run_disconnected_baseline(cfg: Config, isolated: int, out: str | None = None
         "networked_final_risk": traj_net.records[-1].risk,
         "isolated_final_risk": solo_risks[-1] if solo_risks else None,
     }
-    (base_dir / "baseline.json").write_text(json.dumps(summary, indent=2) + "\n")
+    metrics.write_json(base_dir / "baseline.json", summary)
     return summary
 
 
@@ -585,5 +581,5 @@ def run_nonperformative_baseline(cfg: Config, out: str | None = None) -> dict:
         "dsgd_gd_wins": bool(acc_gd >= acc_zero),
         "eps_avg": cfg.environment.eps_avg,
     }
-    (base_dir / "baseline.json").write_text(json.dumps(summary, indent=2) + "\n")
+    metrics.write_json(base_dir / "baseline.json", summary)
     return summary

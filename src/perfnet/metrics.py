@@ -1,4 +1,4 @@
-"""Per-iteration measurements and log-log rate fitting.
+"""Per-iteration measurements, log-log rate fitting, and the artifact writer.
 
 The metric vocabulary: ``gap_sq`` is the squared distance of the average
 decision to the stable point (absent when no stable point is known),
@@ -8,14 +8,21 @@ average decision under the distributions it induces (``risk_se``, its
 standard error, is always 0.0), ``grad_norm_sq`` the squared norm of the
 decoupled-risk gradient at that point, and ``accuracy`` the classification
 accuracy on shift-adjusted test data.
+
+:func:`write_csv` and :func:`write_json` write every run artifact, whole or
+not at all; a CSV cell is empty for a missing or non-finite value.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import math
+import os
+import uuid
 import warnings
 from dataclasses import asdict, dataclass, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -31,10 +38,11 @@ __all__ = [
     "FitUnavailableError",
     "rate_fit",
     "metric_recorder",
+    "write_csv",
+    "write_json",
     "write_metrics_csv",
     "read_metrics_csv",
     "aggregate_columns",
-    "write_aggregate_csv",
 ]
 
 
@@ -219,21 +227,50 @@ def metric_recorder(
     return record
 
 
-def _cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return repr(float(v))
+def _write_text(path, text: str) -> None:
+    """Put ``text`` at ``path`` whole or not at all, making its directory first.
+
+    A new file beside ``path``, with the mode a plain ``open`` gives, replaces
+    it; on any error that file goes and an earlier ``path`` keeps its bytes.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "x", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_csv(path, columns: dict) -> None:
+    """One row per index of ``columns`` (name -> equal-length values), under their names.
+
+    A cell is empty for None and for a non-finite number, ``str(int(v))``
+    for an int or numpy integer, and else ``repr(float(v))``, the shortest
+    text that parses back to the same float.
+    """
+
+    def cell(v) -> str:
+        if isinstance(v, (int, np.integer)):
+            return str(int(v))
+        return "" if v is None or not math.isfinite(v) else repr(float(v))
+
+    cells = [map(cell, v.tolist() if isinstance(v, np.ndarray) else v) for v in columns.values()]
+    rows = [",".join(columns), *map(",".join, zip(*cells, strict=True))]
+    _write_text(path, "\n".join(rows) + "\n")
+
+
+def write_json(path, obj) -> None:
+    """``obj`` as JSON indented by two spaces, with a final newline."""
+    _write_text(path, json.dumps(obj, indent=2) + "\n")
 
 
 def write_metrics_csv(path, records) -> None:
-    """One row per record, fixed column order, empty cells for missing metrics."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(CSV_COLUMNS)
-        for rec in records:
-            w.writerow([_cell(getattr(rec, col)) for col in CSV_COLUMNS])
+    """One row per record, in ``CSV_COLUMNS`` order."""
+    write_csv(path, {col: [getattr(rec, col) for rec in records] for col in CSV_COLUMNS})
 
 
 def read_metrics_csv(path) -> dict:
@@ -297,19 +334,6 @@ def aggregate_columns(runs: list) -> dict:
         for stat, band in zip(("median", "p05", "p95", "mean"), bands):
             out[f"{col}_{stat}"] = band
     return out
-
-
-def write_aggregate_csv(path, agg: dict) -> None:
-    """One row per iteration; the same cells as ``_cell``, empty where not finite."""
-    cols = list(agg.keys())
-    cells = [
-        [repr(v) if math.isfinite(v) else "" for v in np.asarray(agg[c]).tolist()]
-        for c in cols
-    ]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(cols)
-        w.writerows(zip(*cells))
 
 
 def rate_fit_json(metric: str, fit: RateFit) -> dict:

@@ -12,7 +12,7 @@ ratio condition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,6 @@ __all__ = [
     "ratio_condition_check",
     "BoundCurves",
     "bound_curves",
-    "write_curves_csv",
     "transient_threshold",
 ]
 
@@ -276,19 +275,6 @@ def bound_curves(tc: TheoryConstants, schedule: StepSchedule, ts) -> BoundCurves
         t=ts, gap_bound=gap, consensus_bound=cons,
         term_transient=transient, term_network=network, term_fluctuation=fluct,
     )
-
-
-def write_curves_csv(path, curves: BoundCurves) -> None:
-    """One row per iteration, one column per :class:`BoundCurves` field in order.
-
-    ``t`` is written as an integer and the bound series as ``repr(float(v))``,
-    the shortest text that parses back to the same float.
-    """
-    names = [f.name for f in fields(BoundCurves)]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(names) + "\n")
-        for t, *bounds in zip(*(getattr(curves, name) for name in names)):
-            fh.write(",".join([str(int(t)), *(repr(float(v)) for v in bounds)]) + "\n")
 
 
 def transient_threshold(tc: TheoryConstants) -> float:

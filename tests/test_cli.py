@@ -593,6 +593,13 @@ def test_theory_emits_constants_and_curves(tmp_path, capsys):
     assert header.startswith("t,gap_bound,consensus_bound")
 
 
+def test_theory_curves_into_a_missing_directory_make_it(tmp_path, capsys):
+    curves = tmp_path / "not" / "yet" / "c.csv"
+    assert main(["theory", tiny_gaussian_cfg(tmp_path), "--curves", str(curves)]) == 0
+    assert json.loads(capsys.readouterr().out)["curves"] == str(curves)
+    assert curves.read_text().startswith("t,gap_bound,consensus_bound")
+
+
 def test_theory_curves_match_experiment_artifact(tmp_path, capsys):
     path = tiny_gaussian_cfg(tmp_path)
     assert main(["run", path, "--threads", "1"]) == 0

@@ -8,8 +8,8 @@ from perfnet.datasets import (
     standardize_features,
     synthetic_agent_shards,
     synthetic_corpus,
-    write_corpus_csv,
 )
+from perfnet.metrics import write_csv
 
 
 def test_toy_csv(tmp_path):
@@ -51,7 +51,8 @@ def test_non_binary_label_rejected(tmp_path):
 def test_corpus_scale_round_trip(tmp_path):
     x, y = synthetic_corpus(m=4601, d=48, seed=1)
     p = tmp_path / "corpus.csv"
-    write_corpus_csv(p, x, y)
+    write_csv(p, {**{f"x{j}": x[:, j] for j in range(x.shape[1])}, "label": y})
+    assert p.read_text().startswith("x0,x1,")
     x2, y2 = load_dataset(p)
     assert x2.shape == (4601, 48)
     assert np.array_equal(y, y2) and np.allclose(x, x2)

@@ -9,7 +9,7 @@ import pytest
 
 from perfnet import experiments
 from perfnet.config import Config, ConfigError
-from perfnet.datasets import synthetic_corpus, write_corpus_csv
+from perfnet.datasets import synthetic_corpus
 from perfnet.experiments import (
     build_environment,
     build_mixing,
@@ -21,7 +21,7 @@ from perfnet.experiments import (
     theory_report,
 )
 from perfnet.environment import exact_risk
-from perfnet.metrics import read_metrics_csv, write_metrics_csv
+from perfnet.metrics import read_metrics_csv, write_csv, write_metrics_csv
 from reference import shard
 
 
@@ -387,11 +387,16 @@ def test_strategic_run_records_exact_risk_by_default():
 
 # ---------------------------------------------------------------- corpus memo and reference environment
 
+def write_corpus(path, x, y):
+    """A corpus CSV: a header row, then one row of features and label per sample."""
+    write_csv(path, {**{f"x{j}": x[:, j] for j in range(x.shape[1])}, "label": y})
+
+
 def csv_spam(tmp_path, seeds=(3, 4, 5)):
     """tiny_spam on a CSV copy of its synthetic corpus."""
     x, y = synthetic_corpus(m=700, d=10, seed=7)
     path = tmp_path / "corpus.csv"
-    write_corpus_csv(path, x, y)
+    write_corpus(path, x, y)
     return tiny_spam(seeds=seeds).replace(**{
         "environment.strategic.synthetic": None, "environment.strategic.dataset": str(path),
     })
@@ -433,7 +438,7 @@ def test_each_call_reads_the_csv_afresh(tmp_path, loads):
     cfg = csv_spam(tmp_path, seeds=(3,))
     run_experiment(cfg, out=tmp_path / "first", threads=1)
     x, y = synthetic_corpus(m=700, d=10, seed=8)
-    write_corpus_csv(cfg.environment.strategic.dataset, x, y)
+    write_corpus(cfg.environment.strategic.dataset, x, y)
     run_experiment(cfg, out=tmp_path / "second", threads=1)
     assert len(loads) == 2
     first, second = (_artifacts(tmp_path / name) for name in ("first", "second"))

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import csv
+import os
+import stat
 import warnings
 
 from hypothesis import given, settings, strategies as st
@@ -19,7 +21,8 @@ from perfnet.metrics import (
     rate_fit,
     read_metrics_csv,
     shifted_test_accuracy,
-    write_aggregate_csv,
+    write_csv,
+    write_json,
     write_metrics_csv,
 )
 from perfnet.oracle import closed_form_multi_ps, repeated_gd_fixed_point
@@ -384,6 +387,74 @@ def test_metrics_csv_round_trip(tmp_path):
     assert cols["accuracy"][1] == 0.9 and np.isnan(cols["accuracy"][0])
 
 
+@pytest.mark.parametrize("value, cell", [
+    (None, ""),
+    (np.nan, ""),
+    (np.inf, ""),
+    (-np.inf, ""),
+    (np.float64(np.inf), ""),
+    (200, "200"),
+    (np.int64(-7), "-7"),
+    (200.0, "200.0"),
+    (0.1, "0.1"),
+    (np.float64(1e-300), "1e-300"),
+    (-0.0, "-0.0"),
+])
+def test_write_csv_cell_rule(tmp_path, value, cell):
+    path = tmp_path / "cells.csv"
+    write_csv(path, {"t": [3], "v": [value]})
+    assert path.read_bytes() == f"t,v\n3,{cell}\n".encode()
+
+
+def test_write_csv_writes_columns_as_rows_and_refuses_ragged_ones(tmp_path):
+    path = tmp_path / "deep" / "er" / "cols.csv"
+    write_csv(path, {"a": np.array([1, 2]), "b": np.array([0.5, np.nan]), "c": [None, 2.5]})
+    assert path.read_text() == "a,b,c\n1,0.5,\n2,,2.5\n"
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "ragged.csv", {"a": [1, 2], "b": [1.0]})
+
+
+def test_metrics_csv_writes_a_non_finite_record_as_an_empty_cell(tmp_path):
+    path = tmp_path / "metrics.csv"
+    write_metrics_csv(path, [MetricRecord(t=0, gap_sq=np.inf, consensus_sq=-np.inf, risk=np.nan)])
+    assert path.read_text().splitlines()[1] == "0,,0.0,,,,,"
+    assert np.isnan(read_metrics_csv(path)["gap_sq"][0])
+
+
+def test_write_json_indents_and_ends_in_a_newline(tmp_path):
+    path = tmp_path / "made" / "report.json"
+    write_json(path, {"a": [1, 2.5], "b": None})
+    assert path.read_text() == '{\n  "a": [\n    1,\n    2.5\n  ],\n  "b": null\n}\n'
+
+
+@pytest.mark.parametrize("write, data", [(write_csv, {"t": [1]}), (write_json, [1])])
+def test_a_failed_write_leaves_the_earlier_file_and_no_temporary(tmp_path, monkeypatch, write, data):
+    path = tmp_path / "artifact"
+    path.write_bytes(b"earlier\n")
+
+    def failing_replace(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(metrics.os, "replace", failing_replace)
+    with pytest.raises(OSError, match="replace failed"):
+        write(path, data)
+    assert path.read_bytes() == b"earlier\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+
+
+def test_written_artifacts_take_the_mode_of_a_plain_open(tmp_path):
+    old = os.umask(0o022)
+    try:
+        write_csv(tmp_path / "a.csv", {"t": [1]})
+        write_json(tmp_path / "a.json", {})
+        with open(tmp_path / "plain", "w"):
+            pass
+    finally:
+        os.umask(old)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert modes == {"a.csv": 0o644, "a.json": 0o644, "plain": 0o644}
+
+
 def test_aggregate_percentiles(tmp_path):
     runs = []
     for seed in range(5):
@@ -497,6 +568,6 @@ def test_aggregate_bitwise_equal_to_nan_functions(tmp_path, seeds):
         for key in want:
             assert np.array_equal(got[key], want[key], equal_nan=True), key
         assert np.all(np.isnan(got["gap_sq_median"]))
-        write_aggregate_csv(tmp_path / "got.csv", got)
+        write_csv(tmp_path / "got.csv", got)
         reference_aggregate_csv(tmp_path / "want.csv", want)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()

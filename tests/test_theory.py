@@ -1,12 +1,13 @@
 import csv
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from perfnet.engine import StepSchedule, gamma
 from perfnet.environment import make_heterogeneous_suite
-from perfnet.metrics import rate_fit
+from perfnet.metrics import rate_fit, write_csv
 from perfnet.theory import (
     ConstantsInapplicableError,
     StabilityViolatedError,
@@ -16,7 +17,6 @@ from perfnet.theory import (
     ratio_condition_check,
     step_size_cap,
     transient_threshold,
-    write_curves_csv,
 )
 from perfnet.topology import build_ring, uniform_neighbor_weights
 
@@ -238,7 +238,7 @@ def test_curves_csv_reads_back_as_floats(tmp_path):
     tc = compute_constants(**CANON)
     curves = bound_curves(tc, StepSchedule.inverse_time(3.0, 10.0), [0, 50, 100, 110])
     path = tmp_path / "curves.csv"
-    write_curves_csv(path, curves)
+    write_csv(path, asdict(curves))
     with open(path, newline="") as fh:
         header, *rows = list(csv.reader(fh))
     assert header[0] == "t" and len(rows) == 4
