@@ -5,8 +5,8 @@ Subcommands: ``run``, ``fixed-point``, ``theory``, ``rate-check``,
 axis, or with ``--axis``/``--values`` a grid of one axis. Exit codes: 0
 success, 2 configuration error, 3 divergence in a regime where a stable
 point exists, 4 dataset error. A missing edge-list or schedule file is a
-configuration error, a missing dataset file a dataset error. The
-PERFNET_THREADS environment variable caps the worker pool.
+configuration error, a missing dataset file a dataset error. ``run
+--threads`` caps the worker pool (the CPU count if left out).
 """
 
 from __future__ import annotations
@@ -146,9 +146,11 @@ def _cmd_theory(args) -> int:
         ts = [*range(0, cfg.run.T, cfg.run.record_every), cfg.run.T]
     report = experiments.theory_report(cfg, recorded_ts=ts)
     curves = report.pop("curves", None)
-    if curves is not None and args.curves:
-        metrics.write_csv(args.curves, asdict(curves))
-        report["curves"] = args.curves
+    if args.curves:
+        if curves is not None:
+            metrics.write_csv(args.curves, asdict(curves))
+        # null, and no file written, when the report is not applicable
+        report["curves"] = None if curves is None else args.curves
     print(json.dumps(report, indent=2))
     return EXIT_OK
 

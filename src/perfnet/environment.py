@@ -338,7 +338,6 @@ def make_heterogeneous_suite(
     n: int,
     eps_avg: float,
     spread: float = 0.0,
-    kind: str = GAUSSIAN,
     *,
     eps=None,
     zbar=10.0,
@@ -351,11 +350,12 @@ def make_heterogeneous_suite(
     ``spread=0`` gives the homogeneous setting ``eps_i = eps_avg``. An explicit
     ``eps`` list overrides ``spread`` and is used exactly as given: it must be
     finite, hold n values and average to ``eps_avg`` within 1e-12 relative,
-    else ``ValueError``. For the gaussian kind ``zbar`` may be a scalar, a
-    length-d vector shared by all agents, or an (n, d) array.
-    The strategic kind takes ``shards``, a length-n list of ``(X_i, y_i)``
-    pairs (share one pair n times for a homogeneous base), and the ridge
-    ``beta``, which the gaussian kind ignores.
+    else ``ValueError``. Without ``shards`` the populations are gaussian:
+    ``zbar`` may be a scalar, a length-d vector shared by all agents, or an
+    (n, d) array. With ``shards``, a length-n list of ``(X_i, y_i)`` pairs
+    (share one pair n times for a homogeneous base), they are strategic, with
+    the ridge ``beta``; ``zbar`` and ``sigma2`` are then unused, as ``beta``
+    is for gaussian populations.
     """
     # checked before any mean, which would warn on an empty grid
     if n < 1:
@@ -376,7 +376,7 @@ def make_heterogeneous_suite(
         if abs(eps.mean() - eps_avg) > 1e-12 * abs(eps_avg):
             raise ValueError(f"sensitivity mean {float(eps.mean())} is not eps_avg = {eps_avg}")
 
-    if kind == GAUSSIAN:
+    if shards is None:
         zb = np.array(zbar, dtype=float)
         if zb.ndim == 0:
             zb = np.full((n, 1), float(zb))
@@ -384,21 +384,18 @@ def make_heterogeneous_suite(
             zb = np.tile(zb, (n, 1))
         return Environment(eps, zbar_stack=zb, sigma2=np.full(n, sigma2, dtype=float))
 
-    if kind == STRATEGIC:
-        if shards is None or len(shards) != n or not all(len(y) for _, y in shards):
-            raise ValueError(f"strategic suite needs {n} nonempty dataset shards")
-        return Environment(
-            eps,
-            features=np.concatenate([np.asarray(x, dtype=float) for x, _ in shards]),
-            labels=np.concatenate([np.asarray(y, dtype=float) for _, y in shards]),
-            sizes=np.array([len(y) for _, y in shards]),
-            beta=beta,
-        )
-
-    raise UnsupportedKindError(f"unknown population kind {kind!r}")
+    if len(shards) != n or not all(len(y) for _, y in shards):
+        raise ValueError(f"strategic suite needs {n} nonempty dataset shards")
+    return Environment(
+        eps,
+        features=np.concatenate([np.asarray(x, dtype=float) for x, _ in shards]),
+        labels=np.concatenate([np.asarray(y, dtype=float) for _, y in shards]),
+        sizes=np.array([len(y) for _, y in shards]),
+        beta=beta,
+    )
 
 
-def make_engine_sampler(envs, batch: int, streams, chunk: int = 256):
+def make_engine_sampler(envs, batch: int, streams, chunk: int):
     """Per-agent sampler for the iteration loop of a batch of seeds, buffered for speed.
 
     ``envs`` holds S environments of one kind and size, one per seed, and
@@ -415,8 +412,8 @@ def make_engine_sampler(envs, batch: int, streams, chunk: int = 256):
 
     Each agent draws from its own stream, so results do not depend on agent
     evaluation order or on the other seeds of a batch; buffering whole chunks
-    of iterations in one preallocated buffer consumes the streams in exactly
-    the same order as unbuffered per-iteration draws.
+    of ``chunk`` iterations in one preallocated buffer consumes the streams
+    in exactly the same order as unbuffered per-iteration draws.
     """
     envs, streams = tuple(envs), tuple(streams)
     S, n, d = len(envs), envs[0].n, envs[0].dim

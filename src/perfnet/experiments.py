@@ -10,11 +10,12 @@ Artifact layout under the experiment's output directory::
 
 Each sweep value's seeds are split into contiguous groups, one per worker,
 and a group runs as one seed-batched :func:`~perfnet.engine.run`. The jobs
-run in a process pool capped by PERFNET_THREADS, or in this process for one
-worker; each value aggregates as its jobs arrive. Runs are deterministic in
-(config, seed), so results are byte-identical for any pool size and grouping.
-Every file goes through ``metrics.write_csv`` or ``write_json``, whole or not
-at all. Only they make directories: a run refused before writing makes none.
+run in a process pool of at most ``threads`` workers (the CPU count if left
+out), or in this process for one worker; each value aggregates as its jobs
+arrive. Runs are deterministic in (config, seed), so results are
+byte-identical for any pool size and grouping. Every file goes through
+``metrics.write_csv`` or ``write_json``, whole or not at all. Only they make
+directories: a run refused before writing makes none.
 """
 
 from __future__ import annotations
@@ -48,23 +49,9 @@ __all__ = [
     "run_disconnected_baseline",
     "run_nonperformative_baseline",
     "theory_report",
-    "pool_size",
 ]
 
 RISK_DIVERGENCE_FACTOR = 10.0
-
-
-def pool_size(requested: int | None = None) -> int:
-    """Worker count: explicit request, else PERFNET_THREADS, else CPU count."""
-    if requested is not None:
-        return max(1, int(requested))
-    env = os.environ.get("PERFNET_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"PERFNET_THREADS must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
 
 
 def preset(name: str, **overrides) -> Config:
@@ -192,7 +179,7 @@ def build_environment(ec, seed: int) -> tuple[Environment, tuple | None]:
         shards, test = _strategic_shards(ec, seed)
         suite_kw = {"shards": shards, "beta": ec.strategic.beta}
     try:
-        env = make_heterogeneous_suite(ec.n, ec.eps_avg, ec.spread, ec.kind, eps=ec.eps_list, **suite_kw)
+        env = make_heterogeneous_suite(ec.n, ec.eps_avg, ec.spread, eps=ec.eps_list, **suite_kw)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return env, test
@@ -349,11 +336,15 @@ def run_experiment(
     ``divergence_in_convergent_regime``), beyond the stability threshold it
     is the expected outcome.
 
-    Each value's seeds run as ``min(workers, len(seeds))`` batched jobs of
-    contiguous seeds, on a pool of at most one worker per job; one loop
-    receives them in order, and writes a value's artifacts once its jobs
-    are in. A seed's ``wall_s`` in the manifest is its equal share of its
-    job's wall time (building, running and writing the whole batch).
+    Each value's seeds run as ``min(threads, len(seeds))`` batched jobs of
+    contiguous seeds (``threads`` is the CPU count if left out), on a pool
+    of at most one worker per job; one loop receives them in order, and
+    writes a value's artifacts once its jobs are in. A seed's ``wall_s`` in
+    the manifest is its equal share of its job's wall time (building,
+    running and writing the whole batch). A value's cell is
+    ``<axis>=<value>``, floats formatted by ``:g``, and a value listed
+    twice runs once. ``threads`` below 1, or two values that name one
+    cell, raise :class:`ConfigError` before anything is written.
     """
     exp = cfg.experiment
     out_root = Path(out if out is not None else exp.out) / exp.name
@@ -366,11 +357,20 @@ def run_experiment(
     if values is None:
         values = [cfg.get(_axis_path(axis))]
 
-    workers = pool_size(threads)
-    # one config and cell per sweep value; a value listed twice runs once
+    workers = (os.cpu_count() or 1) if threads is None else threads
+    if workers < 1:
+        raise ConfigError(f"the worker count must be at least 1, got {workers}")
+    named = {}
+    for v in values:
+        key = _fmt_value(v)
+        first = named.setdefault(key, v)
+        # a NaN, unequal to itself, is refused when its cell's environment is built
+        if first is not v and first != v:
+            raise ConfigError(f"{axis} values {first!r} and {v!r} both name the cell {axis}={key}")
+    # one config and cell per sweep value
     cells = {
         key: (cfg.replace(**{_axis_path(axis): value}), out_root / f"{axis}={key}")
-        for key, value in {_fmt_value(v): v for v in values}.items()
+        for key, value in named.items()
     }
     # contiguous groups of near-equal size, one batched job per value and group
     groups = np.array_split(exp.seeds, min(workers, len(exp.seeds))) if exp.seeds else []
@@ -452,7 +452,7 @@ def _aggregate_cell(vcfg: Config, env: Environment, cell: Path, summaries) -> No
         fits.append(metrics.rate_fit_json(col, fit))
     metrics.write_json(cell / "ratefit.json", fits)
 
-    report = theory_report(vcfg, recorded_ts=agg["t"].astype(int), env=env)
+    report = theory_report(vcfg, recorded_ts=agg["t"], env=env)
     curves = report.pop("curves", None)
     metrics.write_json(cell / "theory.json", report)
     if curves is not None:

@@ -297,11 +297,12 @@ def aggregate_columns(runs: list) -> dict:
     ``runs`` holds per-seed column dicts as returned by
     :func:`read_metrics_csv`. Divergent seeds may have short series that end
     on different iterations, so only the longest common prefix on which every
-    run records the same iterations is aggregated. Each iteration covers the
-    runs that recorded a value there (percentiles interpolate linearly) and
-    is NaN when none did. Iterations without NaN take one vectorised numpy
-    call per statistic, which gives the nan-functions' exact bits; only
-    iterations where some runs are NaN go through those slower functions.
+    run records the same iterations is aggregated, and its iterations ``t``
+    are returned as integers. Each iteration covers the runs that recorded a
+    value there (percentiles interpolate linearly) and is NaN when none did.
+    Iterations without NaN take one vectorised numpy call per statistic,
+    which gives the nan-functions' exact bits; only iterations where some
+    runs are NaN go through those slower functions.
     """
     if not runs:
         return {}
@@ -312,7 +313,7 @@ def aggregate_columns(runs: list) -> dict:
         if len(differs):
             length = int(differs[0])
             ts = ts[:length]
-    out = {"t": ts}
+    out = {"t": ts.astype(np.int64)}
     for col in CSV_COLUMNS[1:]:
         stack = np.vstack([r[col][:length] for r in runs])
         nan = np.isnan(stack)

@@ -9,13 +9,14 @@ Newton root of the stable-point equation ``G(theta) = grad R(theta; theta)
 the map's Lipschitz ratio empirically. The strategic frozen problem inside
 M is a ridge-logistic fit solved by matrix-free Newton: Hessian-vector
 products come from the stacked base rows without forming the shifted design.
-Each Newton step's conjugate-gradient solve stops at relative residual
-``min(0.5, max(|g|, 0.5 inner_tol / |g|))``. The ``|g|`` term is a forcing
+A frozen solve stops at gradient norm ``|g| <= _INNER_TOL = 1e-10``. Each
+Newton step's conjugate-gradient solve stops at relative residual
+``min(0.5, max(|g|, 0.5 _INNER_TOL / |g|))``. The ``|g|`` term is a forcing
 term ``O(|g|)``, which keeps the quadratic local rate of exact Newton (Dembo,
-Eisenstat & Steihaug 1982). The safeguard ``0.5 inner_tol / |g|`` stops the
+Eisenstat & Steihaug 1982). The safeguard ``0.5 _INNER_TOL / |g|`` stops the
 oversolving of the last steps: a full step leaves a gradient of about the CG
-residual, so a residual of ``0.5 inner_tol`` already lands below the stop
-``|g| <= inner_tol``, and a tighter one buys no accuracy in the result
+residual, so a residual of ``0.5 _INNER_TOL`` already lands below the stop
+``|g| <= _INNER_TOL``, and a tighter one buys no accuracy in the result
 (Kelley 1995, section 6.3; Eisenstat & Walker 1996). Each step scores its
 iterate ``X theta`` once, in the Armijo objective: the accepted point's
 scores give both the Hessian weights and the gradient, which takes them as
@@ -26,12 +27,12 @@ The Hessian-vector products run in float32: the features, row sensitivities,
 curvature weights and deployed decision are cast, the product is returned as
 float64, and ``beta v`` is added in float64. Everything that decides the
 answer stays float64: the CG vectors, the gradient, the Armijo objective and
-the stop ``|g| <= inner_tol``. Inexact Newton needs each step's model only
+the stop ``|g| <= _INNER_TOL``. Inexact Newton needs each step's model only
 to its CG tolerance (Dembo, Eisenstat & Steihaug 1982), which is never below
-``sqrt(0.5 inner_tol)`` (7.1e-6 at the default), while the float32 product
-is off by under 1e-6 relative on both strategic presets. So a solve
-still ends only at a float64 gradient norm ``<= inner_tol``, the same
-guarantee as with a float64 product.
+``sqrt(0.5 _INNER_TOL)`` (7.1e-6), while the float32 product is off by under
+1e-6 relative on both strategic presets. So a solve still ends only at a
+float64 gradient norm ``<= _INNER_TOL``, the same guarantee as with a
+float64 product.
 """
 
 from __future__ import annotations
@@ -140,7 +141,9 @@ def closed_form_or_none(env: Environment) -> np.ndarray | None:
 # Armijo test cannot see them, so the full step is taken
 _DECREMENT_FLOOR = 1e-12
 _MAX_HALVINGS = 40
-# cap on the forcing term min(_FORCING_CAP, max(|g|, 0.5 inner_tol / |g|))
+# a frozen Newton solve stops at gradient norm |g| <= _INNER_TOL
+_INNER_TOL = 1e-10
+# cap on the forcing term min(_FORCING_CAP, max(|g|, 0.5 _INNER_TOL / |g|))
 # of each frozen Newton step
 _FORCING_CAP = 0.5
 # stable_point's Newton stops at |G| <= _ROOT_TOL, well above roundoff in G
@@ -149,7 +152,7 @@ _ROOT_ITERATIONS = 100
 
 
 class _BudgetExhausted(RuntimeWarning):
-    """One frozen solve ran out of inner Newton steps before ``inner_tol``."""
+    """One frozen solve ran out of inner Newton steps before ``_INNER_TOL``."""
 
 
 def _frozen_hessian(env, scores, deployed):
@@ -165,11 +168,11 @@ def _frozen_hessian(env, scores, deployed):
     and ``deployed`` cast once per Newton step; ``v`` is cast per product, the
     product comes back as float64 and ``beta v`` is added in float64. Its
     relative error (under 1e-6 on both strategic presets) sits below the
-    smallest CG tolerance the forcing rule asks for, ``max(|g|, 0.5 inner_tol
-    / |g|) >= sqrt(0.5 inner_tol)``, and inexact Newton needs the step only
+    smallest CG tolerance the forcing rule asks for, ``max(|g|, 0.5 _INNER_TOL
+    / |g|) >= sqrt(0.5 _INNER_TOL)``, and inexact Newton needs the step only
     to that tolerance (Dembo, Eisenstat & Steihaug 1982). The gradient, the
     line search and the stop test stay float64, so a solve still returns only
-    at ``|g| <= inner_tol``.
+    at ``|g| <= _INNER_TOL``.
     """
     features, eps = env.rows32
     p = expit(scores)
@@ -205,18 +208,18 @@ def _conjugate_gradient(hv, g, iterations, rtol):
     return p
 
 
-def _solve_frozen(env, deployed, start, inner, inner_tol):
+def _solve_frozen(env, deployed, start, inner):
     """``M(deployed)``, with a strategic solve started at ``start``.
 
     Gaussian environments return the closed form and ignore ``start``.
     Strategic ones run damped Newton on the deployment-frozen ridge-logistic
     objective: each step solves ``H p = g`` by conjugate gradients (at most d
-    products, relative residual ``min(0.5, max(|g|, 0.5 inner_tol / |g|))``),
+    products, relative residual ``min(0.5, max(|g|, 0.5 _INNER_TOL / |g|))``),
     then backtracks with Armijo on the frozen objective. The ``|g|`` term is
     a forcing term ``O(|g|)``, which keeps the quadratic local rate of exact
     Newton. A full step leaves a gradient of about the CG residual, so the
-    safeguard ``0.5 inner_tol / |g|`` asks the last step for no more than
-    the stop ``|g| <= inner_tol`` needs (Kelley 1995, section 6.3; Eisenstat
+    safeguard ``0.5 _INNER_TOL / |g|`` asks the last step for no more than
+    the stop ``|g| <= _INNER_TOL`` needs (Kelley 1995, section 6.3; Eisenstat
     & Walker 1996); the stop itself is unchanged. The Hessian weights and
     the gradient, in each step and in the check after the last, reuse the
     scores ``X theta`` of the accepted line-search point. If ``inner``
@@ -239,10 +242,10 @@ def _solve_frozen(env, deployed, start, inner, inner_tol):
     for _ in range(inner):
         g = decoupled_full_gradient(env, theta, deployed, scores)
         gn = float(np.linalg.norm(g))
-        if gn <= inner_tol:
+        if gn <= _INNER_TOL:
             return theta
         step = _conjugate_gradient(_frozen_hessian(env, scores, deployed), g, env.dim,
-                                   min(_FORCING_CAP, max(gn, 0.5 * inner_tol / gn)))
+                                   min(_FORCING_CAP, max(gn, 0.5 * _INNER_TOL / gn)))
         decrement = float(g @ step)
         t = 1.0
         trial = theta - step
@@ -256,9 +259,9 @@ def _solve_frozen(env, deployed, start, inner, inner_tol):
                 f_trial, trial_scores = objective(trial)
         theta, f, scores = trial, f_trial, trial_scores
     gn = float(np.linalg.norm(decoupled_full_gradient(env, theta, deployed, scores)))
-    if gn > inner_tol:
+    if gn > _INNER_TOL:
         warnings.warn(
-            f"inner Newton budget {inner} exhausted with gradient norm {gn:.3e} > {inner_tol:.1e}",
+            f"inner Newton budget {inner} exhausted with gradient norm {gn:.3e} > {_INNER_TOL:.1e}",
             _BudgetExhausted,
             stacklevel=3,
         )
@@ -293,12 +296,12 @@ def _exhausted_solves():
                 warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
 
 
-def _warn_exhausted(count, solves, inner, inner_tol):
+def _warn_exhausted(count, solves, inner):
     """One warning for the ``count`` of ``solves`` frozen solves that ran out, at the caller's caller."""
     if count:
         warnings.warn(
             f"inner Newton budget {inner} exhausted in {count} of {solves} frozen solves "
-            f"(gradient norm above {inner_tol:.1e})",
+            f"(gradient norm above {_INNER_TOL:.1e})",
             RuntimeWarning,
             stacklevel=3,
         )
@@ -357,18 +360,18 @@ def stable_point(env: Environment) -> np.ndarray:
     raise NoFixedPointError(f"stable-point Newton stopped after {_ROOT_ITERATIONS} iterations at |G| = {gn:.3e}")
 
 
-def apply_M(env: Environment, theta, inner: int = 1000, inner_tol: float = 1e-10) -> np.ndarray:
+def apply_M(env: Environment, theta, inner: int = 1000) -> np.ndarray:
     """Evaluate the deployment map: minimize the decoupled risk frozen at ``theta``.
 
     Gaussian environments use the exact analytic minimizer
     ``mean(zbar_i + eps_i * theta)``. Logistic ones solve the ridge-logistic
     fit on the deterministically shifted empirical datasets by matrix-free
     damped Newton from ``theta``, at most ``inner`` iterations; if they run
-    out before the gradient norm reaches ``inner_tol`` a warning flags the
+    out before the gradient norm reaches ``_INNER_TOL`` a warning flags the
     partial result.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    return _solve_frozen(env, theta, theta, inner, inner_tol)
+    return _solve_frozen(env, theta, theta, inner)
 
 
 def repeated_gd_fixed_point(
@@ -376,7 +379,6 @@ def repeated_gd_fixed_point(
     deployments: int = 10_000,
     inner: int = 1000,
     tol: float = 1e-8,
-    inner_tol: float = 1e-10,
     theta0=None,
     divergence_threshold: float = DIVERGENCE_THRESHOLD,
 ) -> FixedPointResult:
@@ -400,7 +402,7 @@ def repeated_gd_fixed_point(
     used, residual, converged, diverged = 0, float("inf"), False, False
     with _exhausted_solves() as exhausted:
         for used in range(1, deployments + 1):
-            nxt = apply_M(env, theta, inner=inner, inner_tol=inner_tol)
+            nxt = apply_M(env, theta, inner=inner)
             if not np.all(np.isfinite(nxt)) or np.max(np.abs(nxt)) > divergence_threshold:
                 residual, diverged = float("inf"), True
                 break
@@ -409,7 +411,7 @@ def repeated_gd_fixed_point(
             if residual <= tol:
                 converged = True
                 break
-    _warn_exhausted(exhausted[0], used, inner, inner_tol)
+    _warn_exhausted(exhausted[0], used, inner)
     return FixedPointResult(theta, residual, used, converged, diverged, exhausted[0])
 
 
@@ -420,7 +422,6 @@ def contraction_probe(
     rng=None,
     center=None,
     inner: int = 1000,
-    inner_tol: float = 1e-10,
 ) -> ContractionReport:
     """Empirical Lipschitz ratio of the deployment map over random probe pairs.
 
@@ -431,7 +432,7 @@ def contraction_probe(
     strategic frozen solve starts at ``M(center)``, computed once, not at its
     probe point ``a``: by the map's Lipschitz bound ``M(a)`` lies within
     ``q |a - center|`` of ``M(center)``, and ``q`` is well below 1 wherever
-    the probe is meaningful. Each solve still runs to ``inner_tol`` or is
+    the probe is meaningful. Each solve still runs to ``_INNER_TOL`` or is
     counted in ``budget_exhausted`` (one warning for the call), so the start
     moves the ratio only by solver tolerance. ``pairs`` below 1 and a
     ``radius`` that is not a positive finite number raise ``ValueError``:
@@ -453,18 +454,18 @@ def contraction_probe(
     worst = 0.0
     solves = 1
     with _exhausted_solves() as exhausted:
-        start = _solve_frozen(env, center, center, inner, inner_tol)
+        start = _solve_frozen(env, center, center, inner)
         for _ in range(pairs):
             a = center + radius * rng.uniform(-1.0, 1.0, size=env.dim)
             b = center + radius * rng.uniform(-1.0, 1.0, size=env.dim)
             gap = float(np.linalg.norm(a - b))
             if gap < 1e-9:
                 continue
-            ma = _solve_frozen(env, a, start, inner, inner_tol)
-            mb = _solve_frozen(env, b, start, inner, inner_tol)
+            ma = _solve_frozen(env, a, start, inner)
+            mb = _solve_frozen(env, b, start, inner)
             solves += 2
             worst = max(worst, float(np.linalg.norm(ma - mb)) / gap)
-    _warn_exhausted(exhausted[0], solves, inner, inner_tol)
+    _warn_exhausted(exhausted[0], solves, inner)
     bound = env.eps_avg * env.smoothness / env.mu
     return ContractionReport(empirical_ratio=worst, theoretical_bound=bound, pairs=pairs,
                              budget_exhausted=exhausted[0])

@@ -124,11 +124,10 @@ def from_edge_list(n: int, pairs) -> Graph:
     return Graph(n, frozenset(edges))
 
 
-def read_edge_list(path, n: int | None = None) -> Graph:
-    """Parse an edge-list file: one ``i j`` pair per line, 0-indexed.
+def read_edge_list(path, n: int) -> Graph:
+    """Parse an edge-list file on ``n`` vertices: one ``i j`` pair per line, 0-indexed.
 
     Blank lines and ``#`` comments are skipped. Self-loops are implicit.
-    When ``n`` is omitted it is inferred as ``max vertex + 1``.
     """
     try:
         text = Path(path).read_text()
@@ -147,10 +146,6 @@ def read_edge_list(path, n: int | None = None) -> Graph:
         except ValueError:
             raise TopologyError(f"{path}:{lineno}: non-integer vertex in {raw!r}") from None
         pairs.append((i, j))
-    if n is None:
-        if not pairs:
-            raise TopologyError(f"{path}: empty edge list and no vertex count given")
-        n = max(max(i, j) for i, j in pairs) + 1
     return from_edge_list(n, pairs)
 
 

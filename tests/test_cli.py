@@ -151,6 +151,33 @@ def test_sweep_that_breaks_the_eps_list_exits_two_and_makes_no_directory(tmp_pat
     assert not (tmp_path / "out" / "gaussian_mean").exists()
 
 
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_run_refuses_a_worker_count_below_one(tmp_path, capsys, threads):
+    # unrefused, both ran on one worker
+    assert main(["run", tiny_gaussian_cfg(tmp_path), "--threads", threads]) == 2
+    assert capsys.readouterr().err == f"config error: the worker count must be at least 1, got {threads}\n"
+    assert not (tmp_path / "out" / "gaussian_mean").exists()
+
+
+def test_run_refuses_two_values_that_name_one_cell(tmp_path, capsys):
+    # both name the cell eps_avg=0.123457; unrefused, it held the later value's
+    # run while the manifest listed both
+    path = tiny_gaussian_cfg(tmp_path)
+    assert main(["run", path, "--values", "0.1234567,0.1234568", "--threads", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: eps_avg values 0.1234567 and 0.1234568 both name the cell eps_avg=0.123457\n")
+    assert not (tmp_path / "out" / "gaussian_mean").exists()
+    # a value listed twice is one value, and runs once
+    assert main(["run", path, "--values", "0.5,0.5", "--threads", "1"]) == 0
+    manifest = json.loads((tmp_path / "out" / "gaussian_mean" / "manifest.json").read_text())
+    assert manifest["values"] == [0.5, 0.5] and sorted(manifest["results"]) == ["0.5"]
+    # a NaN names no cell twice: it is refused as a sensitivity, before any cell is written
+    capsys.readouterr()
+    assert main(["run", path, "--values", "nan", "--out", str(tmp_path / "nan"), "--threads", "1"]) == 2
+    assert capsys.readouterr().err == "config error: sensitivity must be finite\n"
+    assert not (tmp_path / "nan").exists()
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("case", ["missing_edge_file", "missing_dataset"])
 def test_run_refused_in_its_jobs_makes_no_directory(tmp_path, capsys, case, threads):
@@ -264,12 +291,6 @@ def test_missing_dataset_exit_four(tmp_path, capsys):
     assert main(["theory", write_cfg(tmp_path, cfg)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("dataset error:") and "missing.csv" in err
-
-
-def test_non_integer_thread_count_exits_two(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("PERFNET_THREADS", "two")
-    assert main(["run", tiny_gaussian_cfg(tmp_path)]) == 2
-    assert capsys.readouterr().err.startswith("config error: PERFNET_THREADS")
 
 
 @pytest.mark.parametrize("command", [[sys.executable, "-m", "perfnet"], [shutil.which("perfnet")]],
@@ -598,6 +619,23 @@ def test_theory_curves_into_a_missing_directory_make_it(tmp_path, capsys):
     assert main(["theory", tiny_gaussian_cfg(tmp_path), "--curves", str(curves)]) == 0
     assert json.loads(capsys.readouterr().out)["curves"] == str(curves)
     assert curves.read_text().startswith("t,gap_bound,consensus_bound")
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_theory_curves_when_not_applicable_print_null_and_write_nothing(tmp_path, capsys, existing):
+    # hetero_vs_homo has no closed-form stable point, so no bound curves; a
+    # file already at the path is left as it was
+    curves = tmp_path / "c.csv"
+    if existing:
+        curves.write_text("kept\n")
+    path = write_cfg(tmp_path, preset("hetero_vs_homo").replace(**{"run.T": 200}))
+    assert main(["theory", path, "--curves", str(curves)]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "applicable": False, "reason": "no closed-form stable point for this instance", "curves": None}
+    if existing:
+        assert curves.read_text() == "kept\n"
+    else:
+        assert not curves.exists()
 
 
 def test_theory_curves_match_experiment_artifact(tmp_path, capsys):

@@ -321,7 +321,7 @@ def test_step_without_sampler_matches_run(kind):
         rng = np.random.default_rng(4)
         shards = [(rng.standard_normal((m, 2)), rng.integers(0, 2, m).astype(float))
                   for m in (5, 8, 11)]
-        env = make_heterogeneous_suite(3, 0.5, 0.4, kind=STRATEGIC, shards=shards, beta=0.1)
+        env = make_heterogeneous_suite(3, 0.5, 0.4, shards=shards, beta=0.1)
     mix = uniform_neighbor_weights(build_complete(3))
     sched = StepSchedule.constant(0.05)
     cfg = RunConfig(T=5, batch=3, seed=13)
@@ -339,7 +339,7 @@ def batch_envs(kind):
         rng = np.random.default_rng(data_seed)
         shards = [(rng.standard_normal((m, 2)), rng.integers(0, 2, m).astype(float))
                   for m in (5, 8, 11)]
-        envs.append(make_heterogeneous_suite(3, 0.5, 0.4, kind=STRATEGIC, shards=shards, beta=0.1))
+        envs.append(make_heterogeneous_suite(3, 0.5, 0.4, shards=shards, beta=0.1))
     return envs
 
 
@@ -578,7 +578,7 @@ def test_bias_probe_classical_when_insensitive():
 def test_bias_probe_rejects_strategic():
     rng = np.random.default_rng(0)
     env = make_heterogeneous_suite(
-        1, 0.5, kind="strategic_shift",
+        1, 0.5,
         shards=[(rng.standard_normal((4, 2)), np.array([0.0, 1.0, 1.0, 0.0]))],
         beta=0.1,
     )

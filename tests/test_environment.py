@@ -6,7 +6,7 @@ import pytest
 from scipy.special import expit
 
 import perfnet.environment as environment
-from perfnet.engine import RunConfig, StepSchedule, run, stream
+from perfnet.engine import _CHUNK, RunConfig, StepSchedule, run, stream
 from perfnet.environment import (
     GAUSSIAN,
     STRATEGIC,
@@ -57,7 +57,7 @@ def strategic_env(n=4, eps_avg=0.5, spread=0.0, d=5, m=30, beta=0.1, seed=3):
         (rng.standard_normal((m, d)), rng.integers(0, 2, m).astype(float))
         for _ in range(n)
     ]
-    return make_heterogeneous_suite(n, eps_avg, spread, kind=STRATEGIC, shards=shards, beta=beta)
+    return make_heterogeneous_suite(n, eps_avg, spread, shards=shards, beta=beta)
 
 
 # ---------------------------------------------------------------- sampling
@@ -79,7 +79,7 @@ def test_strategic_shift_closed_form():
     x = np.zeros((1, 4))
     x[0, 0] = 1.0
     env = make_heterogeneous_suite(
-        1, 0.5, kind=STRATEGIC, shards=[(x, np.array([1.0]))], beta=0.1
+        1, 0.5, shards=[(x, np.array([1.0]))], beta=0.1
     )
     theta = np.array([2.0, 0.0, 0.0, 0.0])
     xs, y = sample_batch(env, 0, theta, 3, stream(0, 1))
@@ -283,8 +283,7 @@ def test_decoupled_full_gradient_strategic_matches_shard_average():
 def unequal_shard_env(sizes=(7, 10, 13), d=3, eps_avg=0.4, spread=0.5, beta=0.1, seed=11):
     rng = np.random.default_rng(seed)
     shards = [(rng.standard_normal((m, d)), rng.integers(0, 2, m).astype(float)) for m in sizes]
-    return make_heterogeneous_suite(len(sizes), eps_avg, spread, kind=STRATEGIC,
-                                    shards=shards, beta=beta)
+    return make_heterogeneous_suite(len(sizes), eps_avg, spread, shards=shards, beta=beta)
 
 
 def test_decoupled_full_gradient_strategic_unequal_shards():
@@ -326,7 +325,7 @@ def test_new_sensitivities_give_new_rows():
     moved = dataclasses.replace(env, eps=new)
     assert np.array_equal(moved.rows.eps, np.repeat(new, env.sizes))
     assert np.array_equal(moved.rows.weights, old_rows.weights)
-    fresh = make_heterogeneous_suite(3, float(new.mean()), kind=STRATEGIC, eps=new, beta=env.beta,
+    fresh = make_heterogeneous_suite(3, float(new.mean()), eps=new, beta=env.beta,
                                      shards=[shard(env, i) for i in range(env.n)])
     theta = np.array([0.2, -0.1, 0.4])
     deployed = np.array([1.0, 0.0, -1.0])
@@ -507,7 +506,7 @@ def seed_envs(kind, seeds):
         rng = np.random.default_rng(seed)
         shards = [(rng.standard_normal((m, 2)), rng.integers(0, 2, m).astype(float))
                   for m in (5, 8, 11)]
-        envs.append(make_heterogeneous_suite(3, 0.5, 0.4, kind=STRATEGIC, shards=shards, beta=0.1))
+        envs.append(make_heterogeneous_suite(3, 0.5, 0.4, shards=shards, beta=0.1))
     return envs
 
 
@@ -561,7 +560,7 @@ def test_batched_deployed_gradients_equal_per_seed_calls(kind):
     seeds = (31, 32, 33)
     envs = seed_envs(kind, seeds)
     thetas = np.random.default_rng(1).standard_normal((3, 3, 2))
-    samples = make_engine_sampler(envs, 16, [agent_streams_of(s) for s in seeds])(thetas)
+    samples = make_engine_sampler(envs, 16, [agent_streams_of(s) for s in seeds], _CHUNK)(thetas)
     got = deployed_gradients(envs[0], thetas, samples)
     for k in range(3):
         one = tuple(part[k] for part in samples)
@@ -589,9 +588,9 @@ def test_batch_with_a_zero_sensitivity_arm_gives_each_seed_its_alone_gradient():
     # with every sensitivity zeroed, on the same shards and streams
     env = strategic_env(n=3, eps_avg=0.7, spread=0.4, d=4, m=25, beta=0.1)
     shards = [shard(env, i) for i in range(env.n)]
-    env_zero = make_heterogeneous_suite(3, 0.0, kind=STRATEGIC, shards=shards, beta=0.1)
+    env_zero = make_heterogeneous_suite(3, 0.0, shards=shards, beta=0.1)
     thetas = np.random.default_rng(5).standard_normal((2, 3, 4))
-    batched = make_engine_sampler([env, env_zero], 8, [agent_streams_of(9), agent_streams_of(9)])
+    batched = make_engine_sampler([env, env_zero], 8, [agent_streams_of(9), agent_streams_of(9)], _CHUNK)
     alone = [draw_alone(e, 8, agent_streams_of(9)) for e in (env, env_zero)]
     for _ in range(4):
         samples = batched(thetas)
@@ -674,7 +673,7 @@ def one_agent_env(kind):
     """One agent at eps 0.5: a d=1 gaussian population or a d=2 strategic one of 3 rows."""
     if kind == GAUSSIAN:
         return make_heterogeneous_suite(1, 0.5, zbar=[10.0], sigma2=1.0)
-    return make_heterogeneous_suite(1, 0.5, kind=STRATEGIC, beta=0.1,
+    return make_heterogeneous_suite(1, 0.5, beta=0.1,
                                     shards=[(np.ones((3, 2)), np.array([0.0, 1.0, 1.0]))])
 
 
@@ -691,7 +690,7 @@ def one_agent_env(kind):
     (lambda: make_heterogeneous_suite(3, 0.5, sigma2=-1.0), "noise variance must be nonnegative"),
     (lambda: make_heterogeneous_suite(3, 0.5, sigma2=np.nan), "noise variance must be finite"),
     (lambda: make_heterogeneous_suite(3, 0.5, zbar=np.ones((2, 4))), "2 rows for 3 agents"),
-    (lambda: make_heterogeneous_suite(2, 0.5, kind=STRATEGIC, shards=[
+    (lambda: make_heterogeneous_suite(2, 0.5, shards=[
         (np.ones((3, 2)), np.ones(3)), (np.ones((0, 2)), np.ones(0))]), "nonempty"),
     (lambda: dataclasses.replace(one_agent_env(STRATEGIC), sizes=np.array([0])), "nonempty"),
     (lambda: dataclasses.replace(one_agent_env(STRATEGIC), sizes=np.array([4])), "3 feature rows"),

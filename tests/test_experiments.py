@@ -122,11 +122,10 @@ def test_manifest_rerun_reproduces_bytes(tmp_path):
     assert f1 == f2
 
 
-def test_thread_count_does_not_change_bytes(tmp_path, monkeypatch):
+def test_thread_count_does_not_change_bytes(tmp_path):
     cfg = tiny_gaussian(T=200, seeds=(3, 4), record_every=40)
     run_experiment(cfg, out=tmp_path / "serial", threads=1)
-    monkeypatch.setenv("PERFNET_THREADS", "2")
-    run_experiment(cfg, out=tmp_path / "pool")
+    run_experiment(cfg, out=tmp_path / "pool", threads=2)
     for seed in (3, 4):
         a = (tmp_path / "serial" / "gaussian_mean" / "eps_avg=0.9" / str(seed) / "metrics.csv").read_bytes()
         b = (tmp_path / "pool" / "gaussian_mean" / "eps_avg=0.9" / str(seed) / "metrics.csv").read_bytes()

@@ -7,7 +7,7 @@ import warnings
 
 from hypothesis import given, settings, strategies as st
 
-from perfnet import environment, metrics
+from perfnet import environment, metrics, oracle
 from perfnet.engine import stream
 from perfnet.environment import exact_risk, make_heterogeneous_suite
 from perfnet.metrics import (
@@ -112,8 +112,7 @@ def test_risk_strategic_exact_and_mc():
     rng = np.random.default_rng(9)
     shards = [(rng.standard_normal((50, 3)), rng.integers(0, 2, 50).astype(float))
               for _ in range(2)]
-    env = make_heterogeneous_suite(2, 0.2, 0.0, kind="strategic_shift",
-                                   shards=shards, beta=0.1)
+    env = make_heterogeneous_suite(2, 0.2, 0.0, shards=shards, beta=0.1)
     theta = np.array([0.3, -0.2, 0.5])
     exact = exact_risk(env, theta)
     est, se = sampled_risk(env, theta, 2000, stream(3, 0xEE))
@@ -125,8 +124,7 @@ def test_risk_strategic_exact_unequal_shards():
     rng = np.random.default_rng(4)
     shards = [(rng.standard_normal((m, 3)), rng.integers(0, 2, m).astype(float))
               for m in (7, 10, 13)]
-    env = make_heterogeneous_suite(3, 0.4, 0.5, kind="strategic_shift",
-                                   shards=shards, beta=0.1)
+    env = make_heterogeneous_suite(3, 0.4, 0.5, shards=shards, beta=0.1)
     theta = np.array([0.3, -0.2, 0.5])
     want = np.mean([
         np.mean([loss_value(loss_of(env), theta, (x + eps * theta, y))
@@ -151,14 +149,14 @@ def test_grad_norm_classical_reduction():
     assert decoupled_grad_norm(env, [7.0]) == pytest.approx((7.0 - 10.0) ** 2)
 
 
-def test_grad_norm_logistic_at_estimated_stable_point():
+def test_grad_norm_logistic_at_estimated_stable_point(monkeypatch):
     rng = np.random.default_rng(2)
     shards = [(rng.standard_normal((40, 3)), rng.integers(0, 2, 40).astype(float))
               for _ in range(3)]
-    env = make_heterogeneous_suite(3, 0.05, 0.0, kind="strategic_shift",
-                                   shards=shards, beta=0.5)
+    env = make_heterogeneous_suite(3, 0.05, 0.0, shards=shards, beta=0.5)
     tol = 1e-9
-    res = repeated_gd_fixed_point(env, tol=tol, inner_tol=1e-12)
+    monkeypatch.setattr(oracle, "_INNER_TOL", 1e-12)
+    res = repeated_gd_fixed_point(env, tol=tol)
     assert res.converged
     assert decoupled_grad_norm(env, res.theta_ps) <= (10 * tol) ** 2
 
@@ -171,8 +169,7 @@ def accuracy_fixture():
     w = np.array([1.0, -2.0, 0.5, 0.0])
     y = (x @ w > 0).astype(float)
     shards = [(x[:50], y[:50])] * 3
-    env = make_heterogeneous_suite(3, 0.4, 0.5, kind="strategic_shift",
-                                   shards=shards, beta=0.01)
+    env = make_heterogeneous_suite(3, 0.4, 0.5, shards=shards, beta=0.01)
     return env, x[50:], y[50:], w
 
 
@@ -186,7 +183,7 @@ def test_accuracy_zero_decision_no_shift():
 def test_accuracy_insensitive_equals_standard():
     env, xt, yt, w = accuracy_fixture()
     env0 = make_heterogeneous_suite(
-        3, 0.0, 0.0, kind="strategic_shift",
+        3, 0.0, 0.0,
         shards=[shard(env, i) for i in range(env.n)], beta=0.01,
     )
     want = np.mean((xt @ w >= 0).astype(float) == yt)
@@ -261,8 +258,7 @@ def test_accuracy_counts_like_the_astype_rule_for_any_labels(labels):
 
 
 def _strategic_env(n, eps_avg, spread, x, y):
-    return make_heterogeneous_suite(n, eps_avg, spread, kind="strategic_shift",
-                                    shards=[(x, y)] * n, beta=0.01)
+    return make_heterogeneous_suite(n, eps_avg, spread, shards=[(x, y)] * n, beta=0.01)
 
 
 def test_accuracy_equals_the_per_agent_loop_bit_for_bit():
@@ -300,7 +296,7 @@ def test_record_scores_the_rows_once_with_the_bits_of_two_passes(monkeypatch):
     # the risk and the gradient norm each scoring the rows themselves
     rng = np.random.default_rng(5)
     shards = [(rng.standard_normal((m, 6)), rng.integers(0, 2, m).astype(float)) for m in (30, 41, 17)]
-    env = make_heterogeneous_suite(3, 0.7, 0.5, kind="strategic_shift", shards=shards, beta=0.01)
+    env = make_heterogeneous_suite(3, 0.7, 0.5, shards=shards, beta=0.01)
     thetas = [rng.standard_normal((3, 6)) * scale for scale in (0.1, 1.0, 10.0)]
     two_pass = [(exact_risk(env, theta.mean(axis=0)), decoupled_grad_norm(env, theta.mean(axis=0)))
                 for theta in thetas]
@@ -517,13 +513,19 @@ def reference_aggregate(runs):
 
 
 def reference_aggregate_csv(path, agg):
-    """The per-cell writer: ``repr(float)`` of finite cells, empty otherwise."""
+    """The per-cell writer: ``t`` as an integer, else ``repr(float)`` of finite cells, empty otherwise."""
+
+    def cell(col, v):
+        if col == "t":
+            return str(int(v))
+        return repr(float(v)) if np.isfinite(v) else ""
+
     cols = list(agg.keys())
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(cols)
         for k in range(len(agg["t"])):
-            w.writerow([repr(float(agg[c][k])) if np.isfinite(agg[c][k]) else "" for c in cols])
+            w.writerow([cell(c, agg[c][k]) for c in cols])
 
 
 def random_runs(rng, seeds):
@@ -568,6 +570,7 @@ def test_aggregate_bitwise_equal_to_nan_functions(tmp_path, seeds):
         for key in want:
             assert np.array_equal(got[key], want[key], equal_nan=True), key
         assert np.all(np.isnan(got["gap_sq_median"]))
+        assert got["t"].dtype == np.int64
         write_csv(tmp_path / "got.csv", got)
         reference_aggregate_csv(tmp_path / "want.csv", want)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()

@@ -40,8 +40,7 @@ def strategic_env(n=3, eps_avg=0.05, d=4, m=40, beta=0.5, seed=1, spread=0.0):
         x = rng.standard_normal((size, d))
         y = (x @ w + 0.3 * rng.standard_normal(size) > 0).astype(float)
         shards.append((x, y))
-    return make_heterogeneous_suite(n, eps_avg, spread, kind="strategic_shift",
-                                    shards=shards, beta=beta)
+    return make_heterogeneous_suite(n, eps_avg, spread, shards=shards, beta=beta)
 
 
 def preset_env(name):
@@ -63,7 +62,7 @@ def old_forcing_rule(monkeypatch):
 def plain_forcing_rule(monkeypatch):
     """Make every frozen Newton step solve its CG to ``min(0.5, |g|)``.
 
-    That was the rule before the safeguard ``0.5 inner_tol / |g|``; the tests
+    That was the rule before the safeguard ``0.5 _INNER_TOL / |g|``; the tests
     compare the two in one process.
     """
     cg = oracle._conjugate_gradient
@@ -139,24 +138,27 @@ def test_apply_M_constant_when_insensitive():
     assert np.array_equal(apply_M(env, [3.0]), apply_M(env, [-77.0]))
 
 
-def test_apply_M_strategic_first_order_optimal():
+def test_apply_M_strategic_first_order_optimal(monkeypatch):
     from perfnet.environment import decoupled_full_gradient
     env = strategic_env()
     theta = np.full(4, 0.2)
-    m_theta = apply_M(env, theta, inner=2000, inner_tol=1e-11)
+    monkeypatch.setattr(oracle, "_INNER_TOL", 1e-11)
+    m_theta = apply_M(env, theta, inner=2000)
     g = decoupled_full_gradient(env, m_theta, theta)
     assert np.linalg.norm(g) <= 1e-11
 
 
-def test_apply_M_budget_exhaustion_warns():
+def test_apply_M_budget_exhaustion_warns(monkeypatch):
     env = strategic_env()
+    monkeypatch.setattr(oracle, "_INNER_TOL", 1e-14)
     with pytest.warns(RuntimeWarning, match="budget"):
-        apply_M(env, np.zeros(4), inner=2, inner_tol=1e-14)
+        apply_M(env, np.zeros(4), inner=2)
 
 
-def test_apply_M_strategic_equals_gradient_descent_on_unequal_shards():
+def test_apply_M_strategic_equals_gradient_descent_on_unequal_shards(monkeypatch):
     # reference: full-batch gradient descent with step 1/L run to |g| <= 1e-13
     env = strategic_env(eps_avg=0.3, m=[5, 8, 11], spread=0.5, beta=0.2)
+    monkeypatch.setattr(oracle, "_INNER_TOL", 1e-13)
     rng = np.random.default_rng(11)
     for _ in range(3):
         deployed = rng.standard_normal(4)
@@ -167,7 +169,7 @@ def test_apply_M_strategic_equals_gradient_descent_on_unequal_shards():
                 break
             theta = theta - g / env.smoothness
         assert np.linalg.norm(g) <= 1e-13
-        assert np.allclose(apply_M(env, deployed, inner_tol=1e-13), theta, rtol=0, atol=1e-9)
+        assert np.allclose(apply_M(env, deployed), theta, rtol=0, atol=1e-9)
 
 
 def test_frozen_hessian_matches_gradient_differences():
@@ -221,6 +223,7 @@ def test_apply_M_forcing_rule_keeps_accuracy(monkeypatch):
     # each frozen objective is beta-strongly convex (row weights sum to 1), so
     # two points with |g| <= inner_tol lie within 2 inner_tol / beta
     inner_tol = 1e-12
+    monkeypatch.setattr(oracle, "_INNER_TOL", inner_tol)
     small = strategic_env(eps_avg=0.3, m=[5, 8, 11], spread=0.5, beta=0.2)
     hetero = preset_env("hetero_vs_homo")
     rng = np.random.default_rng(17)
@@ -229,11 +232,11 @@ def test_apply_M_forcing_rule_keeps_accuracy(monkeypatch):
     cases += [(hetero, np.zeros(hetero.dim)), (hetero, center),
               (hetero, center + rng.uniform(-1.0, 1.0, hetero.dim))]
     for env, deployed in cases:
-        solved = apply_M(env, deployed, inner_tol=inner_tol)
+        solved = apply_M(env, deployed)
         assert np.linalg.norm(decoupled_full_gradient(env, solved, deployed)) <= inner_tol
         with monkeypatch.context() as m:
             old_forcing_rule(m)
-            old = apply_M(env, deployed, inner_tol=inner_tol)
+            old = apply_M(env, deployed)
         assert np.max(np.abs(solved - old)) <= 2 * inner_tol / env.beta
 
 
@@ -284,6 +287,7 @@ def test_safeguarded_forcing_stops_oversolving(monkeypatch):
 @pytest.mark.parametrize("inner_tol", [1e-8, 1e-12, 0.0])
 def test_forcing_cap_binds_far_from_the_solution(monkeypatch, inner_tol):
     # started far out, |g| > 0.5, so the first steps solve CG only to 0.5
+    monkeypatch.setattr(oracle, "_INNER_TOL", inner_tol)
     env = strategic_env(eps_avg=0.3, m=[5, 8, 11], spread=0.5, beta=0.2)
     deployed = np.full(4, 30.0)
     rtols = []
@@ -296,16 +300,16 @@ def test_forcing_cap_binds_far_from_the_solution(monkeypatch, inner_tol):
     with monkeypatch.context() as m:
         m.setattr(oracle, "_conjugate_gradient", recording)
         if inner_tol > 0:
-            solved = apply_M(env, deployed, inner=200, inner_tol=inner_tol)
+            solved = apply_M(env, deployed, inner=200)
             assert np.linalg.norm(decoupled_full_gradient(env, solved, deployed)) <= inner_tol
         else:
             # |g| <= 0 never holds in floating point, so the budget runs out;
             # the safeguard term is 0 and the steps are the plain rule's
             with pytest.warns(RuntimeWarning, match="budget"):
-                solved = apply_M(env, deployed, inner=40, inner_tol=inner_tol)
+                solved = apply_M(env, deployed, inner=40)
             with monkeypatch.context() as plain, pytest.warns(RuntimeWarning, match="budget"):
                 plain_forcing_rule(plain)
-                assert np.array_equal(apply_M(env, deployed, inner=40, inner_tol=inner_tol), solved)
+                assert np.array_equal(apply_M(env, deployed, inner=40), solved)
             assert np.linalg.norm(decoupled_full_gradient(env, solved, deployed)) <= 1e-14
     assert rtols[0] == 0.5 and max(rtols) == 0.5
 
@@ -389,8 +393,8 @@ def test_frozen_solve_reusing_scores_matches_fresh_scoring(monkeypatch, seed, co
 
 @pytest.mark.parametrize("name", ["hetero_vs_homo", "spam_logistic"])
 def test_single_precision_hessian_matches_float64_reference(name):
-    # the bound sits under the smallest CG tolerance the default inner_tol
-    # asks for, sqrt(0.5e-10) = 7.1e-6
+    # the bound sits under the smallest CG tolerance _INNER_TOL = 1e-10 asks
+    # for, sqrt(0.5e-10) = 7.1e-6
     env = preset_env(name)
     rng = np.random.default_rng(29)
     center = stable_point(env)
@@ -409,8 +413,7 @@ def test_single_precision_hessian_on_a_badly_scaled_problem(monkeypatch):
     # features x 1000 and beta = 1e-8 make the frozen Hessian's condition
     # number huge; the float32 model may cost at most one extra Newton step
     shards, _ = synthetic_agent_shards(n=10, per_agent=60, d=40, seed=5)
-    env = make_heterogeneous_suite(10, 1e-7, kind="strategic_shift",
-                                   shards=[(1000.0 * x, y) for x, y in shards], beta=1e-8)
+    env = make_heterogeneous_suite(10, 1e-7, shards=[(1000.0 * x, y) for x, y in shards], beta=1e-8)
     counts = {"newton": 0, "products": 0}
     with monkeypatch.context() as m:
         m.setattr(oracle, "_frozen_hessian", frozen_hessian)
@@ -454,16 +457,17 @@ def test_stable_point_gaussian_beyond_threshold_raises():
         stable_point(gaussian_env(eps_avg=1.0))
 
 
-def test_stable_point_agrees_with_exact_repeated_deployment():
+def test_stable_point_agrees_with_exact_repeated_deployment(monkeypatch):
     env = preset_env("hetero_vs_homo")
     theta = stable_point(env)
     assert np.linalg.norm(decoupled_full_gradient(env, theta, theta)) <= 1e-10
-    res = repeated_gd_fixed_point(env, tol=1e-12, inner_tol=1e-12)
+    monkeypatch.setattr(oracle, "_INNER_TOL", 1e-12)
+    res = repeated_gd_fixed_point(env, tol=1e-12)
     assert res.converged
     assert np.max(np.abs(res.theta_ps - theta)) <= 1e-8
 
 
-def test_stable_point_where_repeated_deployment_does_not_contract():
+def test_stable_point_where_repeated_deployment_does_not_contract(monkeypatch):
     # on spam_logistic the exact deployment map has spectral radius ~1.18
     env = preset_env("spam_logistic")
     theta = stable_point(env)
@@ -471,8 +475,9 @@ def test_stable_point_where_repeated_deployment_does_not_contract():
     # exact repeated deployment started next to it drifts away
     start = theta + 1e-4 * np.random.default_rng(0).standard_normal(env.dim)
     moved = start
+    monkeypatch.setattr(oracle, "_INNER_TOL", 1e-12)
     for _ in range(40):
-        moved = apply_M(env, moved, inner_tol=1e-12)
+        moved = apply_M(env, moved)
     assert np.linalg.norm(moved - theta) > 10 * np.linalg.norm(start - theta)
 
 
@@ -511,7 +516,7 @@ def test_repeated_gd_insensitive_one_step():
 
 
 def test_repeated_gd_residual_is_the_last_move(monkeypatch):
-    # at the last iterate |G| is already below inner_tol, so a frozen solve
+    # at the last iterate |G| is already below _INNER_TOL, so a frozen solve
     # warm-started there returns its start: |M(theta) - theta| measured that
     # way reads exactly 0, while the last move does not
     env = preset_env("hetero_vs_homo")
@@ -585,10 +590,10 @@ def test_contraction_ratio_zero_when_insensitive():
     assert report.empirical_ratio == 0.0
 
 
-def test_contraction_strategic_within_bound():
+def test_contraction_strategic_within_bound(monkeypatch):
     env = strategic_env(eps_avg=0.02)
-    report = contraction_probe(env, pairs=6, radius=0.5, rng=stream(4, 7),
-                               inner=3000, inner_tol=1e-12)
+    monkeypatch.setattr(oracle, "_INNER_TOL", 1e-12)
+    report = contraction_probe(env, pairs=6, radius=0.5, rng=stream(4, 7), inner=3000)
     assert report.empirical_ratio <= report.theoretical_bound + 1e-6
 
 
@@ -609,14 +614,13 @@ def test_contraction_probe_refuses_a_probe_that_measures_no_pair(kwargs, match):
         contraction_probe(gaussian_env(), rng=stream(2, 7), **kwargs)
 
 
-def cold_start_probe_ratio(env, pairs, radius, rng, center, inner_tol):
+def cold_start_probe_ratio(env, pairs, radius, rng, center):
     """The probe's ratio with every frozen solve started at its probe point."""
     worst = 0.0
     for _ in range(pairs):
         a = center + radius * rng.uniform(-1.0, 1.0, size=env.dim)
         b = center + radius * rng.uniform(-1.0, 1.0, size=env.dim)
-        worst = max(worst, float(np.linalg.norm(apply_M(env, a, inner_tol=inner_tol)
-                                                - apply_M(env, b, inner_tol=inner_tol)))
+        worst = max(worst, float(np.linalg.norm(apply_M(env, a) - apply_M(env, b)))
                     / float(np.linalg.norm(a - b)))
     return worst
 
@@ -633,18 +637,19 @@ def test_contraction_probe_matches_cold_starts_with_fewer_gradients(monkeypatch,
         return decoupled_full_gradient(*args)
 
     monkeypatch.setattr(oracle, "decoupled_full_gradient", counting_gradient)
-    # the ratio is ~0.006, so 1e-9 relative needs solves well below the default tolerance
-    reference = cold_start_probe_ratio(env, 6, 1.0, stream(5, 7), center, inner_tol=1e-12)
+    # the ratio is ~0.006, so 1e-9 relative needs solves well below _INNER_TOL = 1e-10
+    monkeypatch.setattr(oracle, "_INNER_TOL", 1e-12)
+    reference = cold_start_probe_ratio(env, 6, 1.0, stream(5, 7), center)
     cold_calls = len(calls)
     calls.clear()
-    report = contraction_probe(env, pairs=6, radius=1.0, rng=stream(5, 7), center=center,
-                               inner_tol=1e-12)
+    report = contraction_probe(env, pairs=6, radius=1.0, rng=stream(5, 7), center=center)
     assert report.empirical_ratio == pytest.approx(reference, rel=1e-9, abs=0)
     assert len(calls) < cold_calls
 
 
 def short_solves(monkeypatch, env, inner_tol):
-    """Record, per frozen solve, whether its result misses ``|g| <= inner_tol``."""
+    """Stop frozen solves at ``|g| <= inner_tol``; record, per solve, whether its result misses it."""
+    monkeypatch.setattr(oracle, "_INNER_TOL", inner_tol)
     solve = oracle._solve_frozen
     missed = []
 
@@ -662,7 +667,7 @@ def test_repeated_gd_counts_budget_exhaustion_under_one_warning(monkeypatch):
     missed = short_solves(monkeypatch, env, 1e-14)
     with warnings.catch_warnings(record=True) as record:
         warnings.simplefilter("always")
-        res = repeated_gd_fixed_point(env, deployments=3, inner=1, tol=0.0, inner_tol=1e-14)
+        res = repeated_gd_fixed_point(env, deployments=3, inner=1, tol=0.0)
     # one frozen solve per deployment
     assert len(missed) == res.deployments == 3
     assert res.budget_exhausted == sum(missed) > 0
@@ -678,8 +683,7 @@ def test_contraction_probe_counts_budget_exhaustion_under_one_warning(monkeypatc
     missed = short_solves(monkeypatch, env, 1e-14)
     with warnings.catch_warnings(record=True) as record:
         warnings.simplefilter("always")
-        report = contraction_probe(env, pairs=2, rng=stream(6, 7), center=center,
-                                   inner=1, inner_tol=1e-14)
+        report = contraction_probe(env, pairs=2, rng=stream(6, 7), center=center, inner=1)
     # M(center) and both points of each pair
     assert len(missed) == 5
     assert report.budget_exhausted == sum(missed) > 0
@@ -698,10 +702,11 @@ def test_budget_count_passes_other_warnings_through():
     assert [(w.category, str(w.message)) for w in record] == [(UserWarning, "passed through")]
 
 
-def test_contraction_probe_budget_exhaustion_warns():
+def test_contraction_probe_budget_exhaustion_warns(monkeypatch):
     env = strategic_env(eps_avg=0.05, m=(7, 10, 13))
+    monkeypatch.setattr(oracle, "_INNER_TOL", 1e-14)
     with pytest.warns(RuntimeWarning, match="inner Newton budget 1 exhausted") as record:
-        contraction_probe(env, pairs=2, rng=stream(6, 7), inner=1, inner_tol=1e-14)
+        contraction_probe(env, pairs=2, rng=stream(6, 7), inner=1)
     # the warning points at the probe's caller
     assert {w.filename for w in record} == {__file__}
 

@@ -143,12 +143,12 @@ def test_numpy_integer_vertices_are_valid():
 def test_read_edge_list(tmp_path):
     p = tmp_path / "edges.txt"
     p.write_text("# a ring of three\n0 1\n1 2\n2 0\n")
-    g = read_edge_list(p)
+    g = read_edge_list(p, 3)
     assert g.n == 3 and union_find_connected(3, g.edges)
     bad = tmp_path / "bad.txt"
     bad.write_text("0 1\n1 two\n")
     with pytest.raises(TopologyError, match="bad.txt:2"):
-        read_edge_list(bad)
+        read_edge_list(bad, 3)
 
 
 # ---------------------------------------------------------------- weights
