@@ -96,6 +96,14 @@ def _typed(cls):
     return dataclass(frozen=True)(cls)
 
 
+def _check_finite(section, *names) -> None:
+    """Refuse a NaN or infinite number in the named fields of ``section``; None is left to its own checks."""
+    for name in names:
+        value = getattr(section, name)
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{_PREFIXES[type(section)]}{name} must be finite, got {value}")
+
+
 def _from_dict(cls, data: dict, where: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{where}: expected an object, got {type(data).__name__}")
@@ -225,6 +233,7 @@ class EnvironmentConfig:
             if not abs(mean - self.eps_avg) <= 1e-12 * abs(self.eps_avg):  # a NaN eps_avg fails too
                 raise ConfigError(
                     f"environment.eps_list averages {mean}, not environment.eps_avg = {self.eps_avg}")
+        _check_finite(self, "eps_avg")
         if self.kind == "gaussian_mean" and self.gaussian is None:
             object.__setattr__(self, "gaussian", GaussianConfig())
         if self.kind == "strategic_shift" and self.strategic is None:
@@ -245,6 +254,7 @@ class StepSchedule:
     a1: float | None = 10000.0
 
     def __post_init__(self):
+        _check_finite(self, "gamma", "a0", "a1")
         if self.kind == "constant":
             if self.gamma is None or self.gamma <= 0:
                 raise ConfigError("step.kind=constant needs gamma > 0")
@@ -281,7 +291,7 @@ class RunConfig:
             raise ConfigError("run.batch and run.record_every must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"run.seed must be nonnegative, got {self.seed}")
-        # NaN fails the comparison too
+        # NaN fails the comparison too; +inf is allowed, and then only non-finite decisions stop a run
         if not self.divergence_threshold > 0:
             raise ConfigError(
                 f"run.divergence_threshold must be positive, got {self.divergence_threshold}")
@@ -295,6 +305,7 @@ class ExperimentSection:
     theory_delta: float = 0.1
 
     def __post_init__(self):
+        _check_finite(self, "theory_delta")
         negative = sorted(s for s in self.seeds if s < 0)
         if negative:
             raise ConfigError(f"experiment.seeds must be nonnegative, got {negative}")

@@ -190,8 +190,8 @@ def _check_theta(env_or_loss, theta: np.ndarray) -> np.ndarray:
     return theta
 
 
-def expit(x):
-    """The logistic sigmoid ``1 / (1 + exp(-x))``, in numpy.
+def expit(x, out=None):
+    """The logistic sigmoid ``1 / (1 + exp(-x))``, in numpy; into ``out`` when given, which may be ``x``.
 
     A large negative score overflows ``exp`` to inf and gives exactly 0; the
     overflow warning is silenced. Each element is computed alone, so a
@@ -203,7 +203,12 @@ def expit(x):
     strategic process the ~0.24 s import of ``scipy.special``.
     """
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+        if out is None:
+            return 1.0 / (1.0 + np.exp(-x))
+        np.negative(x, out=out)
+        np.exp(out, out=out)
+        out += 1.0
+        return np.divide(1.0, out, out=out)
 
 
 def _softplus_minus_yu(u, y):
@@ -233,11 +238,21 @@ def deployed_gradients(env: Environment, thetas: np.ndarray, samples) -> np.ndar
     rows, y, eps = samples
     b = rows.shape[-2]
     sq = (thetas[..., None, :] @ thetas[..., None])[..., 0]  # |theta_i|^2, (..., n, 1)
-    resid = expit((rows @ thetas[..., None])[..., 0] + eps * sq) - y
+    # expit(F theta + eps |theta|^2) - y, its operations in their usual order
+    # but in place on the score's array, so that the bits do not change
+    resid = (rows @ thetas[..., None])[..., 0]
+    resid += eps * sq
+    expit(resid, out=resid)
+    resid -= y
     # (r @ F + eps (sum r) theta) / b + beta theta, with the per-agent scalars
     # gathered first so that only three (..., n, d) operations remain
-    coef = eps * resid.sum(axis=-1, keepdims=True) / b + env.beta
-    return (resid[..., None, :] @ rows)[..., 0, :] / b + coef * thetas
+    coef = eps * np.add.reduce(resid, axis=-1, keepdims=True)
+    coef /= b
+    coef += env.beta
+    grads = (resid[..., None, :] @ rows)[..., 0, :]
+    grads /= b
+    grads += coef * thetas
+    return grads
 
 
 def shifted_scores(env: Environment, theta, deployed) -> np.ndarray:
@@ -438,26 +453,31 @@ def make_engine_sampler(envs, batch: int, streams, chunk: int):
         return lambda thetas: (next(draws), keep)
 
     # strategic: one gather per seed into its stacked rows, each agent's
-    # indices offset by the agent's first row
+    # indices offset by the agent's first row; a step's indices are one
+    # contiguous (n, batch) block, and the labels of a whole chunk are
+    # gathered at its refill
     eps.setflags(write=False)
     pos = chunk
     sizes = [e.sizes for e in envs]
     firsts = [np.cumsum(m) - m for m in sizes]
-    idx = np.empty((S, n, chunk, batch), dtype=np.intp)
+    idx = np.empty((S, chunk, n, batch), dtype=np.intp)
+    labels = None
 
     def draw(thetas: np.ndarray):
-        nonlocal pos
+        nonlocal pos, labels
         if pos == chunk:
-            for gens, m, first, buf in zip(streams, sizes, firsts, idx):
+            labels = None  # dropped first, so that the sampler holds one chunk of labels at a time
+            labels = np.empty((S, chunk, n, batch))
+            for gens, m, first, buf, e, out in zip(streams, sizes, firsts, idx, envs, labels):
                 for i, g in enumerate(gens):
-                    buf[i] = first[i] + g.integers(0, m[i], size=(chunk, batch))
+                    buf[:, i] = first[i] + g.integers(0, m[i], size=(chunk, batch))
+                e.labels.take(buf, out=out, mode="clip")
             pos = 0
         x = np.empty((S, n, batch, d))
-        y = np.empty((S, n, batch))
         for s, e in enumerate(envs):
             # the indices are in range; "clip" lets take write into x directly
-            np.take(e.features, idx[s, :, pos], axis=0, out=x[s], mode="clip")
-            np.take(e.labels, idx[s, :, pos], out=y[s], mode="clip")
+            e.features.take(idx[s, pos], axis=0, out=x[s], mode="clip")
+        y = labels[:, pos]
         pos += 1
         return x, y, eps
 

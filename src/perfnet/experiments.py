@@ -364,7 +364,8 @@ def run_experiment(
     for v in values:
         key = _fmt_value(v)
         first = named.setdefault(key, v)
-        # a NaN, unequal to itself, is refused when its cell's environment is built
+        # a NaN, unequal to itself, is refused as its cell's config is made below,
+        # or else when its cell's environment is built
         if first is not v and first != v:
             raise ConfigError(f"{axis} values {first!r} and {v!r} both name the cell {axis}={key}")
     # one config and cell per sweep value

@@ -171,10 +171,10 @@ def test_run_refuses_two_values_that_name_one_cell(tmp_path, capsys):
     assert main(["run", path, "--values", "0.5,0.5", "--threads", "1"]) == 0
     manifest = json.loads((tmp_path / "out" / "gaussian_mean" / "manifest.json").read_text())
     assert manifest["values"] == [0.5, 0.5] and sorted(manifest["results"]) == ["0.5"]
-    # a NaN names no cell twice: it is refused as a sensitivity, before any cell is written
+    # a NaN names no cell twice: the config refuses it, before any cell is written
     capsys.readouterr()
     assert main(["run", path, "--values", "nan", "--out", str(tmp_path / "nan"), "--threads", "1"]) == 2
-    assert capsys.readouterr().err == "config error: sensitivity must be finite\n"
+    assert capsys.readouterr().err == "config error: environment.eps_avg must be finite, got nan\n"
     assert not (tmp_path / "nan").exists()
 
 
@@ -328,6 +328,17 @@ FIELD_ERRORS = {
     "n_a_numeral": {"environment.n": "25"},
     "topology_n_a_numeral": {"topology.n": "25"},
     "theory_delta_a_numeral": {"experiment.theory_delta": "0.1"},
+    # json writes and reads NaN and Infinity; each is refused as its section
+    # loads (a NaN a0 used to run and "diverge" at t=1)
+    "nan_eps_avg": {"environment.eps_avg": float("nan")},
+    "inf_eps_avg": {"environment.eps_avg": float("inf")},
+    "nan_step_a0": {"step.a0": float("nan")},
+    "inf_step_a0": {"step.a0": float("inf")},
+    "inf_step_a1": {"step.a1": float("inf")},
+    "nan_step_gamma": {"step.gamma": float("nan")},
+    "negative_inf_step_gamma": {"step.gamma": float("-inf")},
+    "nan_theory_delta": {"experiment.theory_delta": float("nan")},
+    "inf_theory_delta": {"experiment.theory_delta": float("inf")},
     "edge_file_a_number": {"topology.edge_file": 5},
 }
 

@@ -109,8 +109,13 @@ def test_eps_list_refused_when_the_config_loads(eps_list, message):
     ("environment", {"n": 25.0}, "environment.n must be an integer, got 25.0"),
     ("environment", {"n": True}, "environment.n must be an integer, got true"),
     ("topology", {"n": "25"}, 'topology.n must be an integer, got "25"'),
+    # the message of each non-finite kind; FIELD_ERRORS in test_cli.py has every field
+    ("environment", {"eps_avg": float("nan")}, "environment.eps_avg must be finite, got nan"),
+    ("step", {"a1": float("inf")}, "step.a1 must be finite, got inf"),
+    ("step", {"gamma": float("-inf")}, "step.gamma must be finite, got -inf"),
 ], ids=["eps_avg_numeral", "eps_avg_null", "eps_avg_bool", "spread_null", "spread_numeral",
-        "spread_bool", "n_numeral", "n_float", "n_bool", "topology_n_numeral"])
+        "spread_bool", "n_numeral", "n_float", "n_bool", "topology_n_numeral", "eps_avg_nan",
+        "a1_inf", "gamma_minus_inf"])
 def test_numbers_refused_when_the_config_loads(section, values, message):
     d = preset("gaussian_mean").to_dict()
     d[section].update(values)

@@ -496,6 +496,33 @@ def test_gaussian_draw_kept_by_the_caller_is_not_overwritten():
     assert np.array_equal(first[0], kept)
 
 
+def test_strategic_draw_kept_by_the_caller_is_not_overwritten():
+    # a batch of two seeds, so that the kept labels are a view into both seeds' chunk
+    seeds = (41, 42)
+    draw = make_engine_sampler(seed_envs(STRATEGIC, seeds), 4, [agent_streams_of(s) for s in seeds], chunk=2)
+    thetas = np.zeros((2, 3, 2))
+    first = draw(thetas)
+    kept = tuple(part.copy() for part in first)
+    for _ in range(5):  # past two refills
+        draw(thetas)
+    assert all(np.array_equal(part, copy) for part, copy in zip(first, kept))
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["one_seed", "two_seeds"])
+def test_strategic_gradient_leaves_its_inputs_unchanged(batched):
+    # the gradient works in place on its own temporaries, never on the
+    # decisions, rows or labels, all of which are writeable here
+    seeds = (43, 44)
+    envs = seed_envs(STRATEGIC, seeds)
+    thetas = np.random.default_rng(7).standard_normal((2, 3, 2))
+    samples = make_engine_sampler(envs, 4, [agent_streams_of(s) for s in seeds], chunk=3)(thetas)
+    if not batched:
+        thetas, samples = thetas[0], tuple(part[0] for part in samples)
+    before = [thetas.copy()] + [part.copy() for part in samples]
+    deployed_gradients(envs[0], thetas, samples)
+    assert all(np.array_equal(now, then) for now, then in zip([thetas, *samples], before))
+
+
 def seed_envs(kind, seeds):
     """One three-agent environment per seed; the data differ per seed, strategic shards are unequal."""
     if kind == GAUSSIAN:
