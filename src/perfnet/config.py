@@ -96,11 +96,19 @@ def _typed(cls):
     return dataclass(frozen=True)(cls)
 
 
+def _finite(value) -> bool:
+    """``math.isfinite``, with an int too large for a float counted as not finite."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _check_finite(section, *names) -> None:
     """Refuse a NaN or infinite number in the named fields of ``section``; None is left to its own checks."""
     for name in names:
         value = getattr(section, name)
-        if value is not None and not math.isfinite(value):
+        if value is not None and not _finite(value):
             raise ConfigError(f"{_PREFIXES[type(section)]}{name} must be finite, got {value}")
 
 
@@ -223,14 +231,15 @@ class EnvironmentConfig:
         if eps is not None:
             if not eps or len(eps) != self.n:
                 raise ConfigError(f"eps_list has {len(eps)} entries for n={self.n}")
-            bad = [v for v in eps if not math.isfinite(v)]
+            bad = [v for v in eps if not _finite(v)]
             if bad:
                 raise ConfigError(f"environment.eps_list has non-finite entries {bad}")
             try:
                 mean = math.fsum(eps) / len(eps)
             except OverflowError:  # finite entries whose sum is not: a plain sum gives inf or nan
                 mean = sum(eps) / len(eps)
-            if not abs(mean - self.eps_avg) <= 1e-12 * abs(self.eps_avg):  # a NaN eps_avg fails too
+            # a NaN eps_avg fails too, and an int too large for a float fails before the subtraction
+            if not (_finite(self.eps_avg) and abs(mean - self.eps_avg) <= 1e-12 * abs(self.eps_avg)):
                 raise ConfigError(
                     f"environment.eps_list averages {mean}, not environment.eps_avg = {self.eps_avg}")
         _check_finite(self, "eps_avg")

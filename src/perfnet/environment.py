@@ -203,12 +203,10 @@ def expit(x, out=None):
     strategic process the ~0.24 s import of ``scipy.special``.
     """
     with np.errstate(over="ignore"):
-        if out is None:
-            return 1.0 / (1.0 + np.exp(-x))
-        np.negative(x, out=out)
-        np.exp(out, out=out)
-        out += 1.0
-        return np.divide(1.0, out, out=out)
+        t = np.negative(x, out=out)
+        t = np.exp(t, out=out)
+        t = np.add(t, 1.0, out=out)
+        return np.divide(1.0, t, out=out)
 
 
 def _softplus_minus_yu(u, y):

@@ -339,6 +339,8 @@ FIELD_ERRORS = {
     "negative_inf_step_gamma": {"step.gamma": float("-inf")},
     "nan_theory_delta": {"experiment.theory_delta": float("nan")},
     "inf_theory_delta": {"experiment.theory_delta": float("inf")},
+    # json reads an integer of any size; math.isfinite raises on one too large for a float
+    "step_a0_too_large_for_a_float": {"step.a0": 10**400},
     "edge_file_a_number": {"topology.edge_file": 5},
 }
 

@@ -88,8 +88,10 @@ def test_repeated_seed_rejected():
     ([0.9] * 23 + [float("inf"), float("-inf")], "environment.eps_list has non-finite entries [inf, -inf]"),
     ([0.5] * 25, "environment.eps_list averages 0.5, not environment.eps_avg = 0.9"),
     ([1e308] * 25, "environment.eps_list averages inf, not environment.eps_avg = 0.9"),
+    # JSON reads an integer of any size; one too large for a float is not finite
+    ([0.9] * 24 + [10**400], "environment.eps_list has non-finite entries [1000"),
 ], ids=["number", "object", "string_entry", "bool_entry", "null_entry", "short", "empty",
-        "nan_entry", "inf_entries", "off_its_average", "sum_overflows"])
+        "nan_entry", "inf_entries", "off_its_average", "sum_overflows", "int_entry_too_large_for_a_float"])
 def test_eps_list_refused_when_the_config_loads(eps_list, message):
     d = preset("gaussian_mean").to_dict()
     d["environment"].update(eps_grid=None, eps_list=eps_list)
@@ -140,6 +142,9 @@ def test_eps_list_accepted_at_its_mean():
     with pytest.raises(ConfigError, match="averages"):
         Config.from_dict(d)
     d["environment"]["eps_avg"] = float("nan")
+    with pytest.raises(ConfigError, match="averages"):
+        Config.from_dict(d)
+    d["environment"]["eps_avg"] = 10**400  # too large for a float
     with pytest.raises(ConfigError, match="averages"):
         Config.from_dict(d)
 
