@@ -247,6 +247,13 @@ class EnvironmentConfig:
             object.__setattr__(self, "gaussian", GaussianConfig())
         if self.kind == "strategic_shift" and self.strategic is None:
             raise ConfigError("strategic_shift environment needs a strategic block")
+        # a synthetic corpus's size is known here; a dataset file's only once it loads
+        sc = self.strategic
+        if self.kind == "strategic_shift" and sc.synthetic is not None and sc.synthetic.style == "corpus":
+            need = self.n * sc.per_agent + sc.test_split
+            if need > sc.synthetic.m:
+                raise ConfigError(f"need {need} rows (= {self.n} agents x {sc.per_agent} + "
+                                  f"{sc.test_split} test), have {sc.synthetic.m}")
 
     @property
     def spread(self) -> float:

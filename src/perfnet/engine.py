@@ -17,7 +17,11 @@ draws.
 :func:`run` advances its seeds a block of iterations at a time. Each
 iteration is one :func:`dsgd_gd_step`, which writes its decisions in place
 into one preallocated array, and one scan per block tests for divergence. That
-scan still locates each seed's first failing iteration exactly.
+scan still locates each seed's first failing iteration exactly. What the
+steps of a block take is made before the block starts: its step sizes come
+from one array call of :func:`gamma`, its row views are made once per run, a
+static graph's one matrix is read once per run, and its recorded iterations
+are found by arithmetic.
 """
 
 from __future__ import annotations
@@ -73,8 +77,18 @@ def agent_streams(seed: int, n: int) -> list:
     return [stream(seed, SAMPLE_STREAM, i) for i in range(n)]
 
 
-def gamma(schedule: StepSchedule, t: int) -> float:
-    """Step size gamma_t; step indices start at 1."""
+def gamma(schedule: StepSchedule, t):
+    """Step size gamma_t; step indices start at 1.
+
+    ``t`` may be an integer array; the result is then a float64 array whose
+    elements have the bits of the scalar formula at each element.
+    """
+    if isinstance(t, np.ndarray):
+        if t.size and t.min() < 1:
+            raise ValueError(f"step sizes are indexed from 1, got t={t.min()}")
+        if schedule.kind == "constant":
+            return np.full(t.shape, float(schedule.gamma))
+        return schedule.a0 / np.add(schedule.a1, t, dtype=float)
     if t < 1:
         raise ValueError(f"step sizes are indexed from 1, got t={t}")
     if schedule.kind == "constant":
@@ -172,6 +186,9 @@ def run(
     K = max(1, min(_BLOCK, _BLOCK_BYTES // (S * n * d * 8) - 1))
     block = np.empty((K + 1, S, n, d))
     block[0] = theta0
+    views = list(block)  # block[j] for each j, made once
+    static = mixing.matrices[0] if len(mixing.matrices) == 1 else None
+    every = config.record_every
 
     records = [[] for _ in seeds]
     stopped_at = [None] * S
@@ -186,24 +203,27 @@ def run(
     live, t0 = list(range(S)), 0
     while live and t0 < config.T:
         k = min(K, config.T - t0)
+        steps = gamma(schedule, np.arange(t0 + 1, t0 + k + 1)).tolist()
         # a failing seed steps on to the end of the block, so overflow here is
         # expected and raises no warning; the scan below locates the failure
         with np.errstate(over="ignore", invalid="ignore"):
-            for j in range(k):
-                t = t0 + j + 1
-                dsgd_gd_step(block[j], mixing.at(t), env[0], gamma(schedule, t), sampler, out=block[j + 1])
+            for j, gamma_t in enumerate(steps):
+                weights = static if static is not None else mixing.at(t0 + j + 1)
+                dsgd_gd_step(views[j], weights, env[0], gamma_t, sampler, out=views[j + 1])
         # block[j] holds iteration t0 + j; seed s is finite through block[kept[s]]
         kept = _first_failures(block[1:k + 1], config.divergence_threshold)
-        for t in range(t0 + 1, t0 + k + 1):
-            if t % config.record_every == 0 or t == config.T:
-                for s in live:
-                    if t - t0 <= kept[s]:
-                        record(s, t, block[t - t0, s])
+        recorded = range(t0 + every - t0 % every, t0 + k + 1, every)
+        if t0 + k == config.T and config.T % every:
+            recorded = [*recorded, config.T]
+        for t in recorded:
+            for s in live:
+                if t - t0 <= kept[s]:
+                    record(s, t, block[t - t0, s])
         for s in live:
             if kept[s] < k:
                 stopped_at[s] = t0 + int(kept[s]) + 1
                 last = block[kept[s], s]
-                if (stopped_at[s] - 1) % config.record_every != 0:
+                if (stopped_at[s] - 1) % every != 0:
                     record(s, stopped_at[s] - 1, last)  # the last finite state
                 final[s] = last.copy()
         live = [s for s in live if stopped_at[s] is None]

@@ -433,22 +433,28 @@ def make_engine_sampler(envs, batch: int, streams, chunk: int):
     eps = np.stack([e.eps for e in envs])[..., None]
 
     if envs[0].kind == GAUSSIAN:
-        scale = np.sqrt(np.stack([e.sigma2 for e in envs])).reshape(S, n, 1, 1)
-        zbar = np.stack([e.zbar_stack for e in envs]).reshape(S, n, 1, d)
+        scale = np.sqrt(np.stack([e.sigma2 for e in envs])).reshape(S, n, 1)
+        zbar = np.stack([e.zbar_stack for e in envs])
         keep = 1.0 - eps
         keep.setflags(write=False)
         noise = np.empty((S, n, chunk, batch, d))
+        pos, base = chunk, None
 
-        def base_draws():
-            while True:
+        def gaussian_draw(thetas: np.ndarray):
+            nonlocal pos, base
+            if pos == chunk:
+                base = None  # dropped first, so that the sampler holds one chunk of draws at a time
                 for gens, buf in zip(streams, noise):
                     for g, out in zip(gens, buf):
                         g.standard_normal(out=out)
-                base = zbar + scale * noise.mean(axis=3)
-                yield from np.moveaxis(base, 2, 0)
+                # (chunk, S, n, d), each step's draws one contiguous block
+                base = np.multiply(scale, np.moveaxis(noise.mean(axis=3), 2, 0), order="C")
+                base += zbar
+                pos = 0
+            pos += 1
+            return base[pos - 1], keep
 
-        draws = base_draws()
-        return lambda thetas: (next(draws), keep)
+        return gaussian_draw
 
     # strategic: one gather per seed into its stacked rows, each agent's
     # indices offset by the agent's first row; a step's indices are one

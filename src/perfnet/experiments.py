@@ -290,16 +290,16 @@ def _run_seeds(cfg: Config, envs, sinks, seeds, csv_paths, mixing=None) -> list:
 
 
 def _run_job(args) -> tuple[list, Environment | None]:
-    """One batch of seeds of one sweep value.
+    """One batch of seeds of one sweep value, on the value's mixing weights.
 
     Returns a summary per seed and the environment of the config's run seed
     if the batch ran that seed (else None); a pool worker returns it pickled.
     """
-    cfg, seeds, csv_paths = args
+    cfg, mixing, seeds, csv_paths = args
     t0 = time.perf_counter()
     envs, _, sinks = zip(*(_seed_parts(cfg, seed) for seed in seeds))
     summaries = []
-    for seed, traj in zip(seeds, _run_seeds(cfg, envs, sinks, seeds, csv_paths)):
+    for seed, traj in zip(seeds, _run_seeds(cfg, envs, sinks, seeds, csv_paths, mixing)):
         risk_diverged = _risk_diverged(traj.records)
         summaries.append({
             "seed": seed,
@@ -339,9 +339,10 @@ def run_experiment(
     Each value's seeds run as ``min(threads, len(seeds))`` batched jobs of
     contiguous seeds (``threads`` is the CPU count if left out), on a pool
     of at most one worker per job; one loop receives them in order, and
-    writes a value's artifacts once its jobs are in. A seed's ``wall_s`` in
-    the manifest is its equal share of its job's wall time (building,
-    running and writing the whole batch). A value's cell is
+    writes a value's artifacts once its jobs are in. Each value's mixing
+    weights are built once, here, and serve its jobs and its theory report.
+    A seed's ``wall_s`` in the manifest is its equal share of its job's wall
+    time (building, running and writing the whole batch). A value's cell is
     ``<axis>=<value>``, floats formatted by ``:g``, and a value listed
     twice runs once. ``threads`` below 1, or two values that name one
     cell, raise :class:`ConfigError` before anything is written.
@@ -360,24 +361,23 @@ def run_experiment(
     workers = (os.cpu_count() or 1) if threads is None else threads
     if workers < 1:
         raise ConfigError(f"the worker count must be at least 1, got {workers}")
-    named = {}
+    # one config, mixing and cell per sweep value; each value's config is made
+    # before its name is compared, so that a NaN, unequal to itself, is refused
+    # as a config error and not as two values of one cell
+    named, cells = {}, {}
     for v in values:
+        vcfg = cfg.replace(**{_axis_path(axis): v})
         key = _fmt_value(v)
         first = named.setdefault(key, v)
-        # a NaN, unequal to itself, is refused as its cell's config is made below,
-        # or else when its cell's environment is built
         if first is not v and first != v:
             raise ConfigError(f"{axis} values {first!r} and {v!r} both name the cell {axis}={key}")
-    # one config and cell per sweep value
-    cells = {
-        key: (cfg.replace(**{_axis_path(axis): value}), out_root / f"{axis}={key}")
-        for key, value in named.items()
-    }
+        if key not in cells:
+            cells[key] = (vcfg, build_mixing(vcfg.topology), out_root / f"{axis}={key}")
     # contiguous groups of near-equal size, one batched job per value and group
     groups = np.array_split(exp.seeds, min(workers, len(exp.seeds))) if exp.seeds else []
     groups = [[int(seed) for seed in group] for group in groups]
-    payloads = [(vcfg, seeds, [str(cell / str(seed) / "metrics.csv") for seed in seeds])
-                for vcfg, cell in cells.values() for seeds in groups]
+    payloads = [(vcfg, mixing, seeds, [str(cell / str(seed) / "metrics.csv") for seed in seeds])
+                for vcfg, mixing, cell in cells.values() for seeds in groups]
 
     t0 = time.perf_counter()
     # a forked pool starts all its workers at the first submit, so it gets
@@ -397,7 +397,7 @@ def run_experiment(
     convergent = {}
     with ProcessPoolExecutor(max_workers=workers) if pooled else nullcontext() as pool:
         jobs = (pool.map if pooled else map)(_run_job, payloads)
-        for key, (vcfg, cell) in cells.items():
+        for key, (vcfg, mixing, cell) in cells.items():
             results[key], env = {}, None
             for group, reference in itertools.islice(jobs, len(groups)):
                 results[key].update((str(summary["seed"]), summary) for summary in group)
@@ -406,7 +406,7 @@ def run_experiment(
             if env is None:
                 env, _ = build_environment(vcfg.environment, vcfg.run.seed)
             convergent[key] = oracle.existence_check(env.eps_avg, env.mu, env.smoothness).exists
-            _aggregate_cell(vcfg, env, cell, results[key].values())
+            _aggregate_cell(vcfg, env, mixing, cell, results[key].values())
             env = reference = None  # freed before the next value's jobs are received
 
     flagged_in_convergent = any(
@@ -430,7 +430,7 @@ def run_experiment(
     return manifest
 
 
-def _aggregate_cell(vcfg: Config, env: Environment, cell: Path, summaries) -> None:
+def _aggregate_cell(vcfg: Config, env: Environment, mixing, cell: Path, summaries) -> None:
     """Aggregate, rate fits and theory report of one sweep value's seeds."""
     # every seed's job has written its metrics.csv by now
     runs = [metrics.read_metrics_csv(cell / str(seed) / "metrics.csv") for seed in vcfg.experiment.seeds]
@@ -453,19 +453,20 @@ def _aggregate_cell(vcfg: Config, env: Environment, cell: Path, summaries) -> No
         fits.append(metrics.rate_fit_json(col, fit))
     metrics.write_json(cell / "ratefit.json", fits)
 
-    report = theory_report(vcfg, recorded_ts=agg["t"], env=env)
+    report = theory_report(vcfg, recorded_ts=agg["t"], env=env, mixing=mixing)
     curves = report.pop("curves", None)
     metrics.write_json(cell / "theory.json", report)
     if curves is not None:
         metrics.write_csv(cell / "theory_curves.csv", asdict(curves))
 
 
-def theory_report(cfg: Config, recorded_ts=None, env: Environment | None = None) -> dict:
+def theory_report(cfg: Config, recorded_ts=None, env: Environment | None = None,
+                  mixing: topology.Mixing | None = None) -> dict:
     """Constants, step cap, ratio check, and bound curves for a config.
 
-    ``env`` is the config's environment at ``cfg.run.seed``; it is built
-    from ``cfg`` when omitted. Returns ``{"applicable": False, "reason": ...}``
-    when the constants are undefined for the instance (no stable point, zero
+    ``env`` is the config's environment at ``cfg.run.seed`` and ``mixing``
+    its topology's weights; each is built from ``cfg`` when omitted. Returns
+    ``{"applicable": False, "reason": ...}`` when the constants are undefined for the instance (no stable point, zero
     sensitivity, estimates unavailable, or a window above 1, whose rho bounds
     window products and not the per-step gap the constants take) instead of raising.
     """
@@ -475,7 +476,8 @@ def theory_report(cfg: Config, recorded_ts=None, env: Environment | None = None)
     theta_ps = oracle.closed_form_or_none(env)
     if theta_ps is None:
         return {"applicable": False, "reason": "no closed-form stable point for this instance"}
-    mixing = build_mixing(cfg.topology)
+    if mixing is None:
+        mixing = build_mixing(cfg.topology)
     if mixing.window > 1:
         return {"applicable": False, "reason": (
             f"rho = {mixing.rho:.6g} certifies {mixing.window}-step window products, "

@@ -300,9 +300,10 @@ def aggregate_columns(runs: list) -> dict:
     run records the same iterations is aggregated, and its iterations ``t``
     are returned as integers. Each iteration covers the runs that recorded a
     value there (percentiles interpolate linearly) and is NaN when none did.
-    Iterations without NaN take one vectorised numpy call per statistic,
-    which gives the nan-functions' exact bits; only iterations where some
-    runs are NaN go through those slower functions.
+    Every column is stacked into one array, so each statistic is one numpy
+    call over the (column, iteration) entries without NaN, which gives the
+    nan-functions' exact bits, and one nan-function call over those where
+    only some runs are NaN.
     """
     if not runs:
         return {}
@@ -314,25 +315,24 @@ def aggregate_columns(runs: list) -> dict:
             length = int(differs[0])
             ts = ts[:length]
     out = {"t": ts.astype(np.int64)}
-    for col in CSV_COLUMNS[1:]:
-        stack = np.vstack([r[col][:length] for r in runs])
-        nan = np.isnan(stack)
-        full = ~nan.any(axis=0)
-        part = ~full & ~nan.all(axis=0)
-        bands = np.full((4, length), np.nan)  # median, p05, p95, mean
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # inf - inf gives NaN
-            if full.any():
-                sub = stack[:, full]
-                bands[0, full] = np.median(sub, axis=0)
-                bands[1:3, full] = np.percentile(sub, [5, 95], axis=0)
-                bands[3, full] = np.mean(sub, axis=0)
-            if part.any():
-                sub = stack[:, part]
-                bands[0, part] = np.nanmedian(sub, axis=0)
-                bands[1:3, part] = np.nanpercentile(sub, [5, 95], axis=0)
-                bands[3, part] = np.nanmean(sub, axis=0)
-        for stat, band in zip(("median", "p05", "p95", "mean"), bands):
+    cols = CSV_COLUMNS[1:]
+    stack = np.array([[r[col][:length] for col in cols] for r in runs], dtype=float)  # (run, column, t)
+    nan = np.isnan(stack)
+    full = ~nan.any(axis=0)
+    part = ~full & ~nan.all(axis=0)
+    bands = np.full((4, len(cols), length), np.nan)  # median, p05, p95, mean
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # inf - inf gives NaN
+        for entries, median, percentile, mean in ((full, np.median, np.percentile, np.mean),
+                                                  (part, np.nanmedian, np.nanpercentile, np.nanmean)):
+            if not entries.any():
+                continue
+            sub = stack[:, entries]
+            bands[0, entries] = median(sub, axis=0)
+            bands[1:3, entries] = percentile(sub, [5, 95], axis=0)
+            bands[3, entries] = mean(sub, axis=0)
+    for col, col_bands in zip(cols, bands.transpose(1, 0, 2)):
+        for stat, band in zip(("median", "p05", "p95", "mean"), col_bands):
             out[f"{col}_{stat}"] = band
     return out
 

@@ -20,6 +20,9 @@ from .engine import StepSchedule, gamma
 from .environment import Environment, assumption_constants
 from .oracle import closed_form_multi_ps
 
+# bound_curves takes its running products over at most this many steps at a time
+_CURVE_CHUNK = 1 << 14
+
 __all__ = [
     "StabilityViolatedError",
     "ConstantsInapplicableError",
@@ -233,8 +236,12 @@ class BoundCurves:
 def bound_curves(tc: TheoryConstants, schedule: StepSchedule, ts) -> BoundCurves:
     """Evaluate the bound curves at (sorted, nonnegative) iterations ``ts``.
 
-    The running product over ``(1 - mu_tilde * gamma_i / 2)`` is maintained
-    incrementally, so the cost is linear in ``max(ts)``.
+    The products over ``(1 - mu_tilde * gamma_i / 2)`` and ``(1 - rho / 2)``
+    are running products, in order, over chunks of at most ``_CURVE_CHUNK``
+    steps, each chunk starting from the last product of the one before; so
+    the cost is linear in ``max(ts)`` and the memory bounded, and each value
+    has the bits of a product taken one step at a time. ``gamma_t ** 2`` is
+    Python's, the C library's ``pow``, at the requested iterations only.
     """
     ts = np.asarray(sorted(set(int(t) for t in ts)), dtype=int)
     if ts.size == 0 or ts[0] < 0:
@@ -245,34 +252,34 @@ def bound_curves(tc: TheoryConstants, schedule: StepSchedule, ts) -> BoundCurves
     cons_coef = 2.0 * (9.0 + 12.0 * tc.delta_bar) * noise_sq / tc.rho**2
     cons0 = tc.q0_sq / tc.n
 
-    gap = np.empty(ts.size)
-    cons = np.empty(ts.size)
-    transient = np.empty(ts.size)
-    network = np.empty(ts.size)
-    fluct = np.empty(ts.size)
-
-    product = 1.0
-    decay = 1.0  # (1 - rho/2)^t
-    prev_t = 0
-    for k, t in enumerate(ts):
-        for i in range(prev_t + 1, t + 1):
-            product *= 1.0 - tc.mu_tilde * gamma(schedule, i) / 2.0
-            decay *= 1.0 - tc.rho / 2.0
-        prev_t = int(t)
-        if t == 0:
-            transient[k] = tc.D
-            network[k] = 0.0
-            fluct[k] = 0.0
-            cons[k] = cons0
-        else:
-            g = gamma(schedule, int(t))
-            transient[k] = product * tc.D
-            network[k] = net_coef * g**2
-            fluct[k] = fluct_coef * g
-            cons[k] = decay * cons0 + cons_coef * g**2
-        gap[k] = transient[k] + network[k] + fluct[k]
+    # ts is sorted and unique, so only its first entry can be t = 0
+    zero = ts[0] == 0
+    steps = ts[1:] if zero else ts
+    product, decay = np.empty(steps.size), np.empty(steps.size)
+    shrink = 1.0 - tc.rho / 2.0
+    running = np.ones(2)  # both products through the previous chunk's last step
+    last = int(steps[-1]) if steps.size else 0
+    for first in range(1, last + 1, _CURVE_CHUNK):
+        span = np.arange(first, min(first + _CURVE_CHUNK, last + 1))
+        factors = np.empty((2, span.size + 1))
+        factors[:, 0] = running
+        factors[0, 1:] = 1.0 - tc.mu_tilde * gamma(schedule, span) / 2.0
+        factors[1, 1:] = shrink
+        np.multiply.accumulate(factors, axis=1, out=factors)
+        here = (steps >= first) & (steps <= span[-1])
+        product[here], decay[here] = factors[:, steps[here] - first + 1]
+        running = factors[:, -1]
+    g = gamma(schedule, steps)
+    g_sq = np.array([x**2 for x in g.tolist()], dtype=float)
+    transient = product * tc.D
+    network = net_coef * g_sq
+    fluct = fluct_coef * g
+    cons = decay * cons0 + cons_coef * g_sq
+    if zero:  # no step taken yet: both products are 1 and no step-size term counts
+        transient, network, fluct, cons = (np.insert(arr, 0, at_zero) for arr, at_zero in
+                                           ((transient, tc.D), (network, 0.0), (fluct, 0.0), (cons, cons0)))
     return BoundCurves(
-        t=ts, gap_bound=gap, consensus_bound=cons,
+        t=ts, gap_bound=transient + network + fluct, consensus_bound=cons,
         term_transient=transient, term_network=network, term_fluctuation=fluct,
     )
 

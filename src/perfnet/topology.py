@@ -156,12 +156,20 @@ class Mixing:
     ``rho`` certifies every cyclic product of ``window`` consecutive steps:
     ``||A_{t+B-1} ... A_t||_2 <= 1 - rho`` with ``A_t = W_t - (1/n) 11^T``. At
     window 1 it is a per-step spectral gap; a static graph is one matrix at
-    window 1.
+    window 1. The matrices are read-only, in an unpickled copy too.
     """
 
     matrices: tuple
     window: int
     rho: float
+
+    def __post_init__(self):
+        for w in self.matrices:
+            w.setflags(write=False)
+
+    def __reduce__(self):
+        """Pickle as the constructor's arguments, so an unpickled copy's matrices are read-only too."""
+        return Mixing, (self.matrices, self.window, self.rho)
 
     def at(self, t: int) -> np.ndarray:
         return self.matrices[t % len(self.matrices)]
@@ -196,9 +204,7 @@ def spectral_gap(w: np.ndarray) -> float:
 
 
 def _certify(w: np.ndarray) -> Mixing:
-    rho = spectral_gap(w)
-    w.setflags(write=False)
-    return Mixing((w,), 1, rho)
+    return Mixing((w,), 1, spectral_gap(w))
 
 
 def uniform_neighbor_weights(g: Graph) -> Mixing:
@@ -288,6 +294,4 @@ def schedule_mixing(s: GraphSchedule) -> Mixing:
                 f"schedule window starting at {start} does not contract: product norm {norm:.6f}"
             )
         worst = max(worst, norm)
-    for w in mats:
-        w.setflags(write=False)
     return Mixing(tuple(mats), s.window, 1.0 - worst)

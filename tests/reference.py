@@ -6,16 +6,21 @@ scores and differentiates over whole datasets at once (``exact_risk``,
 ``decoupled_full_gradient``). Its ``engine.run`` advances blocks of
 iterations and scans each block for divergence once, and its frozen Newton
 solves take Hessian-vector products in float32. It scores test accuracy for
-all agents in one stacked product. The functions here do the same work one
-agent and one sample, or one iteration, at a time, or in float64, in the
-plainest form, so the tests can check the library's paths against them.
+all agents in one stacked product. Its bound curves are running products over
+chunks of steps, and it aggregates every metric column in one stacked call
+per statistic. The functions here do the same work one agent and one sample,
+or one iteration or column, at a time, or in float64, in the plainest form,
+so the tests can check the library's paths against them.
 """
 
+import warnings
 from typing import NamedTuple
 
 import numpy as np
 
 from perfnet.engine import agent_streams, dsgd_gd_step, gamma
+from perfnet.metrics import CSV_COLUMNS
+from perfnet.theory import BoundCurves
 from perfnet.environment import (
     GAUSSIAN,
     Environment,
@@ -161,3 +166,81 @@ def shifted_test_accuracy(env: Environment, theta, features, labels) -> float:
         scores = features @ th + eps * float(th @ th)
         acc += np.count_nonzero(((scores >= 0.0) == pos) & valid) / m
     return acc / env.n
+
+
+def bound_curves(tc, schedule, ts) -> BoundCurves:
+    """``theory.bound_curves`` with its running products taken one step at a time."""
+    ts = np.asarray(sorted(set(int(t) for t in ts)), dtype=int)
+    if ts.size == 0 or ts[0] < 0:
+        raise ValueError("need nonnegative iterations")
+    noise_sq = tc.sigma**2 + tc.varsigma**2
+    net_coef = 288.0 * tc.c1 * noise_sq / (tc.rho**2 * tc.mu_tilde)
+    fluct_coef = 8.0 * tc.sigma**2 / (tc.mu_tilde * tc.n)
+    cons_coef = 2.0 * (9.0 + 12.0 * tc.delta_bar) * noise_sq / tc.rho**2
+    cons0 = tc.q0_sq / tc.n
+
+    gap = np.empty(ts.size)
+    cons = np.empty(ts.size)
+    transient = np.empty(ts.size)
+    network = np.empty(ts.size)
+    fluct = np.empty(ts.size)
+
+    product = 1.0
+    decay = 1.0  # (1 - rho/2)^t
+    prev_t = 0
+    for k, t in enumerate(ts):
+        for i in range(prev_t + 1, t + 1):
+            product *= 1.0 - tc.mu_tilde * gamma(schedule, i) / 2.0
+            decay *= 1.0 - tc.rho / 2.0
+        prev_t = int(t)
+        if t == 0:
+            transient[k] = tc.D
+            network[k] = 0.0
+            fluct[k] = 0.0
+            cons[k] = cons0
+        else:
+            g = gamma(schedule, int(t))
+            transient[k] = product * tc.D
+            network[k] = net_coef * g**2
+            fluct[k] = fluct_coef * g
+            cons[k] = decay * cons0 + cons_coef * g**2
+        gap[k] = transient[k] + network[k] + fluct[k]
+    return BoundCurves(
+        t=ts, gap_bound=gap, consensus_bound=cons,
+        term_transient=transient, term_network=network, term_fluctuation=fluct,
+    )
+
+
+def aggregate_columns(runs: list) -> dict:
+    """``metrics.aggregate_columns`` with its statistics taken one column at a time."""
+    if not runs:
+        return {}
+    length = min(len(r["t"]) for r in runs)
+    ts = runs[0]["t"][:length]
+    for r in runs:
+        differs = np.flatnonzero(r["t"][:length] != ts)
+        if len(differs):
+            length = int(differs[0])
+            ts = ts[:length]
+    out = {"t": ts.astype(np.int64)}
+    for col in CSV_COLUMNS[1:]:
+        stack = np.vstack([r[col][:length] for r in runs])
+        nan = np.isnan(stack)
+        full = ~nan.any(axis=0)
+        part = ~full & ~nan.all(axis=0)
+        bands = np.full((4, length), np.nan)  # median, p05, p95, mean
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # inf - inf gives NaN
+            if full.any():
+                sub = stack[:, full]
+                bands[0, full] = np.median(sub, axis=0)
+                bands[1:3, full] = np.percentile(sub, [5, 95], axis=0)
+                bands[3, full] = np.mean(sub, axis=0)
+            if part.any():
+                sub = stack[:, part]
+                bands[0, part] = np.nanmedian(sub, axis=0)
+                bands[1:3, part] = np.nanpercentile(sub, [5, 95], axis=0)
+                bands[3, part] = np.nanmean(sub, axis=0)
+        for stat, band in zip(("median", "p05", "p95", "mean"), bands):
+            out[f"{col}_{stat}"] = band
+    return out

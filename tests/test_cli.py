@@ -176,12 +176,42 @@ def test_run_refuses_two_values_that_name_one_cell(tmp_path, capsys):
     assert main(["run", path, "--values", "nan", "--out", str(tmp_path / "nan"), "--threads", "1"]) == 2
     assert capsys.readouterr().err == "config error: environment.eps_avg must be finite, got nan\n"
     assert not (tmp_path / "nan").exists()
+    # two NaNs too; the config used to be made after the names were compared
+    assert main(["run", path, "--values", "nan,nan", "--out", str(tmp_path / "nan"), "--threads", "1"]) == 2
+    assert capsys.readouterr().err == "config error: environment.eps_avg must be finite, got nan\n"
+    assert not (tmp_path / "nan").exists()
+
+
+def test_run_refuses_a_synthetic_corpus_too_small_for_its_partition(tmp_path, capsys):
+    # unrefused, the per_agent=100 cell was written whole before the next value
+    # failed its partition with exit 4 and no manifest
+    cfg = preset("spam_logistic").replace(**{
+        "run.T": 20, "run.record_every": 10, "experiment.seeds": [1], "experiment.out": str(tmp_path / "out")})
+    rc = main(["run", write_cfg(tmp_path, cfg), "--axis", "environment.strategic.per_agent",
+               "--values", "100,100000", "--threads", "1"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "config error: need 2501150 rows (= 25 agents x 100000 + 1150 test), have 4601\n")
+    assert not (tmp_path / "out" / "spam_logistic").exists()
+
+
+def test_run_on_a_dataset_file_too_small_for_its_partition_exits_four(tmp_path, capsys):
+    # a file's rows are counted only when it loads, in the value's jobs
+    rows = np.random.default_rng(0).normal(size=(60, 3))
+    (tmp_path / "small.csv").write_text("".join(f"{a},{b},{c},{int(a > 0)}\n" for a, b, c in rows))
+    cfg = preset("spam_logistic").replace(**{
+        "environment.strategic.dataset": str(tmp_path / "small.csv"), "environment.strategic.synthetic": None,
+        "run.T": 20, "experiment.seeds": [1], "experiment.out": str(tmp_path / "out")})
+    assert main(["run", write_cfg(tmp_path, cfg), "--threads", "1"]) == 4
+    assert capsys.readouterr().err == "dataset error: need 4600 rows (= 25 agents x 138 + 1150 test), have 60\n"
+    assert not (tmp_path / "out" / "spam_logistic").exists()
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("case", ["missing_edge_file", "missing_dataset"])
 def test_run_refused_in_its_jobs_makes_no_directory(tmp_path, capsys, case, threads):
-    # both files are first read when a job builds its seeds
+    # the edge file is first read when a value's mixing is built, the dataset
+    # when a job builds its seeds
     if case == "missing_edge_file":
         path = tiny_gaussian_cfg(tmp_path, **{
             "topology.kind": "edge_list", "topology.edge_file": str(tmp_path / "missing.txt"),

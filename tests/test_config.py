@@ -337,3 +337,20 @@ def test_a_path_that_is_not_a_string_is_a_config_error(tmp_path, path, value):
     p.write_text(json.dumps(d))
     with pytest.raises(ConfigError, match=re.escape(f"{path} must be a string, got {json.dumps(value)}")):
         load_config(p)
+
+
+def test_synthetic_corpus_too_small_for_its_partition_is_refused():
+    # the preset needs 25 x 138 + 1150 = 4600 of its 4601 rows; a file's rows are counted when it loads
+    spam = preset("spam_logistic")
+    assert spam.replace(**{"environment.strategic.test_split": 1151}).environment.strategic.test_split == 1151
+    with pytest.raises(ConfigError, match=r"^need 4602 rows \(= 25 agents x 138 \+ 1152 test\), have 4601$"):
+        spam.replace(**{"environment.strategic.test_split": 1152})
+    with pytest.raises(ConfigError, match=r"^need 5150 rows \(= 25 agents x 160 \+ 1150 test\), have 4601$"):
+        spam.replace(**{"environment.strategic.per_agent": 160})
+    with pytest.raises(ConfigError, match=r"^need 4738 rows \(= 26 agents x 138 \+ 1150 test\), have 4601$"):
+        spam.replace(**{"environment.n": 26, "topology.n": 26})
+    # per_agent-style synthetic data draws each shard, and a dataset file is counted when it loads
+    preset("hetero_vs_homo", **{"environment.strategic.per_agent": 10_000})
+    spam.replace(**{"environment.strategic.dataset": "missing.csv", "environment.strategic.synthetic": None,
+                    "environment.strategic.per_agent": 10_000})
+

@@ -1,6 +1,5 @@
 import warnings
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +20,7 @@ from perfnet.environment import (
     make_engine_sampler,
     make_heterogeneous_suite,
 )
-from perfnet.topology import build_complete, build_ring, uniform_neighbor_weights
+from perfnet.topology import Mixing, build_complete, build_ring, uniform_neighbor_weights
 from reference import decoupled_risk_gradient, sample_batch, stepped
 
 
@@ -59,6 +58,27 @@ def test_gamma_arithmetic():
 def test_gamma_rejects_t_zero():
     with pytest.raises(ValueError):
         gamma(StepSchedule.constant(0.1), 0)
+
+
+@pytest.mark.parametrize("sched", [
+    StepSchedule.inverse_time(50.0, 10_000.0), StepSchedule.inverse_time(3.0, 7.0),
+    StepSchedule("inverse_time", a0=5, a1=100), StepSchedule.constant(0.01), StepSchedule.constant(2),
+], ids=["preset", "small_a1", "integer_a0_a1", "constant", "integer_constant"])
+def test_gamma_of_an_array_is_the_scalar_at_every_element(sched):
+    ts = np.arange(1, 200_001)
+    got = gamma(sched, ts)
+    assert got.dtype == np.float64 and got.shape == ts.shape
+    want = np.array([float(gamma(sched, t)) for t in ts.tolist()])
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("sched", [StepSchedule.constant(0.1), StepSchedule.inverse_time(1.0, 10.0)],
+                         ids=["constant", "inverse_time"])
+def test_gamma_of_an_array_refuses_a_step_below_one(sched):
+    for ts in (np.array([3, 0, 5]), np.array([-2]), np.arange(0, 4)):
+        with pytest.raises(ValueError, match="indexed from 1"):
+            gamma(sched, ts)
+    assert gamma(sched, np.array([], dtype=int)).shape == (0,)
 
 
 def test_schedule_validation():
@@ -166,11 +186,12 @@ def test_average_preservation_holds_on_large_decisions(monkeypatch):
 
 
 def test_average_check_catches_weights_that_are_not_column_stochastic(monkeypatch):
-    # agent 0 keeps its own decision: every row still sums to 1, column 0 does not
+    # agent 0 keeps its own decision: every row still sums to 1, column 0 does not;
+    # run reads only the one matrix, not the made-up gap
     weights = uniform_neighbor_weights(build_ring(4)).matrices[0].copy()
     weights[0] = [1.0, 0.0, 0.0, 0.0]
     env = gaussian_env(4, 0.9, spread=0.5, sigma2=50.0)
-    _, drifts = average_drifts(monkeypatch, env, SimpleNamespace(at=lambda t: weights),
+    _, drifts = average_drifts(monkeypatch, env, Mixing((weights,), 1, 0.5),
                                StepSchedule.constant(0.01), T=200, seed=11)
     assert drifts.max() > 1e6 * AVERAGE_TOL
 
@@ -510,6 +531,22 @@ def test_run_takes_one_dsgd_gd_step_per_iteration(monkeypatch, seeds):
         assert [t for t, _ in traj.records] == [*range(0, T, 10), T]
         for t, rows in traj.records[1:]:
             assert rows.tobytes() == outputs[t - 1][s].tobytes()
+
+
+@pytest.mark.parametrize("S, batch", [(1, 3), (3, 64)])
+def test_gaussian_sampler_draws_do_not_depend_on_the_chunk(S, batch):
+    # chunk 1 is unbuffered; 600 steps cross two refills of a 256-step chunk,
+    # and at 3 seeds of batch 64 run picks a chunk of 170
+    n, d, steps = 4, 2, 600
+    envs = [make_heterogeneous_suite(n, 0.5, 0.4, zbar=[1.0, -2.0], sigma2=s + 2.0) for s in range(S)]
+    chunks = {1, 256, max(1, min(engine._CHUNK, engine._CHUNK_DRAWS // (S * n * batch)))}
+    theta = np.zeros((S, n, d))
+    draws = {}
+    for chunk in chunks:
+        draw = make_engine_sampler(envs, batch, [agent_streams(seed, n) for seed in range(5, 5 + S)], chunk)
+        draws[chunk] = [draw(theta)[0].copy() for _ in range(steps)]
+    for chunk in chunks:
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(draws[chunk], draws[1]))
 
 
 def test_time_varying_mixing_converges():

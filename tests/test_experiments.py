@@ -162,9 +162,9 @@ def test_pooled_sweep_aggregates_each_value_inside_the_pool(tmp_path, monkeypatc
     children = []
     aggregate = experiments._aggregate_cell
 
-    def noting_aggregate(vcfg, env, cell, summaries):
+    def noting_aggregate(vcfg, env, mixing, cell, summaries):
         children.append(len(multiprocessing.active_children()))
-        return aggregate(vcfg, env, cell, summaries)
+        return aggregate(vcfg, env, mixing, cell, summaries)
 
     monkeypatch.setattr(experiments, "_aggregate_cell", noting_aggregate)
     run_experiment(tiny_gaussian(T=100, seeds=(3, 4)), axis="eps_avg", values=[0.5, 0.9],
@@ -259,6 +259,43 @@ def test_theory_report_applicable_instance():
     assert "curves" in report and len(report["curves"].t) == 3
     # preset schedule opens far above the admissible cap; flagged, not clamped
     assert report["schedule_within_cap"] is False
+
+
+def test_theory_report_takes_the_given_mixing(monkeypatch):
+    cfg = tiny_gaussian(eps=0.2)
+    mixing = build_mixing(cfg.topology)
+    built = theory_report(cfg, recorded_ts=[0, 10, 100])
+
+    def never(tc):
+        raise AssertionError("built the mixing it was given")
+
+    monkeypatch.setattr(experiments, "build_mixing", never)
+    given = theory_report(cfg, recorded_ts=[0, 10, 100], mixing=mixing)
+    assert given.pop("curves").gap_bound.tobytes() == built.pop("curves").gap_bound.tobytes()
+    assert given == built
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sweep_builds_one_mixing_per_value_for_its_jobs_and_report(tmp_path, monkeypatch, threads):
+    built, used = [], []
+    build, run = experiments.build_mixing, experiments.engine.run
+
+    def counting_build(tc):
+        built.append(build(tc))
+        return built[-1]
+
+    def noting_run(config, env, mixing, *args, **kwargs):
+        used.append(mixing)
+        return run(config, env, mixing, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "build_mixing", counting_build)
+    monkeypatch.setattr(experiments.engine, "run", noting_run)
+    cfg = tiny_gaussian(T=100, seeds=(3, 4))
+    run_experiment(cfg, axis="eps_avg", values=[0.5, 0.9], out=tmp_path, threads=threads)
+    # built here before the jobs start; a pool worker runs on an unpickled copy
+    assert len(built) == 2
+    if threads == 1:
+        assert [id(m) for m in used] == [id(built[0]), id(built[1])]
 
 
 def test_theory_report_inapplicable_beyond_condition():
@@ -483,9 +520,9 @@ def test_reference_environment_comes_from_the_job_that_ran_it(tmp_path, monkeypa
         calls.append(seed)
         return build(ec, seed)
 
-    def noting_aggregate(vcfg, env, cell, summaries):
+    def noting_aggregate(vcfg, env, mixing, cell, summaries):
         calls.append(cell.name.split("=")[1])
-        return aggregate(vcfg, env, cell, summaries)
+        return aggregate(vcfg, env, mixing, cell, summaries)
 
     monkeypatch.setattr(experiments, "build_environment", counting_build)
     monkeypatch.setattr(experiments, "_aggregate_cell", noting_aggregate)
@@ -499,9 +536,9 @@ def test_reference_environment_is_the_run_seeds_at_any_pool_size(tmp_path, monke
     seen = []
     aggregate = experiments._aggregate_cell
 
-    def noting_aggregate(vcfg, env, cell, summaries):
+    def noting_aggregate(vcfg, env, mixing, cell, summaries):
         seen.append((vcfg, env))
-        return aggregate(vcfg, env, cell, summaries)
+        return aggregate(vcfg, env, mixing, cell, summaries)
 
     monkeypatch.setattr(experiments, "_aggregate_cell", noting_aggregate)
     # seed 5 is the last of one batch at threads=1, and a batch alone at threads=2

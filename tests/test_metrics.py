@@ -574,3 +574,35 @@ def test_aggregate_bitwise_equal_to_nan_functions(tmp_path, seeds):
         write_csv(tmp_path / "got.csv", got)
         reference_aggregate_csv(tmp_path / "want.csv", want)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def lone_entry_runs(seeds):
+    """Runs where one column has a single iteration without NaN and another a single partly NaN one.
+
+    Alone in its column, each entry is one (runs, 1) call of the per-column
+    aggregation, while the stacked one takes it among the other columns' entries.
+    """
+    rng = np.random.default_rng(seeds)
+    runs = []
+    for s in range(seeds):
+        cols = {col: rng.normal(size=6) * 10.0 ** rng.integers(-3, 9, size=6) for col in CSV_COLUMNS[1:]}
+        cols["gap_sq"][:] = np.nan
+        cols["gap_sq"][0] = 1.0 / (s + 3)  # only t = 0 is a full iteration
+        cols["risk"][:] = np.nan
+        if s != 0:
+            cols["risk"][3] = 1.0 / (s + 2)  # one partly NaN iteration
+        runs.append({"t": np.arange(6) * 10.0, **cols})
+    return runs
+
+
+@pytest.mark.parametrize("seeds", [1, 2, 3, 8, 10, 12])
+def test_aggregate_equals_the_per_column_aggregation_bit_for_bit(seeds):
+    # partly NaN, all-NaN and unequal-length (divergent) runs, then lone entries
+    rng = np.random.default_rng(900 + seeds)
+    cases = [random_runs(rng, seeds) for _ in range(3)] + [lone_entry_runs(seeds)]
+    cases.append([{"t": np.zeros(1), **{c: np.full(1, 0.5 + s) for c in CSV_COLUMNS[1:]}} for s in range(seeds)])
+    for runs in cases:
+        got, want = aggregate_columns(runs), reference.aggregate_columns(runs)
+        assert list(got) == list(want)
+        for key, value in want.items():
+            assert got[key].dtype == value.dtype and got[key].tobytes() == value.tobytes(), key

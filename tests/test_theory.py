@@ -5,6 +5,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from perfnet import theory
 from perfnet.engine import StepSchedule, gamma
 from perfnet.environment import make_heterogeneous_suite
 from perfnet.metrics import rate_fit, write_csv
@@ -19,6 +20,7 @@ from perfnet.theory import (
     transient_threshold,
 )
 from perfnet.topology import build_ring, uniform_neighbor_weights
+import reference
 
 
 def reference_constants(mu, L, sigma, varsigma, rho, n, eps_avg, eps_max,
@@ -231,6 +233,23 @@ def test_curves_nonincreasing_under_admissible_constant_step():
     curves = bound_curves(tc, sched, range(1, 200, 10))
     assert np.all(np.diff(curves.gap_bound) <= 1e-15)
     assert np.all(np.diff(curves.consensus_bound) <= 1e-15)
+
+
+@pytest.mark.parametrize("sched", [StepSchedule.inverse_time(50.0, 10_000.0), StepSchedule.constant(1e-5)],
+                         ids=["inverse_time", "constant"])
+def test_curves_equal_the_step_by_step_products_bit_for_bit(sched):
+    # T = 2e5 spans many chunks of running products; t = 0, repeated and
+    # unsorted iterations and a chunk's first and last steps are all asked for
+    tc = compute_constants(**CANON)  # q0_sq > 0, so the (1 - rho/2)^t decay counts
+    chunk = theory._CURVE_CHUNK
+    ts = [0, 200_000, 5, 5, 1, chunk, chunk + 1, 2 * chunk, *range(0, 200_001, 200), 0, 200_000]
+    got, want = bound_curves(tc, sched, ts), reference.bound_curves(tc, sched, ts)
+    for name, value in asdict(want).items():
+        assert getattr(got, name).dtype == value.dtype
+        assert getattr(got, name).tobytes() == value.tobytes(), name
+    for ts in ([0], [1], [3, 0]):
+        got, want = bound_curves(tc, sched, ts), reference.bound_curves(tc, sched, ts)
+        assert all(getattr(got, k).tobytes() == v.tobytes() for k, v in asdict(want).items())
 
 
 def test_curves_csv_reads_back_as_floats(tmp_path):

@@ -1,3 +1,4 @@
+import pickle
 import time
 
 import numpy as np
@@ -251,6 +252,16 @@ def test_spectral_gap_ring25_circulant_formula():
 def test_spectral_gap_rejects_nonstochastic():
     with pytest.raises(TopologyError):
         spectral_gap(np.array([[0.5, 0.2], [0.2, 0.5]]))
+
+
+def test_mixing_stays_read_only_when_unpickled():
+    ring = build_ring(5)
+    for mixing in (uniform_neighbor_weights(ring), schedule_mixing(GraphSchedule(graphs=(ring, ring), window=1))):
+        copy = pickle.loads(pickle.dumps(mixing))
+        assert (copy.window, copy.rho) == (mixing.window, mixing.rho)
+        for w, w_copy in zip(mixing.matrices, copy.matrices, strict=True):
+            assert w_copy.tobytes() == w.tobytes()
+            assert not w.flags.writeable and not w_copy.flags.writeable
 
 
 @settings(max_examples=40, deadline=None)
