@@ -104,12 +104,17 @@ def _finite(value) -> bool:
         return False
 
 
-def _check_finite(section, *names) -> None:
-    """Refuse a NaN or infinite number in the named fields of ``section``; None is left to its own checks."""
+def _check(section, ok, must: str, *names) -> None:
+    """Refuse a value of the named fields of ``section`` that is not ``ok``; None is left to its own checks."""
     for name in names:
         value = getattr(section, name)
-        if value is not None and not _finite(value):
-            raise ConfigError(f"{_PREFIXES[type(section)]}{name} must be finite, got {value}")
+        if value is not None and not ok(value):
+            raise ConfigError(f"{_PREFIXES[type(section)]}{name} must be {must}, got {value}")
+
+
+def _size(value) -> bool:
+    """Whether a count is at least 1: a size, a row count or a dimension."""
+    return value >= 1
 
 
 def _from_dict(cls, data: dict, where: str):
@@ -155,6 +160,15 @@ class GaussianConfig:
     zbar: float | list[float] | list[list[float]] = 10.0
     sigma2: float = 50.0
 
+    def __post_init__(self):
+        zbar = self.zbar
+        if isinstance(zbar, numbers.Real):
+            return
+        # the list, and each row of a list of rows, must be nonempty
+        if not all([zbar, *(row for row in zbar if isinstance(row, (list, tuple)))]):
+            raise ConfigError(f"{_PREFIXES[GaussianConfig]}zbar must hold a number in each list, "
+                              f"got {json.dumps(zbar)}")
+
 
 @_typed
 class SyntheticConfig:
@@ -175,6 +189,7 @@ class SyntheticConfig:
     seed: int = 7
 
     def __post_init__(self):
+        _check(self, _size, "at least 1", "m", "per_agent", "dim")
         if self.style not in ("corpus", "per_agent"):
             raise ConfigError(f"synthetic.style {self.style!r} unknown")
 
@@ -191,6 +206,7 @@ class StrategicConfig:
     synthetic: SyntheticConfig | None = None
 
     def __post_init__(self):
+        _check(self, _size, "at least 1", "per_agent", "test_split", "dim")
         if self.data_mode not in ("heterogeneous", "homogeneous"):
             raise ConfigError(f"strategic.data_mode {self.data_mode!r} unknown")
         if self.dataset is None and self.synthetic is None:
@@ -242,7 +258,7 @@ class EnvironmentConfig:
             if not (_finite(self.eps_avg) and abs(mean - self.eps_avg) <= 1e-12 * abs(self.eps_avg)):
                 raise ConfigError(
                     f"environment.eps_list averages {mean}, not environment.eps_avg = {self.eps_avg}")
-        _check_finite(self, "eps_avg")
+        _check(self, _finite, "finite", "eps_avg")
         if self.kind == "gaussian_mean" and self.gaussian is None:
             object.__setattr__(self, "gaussian", GaussianConfig())
         if self.kind == "strategic_shift" and self.strategic is None:
@@ -270,7 +286,7 @@ class StepSchedule:
     a1: float | None = 10000.0
 
     def __post_init__(self):
-        _check_finite(self, "gamma", "a0", "a1")
+        _check(self, _finite, "finite", "gamma", "a0", "a1")
         if self.kind == "constant":
             if self.gamma is None or self.gamma <= 0:
                 raise ConfigError("step.kind=constant needs gamma > 0")
@@ -321,7 +337,7 @@ class ExperimentSection:
     theory_delta: float = 0.1
 
     def __post_init__(self):
-        _check_finite(self, "theory_delta")
+        _check(self, _finite, "finite", "theory_delta")
         negative = sorted(s for s in self.seeds if s < 0)
         if negative:
             raise ConfigError(f"experiment.seeds must be nonnegative, got {negative}")

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -46,13 +45,9 @@ class UnsupportedKindError(ValueError):
     """Operation requested for a population/loss kind that does not support it."""
 
 
-class _Rows(NamedTuple):
-    """Every strategic shard stacked row by row, with each row's agent data."""
-
-    features: np.ndarray  # (N, d), shards in agent order
-    labels: np.ndarray    # (N,)
-    eps: np.ndarray       # (N,), the row's agent sensitivity
-    weights: np.ndarray   # (N,), 1 / (n * m_i), so agent averages of shard means are one dot
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,39 +142,35 @@ class Environment:
             return 1.0
         return self.beta + float(np.max(np.sum(self.features**2, axis=1))) / 4.0
 
-    @cached_property
-    def zbar_mean(self) -> np.ndarray | None:
-        """Agent average of the base means; None for a strategic environment."""
-        if self.zbar_stack is None:
-            return None
-        arr = self.zbar_stack.mean(axis=0)
-        arr.setflags(write=False)
-        return arr
+    # derived arrays, read-only and built on first use; each is None for the other kind
 
     @cached_property
-    def rows(self) -> _Rows | None:
-        """Stacked shards with each row's ``eps`` and weight ``1 / (n m_i)``; None for gaussian."""
+    def zbar_mean(self) -> np.ndarray | None:
+        """Agent average of the gaussian base means (d,)."""
+        return None if self.zbar_stack is None else _read_only(self.zbar_stack.mean(axis=0))
+
+    @cached_property
+    def row_eps(self) -> np.ndarray | None:
+        """Each strategic row's agent sensitivity (N,)."""
+        return None if self.features is None else _read_only(np.repeat(self.eps, self.sizes))
+
+    @cached_property
+    def row_weights(self) -> np.ndarray | None:
+        """Each strategic row's weight ``1 / (n m_i)`` (N,): an agent average of shard means is one dot."""
         if self.features is None:
             return None
-        rows = _Rows(self.features, self.labels, np.repeat(self.eps, self.sizes),
-                     np.repeat(1.0 / (self.n * self.sizes), self.sizes))
-        for arr in rows[2:]:
-            arr.setflags(write=False)
-        return rows
+        return _read_only(np.repeat(1.0 / (self.n * self.sizes), self.sizes))
 
     @cached_property
     def rows32(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """``(rows.features, rows.eps)`` as read-only float32 copies; None for a gaussian environment.
+        """``(features, row_eps)`` as float32 copies.
 
         Only the frozen Newton–CG's Hessian-vector products read them, so a
         run that never solves a frozen problem never builds them.
         """
-        if self.rows is None:
+        if self.features is None:
             return None
-        pair = (self.rows.features.astype(np.float32), self.rows.eps.astype(np.float32))
-        for arr in pair:
-            arr.setflags(write=False)
-        return pair
+        return _read_only(self.features.astype(np.float32)), _read_only(self.row_eps.astype(np.float32))
 
 
 def _check_theta(env_or_loss, theta: np.ndarray) -> np.ndarray:
@@ -253,10 +244,14 @@ def deployed_gradients(env: Environment, thetas: np.ndarray, samples) -> np.ndar
     return grads
 
 
-def shifted_scores(env: Environment, theta, deployed) -> np.ndarray:
-    """Scores ``x @ theta`` of the strategic rows ``x = F + eps_row * deployed``, never formed."""
-    rows = env.rows
-    return rows.features @ theta + rows.eps * float(deployed @ theta)
+def shifted_scores(env: Environment, theta, deployed) -> np.ndarray | None:
+    """Scores ``x @ theta`` of the strategic rows ``x = F + eps_row * deployed``, never formed.
+
+    None for a gaussian environment, whose risk and gradient take no scores.
+    """
+    if env.kind == GAUSSIAN:
+        return None
+    return env.features @ theta + env.row_eps * float(deployed @ theta)
 
 
 def decoupled_full_gradient(env: Environment, theta, deployed, scores=None) -> np.ndarray:
@@ -275,11 +270,10 @@ def decoupled_full_gradient(env: Environment, theta, deployed, scores=None) -> n
     deployed = _check_theta(env, deployed)
     if env.kind == GAUSSIAN:
         return theta - env.zbar_mean - env.eps_avg * deployed
-    rows = env.rows
     if scores is None:
         scores = shifted_scores(env, theta, deployed)
-    resid = rows.weights * (expit(scores) - rows.labels)
-    return resid @ rows.features + float(resid @ rows.eps) * deployed + env.beta * theta
+    resid = env.row_weights * (expit(scores) - env.labels)
+    return resid @ env.features + float(resid @ env.row_eps) * deployed + env.beta * theta
 
 
 def exact_risk(env: Environment, theta, scores=None) -> float:
@@ -287,8 +281,8 @@ def exact_risk(env: Environment, theta, scores=None) -> float:
 
     Gaussian populations use the closed form (the residual term plus half the
     noise variance per dimension); strategic ones average the loss over the
-    full shifted empirical datasets in one pass over ``rows``. ``scores`` is
-    as in :func:`decoupled_full_gradient`, with ``deployed = theta``.
+    full shifted empirical datasets in one pass over the stacked rows.
+    ``scores`` is as in :func:`decoupled_full_gradient`, with ``deployed = theta``.
     """
     theta = _check_theta(env, theta)
     if env.kind == GAUSSIAN:
@@ -296,11 +290,10 @@ def exact_risk(env: Environment, theta, scores=None) -> float:
         terms = 0.5 * np.sum(resid**2, axis=1) + 0.5 * env.sigma2 * env.dim
         # left-to-right like a loop over agents; np.sum would add pairwise
         return float(np.cumsum(terms)[-1]) / env.n
-    rows = env.rows
     if scores is None:
         scores = shifted_scores(env, theta, theta)
-    core = _softplus_minus_yu(scores, rows.labels)
-    return float(rows.weights @ core) + 0.5 * env.beta * float(theta @ theta)
+    core = _softplus_minus_yu(scores, env.labels)
+    return float(env.row_weights @ core) + 0.5 * env.beta * float(theta @ theta)
 
 
 def assumption_constants(env: Environment, theta_ps) -> tuple[float, float]:

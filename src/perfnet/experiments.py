@@ -491,7 +491,6 @@ def theory_report(cfg: Config, recorded_ts=None, env: Environment | None = None,
         return {"applicable": False, "reason": str(exc)}
     cap = theory.step_size_cap(tc)
     ratio = theory.ratio_condition_check(cfg.step, tc, min(cfg.run.T, 10_000))
-    gamma1 = engine.gamma(cfg.step, 1)
     report = {
         "applicable": True,
         "constants": asdict(tc),
@@ -499,7 +498,7 @@ def theory_report(cfg: Config, recorded_ts=None, env: Environment | None = None,
         "binding_term": cap.binding,
         "cap_terms": cap.terms,
         "ratio_check": {"ok": ratio.ok, "first_violation": ratio.first_violation},
-        "schedule_within_cap": gamma1 <= cap.cap,
+        "schedule_within_cap": tc.gamma1 <= cap.cap,
         "transient_threshold": theory.transient_threshold(tc) if tc.sigma > 0 else None,
     }
     if recorded_ts is not None and len(recorded_ts):

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .environment import GAUSSIAN, Environment, decoupled_full_gradient, exact_risk, shifted_scores
+from .environment import Environment, decoupled_full_gradient, exact_risk, shifted_scores
 
 __all__ = [
     "MetricRecord",
@@ -209,7 +209,7 @@ def metric_recorder(
         bar = theta.mean(axis=-2)
         raw, norm = consensus_error(theta)
         # the risk and the gradient share one scoring of the strategic rows
-        scores = None if env.kind == GAUSSIAN else shifted_scores(env, bar, bar)
+        scores = shifted_scores(env, bar, bar)
         rec = MetricRecord(
             t=t,
             consensus_sq=raw,

@@ -165,18 +165,12 @@ def _frozen_hessian(env, scores, deployed):
     ``X^T u = u F + (u . eps_row) deployed``.
 
     Both passes over the rows run in float32, on ``env.rows32``, with ``c``
-    and ``deployed`` cast once per Newton step; ``v`` is cast per product, the
-    product comes back as float64 and ``beta v`` is added in float64. Its
-    relative error (under 1e-6 on both strategic presets) sits below the
-    smallest CG tolerance the forcing rule asks for, ``max(|g|, 0.5 _INNER_TOL
-    / |g|) >= sqrt(0.5 _INNER_TOL)``, and inexact Newton needs the step only
-    to that tolerance (Dembo, Eisenstat & Steihaug 1982). The gradient, the
-    line search and the stop test stay float64, so a solve still returns only
-    at ``|g| <= _INNER_TOL``.
+    and ``deployed`` cast once per Newton step and ``v`` once per product;
+    the module docstring gives why that precision is enough.
     """
     features, eps = env.rows32
     p = expit(scores)
-    c = (env.rows.weights * p * (1.0 - p)).astype(np.float32)
+    c = (env.row_weights * p * (1.0 - p)).astype(np.float32)
     deployed32 = deployed.astype(np.float32)
     beta = env.beta
 
@@ -214,27 +208,21 @@ def _solve_frozen(env, deployed, start, inner):
     Gaussian environments return the closed form and ignore ``start``.
     Strategic ones run damped Newton on the deployment-frozen ridge-logistic
     objective: each step solves ``H p = g`` by conjugate gradients (at most d
-    products, relative residual ``min(0.5, max(|g|, 0.5 _INNER_TOL / |g|))``),
-    then backtracks with Armijo on the frozen objective. The ``|g|`` term is
-    a forcing term ``O(|g|)``, which keeps the quadratic local rate of exact
-    Newton. A full step leaves a gradient of about the CG residual, so the
-    safeguard ``0.5 _INNER_TOL / |g|`` asks the last step for no more than
-    the stop ``|g| <= _INNER_TOL`` needs (Kelley 1995, section 6.3; Eisenstat
-    & Walker 1996); the stop itself is unchanged. The Hessian weights and
-    the gradient, in each step and in the check after the last, reuse the
-    scores ``X theta`` of the accepted line-search point. If ``inner``
-    steps end before that stop, a warning flags the partial result at the
-    caller of :func:`apply_M`.
+    products, to the relative residual of the module docstring's forcing
+    rule), then backtracks with Armijo on the frozen objective. The Hessian
+    weights and the gradient, in each step and in the check after the last,
+    reuse the scores ``X theta`` of the accepted line-search point. If
+    ``inner`` steps end before the stop ``|g| <= _INNER_TOL``, a warning
+    flags the partial result at the caller of :func:`apply_M`.
     """
     if env.kind == GAUSSIAN:
         return env.zbar_mean + env.eps_avg * deployed
-    rows = env.rows
     beta = env.beta
 
     def objective(t):
         """The frozen objective at ``t``, and the scores ``X t`` it was computed from."""
         scores = shifted_scores(env, t, deployed)
-        value = float(rows.weights @ _softplus_minus_yu(scores, rows.labels)) + 0.5 * beta * float(t @ t)
+        value = float(env.row_weights @ _softplus_minus_yu(scores, env.labels)) + 0.5 * beta * float(t @ t)
         return value, scores
 
     theta = np.array(start, dtype=float)
@@ -314,12 +302,12 @@ def _stable_jacobian(env, theta):
     weights ``w``: ``J = X^T diag(w p (1 - p)) (X + eps theta^T)
     + (sum_r w_r (p_r - y_r) eps_r + beta) I``. Built densely (d x d).
     """
-    rows = env.rows
-    x = rows.features + np.outer(rows.eps, theta)
+    w, eps = env.row_weights, env.row_eps
+    x = env.features + np.outer(eps, theta)
     p = expit(x @ theta)
-    cx = x.T * (rows.weights * p * (1.0 - p))
-    jac = cx @ x + np.outer(cx @ rows.eps, theta)
-    jac[np.diag_indices_from(jac)] += float(rows.weights * (p - rows.labels) @ rows.eps) + env.beta
+    cx = x.T * (w * p * (1.0 - p))
+    jac = cx @ x + np.outer(cx @ eps, theta)
+    jac[np.diag_indices_from(jac)] += float(w * (p - env.labels) @ eps) + env.beta
     return jac
 
 

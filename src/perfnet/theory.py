@@ -18,7 +18,6 @@ import numpy as np
 
 from .engine import StepSchedule, gamma
 from .environment import Environment, assumption_constants
-from .oracle import closed_form_multi_ps
 
 # bound_curves takes its running products over at most this many steps at a time
 _CURVE_CHUNK = 1 << 14
@@ -123,17 +122,18 @@ def instance_constants(
     rho: float,
     schedule: StepSchedule,
     theta0=0.0,
-    theta_ps=None,
+    *,
+    theta_ps,
     delta: float = 0.1,
 ) -> TheoryConstants:
     """Constants for a concrete environment with a shared initial decision.
 
+    ``theta_ps`` is the instance's stable point, such as
+    :func:`~perfnet.oracle.closed_form_multi_ps` gives a gaussian one.
     Gaussian environments use exact sigma and varsigma; for others the
     at-stable-point empirical values are used. The shared initial point
     makes the initial consensus error exactly zero.
     """
-    if theta_ps is None:
-        theta_ps = closed_form_multi_ps(env)
     theta_ps = np.atleast_1d(np.asarray(theta_ps, dtype=float))
     theta0 = np.broadcast_to(np.atleast_1d(np.asarray(theta0, dtype=float)), theta_ps.shape)
     sigma, varsigma = assumption_constants(env, theta_ps)
@@ -242,6 +242,7 @@ def bound_curves(tc: TheoryConstants, schedule: StepSchedule, ts) -> BoundCurves
     the cost is linear in ``max(ts)`` and the memory bounded, and each value
     has the bits of a product taken one step at a time. ``gamma_t ** 2`` is
     Python's, the C library's ``pow``, at the requested iterations only.
+    At t = 0 no step is taken: both products are 1 and the step size is 0.
     """
     ts = np.asarray(sorted(set(int(t) for t in ts)), dtype=int)
     if ts.size == 0 or ts[0] < 0:
@@ -252,13 +253,10 @@ def bound_curves(tc: TheoryConstants, schedule: StepSchedule, ts) -> BoundCurves
     cons_coef = 2.0 * (9.0 + 12.0 * tc.delta_bar) * noise_sq / tc.rho**2
     cons0 = tc.q0_sq / tc.n
 
-    # ts is sorted and unique, so only its first entry can be t = 0
-    zero = ts[0] == 0
-    steps = ts[1:] if zero else ts
-    product, decay = np.empty(steps.size), np.empty(steps.size)
+    product, decay = np.empty(ts.size), np.empty(ts.size)
     shrink = 1.0 - tc.rho / 2.0
-    running = np.ones(2)  # both products through the previous chunk's last step
-    last = int(steps[-1]) if steps.size else 0
+    running = np.ones(2)  # both products through step first - 1
+    last = max(int(ts[-1]), 1)
     for first in range(1, last + 1, _CURVE_CHUNK):
         span = np.arange(first, min(first + _CURVE_CHUNK, last + 1))
         factors = np.empty((2, span.size + 1))
@@ -266,18 +264,16 @@ def bound_curves(tc: TheoryConstants, schedule: StepSchedule, ts) -> BoundCurves
         factors[0, 1:] = 1.0 - tc.mu_tilde * gamma(schedule, span) / 2.0
         factors[1, 1:] = shrink
         np.multiply.accumulate(factors, axis=1, out=factors)
-        here = (steps >= first) & (steps <= span[-1])
-        product[here], decay[here] = factors[:, steps[here] - first + 1]
+        # column k holds the products through step first - 1 + k
+        here = (ts >= first - 1) & (ts <= span[-1])
+        product[here], decay[here] = factors[:, ts[here] - first + 1]
         running = factors[:, -1]
-    g = gamma(schedule, steps)
+    g = np.where(ts > 0, gamma(schedule, np.maximum(ts, 1)), 0.0)
     g_sq = np.array([x**2 for x in g.tolist()], dtype=float)
     transient = product * tc.D
     network = net_coef * g_sq
     fluct = fluct_coef * g
     cons = decay * cons0 + cons_coef * g_sq
-    if zero:  # no step taken yet: both products are 1 and no step-size term counts
-        transient, network, fluct, cons = (np.insert(arr, 0, at_zero) for arr, at_zero in
-                                           ((transient, tc.D), (network, 0.0), (fluct, 0.0), (cons, cons0)))
     return BoundCurves(
         t=ts, gap_bound=transient + network + fluct, consensus_bound=cons,
         term_transient=transient, term_network=network, term_fluctuation=fluct,

@@ -113,13 +113,12 @@ def frozen_hessian(env: Environment, scores, deployed):
     sigmoid(scores)`` and the shifted design ``X = F + eps_row deployed^T``,
     as ``oracle._frozen_hessian`` computes it in float32.
     """
-    rows = env.rows
     p = expit(scores)
-    c = rows.weights * p * (1.0 - p)
+    c = env.row_weights * p * (1.0 - p)
 
     def hv(v):
-        u = c * (rows.features @ v + rows.eps * float(deployed @ v))
-        return u @ rows.features + float(u @ rows.eps) * deployed + env.beta * v
+        u = c * (env.features @ v + env.row_eps * float(deployed @ v))
+        return u @ env.features + float(u @ env.row_eps) * deployed + env.beta * v
 
     return hv
 

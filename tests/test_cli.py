@@ -372,6 +372,15 @@ FIELD_ERRORS = {
     # json reads an integer of any size; math.isfinite raises on one too large for a float
     "step_a0_too_large_for_a_float": {"step.a0": 10**400},
     "edge_file_a_number": {"topology.edge_file": 5},
+    # a size below 1 is refused as its section loads, whatever the kind
+    "strategic_per_agent_zero": {"environment.strategic.per_agent": 0, "environment.strategic.synthetic": {}},
+    "strategic_test_split_zero": {"environment.strategic.test_split": 0, "environment.strategic.synthetic": {}},
+    "strategic_dim_zero": {"environment.strategic.dim": 0, "environment.strategic.dataset": "corpus.csv"},
+    "synthetic_m_zero": {"environment.strategic.synthetic.m": 0},
+    "synthetic_per_agent_zero": {"environment.strategic.synthetic.per_agent": 0},
+    "synthetic_dim_negative": {"environment.strategic.synthetic.dim": -3},
+    "zbar_empty": {"environment.gaussian.zbar": []},
+    "zbar_with_an_empty_row": {"environment.gaussian.zbar": [[10.0]] * 24 + [[]]},
 }
 
 # configs that parse but fail when loaded or built; the step a0 case cannot be
@@ -461,6 +470,8 @@ def test_theory_on_unbuildable_config_exits_two(tmp_path, capsys, case):
         *sections, leaf = key.split(".")
         node = d
         for section in sections:
+            if node.get(section) is None:  # a section the preset leaves unset
+                node[section] = {}
             node = node[section]
         node[leaf] = val
     p = tmp_path / "cfg.json"

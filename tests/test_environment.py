@@ -304,27 +304,30 @@ def test_decoupled_full_gradient_strategic_unequal_shards():
 
 def test_strategic_rows_are_stacked_read_only():
     env = unequal_shard_env()
-    rows = env.rows
-    assert rows.features.shape == (30, 3)
-    assert np.array_equal(rows.eps, np.repeat(env.eps, [7, 10, 13]))
-    assert rows.weights.sum() == pytest.approx(1.0, abs=1e-15)
-    assert env.rows is rows
+    row_eps, row_weights = env.row_eps, env.row_weights
+    assert env.features.shape == (30, 3)
+    assert np.array_equal(row_eps, np.repeat(env.eps, [7, 10, 13]))
+    assert np.array_equal(row_weights, np.repeat(1.0 / (3 * env.sizes), env.sizes))
+    assert row_weights.sum() == pytest.approx(1.0, abs=1e-15)
+    assert env.row_eps is row_eps and env.row_weights is row_weights
     assert np.array_equal(env.sizes, [7, 10, 13])
-    with pytest.raises(ValueError):
-        rows.features[0, 0] = 1.0
+    for arr in (env.features, env.labels, row_eps, row_weights):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
     with pytest.raises(ValueError):
         env.sizes[0] = 1
 
 
 def test_new_sensitivities_give_new_rows():
     # the per-row sensitivities are derived from eps, so a copy with new eps
-    # cannot keep the old ones, even after the original's rows were built
+    # cannot keep the old ones, even after the original's were built
     env = unequal_shard_env()
-    old_rows = env.rows
+    old_weights = env.row_weights
+    assert np.array_equal(env.row_eps, np.repeat(env.eps, env.sizes))
     new = np.array([0.1, 0.7, 1.3])
     moved = dataclasses.replace(env, eps=new)
-    assert np.array_equal(moved.rows.eps, np.repeat(new, env.sizes))
-    assert np.array_equal(moved.rows.weights, old_rows.weights)
+    assert np.array_equal(moved.row_eps, np.repeat(new, env.sizes))
+    assert np.array_equal(moved.row_weights, old_weights)
     fresh = make_heterogeneous_suite(3, float(new.mean()), eps=new, beta=env.beta,
                                      shards=[shard(env, i) for i in range(env.n)])
     theta = np.array([0.2, -0.1, 0.4])
@@ -333,7 +336,7 @@ def test_new_sensitivities_give_new_rows():
                           decoupled_full_gradient(fresh, theta, deployed))
     assert not np.array_equal(decoupled_full_gradient(env, theta, deployed),
                               decoupled_full_gradient(fresh, theta, deployed))
-    assert gaussian_env().rows is None
+    assert gaussian_env().row_eps is None and gaussian_env().row_weights is None
 
 
 def test_gaussian_zbar_mean_and_eps_avg_are_cached():
@@ -360,8 +363,8 @@ def test_float32_rows_are_read_only_built_once_and_only_for_a_frozen_solve():
     built = vars(env)["rows32"]
     features, eps = built
     assert features.dtype == eps.dtype == np.float32
-    assert np.array_equal(features, env.rows.features.astype(np.float32))
-    assert np.array_equal(eps, env.rows.eps.astype(np.float32))
+    assert np.array_equal(features, env.features.astype(np.float32))
+    assert np.array_equal(eps, env.row_eps.astype(np.float32))
     for arr in built:
         with pytest.raises(ValueError):
             arr[0] = 1.0

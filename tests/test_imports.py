@@ -6,6 +6,7 @@ checks run in their own subprocess, because this test process has long since
 imported everything the other tests needed.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -73,3 +74,12 @@ save_config(cfg, "strategic.json")
 main(["fixed-point", "strategic.json"])
 """, tmp_path)
     assert not loaded["scipy"]
+
+
+def test_theory_imports_nothing_from_the_oracle():
+    # the theory layer takes the stable point from its caller
+    tree = ast.parse(Path(perfnet.__file__).with_name("theory.py").read_text())
+    imported = [f"{node.module or ''}.{alias.name}" if isinstance(node, ast.ImportFrom) else alias.name
+                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names]
+    assert imported and [name for name in imported if "oracle" in name.split(".")] == []

@@ -316,6 +316,20 @@ def test_record_scores_the_rows_once_with_the_bits_of_two_passes(monkeypatch):
     assert len(calls) == len(thetas)
 
 
+def test_a_gaussian_environment_has_no_scores_and_its_record_takes_none():
+    # the recorder asks every kind for scores; a gaussian risk and gradient use none
+    rng = np.random.default_rng(6)
+    env = make_heterogeneous_suite(4, 0.7, 0.4, zbar=rng.standard_normal((4, 2)), sigma2=3.0)
+    theta_ps, theta = closed_form_multi_ps(env), rng.standard_normal((4, 2))
+    bar = theta.mean(axis=0)
+    assert environment.shifted_scores(env, bar, bar) is None
+    raw, norm = consensus_error(theta)
+    want = MetricRecord(t=7, gap_sq=float(np.sum((bar - theta_ps) ** 2)), consensus_sq_norm=norm,
+                        consensus_sq=raw, risk=exact_risk(env, bar), risk_se=0.0,
+                        grad_norm_sq=decoupled_grad_norm(env, bar))
+    assert metric_recorder(env, theta_ps)(7, theta) == want
+
+
 # ---------------------------------------------------------------- rate fit
 
 def test_rate_fit_exact_inverse_law():

@@ -72,7 +72,7 @@ def plain_forcing_rule(monkeypatch):
 
 def frozen_scores(env, theta, deployed):
     """A fresh scoring ``F theta + eps_row (deployed . theta)`` of the shifted rows."""
-    return env.rows.features @ theta + env.rows.eps * float(deployed @ theta)
+    return env.features @ theta + env.row_eps * float(deployed @ theta)
 
 
 def counting_hessians(monkeypatch, counts):

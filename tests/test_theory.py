@@ -9,6 +9,7 @@ from perfnet import theory
 from perfnet.engine import StepSchedule, gamma
 from perfnet.environment import make_heterogeneous_suite
 from perfnet.metrics import rate_fit, write_csv
+from perfnet.oracle import closed_form_multi_ps
 from perfnet.theory import (
     ConstantsInapplicableError,
     StabilityViolatedError,
@@ -102,11 +103,14 @@ def test_instance_constants_exact_gaussian():
     env = make_heterogeneous_suite(25, 0.9, 0.6, zbar=10.0, sigma2=50.0)
     mix = uniform_neighbor_weights(build_ring(25))
     sched = StepSchedule.inverse_time(50.0, 1e4)
-    tc = instance_constants(env, mix.rho, sched, theta0=0.0, delta=0.1)
+    tc = instance_constants(env, mix.rho, sched, theta0=0.0, theta_ps=closed_form_multi_ps(env), delta=0.1)
     assert tc.sigma == pytest.approx(math.sqrt(50.0))
     assert tc.eps_max == pytest.approx(1.44)
     assert tc.gap0_sq == pytest.approx(1e4)
     assert tc.q0_sq == 0.0 and tc.D == pytest.approx(1e4)
+    # the caller names the stable point; the theory layer computes none
+    with pytest.raises(TypeError, match="theta_ps"):
+        instance_constants(env, mix.rho, sched, theta0=0.0, delta=0.1)
 
 
 # ---------------------------------------------------------------- step cap
@@ -247,7 +251,8 @@ def test_curves_equal_the_step_by_step_products_bit_for_bit(sched):
     for name, value in asdict(want).items():
         assert getattr(got, name).dtype == value.dtype
         assert getattr(got, name).tobytes() == value.tobytes(), name
-    for ts in ([0], [1], [3, 0]):
+    # t = 0 alone, and grids ending on a chunk's last step or on the next chunk's first
+    for ts in ([0], [1], [3, 0], [0, chunk], range(0, 2 * chunk + 1, 512), [chunk + 1]):
         got, want = bound_curves(tc, sched, ts), reference.bound_curves(tc, sched, ts)
         assert all(getattr(got, k).tobytes() == v.tobytes() for k, v in asdict(want).items())
 
