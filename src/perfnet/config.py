@@ -22,6 +22,9 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from types import NoneType, UnionType
+from typing import Literal
+
+from .environment import eps_multipliers
 
 __all__ = [
     "CONFIG_VERSION",
@@ -63,8 +66,17 @@ def _options(tp) -> tuple:
     return typing.get_args(tp) if isinstance(tp, UnionType) else (tp,)
 
 
+def _noun(tp) -> str:
+    """What an error message calls a value of ``tp``; a ``Literal``'s words are listed."""
+    if typing.get_origin(tp) is Literal:
+        return "one of " + ", ".join(json.dumps(word) for word in typing.get_args(tp))
+    return _NOUNS.get(tp, "an object")
+
+
 def _fits(value, tp) -> bool:
     """Whether ``value`` has type ``tp``: a bool is not a number, an int is a float, a list's items count."""
+    if typing.get_origin(tp) is Literal:
+        return value in typing.get_args(tp)
     if typing.get_origin(tp) is list:
         return isinstance(value, (list, tuple)) and all(_fits(v, typing.get_args(tp)[0]) for v in value)
     if tp in (int, float):
@@ -87,7 +99,7 @@ def _typed(cls):
                 value = _from_dict(nested, value, f"config.{path}")
                 object.__setattr__(self, f.name, value)
             if not any(_fits(value, tp) for tp in options):
-                nouns = " or ".join(_NOUNS.get(tp, "an object") for tp in options if tp is not NoneType)
+                nouns = " or ".join(_noun(tp) for tp in options if tp is not NoneType)
                 raise ConfigError(f"{path} must be {nouns}, got {json.dumps(value, default=repr)}")
         if own_checks is not None:
             own_checks(self)
@@ -138,17 +150,13 @@ class TopologyConfig:
     need not be regular.
     """
 
-    kind: str = "ring"
+    kind: Literal["ring", "complete", "star", "edge_list", "schedule"] = "ring"
     n: int = 25
-    weights: str = "uniform"
+    weights: Literal["uniform", "metropolis"] = "uniform"
     edge_file: str | None = None
     schedule_file: str | None = None
 
     def __post_init__(self):
-        if self.kind not in ("ring", "complete", "star", "edge_list", "schedule"):
-            raise ConfigError(f"topology.kind {self.kind!r} unknown")
-        if self.weights not in ("uniform", "metropolis"):
-            raise ConfigError(f"topology.weights {self.weights!r} unknown")
         if self.kind == "edge_list" and not self.edge_file:
             raise ConfigError("topology.kind=edge_list needs edge_file")
         if self.kind == "schedule" and not self.schedule_file:
@@ -161,13 +169,20 @@ class GaussianConfig:
     sigma2: float = 50.0
 
     def __post_init__(self):
+        _check(self, _finite, "finite", "sigma2")
+        _check(self, lambda v: v >= 0, "nonnegative", "sigma2")
         zbar = self.zbar
         if isinstance(zbar, numbers.Real):
             return
         # the list, and each row of a list of rows, must be nonempty
-        if not all([zbar, *(row for row in zbar if isinstance(row, (list, tuple)))]):
+        rows = [row for row in zbar if isinstance(row, (list, tuple))]
+        if not all([zbar, *rows]):
             raise ConfigError(f"{_PREFIXES[GaussianConfig]}zbar must hold a number in each list, "
                               f"got {json.dumps(zbar)}")
+        lengths = sorted({len(row) for row in rows})
+        if len(lengths) > 1:
+            raise ConfigError(f"{_PREFIXES[GaussianConfig]}zbar must have rows of one length, "
+                              f"got lengths {lengths}")
 
 
 @_typed
@@ -180,7 +195,7 @@ class SyntheticConfig:
     direction deviate by ``heterogeneity``.
     """
 
-    style: str = "corpus"
+    style: Literal["corpus", "per_agent"] = "corpus"
     m: int = 4601
     per_agent: int = 100
     dim: int = 100
@@ -190,8 +205,6 @@ class SyntheticConfig:
 
     def __post_init__(self):
         _check(self, _size, "at least 1", "m", "per_agent", "dim")
-        if self.style not in ("corpus", "per_agent"):
-            raise ConfigError(f"synthetic.style {self.style!r} unknown")
 
 
 @_typed
@@ -202,13 +215,11 @@ class StrategicConfig:
     test_split: int = 1150
     standardize: bool = True
     dim: int | None = None
-    data_mode: str = "heterogeneous"
+    data_mode: Literal["heterogeneous", "homogeneous"] = "heterogeneous"
     synthetic: SyntheticConfig | None = None
 
     def __post_init__(self):
         _check(self, _size, "at least 1", "per_agent", "test_split", "dim")
-        if self.data_mode not in ("heterogeneous", "homogeneous"):
-            raise ConfigError(f"strategic.data_mode {self.data_mode!r} unknown")
         if self.dataset is None and self.synthetic is None:
             raise ConfigError("strategic environment needs a dataset path or a synthetic block")
         if self.dataset is not None and self.synthetic is not None:
@@ -226,10 +237,13 @@ class EpsGrid:
 
     spread: float
 
+    def __post_init__(self):
+        _check(self, _finite, "finite", "spread")
+
 
 @_typed
 class EnvironmentConfig:
-    kind: str = "gaussian_mean"
+    kind: Literal["gaussian_mean", "strategic_shift"] = "gaussian_mean"
     n: int = 25
     eps_avg: float = 0.9
     eps_grid: EpsGrid | None = None
@@ -238,8 +252,7 @@ class EnvironmentConfig:
     strategic: StrategicConfig | None = None
 
     def __post_init__(self):
-        if self.kind not in ("gaussian_mean", "strategic_shift"):
-            raise ConfigError(f"environment.kind {self.kind!r} unknown")
+        _check(self, _size, "at least 1", "n")
         if self.eps_grid is not None and self.eps_list is not None:
             raise ConfigError("give eps_grid or eps_list, not both")
         eps = self.eps_list
@@ -258,9 +271,21 @@ class EnvironmentConfig:
             if not (_finite(self.eps_avg) and abs(mean - self.eps_avg) <= 1e-12 * abs(self.eps_avg)):
                 raise ConfigError(
                     f"environment.eps_list averages {mean}, not environment.eps_avg = {self.eps_avg}")
+            negative = sorted(v for v in eps if v < 0)
+            if negative:
+                raise ConfigError(f"environment.eps_list has negative entries {negative}")
         _check(self, _finite, "finite", "eps_avg")
+        _check(self, lambda v: v >= 0, "nonnegative", "eps_avg")
+        # the grid's sensitivities, computed as the suite computes them
+        low = (eps_multipliers(self.n, self.spread) * self.eps_avg).min()
+        if low < 0:
+            raise ConfigError(f"environment.eps_grid.spread = {self.spread} gives the negative sensitivity "
+                              f"{low} at environment.eps_avg = {self.eps_avg}")
         if self.kind == "gaussian_mean" and self.gaussian is None:
             object.__setattr__(self, "gaussian", GaussianConfig())
+        zbar = self.gaussian.zbar if self.kind == "gaussian_mean" else None
+        if isinstance(zbar, (list, tuple)) and isinstance(zbar[0], (list, tuple)) and len(zbar) != self.n:
+            raise ConfigError(f"environment.gaussian.zbar has {len(zbar)} rows for n={self.n}")
         if self.kind == "strategic_shift" and self.strategic is None:
             raise ConfigError("strategic_shift environment needs a strategic block")
         # a synthetic corpus's size is known here; a dataset file's only once it loads
@@ -280,7 +305,7 @@ class EnvironmentConfig:
 class StepSchedule:
     """Constant or inverse-time step sizes: gamma_t = gamma or a0 / (a1 + t)."""
 
-    kind: str = "inverse_time"
+    kind: Literal["constant", "inverse_time"] = "inverse_time"
     gamma: float | None = None
     a0: float | None = 50.0
     a1: float | None = 10000.0
@@ -293,8 +318,6 @@ class StepSchedule:
         elif self.kind == "inverse_time":
             if self.a0 is None or self.a1 is None or self.a0 <= 0 or self.a1 < 0:
                 raise ConfigError("step.kind=inverse_time needs a0 > 0 and a1 >= 0")
-        else:
-            raise ConfigError(f"step.kind {self.kind!r} unknown")
 
     @classmethod
     def constant(cls, g: float) -> "StepSchedule":
@@ -317,16 +340,10 @@ class RunConfig:
     divergence_threshold: float = DIVERGENCE_THRESHOLD
 
     def __post_init__(self):
-        if self.T < 0:
-            raise ConfigError(f"run.T must be nonnegative, got {self.T}")
-        if self.batch < 1 or self.record_every < 1:
-            raise ConfigError("run.batch and run.record_every must be >= 1")
-        if self.seed < 0:
-            raise ConfigError(f"run.seed must be nonnegative, got {self.seed}")
+        _check(self, lambda v: v >= 0, "nonnegative", "T", "seed")
+        _check(self, _size, "at least 1", "batch", "record_every")
         # NaN fails the comparison too; +inf is allowed, and then only non-finite decisions stop a run
-        if not self.divergence_threshold > 0:
-            raise ConfigError(
-                f"run.divergence_threshold must be positive, got {self.divergence_threshold}")
+        _check(self, lambda v: v > 0, "positive", "divergence_threshold")
 
 
 @_typed

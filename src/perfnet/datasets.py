@@ -139,14 +139,16 @@ def synthetic_agent_shards(
     heterogeneity: float = 1.0,
     seed: int = 7,
     test_per_agent: int = 0,
+    signal: float = 2.0,
 ) -> tuple[list, tuple[np.ndarray, np.ndarray]]:
     """Per-agent logistic data with agent-specific mean shifts and decision rules.
 
     ``heterogeneity`` scales both the offset of each agent's feature cloud
     and the deviation of its labeling direction from the shared one; zero
-    makes all shards draws from one common distribution. Returns the n
-    training shards plus a pooled test set of ``n * test_per_agent`` rows
-    drawn from the same per-agent mixture.
+    makes all shards draws from one common distribution. Labels are
+    Bernoulli with logits ``signal * <x, w_i>``. Returns the n training
+    shards plus a pooled test set of ``n * test_per_agent`` rows drawn from
+    the same per-agent mixture.
     """
     rng = stream(seed, DATA_STREAM, 2)
     w_shared = rng.standard_normal(d)
@@ -156,7 +158,7 @@ def synthetic_agent_shards(
         offset = heterogeneity * rng.standard_normal(d) / np.sqrt(d)
         w_i = w_shared + heterogeneity * rng.standard_normal(d) / np.sqrt(d)
         x = offset + rng.standard_normal((per_agent + test_per_agent, d))
-        y = (rng.uniform(size=len(x)) < expit(2.0 * (x @ w_i))).astype(float)
+        y = (rng.uniform(size=len(x)) < expit(signal * (x @ w_i))).astype(float)
         shards.append((x[:per_agent], y[:per_agent]))
         test_x.append(x[per_agent:])
         test_y.append(y[per_agent:])

@@ -80,20 +80,17 @@ def agent_streams(seed: int, n: int) -> list:
 def gamma(schedule: StepSchedule, t):
     """Step size gamma_t; step indices start at 1.
 
-    ``t`` may be an integer array; the result is then a float64 array whose
-    elements have the bits of the scalar formula at each element.
+    ``t`` may be an integer array; the result is then a float64 array, and
+    for one step a float, with the bits of that step's element.
     """
-    if isinstance(t, np.ndarray):
-        if t.size and t.min() < 1:
-            raise ValueError(f"step sizes are indexed from 1, got t={t.min()}")
-        if schedule.kind == "constant":
-            return np.full(t.shape, float(schedule.gamma))
-        return schedule.a0 / np.add(schedule.a1, t, dtype=float)
-    if t < 1:
-        raise ValueError(f"step sizes are indexed from 1, got t={t}")
+    steps = np.asarray(t)
+    if steps.size and steps.min() < 1:
+        raise ValueError(f"step sizes are indexed from 1, got t={steps.min()}")
     if schedule.kind == "constant":
-        return schedule.gamma
-    return schedule.a0 / (schedule.a1 + t)
+        sizes = np.full(steps.shape, float(schedule.gamma))
+    else:
+        sizes = schedule.a0 / np.add(schedule.a1, steps, dtype=float)
+    return sizes if isinstance(t, np.ndarray) else float(sizes)
 
 
 @dataclass

@@ -282,7 +282,10 @@ def exact_risk(env: Environment, theta, scores=None) -> float:
     Gaussian populations use the closed form (the residual term plus half the
     noise variance per dimension); strategic ones average the loss over the
     full shifted empirical datasets in one pass over the stacked rows.
-    ``scores`` is as in :func:`decoupled_full_gradient`, with ``deployed = theta``.
+    ``scores`` is as in :func:`decoupled_full_gradient`, and given scores fix
+    the deployment: with ``shifted_scores(env, theta, deployed)`` this is the
+    risk at ``theta`` under the distributions frozen at ``deployed``, the
+    oracle's frozen objective. Without them ``deployed = theta``.
     """
     theta = _check_theta(env, theta)
     if env.kind == GAUSSIAN:

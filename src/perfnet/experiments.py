@@ -192,7 +192,7 @@ def _strategic_shards(ec, seed: int) -> tuple[list, tuple]:
         shards, test = synthetic_agent_shards(
             n=ec.n, per_agent=sc.synthetic.per_agent, d=sc.synthetic.dim,
             heterogeneity=sc.synthetic.heterogeneity, seed=sc.synthetic.seed,
-            test_per_agent=max(1, sc.test_split // ec.n),
+            test_per_agent=max(1, sc.test_split // ec.n), signal=sc.synthetic.signal,
         )
     else:
         x, y = _corpus(sc)

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .environment import Environment, decoupled_full_gradient, exact_risk, shifted_scores
+from .environment import Environment, _check_theta, decoupled_full_gradient, exact_risk, shifted_scores
 
 __all__ = [
     "MetricRecord",
@@ -199,10 +199,11 @@ def metric_recorder(
     batch), and ``accuracy`` (with ``test_data``) scores each agent's own
     decision by :func:`shifted_test_accuracy`. ``accuracy_env`` lets accuracy
     be scored under different sensitivities than the training environment
-    (used by the zero-shift baseline protocol).
+    (used by the zero-shift baseline protocol). A ``theta_ps`` of a shape
+    other than ``(dim,)`` raises ``ValueError``.
     """
     if theta_ps is not None:
-        theta_ps = np.atleast_1d(np.asarray(theta_ps, dtype=float))
+        theta_ps = _check_theta(env, theta_ps)
     acc_env = accuracy_env if accuracy_env is not None else env
 
     def record(t: int, theta: np.ndarray) -> MetricRecord:

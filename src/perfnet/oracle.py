@@ -49,8 +49,9 @@ from .environment import (
     Environment,
     GAUSSIAN,
     UnsupportedKindError,
-    _softplus_minus_yu,
+    _check_theta,
     decoupled_full_gradient,
+    exact_risk,
     expit,
     shifted_scores,
 )
@@ -122,10 +123,9 @@ def closed_form_multi_ps(env: Environment) -> np.ndarray:
     """
     if env.kind != GAUSSIAN:
         raise UnsupportedKindError(f"no closed-form stable point for {env.kind} populations")
-    if env.eps_avg >= 1.0:
-        raise NoFixedPointError(
-            f"eps_avg = {env.eps_avg} >= 1: no stable point exists"
-        )
+    existence = existence_check(env.eps_avg, env.mu, env.smoothness)
+    if not existence.exists:
+        raise NoFixedPointError(f"eps_avg = {env.eps_avg} >= {existence.threshold:g}: no stable point exists")
     return env.zbar_mean / (1.0 - env.eps_avg)
 
 
@@ -217,13 +217,11 @@ def _solve_frozen(env, deployed, start, inner):
     """
     if env.kind == GAUSSIAN:
         return env.zbar_mean + env.eps_avg * deployed
-    beta = env.beta
 
     def objective(t):
-        """The frozen objective at ``t``, and the scores ``X t`` it was computed from."""
+        """The frozen objective at ``t`` (the risk at the frozen scores) and the scores ``X t``."""
         scores = shifted_scores(env, t, deployed)
-        value = float(env.row_weights @ _softplus_minus_yu(scores, env.labels)) + 0.5 * beta * float(t @ t)
-        return value, scores
+        return exact_risk(env, t, scores), scores
 
     theta = np.array(start, dtype=float)
     f, scores = objective(theta)
@@ -356,9 +354,9 @@ def apply_M(env: Environment, theta, inner: int = 1000) -> np.ndarray:
     fit on the deterministically shifted empirical datasets by matrix-free
     damped Newton from ``theta``, at most ``inner`` iterations; if they run
     out before the gradient norm reaches ``_INNER_TOL`` a warning flags the
-    partial result.
+    partial result. A ``theta`` of a shape other than ``(dim,)`` raises ``ValueError``.
     """
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    theta = _check_theta(env, theta)
     return _solve_frozen(env, theta, theta, inner)
 
 
@@ -381,12 +379,13 @@ def repeated_gd_fixed_point(
     deployments that run out of inner budget are counted in
     ``budget_exhausted``, under one warning for the call. A ``tol`` that is
     NaN or negative raises ``ValueError``: no residual could ever meet it.
-    So does a ``deployments`` or ``inner`` budget below 1.
+    So does a ``deployments`` or ``inner`` budget below 1, and a ``theta0``
+    of a shape other than ``(dim,)``.
     """
     if not tol >= 0:
         raise ValueError(f"tol must be a nonnegative number, got {tol}")
     _check_budgets(deployments=deployments, inner=inner)
-    theta = np.zeros(env.dim) if theta0 is None else np.atleast_1d(np.asarray(theta0, dtype=float))
+    theta = np.zeros(env.dim) if theta0 is None else _check_theta(env, theta0)
     used, residual, converged, diverged = 0, float("inf"), False, False
     with _exhausted_solves() as exhausted:
         for used in range(1, deployments + 1):
@@ -425,7 +424,7 @@ def contraction_probe(
     moves the ratio only by solver tolerance. ``pairs`` below 1 and a
     ``radius`` that is not a positive finite number raise ``ValueError``:
     with no pair measured the ratio would read 0, a contraction. So does an
-    ``inner`` budget below 1.
+    ``inner`` budget below 1, and a ``center`` of a shape other than ``(dim,)``.
     """
     _check_budgets(pairs=pairs, inner=inner)
     if not (radius > 0 and np.isfinite(radius)):
@@ -437,7 +436,7 @@ def contraction_probe(
             center = stable_point(env)
         except NoFixedPointError:
             center = np.zeros(env.dim)
-    center = np.atleast_1d(np.asarray(center, dtype=float))
+    center = _check_theta(env, center)
 
     worst = 0.0
     solves = 1

@@ -195,14 +195,14 @@ def ratio_condition_check(schedule: StepSchedule, tc: TheoryConstants, T: int) -
     min( sqrt(1 + (mu_tilde/4) gamma_{t+1}^2),
          cbrt(1 + (mu_tilde/4) gamma_{t+1}^3),
          1 + rho / (4 - 2 rho) ).
-    A violation is a result, not an error.
+    A violation is a result, not an error. The T + 1 step sizes come from
+    one array call of :func:`~perfnet.engine.gamma`.
     """
     topo_limit = 1.0 + tc.rho / (4.0 - 2.0 * tc.rho)
     if schedule.kind == "constant":
         return RatioCheck(ok=True, first_violation=None, ratio=None, limit=None)
-    for t in range(1, T + 1):
-        g_now = gamma(schedule, t)
-        g_next = gamma(schedule, t + 1)
+    steps = gamma(schedule, np.arange(1, T + 2)).tolist()
+    for t, (g_now, g_next) in enumerate(zip(steps, steps[1:]), start=1):
         ratio = g_now / g_next
         limit = min(
             math.sqrt(1.0 + (tc.mu_tilde / 4.0) * g_next**2),

@@ -7,12 +7,15 @@ scores and differentiates over whole datasets at once (``exact_risk``,
 iterations and scans each block for divergence once, and its frozen Newton
 solves take Hessian-vector products in float32. It scores test accuracy for
 all agents in one stacked product. Its bound curves are running products over
-chunks of steps, and it aggregates every metric column in one stacked call
-per statistic. The functions here do the same work one agent and one sample,
-or one iteration or column, at a time, or in float64, in the plainest form,
-so the tests can check the library's paths against them.
+chunks of steps, its step-ratio check takes its step sizes from one array
+call, its frozen objective is ``exact_risk`` at the frozen scores, and it
+aggregates every metric column in one stacked call per statistic. The
+functions here do the same work one agent and one sample, or one iteration
+or column, at a time, or in float64, in the plainest form, so the tests can
+check the library's paths against them.
 """
 
+import math
 import warnings
 from typing import NamedTuple
 
@@ -20,7 +23,7 @@ import numpy as np
 
 from perfnet.engine import agent_streams, dsgd_gd_step, gamma
 from perfnet.metrics import CSV_COLUMNS
-from perfnet.theory import BoundCurves
+from perfnet.theory import BoundCurves, RatioCheck
 from perfnet.environment import (
     GAUSSIAN,
     Environment,
@@ -208,6 +211,32 @@ def bound_curves(tc, schedule, ts) -> BoundCurves:
         t=ts, gap_bound=gap, consensus_bound=cons,
         term_transient=transient, term_network=network, term_fluctuation=fluct,
     )
+
+
+def ratio_condition_check(schedule, tc, T: int) -> RatioCheck:
+    """``theory.ratio_condition_check`` with the step sizes taken one step at a time."""
+    topo_limit = 1.0 + tc.rho / (4.0 - 2.0 * tc.rho)
+    if schedule.kind == "constant":
+        return RatioCheck(ok=True, first_violation=None, ratio=None, limit=None)
+    for t in range(1, T + 1):
+        g_now = gamma(schedule, t)
+        g_next = gamma(schedule, t + 1)
+        ratio = g_now / g_next
+        limit = min(
+            math.sqrt(1.0 + (tc.mu_tilde / 4.0) * g_next**2),
+            (1.0 + (tc.mu_tilde / 4.0) * g_next**3) ** (1.0 / 3.0),
+            topo_limit,
+        )
+        if ratio > limit:
+            return RatioCheck(ok=False, first_violation=t, ratio=ratio, limit=limit)
+    return RatioCheck(ok=True, first_violation=None, ratio=None, limit=None)
+
+
+def frozen_objective(env: Environment, theta, deployed) -> float:
+    """The oracle's frozen ridge-logistic objective at ``theta``, distributions frozen at ``deployed``."""
+    scores = env.features @ theta + env.row_eps * float(deployed @ theta)
+    loss = float(env.row_weights @ _softplus_minus_yu(scores, env.labels))
+    return loss + 0.5 * env.beta * float(theta @ theta)
 
 
 def aggregate_columns(runs: list) -> dict:

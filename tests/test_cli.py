@@ -229,6 +229,22 @@ def test_run_refused_in_its_jobs_makes_no_directory(tmp_path, capsys, case, thre
     assert not (tmp_path / "out" / name).exists()
 
 
+@pytest.mark.parametrize("axis, values, message", [
+    ("environment.gaussian.sigma2", "50,-1", "environment.gaussian.sigma2 must be nonnegative, got -1.0"),
+    ("environment.eps_grid.spread", "0.05,nan", "environment.eps_grid.spread must be finite, got nan"),
+    ("environment.eps_avg", "0.9,-0.5", "environment.eps_avg must be nonnegative, got -0.5"),
+    ("environment.eps_grid.spread", "0.05,1.5",
+     "environment.eps_grid.spread = 1.5 gives the negative sensitivity -0.45 at environment.eps_avg = 0.9"),
+], ids=["negative_sigma2", "nan_spread", "negative_eps_avg", "spread_past_one"])
+def test_run_refused_at_load_for_a_later_value_makes_no_directory(tmp_path, capsys, axis, values, message):
+    # each used to be refused only when its value's jobs built the suite,
+    # after the first value's cell was written
+    path = tiny_gaussian_cfg(tmp_path, **{"run.T": 200, "experiment.seeds": [1, 2]})
+    assert main(["run", path, "--axis", axis, "--values", values, "--threads", "1"]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out" / "gaussian_mean").exists()
+
+
 def _tree(root):
     """Every file under ``root`` by relative path; manifests without their timings."""
     files = {}
@@ -381,6 +397,19 @@ FIELD_ERRORS = {
     "synthetic_dim_negative": {"environment.strategic.synthetic.dim": -3},
     "zbar_empty": {"environment.gaussian.zbar": []},
     "zbar_with_an_empty_row": {"environment.gaussian.zbar": [[10.0]] * 24 + [[]]},
+    "zbar_ragged": {"environment.gaussian.zbar": [[10.0, 1.0]] * 24 + [[3.0]]},
+    "zbar_rows_not_n": {"environment.gaussian.zbar": [[10.0]] * 3},
+    # json writes and reads NaN, so this spread used to reach the suite builder
+    "nan_spread": {"environment.eps_grid": {"spread": float("nan")}},
+    "negative_noise_variance": {"environment.gaussian.sigma2": -1.0},
+    "nan_noise_variance": {"environment.gaussian.sigma2": float("nan")},
+    "negative_eps_avg": {"environment.eps_avg": -0.5},
+    "spread_past_one": {"environment.eps_grid": {"spread": 1.5}},
+    "eps_list_negative_entry": {"environment.eps_list": [1.0] * 24 + [-0.1], "environment.eps_grid": None,
+                                "environment.eps_avg": 0.956},
+    "n_zero": {"environment.n": 0, "topology.n": 0},
+    "run_batch_zero": {"run.batch": 0},
+    "run_record_every_zero": {"run.record_every": 0},
 }
 
 # configs that parse but fail when loaded or built; the step a0 case cannot be
@@ -390,9 +419,6 @@ BUILD_ERRORS = {
     "eps_list_off_its_average": {"environment.eps_grid": None, "environment.eps_list": [0.5] * 25},
     "eps_list_a_number": {"environment.eps_grid": None, "environment.eps_list": 0.5},
     "eps_list_not_finite": {"environment.eps_grid": None, "environment.eps_list": [0.9] * 24 + [float("nan")]},
-    # json writes and reads NaN, so this spread reaches the suite builder
-    "nan_spread": {"environment.eps_grid": {"spread": float("nan")}},
-    "negative_noise_variance": {"environment.gaussian.sigma2": -1.0},
     "negative_step_a0": {"step.a0": -1.0},
     "removed_risk_mc": {"experiment.risk_mc": 256},
     "missing_edge_file": {"topology.kind": "edge_list", "topology.edge_file": "missing.txt"},
@@ -489,7 +515,10 @@ def test_theory_on_unbuildable_config_exits_two(tmp_path, capsys, case):
     if case == "eps_list_not_finite":
         assert err == "config error: environment.eps_list has non-finite entries [nan]\n"
     if case == "nan_spread":
-        assert err == "config error: multiplier grid for spread nan is not finite\n"
+        assert err == "config error: environment.eps_grid.spread must be finite, got nan\n"
+    if case == "zbar_ragged":
+        # in the field's words, not numpy's
+        assert err == "config error: environment.gaussian.zbar must have rows of one length, got lengths [1, 2]\n"
     if case == "schedule_window_does_not_mix":
         assert "window starting at 0 does not contract" in err
     if case.startswith("schedule_vertex"):

@@ -255,6 +255,8 @@ def _leaf_fields(cls=Config, prefix=""):
 def _wrong_value(tp):
     """A value of none of the types ``tp`` admits."""
     first = next(t for t in _options(tp) if t is not type(None))
+    if typing.get_origin(first) is typing.Literal:
+        return 7
     if typing.get_origin(first) is list:
         return ["x"]
     return {int: 2.5, float: "1.0", str: 7, bool: "no"}[first]
@@ -354,3 +356,79 @@ def test_synthetic_corpus_too_small_for_its_partition_is_refused():
     spam.replace(**{"environment.strategic.dataset": "missing.csv", "environment.strategic.synthetic": None,
                     "environment.strategic.per_agent": 10_000})
 
+
+
+# each enumerated field, the words its Literal annotation allows, and the
+# preset whose sections hold it
+WORDS = {
+    "topology.kind": ("gaussian_mean", ["ring", "complete", "star", "edge_list", "schedule"]),
+    "topology.weights": ("gaussian_mean", ["uniform", "metropolis"]),
+    "environment.kind": ("gaussian_mean", ["gaussian_mean", "strategic_shift"]),
+    "environment.strategic.data_mode": ("spam_logistic", ["heterogeneous", "homogeneous"]),
+    "environment.strategic.synthetic.style": ("spam_logistic", ["corpus", "per_agent"]),
+    "step.kind": ("gaussian_mean", ["constant", "inverse_time"]),
+}
+
+
+def test_the_enumerated_fields_are_the_literal_annotations():
+    assert {path for path, tp in LEAF_FIELDS.items() if typing.get_origin(tp) is typing.Literal} == set(WORDS)
+    assert all(list(typing.get_args(LEAF_FIELDS[path])) == words for path, (_, words) in WORDS.items())
+
+
+@pytest.mark.parametrize("path", WORDS)
+def test_an_enumerated_field_refuses_another_word_and_lists_its_words(path):
+    name, words = WORDS[path]
+    d = preset(name).to_dict()
+    *sections, leaf = path.split(".")
+    node = d
+    for section in sections:
+        node = node[section]
+    node[leaf] = "x"
+    listed = ", ".join(f'"{word}"' for word in words)
+    message = f'{path} must be one of {listed}, got "x"'
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        Config.from_dict(d)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("T", -1, "run.T must be nonnegative, got -1"),
+    ("seed", -1, "run.seed must be nonnegative, got -1"),
+    ("batch", 0, "run.batch must be at least 1, got 0"),
+    ("record_every", 0, "run.record_every must be at least 1, got 0"),
+    ("divergence_threshold", 0.0, "run.divergence_threshold must be positive, got 0.0"),
+    ("divergence_threshold", float("nan"), "run.divergence_threshold must be positive, got nan"),
+], ids=["T", "seed", "batch", "record_every", "divergence_threshold_zero", "divergence_threshold_nan"])
+def test_each_run_bound_names_its_own_field(field, value, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        config.RunConfig(**{field: value})
+    config.RunConfig(divergence_threshold=float("inf"))  # then only non-finite decisions stop a run
+
+
+@pytest.mark.parametrize("updates, message", [
+    ({"environment.gaussian.sigma2": -1.0}, "environment.gaussian.sigma2 must be nonnegative, got -1.0"),
+    ({"environment.gaussian.sigma2": float("inf")}, "environment.gaussian.sigma2 must be finite, got inf"),
+    ({"environment.eps_grid.spread": float("nan")}, "environment.eps_grid.spread must be finite, got nan"),
+    ({"environment.eps_avg": -0.5}, "environment.eps_avg must be nonnegative, got -0.5"),
+    ({"environment.eps_grid.spread": -1.5},
+     "environment.eps_grid.spread = -1.5 gives the negative sensitivity -0.45 at environment.eps_avg = 0.9"),
+    ({"environment.eps_grid": None, "environment.eps_list": [1.0] * 24 + [-0.1], "environment.eps_avg": 0.956},
+     "environment.eps_list has negative entries [-0.1]"),
+    ({"environment.gaussian.zbar": [[10.0, 1.0]] * 24 + [[3.0]]},
+     "environment.gaussian.zbar must have rows of one length, got lengths [1, 2]"),
+    ({"environment.gaussian.zbar": [[10.0]] * 3}, "environment.gaussian.zbar has 3 rows for n=25"),
+    ({"environment.n": 0, "topology.n": 0}, "environment.n must be at least 1, got 0"),
+], ids=["negative_sigma2", "inf_sigma2", "nan_spread", "negative_eps_avg", "spread_below_minus_one",
+        "eps_list_negative_entry", "ragged_zbar", "zbar_rows_not_n", "n_zero"])
+def test_environment_values_the_suite_would_refuse_are_refused_at_load(updates, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        preset("gaussian_mean").replace(**updates)
+
+
+def test_environment_values_the_suite_accepts_load():
+    # a spread of exactly 1 gives one agent sensitivity 0; at eps_avg 0 any spread gives all zeros
+    gm = preset("gaussian_mean")
+    gm.replace(**{"environment.eps_grid.spread": 1.0})
+    gm.replace(**{"environment.eps_grid.spread": 5.0, "environment.eps_avg": 0.0})
+    gm.replace(**{"environment.gaussian.zbar": [[10.0, 1.0]] * 25, "environment.gaussian.sigma2": 0})
+    # the zbar rows are not judged for a strategic environment, which ignores them
+    preset("spam_logistic").replace(**{"environment.gaussian": {"zbar": [[1.0]] * 3}})

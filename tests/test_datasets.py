@@ -9,6 +9,7 @@ from perfnet.datasets import (
     synthetic_agent_shards,
     synthetic_corpus,
 )
+from perfnet.experiments import build_environment, preset
 from perfnet.metrics import write_csv
 
 
@@ -132,3 +133,19 @@ def test_synthetic_shards_shapes_and_test_pool():
     assert len(shards) == 4
     assert all(s[0].shape == (30, 6) for s in shards)
     assert xt.shape == (20, 6) and set(np.unique(yt)) <= {0.0, 1.0}
+
+
+def test_the_config_signal_reaches_per_agent_shards():
+    # the per_agent style used to label with a fixed logit scale 2, whatever synthetic.signal said
+    cfg = preset("hetero_vs_homo", **{"environment.strategic.synthetic.per_agent": 30,
+                                      "environment.strategic.synthetic.dim": 6})
+    labels = {}
+    for signal in (0.0, 2.0):
+        syn = dict(per_agent=30, dim=6, style="per_agent", signal=signal)
+        env, (_, test_labels) = build_environment(
+            cfg.replace(**{"environment.strategic.synthetic": syn}).environment, seed=0)
+        labels[signal] = np.concatenate([env.labels, test_labels])
+    assert not np.array_equal(labels[0.0], labels[2.0])
+    # the default, 2, labels as the fixed scale did
+    env, _ = build_environment(cfg.environment, seed=0)
+    assert env.labels.tobytes() == labels[2.0][:env.labels.size].tobytes()

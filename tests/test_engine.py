@@ -72,6 +72,22 @@ def test_gamma_of_an_array_is_the_scalar_at_every_element(sched):
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("sched", [
+    StepSchedule.inverse_time(50.0, 10_000.0), StepSchedule.inverse_time(3.0, 7.0),
+    StepSchedule("inverse_time", a0=5, a1=100), StepSchedule.constant(0.01), StepSchedule.constant(2),
+], ids=["preset", "small_a1", "integer_a0_a1", "constant", "integer_constant"])
+def test_gamma_of_one_step_is_a_float_with_the_bits_of_the_array_element(sched):
+    for t in (1, 2, 999, 200_000):
+        one = gamma(sched, t)
+        assert type(one) is float
+        assert np.float64(one).tobytes() == gamma(sched, np.array([t]))[0].tobytes()
+        want = sched.gamma if sched.kind == "constant" else sched.a0 / (sched.a1 + t)
+        assert one == want
+    # an integer constant gamma comes back as a float: theory.json's gamma1 reads 2.0, not 2
+    if sched == StepSchedule.constant(2):
+        assert repr(gamma(sched, 1)) == "2.0"
+
+
 @pytest.mark.parametrize("sched", [StepSchedule.constant(0.1), StepSchedule.inverse_time(1.0, 10.0)],
                          ids=["constant", "inverse_time"])
 def test_gamma_of_an_array_refuses_a_step_below_one(sched):

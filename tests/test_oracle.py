@@ -9,9 +9,11 @@ from perfnet.engine import DATA_STREAM, PROBE_STREAM, stream
 from perfnet.environment import (
     UnsupportedKindError,
     decoupled_full_gradient,
+    exact_risk,
     make_heterogeneous_suite,
 )
 from perfnet.experiments import build_environment, preset
+from perfnet.metrics import metric_recorder
 from perfnet.oracle import (
     NoFixedPointError,
     _conjugate_gradient,
@@ -25,6 +27,7 @@ from perfnet.oracle import (
     repeated_gd_fixed_point,
     stable_point,
 )
+import reference
 from reference import frozen_hessian
 
 
@@ -734,3 +737,47 @@ def test_consensus_threshold_never_tighter_than_game_threshold():
         local = existence_check(0.5, 2.0, 3.0).threshold
         game = existence_check(0.5, 2.0, 3.0, variant="global_influence", n=n).threshold
         assert local >= game
+
+
+# ---------------------------------------------------------------- one rule, one implementation
+
+@pytest.mark.parametrize("call", [
+    lambda env: apply_M(env, [1.0, 2.0, 3.0]),
+    lambda env: repeated_gd_fixed_point(env, theta0=[0.0, 5.0]),
+    lambda env: contraction_probe(env, center=[0.0, 0.0]),
+    lambda env: metric_recorder(env, theta_ps=[20.0, 0.0]),
+], ids=["apply_M", "repeated_gd_fixed_point", "contraction_probe", "metric_recorder"])
+def test_a_decision_of_the_wrong_shape_is_refused(call):
+    # on this d = 1 suite each used to broadcast: apply_M returned three
+    # values, the repeated map "converged" to [20, 20], the probe read 0.5
+    # and the recorder's gap_sq came out 400
+    with pytest.raises(ValueError, match=r"^decision has shape \(\d,\), expected \(1,\)$"):
+        call(gaussian_env(eps_avg=0.5))
+
+
+def test_closed_form_is_refused_exactly_at_the_existence_threshold():
+    below = np.nextafter(1.0, 0.0)
+    assert gaussian_env(n=1, eps_avg=below).eps_avg == below
+    assert closed_form_multi_ps(gaussian_env(n=1, eps_avg=below)) == pytest.approx([10.0 / (1.0 - below)])
+    assert existence_check(1.0, 1.0, 1.0).threshold == 1.0
+    with pytest.raises(NoFixedPointError, match=r"^eps_avg = 1\.0 >= 1: no stable point exists$"):
+        closed_form_multi_ps(gaussian_env(n=1, eps_avg=1.0))
+
+
+def test_the_frozen_objective_is_the_risk_at_the_frozen_scores(monkeypatch):
+    env = strategic_env(eps_avg=0.05, m=(7, 10, 13))
+    deployed = np.array([0.3, -0.2, 0.5, 0.1])
+    calls = []
+
+    def recorded(env_, theta, scores=None):
+        value = exact_risk(env_, theta, scores)
+        calls.append((theta.copy(), scores, value))
+        return value
+
+    monkeypatch.setattr(oracle, "exact_risk", recorded)
+    apply_M(env, deployed)
+    assert len(calls) > 1
+    for theta, scores, value in calls:
+        assert scores.tobytes() == frozen_scores(env, theta, deployed).tobytes()
+        want = reference.frozen_objective(env, theta, deployed)
+        assert np.float64(value).tobytes() == np.float64(want).tobytes()

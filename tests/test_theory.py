@@ -185,6 +185,17 @@ def test_ratio_violation_reported_at_small_t():
     assert not check.ok and check.first_violation == 1
 
 
+@pytest.mark.parametrize("a0", [20.0, 50.0, 100.0, 200.0, 1e3, 1e4])
+@pytest.mark.parametrize("a1", [0.0, 10.0, 100.0, 1000.0])
+def test_ratio_check_from_one_array_call_equals_the_step_by_step_loop(a0, a1):
+    # the grid holds violations at t = 1, at t from 12 to 8153, and none within 10 000 steps
+    sched = StepSchedule.inverse_time(a0, a1)
+    tc = compute_constants(mu=1.0, L=1.0, sigma=1.0, varsigma=0.0, rho=0.5, n=4, eps_avg=0.1,
+                           eps_max=0.1, gamma1=gamma(sched, 1), delta=1.0)
+    for T in (0, 1, 300, 10_000):
+        assert ratio_condition_check(sched, tc, T) == reference.ratio_condition_check(sched, tc, T)
+
+
 # ---------------------------------------------------------------- bound curves
 
 def curve_constants():
